@@ -42,16 +42,11 @@ from .epic import (
     Dataset,
     EpicConfig,
     EpicSolution,
-    count_kernel,
     dataset_from_model,
     discretize,
     eldp_solve,
-    empirical_privacy_risk,
-    empirical_risk_H,
     epic_solve,
-    expected_kernel,
     holdout_errors,
-    predict,
 )
 from .metrics import (
     BudgetReport,

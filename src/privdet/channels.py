@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -190,6 +191,53 @@ def random_mapping(seed: int, s: int, x_size: int, z_size: int) -> NetworkMappin
         raw = rng.exponential(size=(x_size, z_size))
         chans.append(SensorChannel(raw / raw.sum(axis=1, keepdims=True)))
     return NetworkMapping(tuple(chans))
+
+
+def ldp_polytope(x_size: int, z_size: int, eps_ld: float):
+    """Linear constraints of the channels whose local budget is at most eps_ld.
+
+    Variables are the entries p(z | x), flattened as x * z_size + z.  Returns
+    (a_eq, b_eq, a_ub, b_ub): rows summing to one, and per output z and input
+    pair x != x' the ratio rows p(z|x) - e^eps p(z|x') <= 0 (None when eps_ld
+    is infinite).
+    """
+    nv = x_size * z_size
+    a_eq = np.zeros((x_size, nv))
+    for x in range(x_size):
+        a_eq[x, x * z_size:(x + 1) * z_size] = 1.0
+    b_eq = np.ones(x_size)
+    if math.isinf(eps_ld) or x_size < 2:
+        return a_eq, b_eq, None, None
+    e = math.exp(eps_ld)
+    rows = []
+    for z in range(z_size):
+        for x in range(x_size):
+            for x2 in range(x_size):
+                if x2 != x:
+                    row = np.zeros(nv)
+                    row[x * z_size + z] = 1.0
+                    row[x2 * z_size + z] -= e
+                    rows.append(row)
+    return a_eq, b_eq, np.array(rows), np.zeros(len(rows))
+
+
+def repair_ratio_columns(rows: np.ndarray, eps_ld: float) -> np.ndarray:
+    """Snap solver noise so a channel's ratio budget holds exactly after rounding.
+
+    Negative entries are clipped to zero; each column is lifted to at least
+    e^-eps_ld times its maximum (or zeroed when its maximum is below 1e-12),
+    and rows are renormalized.
+    """
+    rows = np.clip(rows, 0.0, None)
+    if math.isfinite(eps_ld):
+        floor = np.exp(-eps_ld)
+        for z in range(rows.shape[1]):
+            col = rows[:, z]
+            mx = col.max()
+            rows[:, z] = 0.0 if mx <= 1e-12 else np.maximum(col, mx * floor)
+    else:
+        rows[rows <= 1e-12] = 0.0
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 # -- serialization helpers ---------------------------------------------------

@@ -230,16 +230,13 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
                 mapping = identity_mapping(model.s, model.x_size)
                 report = _evaluate_mapping(model, mapping, row)
                 row["converged"] = True
-                row["audit_ok"] = True
             elif arch in ("ldp", "ill", "lip", "inp"):
                 res = results[idx]
-                mapping = res.network()
-                report = _evaluate_mapping(model, mapping, row)
+                report = _evaluate_mapping(model, res.network(), row)
                 row["converged"] = res.converged
-                row["audit_ok"] = _audit(report, arch, eps_i, eps_ld)
             else:  # epic / e-ldp
                 report = _run_epic_cell(spec, arch, model, seed, eps_ld, r, row)
-                row["audit_ok"] = report.eps_ldp <= eps_ld + AUDIT_SLACK
+            row["audit_ok"] = _audit(report, arch, eps_i, eps_ld)
             row["status"] = "ok"
         except Exception as exc:
             row["status"] = "error"
@@ -257,7 +254,6 @@ def _run_epic_cell(spec, arch, model, seed, eps_ld, r, row):
     lam = float(ep.get("lambda", 0.05))
     cfg = epic_mod.EpicConfig(
         max_sweeps=int(ep.get("max_sweeps", 12)),
-        seed=seed,
         utility_slack=float(ep.get("utility_slack", 0.3)),
     )
     train = epic_mod.dataset_from_model(model, n_train, seed)
@@ -414,10 +410,8 @@ def _cmd_design(args) -> int:
     payload["arch"] = args.arch
     payload["eps_i"] = metrics._json_float(cfg.eps_i)
     payload["eps_ld"] = metrics._json_float(cfg.eps_ld)
-    audit_ok = res.report.eps_ldp <= cfg.eps_ld + AUDIT_SLACK
-    if args.arch in ("ill", "lip", "inp"):
-        audit_ok &= res.report.eps_info <= cfg.eps_i + AUDIT_SLACK
-    payload["audit_ok"] = bool(audit_ok)
+    audit_ok = _audit(res.report, args.arch, cfg.eps_i, cfg.eps_ld)
+    payload["audit_ok"] = audit_ok
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -498,7 +492,7 @@ def _cmd_epic(args) -> int:
         x_size = int(max(train_x.max(), test_x.max())) + 1
     train = epic_mod.Dataset(train_h, train_g, train_x, x_size, args.q)
     test = epic_mod.Dataset(test_h, test_g, np.clip(test_x, 0, x_size - 1), x_size, args.q)
-    cfg = epic_mod.EpicConfig(seed=args.seed, utility_slack=args.utility_slack)
+    cfg = epic_mod.EpicConfig(utility_slack=args.utility_slack)
     if args.e_ldp:
         sol = epic_mod.eldp_solve(train, _parse_eps(args.eps_ld), args.lam, cfg)
     else:

@@ -27,7 +27,14 @@ import math
 import numpy as np
 
 from . import metrics
-from .channels import NetworkMapping, SensorChannel, TwoStageMapping, compose
+from .channels import (
+    NetworkMapping,
+    SensorChannel,
+    TwoStageMapping,
+    compose,
+    ldp_polytope,
+    repair_ratio_columns,
+)
 from .detection import (
     FusionRule,
     PrivacyRiskProfile,
@@ -191,48 +198,9 @@ def ldp_lp_step(
         raise ValueError("eps_ld must be nonnegative")
     f = block_objective_coefficients(model, rule, channels, t)
     z_size, x_size = f.shape
-    nv = x_size * z_size  # variable (x, z) -> x * z_size + z
-    c = f.T.reshape(-1)
-    a_eq = np.zeros((x_size, nv))
-    for x in range(x_size):
-        a_eq[x, x * z_size:(x + 1) * z_size] = 1.0
-    b_eq = np.ones(x_size)
-    a_ub = b_ub = None
-    if math.isfinite(eps_ld):
-        e = math.exp(eps_ld)
-        rows = []
-        for z in range(z_size):
-            for x in range(x_size):
-                for x2 in range(x_size):
-                    if x2 == x:
-                        continue
-                    row = np.zeros(nv)
-                    row[x * z_size + z] = 1.0
-                    row[x2 * z_size + z] -= e
-                    rows.append(row)
-        a_ub = np.array(rows)
-        b_ub = np.zeros(len(rows))
-    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=lp_tol)
-    rows = np.clip(res.x.reshape(x_size, z_size), 0.0, None)
-    rows = _repair_ratio_columns(rows, eps_ld)
-    return SensorChannel(rows)
-
-
-def _repair_ratio_columns(rows: np.ndarray, eps_ld: float) -> np.ndarray:
-    """Snap solver noise so the ratio budget holds exactly after rounding."""
-    rows = rows.copy()
-    if math.isfinite(eps_ld):
-        floor = np.exp(-eps_ld)
-        for z in range(rows.shape[1]):
-            col = rows[:, z]
-            mx = col.max()
-            if mx <= 1e-12:
-                rows[:, z] = 0.0
-            else:
-                rows[:, z] = np.maximum(col, mx * floor)
-    else:
-        rows[rows <= 1e-12] = 0.0
-    return rows / rows.sum(axis=1, keepdims=True)
+    a_eq, b_eq, a_ub, b_ub = ldp_polytope(x_size, z_size, eps_ld)
+    res = solve_lp(f.T.reshape(-1), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=lp_tol)
+    return SensorChannel(repair_ratio_columns(res.x.reshape(x_size, z_size), eps_ld))
 
 
 def block_objective_value(f: np.ndarray, channel: SensorChannel) -> float:
@@ -418,8 +386,9 @@ def design_info_stage(model: JointModel, eps_i: float, config: OptimizerConfig) 
             break
     chans = _enforce_info_budget(model, chans, eps_i)
     mapping = NetworkMapping(tuple(chans))
-    if not trace:
-        trace = [bayes_error_H_pushed(push_forward(model, mapping))]
+    obj = bayes_error_H_pushed(push_forward(model, mapping))
+    if not trace or trace[-1] != obj:
+        trace.append(obj)  # the shrink moved the mapping after the last sweep
     profile = PrivacyRiskProfile(_min_risks(model, mapping), *enforced)
     return InfoStageResult(mapping, profile, tuple(trace), converged)
 
@@ -676,15 +645,17 @@ def design_inp(model: JointModel, config: OptimizerConfig) -> DesignResult:
     filled = NetworkMapping(tuple(_audited_waterfill(model, config.eps_i, cfg, cands)))
     err_info = bayes_error_H_pushed(push_forward(model, info.mapping))
     err_fill = bayes_error_H_pushed(push_forward(model, filled))
-    mapping, profile = (filled, None) if err_fill <= err_info else (info.mapping, info.profile)
-    pushed = push_forward(model, mapping)
+    if err_fill <= err_info:
+        mapping, profile, trace = filled, None, info.trace + (err_fill,)
+    else:
+        mapping, profile, trace = info.mapping, info.profile, info.trace
     return DesignResult(
         mapping=mapping,
-        rule=optimal_rule_from_pushed(pushed),
-        trace=info.trace,
+        rule=optimal_rule_from_pushed(push_forward(model, mapping)),
+        trace=trace,
         report=full_report(model, mapping),
         converged=info.converged,
-        objective=bayes_error_H_pushed(pushed),
+        objective=min(err_fill, err_info),
         profile=profile,
     )
 

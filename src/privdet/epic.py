@@ -1,11 +1,16 @@
 """Empirical privacy-constrained channel and classifier optimization.
 
 For unknown observation distributions, the privacy mapping is learned from
-labeled samples alone.  The fusion rule is a kernel classifier in
-representer form over the pushed-forward features Phi_Q(x) (the expected
-feature map of the sanitized vector), the inference-privacy constraint is
-an empirical detection-risk floor against the best adversary classifier
-per private value, and the data-privacy constraint is the usual per-sensor
+labeled samples alone.  Sample i enters through its pushed-forward feature
+phi_i = (P_1[x_1^i], ..., P_s[x_s^i]), the expected one-hot encoding of its
+sanitized vector, and every classifier is linear in it: its score is
+sum_t P_t[x_t^i] . w_t for per-sensor weights w of shape (s, z).  The fusion
+rule minimizes the mean logistic loss of H plus (lam/2) |w|^2.  This is the
+count-kernel representer problem written in the primal (w = Phi^T a, so the
+Gram matrix is Phi Phi^T and a^T K a = |w|^2), an s*z-dimensional strongly
+convex fit solved by damped Newton.  The inference-privacy constraint is an
+empirical detection-risk floor against the best such adversary per private
+value, and the data-privacy constraint is the usual per-sensor
 likelihood-ratio polytope.
 
 The solver runs in two steps: (i) estimate the highest risk floor
@@ -13,9 +18,10 @@ The solver runs in two steps: (i) estimate the highest risk floor
 leave the public hypothesis learnable, then (ii) minimize the empirical
 public risk subject to the floor ``r * theta_star`` and the local-budget
 constraints, by block coordinate descent over (classifier, per-sensor
-channels, adversaries).  Channel blocks are linear programs on the
-loss-linearized objective with a backtracking damping step on the exact
-anchored objective.
+channels, adversaries).  With the weights held fixed, each score is linear
+in one sensor's channel and the regularizer is constant, so channel blocks
+are linear programs on the linearized risks with a backtracking damping
+step on the exact ones.
 """
 
 from __future__ import annotations
@@ -26,12 +32,16 @@ import warnings
 
 import numpy as np
 
-from . import metrics
-from .channels import NetworkMapping, SensorChannel
-from .model import JointModel, push_forward
+from .channels import NetworkMapping, SensorChannel, ldp_polytope, repair_ratio_columns
+from .model import JointModel
 from .simplex import LPInfeasible, solve_lp
 
 LOG2 = math.log(2.0)
+
+#: a Newton fit stops at this gradient norm, or once a full step could lower
+#: its objective by no more than the objective's rounding error
+FIT_TOL = 1e-12
+FIT_MAX_ITER = 100
 
 
 # -- data ------------------------------------------------------------------
@@ -90,39 +100,7 @@ def dataset_from_model(model: JointModel, n: int, seed: int) -> Dataset:
     return Dataset(h, g, x, model.x_size, model.q)
 
 
-# -- kernels -----------------------------------------------------------------
-
-
-def count_kernel(z, z2) -> int:
-    """Number of agreeing components between two equal-length vectors."""
-    z = np.asarray(z)
-    z2 = np.asarray(z2)
-    if z.shape != z2.shape:
-        raise ValueError(f"vector lengths differ: {z.shape} vs {z2.shape}")
-    return int((z == z2).sum())
-
-
-def expected_kernel(x, x2, mapping: NetworkMapping) -> float:
-    """<Phi_Q(x), Phi_Q(x2)> for the count kernel, factor-wise per sensor."""
-    x = np.asarray(x)
-    x2 = np.asarray(x2)
-    total = 0.0
-    for t, ch in enumerate(mapping.channels):
-        total += float(ch.rows[x[t]] @ ch.rows[x2[t]])
-    return total
-
-
-def gram_matrix(x_rows: np.ndarray, mapping: NetworkMapping) -> np.ndarray:
-    """Pushed-feature Gram matrix over sample rows, O(n^2 s)."""
-    n = x_rows.shape[0]
-    k = np.zeros((n, n))
-    for t, ch in enumerate(mapping.channels):
-        m = ch.rows @ ch.rows.T
-        k += m[np.ix_(x_rows[:, t], x_rows[:, t])]
-    return k
-
-
-# -- losses and representer fits ---------------------------------------------
+# -- losses and primal fits ----------------------------------------------------
 
 
 def _logistic(u: np.ndarray) -> np.ndarray:
@@ -137,49 +115,14 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * u))
 
 
-def _weighted_objective(k, coeffs, signs, weights, lam):
-    scores = k @ coeffs
-    loss = float(weights @ _logistic(signs * scores))
-    return loss + 0.5 * lam * float(coeffs @ scores)
+def _risk_terms(dataset: Dataset, g: int | None = None):
+    """Per-sample weights and +-1 signs of one empirical risk.
 
-
-def _fit_representer(k, signs, weights, lam, tol=1e-6, max_iter=500):
-    """Gradient descent with backtracking for the weighted logistic risk.
-
-    Minimizes sum_i w_i log(1 + exp(-s_i (K a)_i)) + (lam/2) a^T K a over
-    the representer coefficients a; stops at gradient norm <= tol.
+    With g None this is the public risk (mean loss of deciding H); otherwise
+    the class-balanced risk of an adversary telling private value g from 0.
     """
-    n = k.shape[0]
-    a = np.zeros(n)
-    obj = _weighted_objective(k, a, signs, weights, lam)
-    lr = 1.0
-    for _ in range(max_iter):
-        scores = k @ a
-        c = -weights * signs * _sigmoid(-signs * scores)
-        grad = k @ (c + lam * a)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
-            break
-        lr = min(lr * 2.0, 1e6)
-        while lr > 1e-12:
-            cand = a - lr * grad
-            cand_obj = _weighted_objective(k, cand, signs, weights, lam)
-            if cand_obj <= obj - 0.5 * lr * gnorm ** 2 * 1e-4:
-                break
-            lr *= 0.5
-        if lr <= 1e-12:
-            break
-        a = a - lr * grad
-        obj = _weighted_objective(k, a, signs, weights, lam)
-    return a, obj
-
-
-def _h_weights(dataset: Dataset) -> np.ndarray:
-    return np.full(dataset.n, 1.0 / dataset.n)
-
-
-def _g_weights_signs(dataset: Dataset, g: int):
-    """Per-sample weights and +-1 signs of the risk against private value g."""
+    if g is None:
+        return np.full(dataset.n, 1.0 / dataset.n), dataset.h_signs()
     s0 = dataset.class_indices(0)
     sg = dataset.class_indices(g)
     if s0.size == 0 or sg.size == 0:
@@ -193,95 +136,131 @@ def _g_weights_signs(dataset: Dataset, g: int):
     return weights, signs
 
 
-def empirical_risk_H(coeffs, mapping: NetworkMapping, dataset: Dataset, lam: float) -> float:
-    """Mean logistic loss of the classifier plus (lam/2) its squared norm."""
-    k = gram_matrix(dataset.x, mapping)
-    return _weighted_objective(k, np.asarray(coeffs, float), dataset.h_signs(), _h_weights(dataset), lam)
+def _newton_fit(phi, signs, weights, lam, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
+    """min over w of sum_i c_i log(1 + exp(-y_i phi_i . w)) + (lam/2) |w|^2.
+
+    Damped Newton from w = 0; the objective is strongly convex and the
+    Hessian is only (s*z) x (s*z).  Stops at gradient norm <= tol, or when
+    the Newton decrement grad . step (twice the decrease a full step
+    predicts) is within the objective's rounding error: past that point the
+    gradient's own rounding keeps it above a small tol while no step can
+    lower the objective.  Returns (w, objective).
+    """
+
+    def objective(w):
+        return float(weights @ _logistic(signs * (phi @ w))) + 0.5 * lam * float(w @ w)
+
+    w = np.zeros(phi.shape[1])
+    obj = objective(w)
+    for _ in range(max_iter):
+        p = _sigmoid(-signs * (phi @ w))
+        grad = phi.T @ (-weights * signs * p) + lam * w
+        if np.linalg.norm(grad) <= tol:
+            break
+        hess = (phi.T * (weights * p * (1.0 - p))) @ phi + lam * np.eye(w.size)
+        step = np.linalg.solve(hess, grad)
+        if float(grad @ step) <= np.finfo(float).eps * obj:
+            break
+        eta = 1.0
+        while eta > 1e-12 and objective(w - eta * step) > obj:
+            eta *= 0.5
+        if eta <= 1e-12:
+            break
+        w = w - eta * step
+        obj = objective(w)
+    return w, obj
 
 
-def empirical_privacy_risk(coeffs_v, mapping: NetworkMapping, dataset: Dataset, g: int, lam: float) -> float:
-    """Class-balanced logistic risk of an adversary telling g from 0."""
-    weights, signs = _g_weights_signs(dataset, g)
-    k = gram_matrix(dataset.x, mapping)
-    return _weighted_objective(k, np.asarray(coeffs_v, float), signs, weights, lam)
+def _fit(dataset, chans, lam, g=None, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
+    """(weights (s, z), risk) of the best classifier of H, or of the adversary for g."""
+    weights, signs = _risk_terms(dataset, g)
+    phi = np.hstack([ch.rows[dataset.x[:, t]] for t, ch in enumerate(chans)])
+    w, risk = _newton_fit(phi, signs, weights, lam, tol, max_iter)
+    return w.reshape(len(chans), -1), risk
 
 
-def min_adversary_risk(mapping, dataset, g, lam, tol=1e-6, max_iter=500):
-    """(coeffs, risk) of the best adversary for private value g."""
-    weights, signs = _g_weights_signs(dataset, g)
-    k = gram_matrix(dataset.x, mapping)
-    return _fit_representer(k, signs, weights, lam, tol, max_iter)
+def min_adversary_risk(mapping, dataset, g, lam, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
+    """(weights, risk) of the best adversary for private value g."""
+    return _fit(dataset, mapping.channels, lam, g, tol, max_iter)
+
+
+def _fit_adversaries(dataset, chans, lam):
+    """g -> weights of the best adversary for every present g, and the lowest risk."""
+    fits = {g: _fit(dataset, chans, lam, g) for g in dataset.present_g_values()}
+    worst = min((risk for _, risk in fits.values()), default=math.inf)
+    return {g: w for g, (w, _) in fits.items()}, worst
 
 
 # -- channel block machinery ---------------------------------------------------
 
 
-def _base_and_colweights(dataset, chans, t, coeffs):
-    """Exact anchored scores split as base_i + A . P[x_t^i, :].
+def _block(dataset, chans, t, w, lam, g=None):
+    """Sensor t's block of one risk (see ``_risk_terms``) with the weights w held fixed.
 
-    With the classifier (or adversary) anchored at the current channels,
-    the score of sample i is affine in sensor t's trial channel P; ``base``
-    collects the other sensors' contributions and ``A[z]`` the anchored
-    weight of output z at sensor t.
+    For a trial channel P at sensor t the score of sample i is exactly
+    base_i + P[x_t^i] . w_t, and the regularizer is the constant
+    (lam/2) |w|^2.  Returns the gradient of the risk in P at the current
+    channel, the current risk, and the exact risk as a function of P.
     """
-    x = dataset.x
-    n = dataset.n
-    base = np.zeros(n)
+    weights, signs = _risk_terms(dataset, g)
+    xt = dataset.x[:, t]
+    base = np.zeros(dataset.n)
     for tau, ch in enumerate(chans):
-        if tau == t:
-            continue
-        m = ch.rows @ ch.rows.T
-        base += m[np.ix_(x[:, tau], x[:, tau])] @ coeffs
-    anchor = chans[t].rows  # (x_size, z_size)
-    a_w = (coeffs[:, None] * anchor[x[:, t]]).sum(axis=0)  # (z_size,)
-    return base, a_w
+        if tau != t:
+            base += ch.rows[dataset.x[:, tau]] @ w[tau]
+    reg = 0.5 * lam * float((w * w).sum())
+
+    def risk(p_rows):
+        return float(weights @ _logistic(signs * (base + p_rows[xt] @ w[t]))) + reg
+
+    p0 = chans[t].rows
+    d_score = -weights * signs * _sigmoid(-signs * (base + p0[xt] @ w[t]))
+    grad = np.outer(np.bincount(xt, weights=d_score, minlength=dataset.x_size), w[t])
+    return grad, risk(p0), risk
 
 
-def _scores_for_channel(base, a_w, xt_col, p_rows):
-    return base + p_rows[xt_col] @ a_w
+def _adversary_block(dataset, chans, t, advs, lam):
+    """Sensor t's blocks of every adversary risk, for the linear programs.
+
+    Returns (rows, offsets, worst): the first-order risk of adversary k about
+    the current channel is offsets[k] + rows[k] . vec(P), and worst(P) is the
+    exact lowest risk over the adversaries with their weights held fixed.
+    """
+    p0 = chans[t].rows
+    parts = [_block(dataset, chans, t, w, lam, g) for g, w in advs.items()]
+    rows = np.array([grad.reshape(-1) for grad, _, _ in parts])
+    offsets = np.array([cur - float((grad * p0).sum()) for grad, cur, _ in parts])
+    return rows, offsets, lambda p_rows: min(risk(p_rows) for _, _, risk in parts)
 
 
-def _loss_gradient_rows(dataset, base, a_w, xt_col, p_rows, signs, weights, x_size):
-    """Gradient of the anchored weighted loss w.r.t. the trial channel."""
-    scores = _scores_for_channel(base, a_w, xt_col, p_rows)
-    c = weights * signs * (-_sigmoid(-signs * scores))  # d loss / d score
-    grad = np.zeros((x_size, a_w.size))
-    np.add.at(grad, xt_col, c[:, None] * a_w[None, :])
-    return grad, scores
+def _with_ratio_rows(a_ub, b_ub, rows, rhs):
+    """The polytope's ratio constraints (if any) stacked above extra ones."""
+    if a_ub is None:
+        return rows, rhs
+    return np.vstack([a_ub, rows]), np.concatenate([b_ub, rhs])
 
 
-def _ldp_polytope(x_size, z_size, eps_ld):
-    a_eq = np.zeros((x_size, x_size * z_size))
-    for x in range(x_size):
-        a_eq[x, x * z_size:(x + 1) * z_size] = 1.0
-    b_eq = np.ones(x_size)
-    rows = []
-    if math.isfinite(eps_ld):
-        e = math.exp(eps_ld)
-        for z in range(z_size):
-            for x in range(x_size):
-                for x2 in range(x_size):
-                    if x2 == x:
-                        continue
-                    row = np.zeros(x_size * z_size)
-                    row[x * z_size + z] = 1.0
-                    row[x2 * z_size + z] -= e
-                    rows.append(row)
-    a_ub = np.array(rows) if rows else None
-    b_ub = np.zeros(len(rows)) if rows else None
-    return a_eq, b_eq, a_ub, b_ub
+def _channel_step(chans, t, eps_ld, cfg, accept, c, a_ub, b_ub, a_eq, b_eq) -> float:
+    """Move sensor t toward its block LP's optimum by the first accepted damped step.
 
-
-def _repair(rows, eps_ld):
-    rows = np.clip(rows, 0.0, None)
-    if math.isfinite(eps_ld):
-        floor = math.exp(-eps_ld)
-        for z in range(rows.shape[1]):
-            mx = rows[:, z].max()
-            rows[:, z] = 0.0 if mx <= 1e-12 else np.maximum(rows[:, z], mx * floor)
-    else:
-        rows[rows <= 1e-12] = 0.0
-    return rows / rows.sum(axis=1, keepdims=True)
+    The LP's leading variables are the channel entries.  Steps of
+    1, 1/2, 1/4, ... toward the repaired optimum are tried until ``accept``
+    takes one.  Returns the L1 change of the channel (0 when none is taken).
+    """
+    p0 = chans[t].rows
+    try:
+        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=cfg.lp_tol)
+    except LPInfeasible:
+        return 0.0
+    target = repair_ratio_columns(res.x[:p0.size].reshape(p0.shape), eps_ld)
+    eta = 1.0
+    for _ in range(cfg.damping_steps):
+        trial = repair_ratio_columns(p0 + eta * (target - p0), eps_ld)
+        if accept(trial):
+            chans[t] = SensorChannel(trial)
+            return float(np.abs(trial - p0).sum())
+        eta *= 0.5
+    return 0.0
 
 
 # -- configuration and solution -------------------------------------------------
@@ -291,10 +270,7 @@ def _repair(rows, eps_ld):
 class EpicConfig:
     max_sweeps: int = 30
     convergence_tol: float = 1e-6
-    inner_tol: float = 1e-6
-    inner_max_iter: int = 500
     lp_tol: float = 1e-9
-    seed: int = 0
     utility_slack: float = 0.3  # risk-floor search keeps this share of the H-risk gap
     risk_slack: float = 1e-4  # audited floor tolerance on returned solutions
     damping_steps: int = 6
@@ -302,24 +278,19 @@ class EpicConfig:
 
 @dataclasses.dataclass(frozen=True)
 class EpicSolution:
-    coeffs: np.ndarray  # classifier representer weights over the training rows
-    adversaries: dict  # g -> representer weights of the best adversary
+    coeffs: np.ndarray  # (s, z) classifier weights: a sanitized z scores sum_t coeffs[t, z_t]
+    adversaries: dict  # g -> (s, z) weights of the best adversary telling g from 0
     mapping: NetworkMapping
-    theta_achieved: float  # audited min over g of the best-adversary risk
-    theta_star: float
+    theta_achieved: float  # min over g of the best-adversary risk on the mapping
+    theta_star: float  # step-(i) risk floor; nan for E-LDP
     r: float
     lam: float
     eps_ld: float
-    train_x: np.ndarray
     objective: float  # empirical public risk at the solution
 
     def score(self, z: np.ndarray) -> float:
-        """<w, Phi(z)> for one sanitized vector, in closed form."""
-        z = np.asarray(z)
-        total = np.zeros(self.train_x.shape[0])
-        for t, ch in enumerate(self.mapping.channels):
-            total += ch.rows[self.train_x[:, t], z[t]]
-        return float(self.coeffs @ total)
+        """Classifier score of one sanitized vector z."""
+        return float(_onehot_scores(self.coeffs, np.asarray(z)))
 
     def to_dict(self) -> dict:
         return {
@@ -335,21 +306,17 @@ class EpicSolution:
         }
 
 
-def predict(solution: EpicSolution, x_vec, seed: int) -> int:
-    """Sanitize one observation (seeded) and threshold the classifier score."""
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x_vec).reshape(1, -1)
-    z = solution.mapping.sample(x, rng)[0]
-    return 1 if solution.score(z) > 0 else 0
+def _onehot_scores(w, z):
+    """sum_t w[t, z_t] for sanitized vectors z of shape (..., s)."""
+    return w[np.arange(w.shape[0]), z].sum(axis=-1)
 
 
-def predict_many(solution: EpicSolution, x_rows, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    z = solution.mapping.sample(np.asarray(x_rows), rng)
-    out = np.empty(z.shape[0], dtype=np.int64)
-    for i in range(z.shape[0]):
-        out[i] = 1 if solution.score(z[i]) > 0 else 0
-    return out
+def _solution(dataset, chans, lam, eps_ld, theta_star=math.nan, r=0.0) -> EpicSolution:
+    """Fit the classifier and every adversary on ``chans`` and audit the floor."""
+    coeffs, obj = _fit(dataset, chans, lam)
+    advs, worst = _fit_adversaries(dataset, chans, lam)
+    mapping = NetworkMapping(tuple(chans))
+    return EpicSolution(coeffs, advs, mapping, worst, theta_star, r, lam, eps_ld, obj)
 
 
 # -- solvers ---------------------------------------------------------------------
@@ -360,85 +327,28 @@ def _uniform_channels(s, x_size, z_size):
     return [SensorChannel(rows.copy()) for _ in range(s)]
 
 
-def _fit_classifier(dataset, chans, lam, cfg):
-    k = gram_matrix(dataset.x, NetworkMapping(tuple(chans)))
-    return _fit_representer(k, dataset.h_signs(), _h_weights(dataset), lam, cfg.inner_tol, cfg.inner_max_iter)
-
-
-def _fit_adversaries(dataset, chans, lam, cfg):
-    mapping = NetworkMapping(tuple(chans))
-    out = {}
-    for g in dataset.present_g_values():
-        out[g] = min_adversary_risk(mapping, dataset, g, lam, cfg.inner_tol, cfg.inner_max_iter)
-    return out  # g -> (coeffs, risk)
-
-
-def _anchored_f(dataset, base, a_w, xt_col, p_rows, lam_term):
-    scores = _scores_for_channel(base, a_w, xt_col, p_rows)
-    return float(_h_weights(dataset) @ _logistic(dataset.h_signs() * scores)) + lam_term
-
-
 def _eldp_sweeps(dataset, chans, eps_ld, lam, cfg):
     """Minimize the empirical public risk over local-budget channels."""
-    z_size = chans[0].z_size
-    a_eq, b_eq, a_ub, b_ub = _ldp_polytope(dataset.x_size, z_size, eps_ld)
-    coeffs, obj = _fit_classifier(dataset, chans, lam, cfg)
+    a_eq, b_eq, a_ub, b_ub = ldp_polytope(dataset.x_size, chans[0].z_size, eps_ld)
     for _ in range(cfg.max_sweeps):
+        coeffs, _ = _fit(dataset, chans, lam)
         change = 0.0
         for t in range(dataset.s):
-            base, a_w = _base_and_colweights(dataset, chans, t, coeffs)
-            xt = dataset.x[:, t]
-            p0 = chans[t].rows
-            lam_term = 0.5 * lam * float(
-                coeffs @ gram_matrix(dataset.x, NetworkMapping(tuple(chans))) @ coeffs
+            grad, f_cur, f = _block(dataset, chans, t, coeffs, lam)
+            change += _channel_step(
+                chans, t, eps_ld, cfg, lambda p: f(p) <= f_cur + 1e-12,
+                grad.reshape(-1), a_ub, b_ub, a_eq, b_eq,
             )
-            grad, _ = _loss_gradient_rows(
-                dataset, base, a_w, xt, p0, dataset.h_signs(), _h_weights(dataset), dataset.x_size
-            )
-            try:
-                res = solve_lp(grad.reshape(-1), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=cfg.lp_tol)
-            except LPInfeasible:  # cannot happen: uniform rows are interior
-                continue
-            target = _repair(res.x.reshape(dataset.x_size, z_size), eps_ld)
-            cur = _anchored_f(dataset, base, a_w, xt, p0, lam_term)
-            eta = 1.0
-            accepted = None
-            for _ in range(cfg.damping_steps):
-                trial = p0 + eta * (target - p0)
-                if _anchored_f(dataset, base, a_w, xt, trial, lam_term) <= cur + 1e-12:
-                    accepted = trial
-                    break
-                eta *= 0.5
-            if accepted is not None:
-                accepted = _repair(accepted, eps_ld)
-                change += float(np.abs(accepted - p0).sum())
-                chans[t] = SensorChannel(accepted)
-        coeffs, obj = _fit_classifier(dataset, chans, lam, cfg)
         if change < cfg.convergence_tol:
             break
-    return chans, coeffs, obj
+    return chans
 
 
 def eldp_solve(dataset: Dataset, eps_ld: float, lam: float, config: EpicConfig | None = None) -> EpicSolution:
     """Local-budget-only empirical design (the risk floor dropped)."""
     cfg = config or EpicConfig()
-    chans = _uniform_channels(dataset.s, dataset.x_size, 2)
-    chans, coeffs, obj = _eldp_sweeps(dataset, chans, eps_ld, lam, cfg)
-    mapping = NetworkMapping(tuple(chans))
-    advs = _fit_adversaries(dataset, chans, lam, cfg)
-    achieved = min((r for _, r in advs.values()), default=math.inf)
-    return EpicSolution(
-        coeffs=coeffs,
-        adversaries={g: v for g, (v, _) in advs.items()},
-        mapping=mapping,
-        theta_achieved=achieved,
-        theta_star=math.nan,
-        r=0.0,
-        lam=lam,
-        eps_ld=eps_ld,
-        train_x=dataset.x,
-        objective=obj,
-    )
+    chans = _eldp_sweeps(dataset, _uniform_channels(dataset.s, dataset.x_size, 2), eps_ld, lam, cfg)
+    return _solution(dataset, chans, lam, eps_ld)
 
 
 def _blend(chans_a, chans_b, beta):
@@ -460,14 +370,7 @@ def _blend(chans_a, chans_b, beta):
     return out
 
 
-def _min_adversary_floor(dataset, chans, lam, cfg):
-    advs = _fit_adversaries(dataset, chans, lam, cfg)
-    if not advs:
-        return math.inf
-    return min(r for _, r in advs.values())
-
-
-def _capped_path_point(dataset, from_chans, to_chans, f_cap, lam, cfg):
+def _capped_path_point(dataset, from_chans, to_chans, f_cap, lam):
     """Most-sanitized point on the blend path meeting the utility cap.
 
     The path runs from ``from_chans`` (more sanitized) to ``to_chans``
@@ -477,8 +380,7 @@ def _capped_path_point(dataset, from_chans, to_chans, f_cap, lam, cfg):
 
     def f_at(beta):
         chans = _blend(from_chans, to_chans, beta)
-        _, obj = _fit_classifier(dataset, chans, lam, cfg)
-        return obj, chans
+        return _fit(dataset, chans, lam)[1], chans
 
     obj0, chans0 = f_at(0.0)
     if obj0 <= f_cap:
@@ -494,116 +396,69 @@ def _capped_path_point(dataset, from_chans, to_chans, f_cap, lam, cfg):
     return f_at(hi)[1]
 
 
-def _risk_floor_search(dataset, start_chans, f_eldp, eps_ld, lam, cfg):
+def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
     """Step (i): raise the worst-g adversary risk over the budget polytope.
 
     Candidate starts are the most-sanitized points meeting the utility cap
     f_eldp + utility_slack * (log 2 - f_eldp) along two paths from the
     utility-only solution: toward input-independent rows, and toward the
-    per-sensor moment-matched channels.  The better start (by audited
-    worst-g risk) seeds per-sensor maximin linear programs on the
+    per-sensor moment-matched channels ``nulled``.  The better start (by
+    audited worst-g risk) seeds per-sensor maximin linear programs on the
     loss-linearized risks under the same cap; adversaries and the
     classifier are refreshed every sweep.
     """
     z_size = start_chans[0].z_size
     f_cap = f_eldp + cfg.utility_slack * (LOG2 - f_eldp)
-    eldp_chans = list(start_chans)
     uniform = _uniform_channels(dataset.s, dataset.x_size, z_size)
-    nulled = _moment_nulled_channels(dataset, eps_ld, z_size, cfg)
     starts = [
-        _capped_path_point(dataset, uniform, eldp_chans, f_cap, lam, cfg),
-        _capped_path_point(dataset, nulled, eldp_chans, f_cap, lam, cfg),
+        _capped_path_point(dataset, uniform, start_chans, f_cap, lam),
+        _capped_path_point(dataset, nulled, start_chans, f_cap, lam),
     ]
-    floors = [_min_adversary_floor(dataset, st, lam, cfg) for st in starts]
+    floors = [_fit_adversaries(dataset, st, lam)[1] for st in starts]
     chans = starts[int(np.argmax(floors))]
-    a_eq, b_eq, a_ub, b_ub = _ldp_polytope(dataset.x_size, z_size, eps_ld)
-    g_values = dataset.present_g_values()
-    if not g_values:
-        return chans, LOG2
-    nv = dataset.x_size * z_size
+    # variables: channel entries then tau; maximize tau
+    a_eq, b_eq, a_ub, b_ub = ldp_polytope(dataset.x_size, z_size, eps_ld)
+    a_eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
+    if a_ub is not None:
+        a_ub = np.hstack([a_ub, np.zeros((a_ub.shape[0], 1))])
+    c = np.zeros(dataset.x_size * z_size + 1)
+    c[-1] = -1.0
     for _ in range(cfg.max_sweeps):
-        coeffs, _ = _fit_classifier(dataset, chans, lam, cfg)
-        advs = _fit_adversaries(dataset, chans, lam, cfg)
+        sol = _solution(dataset, chans, lam, eps_ld)
         change = 0.0
         for t in range(dataset.s):
-            xt = dataset.x[:, t]
             p0 = chans[t].rows
-            h_base, h_aw = _base_and_colweights(dataset, chans, t, coeffs)
-            k_cur = gram_matrix(dataset.x, NetworkMapping(tuple(chans)))
-            h_lam = 0.5 * lam * float(coeffs @ k_cur @ coeffs)
-            h_grad, _ = _loss_gradient_rows(
-                dataset, h_base, h_aw, xt, p0, dataset.h_signs(), _h_weights(dataset), dataset.x_size
+            h_grad, f_cur, f = _block(dataset, chans, t, sol.coeffs, lam)
+            g_rows, g_offsets, worst = _adversary_block(dataset, chans, t, sol.adversaries, lam)
+            # tau <= each linearized adversary risk; linearized public risk <= f_cap
+            ub, rhs = _with_ratio_rows(
+                a_ub, b_ub,
+                np.vstack([
+                    np.hstack([-g_rows, np.ones((g_rows.shape[0], 1))]),
+                    np.append(h_grad.reshape(-1), 0.0),
+                ]),
+                np.append(g_offsets, f_cap - f_cur + float((h_grad * p0).sum())),
             )
-            f_cur = _anchored_f(dataset, h_base, h_aw, xt, p0, h_lam)
-            g_parts = {}
-            for g in g_values:
-                v, _ = advs[g]
-                weights, signs = _g_weights_signs(dataset, g)
-                base, a_w = _base_and_colweights(dataset, chans, t, v)
-                lam_term = 0.5 * lam * float(v @ k_cur @ v)
-                grad, scores = _loss_gradient_rows(
-                    dataset, base, a_w, xt, p0, signs, weights, dataset.x_size
-                )
-                r_cur = float(weights @ _logistic(signs * scores)) + lam_term
-                g_parts[g] = (base, a_w, weights, signs, lam_term, grad, r_cur)
-            # variables: channel entries then tau; maximize tau
-            c = np.zeros(nv + 1)
-            c[-1] = -1.0
-            ub_rows = [np.concatenate([a_ub[i], [0.0]]) for i in range(a_ub.shape[0])] if a_ub is not None else []
-            ub_b = list(b_ub) if b_ub is not None else []
-            for g in g_values:
-                base, a_w, weights, signs, lam_term, grad, r_cur = g_parts[g]
-                row = np.concatenate([-grad.reshape(-1), [1.0]])
-                ub_rows.append(row)
-                ub_b.append(r_cur - float((grad * p0).sum()))
-            row = np.concatenate([h_grad.reshape(-1), [0.0]])
-            ub_rows.append(row)
-            ub_b.append(f_cap - f_cur + float((h_grad * p0).sum()))
-            eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
-            try:
-                res = solve_lp(c, a_ub=np.array(ub_rows), b_ub=np.array(ub_b), a_eq=eq, b_eq=b_eq, tol=cfg.lp_tol)
-            except LPInfeasible:
-                continue
-            target = _repair(res.x[:nv].reshape(dataset.x_size, z_size), eps_ld)
-
-            def min_risk(p_rows):
-                vals = []
-                for g in g_values:
-                    base, a_w, weights, signs, lam_term, _, _ = g_parts[g]
-                    scores = _scores_for_channel(base, a_w, xt, p_rows)
-                    vals.append(float(weights @ _logistic(signs * scores)) + lam_term)
-                return min(vals)
-
-            cur_min = min_risk(p0)
-            eta, accepted = 1.0, None
-            for _ in range(cfg.damping_steps):
-                trial = _repair(p0 + eta * (target - p0), eps_ld)
-                if (
-                    min_risk(trial) >= cur_min - 1e-12
-                    and _anchored_f(dataset, h_base, h_aw, xt, trial, h_lam) <= f_cap + 1e-9
-                ):
-                    accepted = trial
-                    break
-                eta *= 0.5
-            if accepted is not None:
-                change += float(np.abs(accepted - p0).sum())
-                chans[t] = SensorChannel(accepted)
+            cur_min = worst(p0)
+            change += _channel_step(
+                chans, t, eps_ld, cfg,
+                lambda p: worst(p) >= cur_min - 1e-12 and f(p) <= f_cap + 1e-9,
+                c, ub, rhs, a_eq, b_eq,
+            )
         if change < cfg.convergence_tol:
             break
-    advs = _fit_adversaries(dataset, chans, lam, cfg)
-    theta_star = min(r for _, r in advs.values())
-    return chans, theta_star
+    return chans, _fit_adversaries(dataset, chans, lam)[1]
 
 
 def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int, cfg: EpicConfig):
     """Channels matching per-g empirical feature means while separating H.
 
-    With the count kernel, the adversary gradient at zero is the per-sensor
-    class-mean feature difference, so matching those means per sensor pins
-    the best adversary at zero (risk exactly log 2) regardless of the
-    floor.  One LP per sensor maximizes the empirical H mean separation
-    under the matching constraints and the ratio polytope; uniform rows are
-    always feasible for it.
+    The adversary gradient at zero weights is the per-sensor class-mean
+    feature difference, so matching those means per sensor pins the best
+    adversary at zero (risk exactly log 2) regardless of the floor.  One LP
+    per sensor maximizes the empirical H mean separation under the matching
+    constraints and the ratio polytope; uniform rows are always feasible
+    for it.
     """
     xs = dataset.x_size
     nv = xs * z_size
@@ -612,7 +467,7 @@ def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int, cfg: E
         c = np.bincount(col[mask], minlength=xs).astype(float)
         return c / max(c.sum(), 1.0)
 
-    a_eq_base, b_eq_base, a_ub, b_ub = _ldp_polytope(xs, z_size, eps_ld)
+    a_eq_base, b_eq_base, a_ub, b_ub = ldp_polytope(xs, z_size, eps_ld)
     chans = []
     for t in range(dataset.s):
         col = dataset.x[:, t]
@@ -633,92 +488,41 @@ def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int, cfg: E
         b_eq = np.concatenate([b_eq_base, np.zeros(len(null_rows))])
         try:
             res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=cfg.lp_tol)
-            rows = _repair(res.x.reshape(xs, z_size), eps_ld)
+            rows = repair_ratio_columns(res.x.reshape(xs, z_size), eps_ld)
         except LPInfeasible:
             rows = np.full((xs, z_size), 1.0 / z_size)
         chans.append(SensorChannel(rows))
     return chans
 
 
-def _constrained_sweeps(dataset, chans, th, eps_ld, lam, cfg, best):
-    """Step-(ii) block descent from one start; updates the audited best."""
-    z_size = chans[0].z_size
-    g_values_all = dataset.present_g_values()
-    a_eq, b_eq, a_ub, b_ub = _ldp_polytope(dataset.x_size, z_size, eps_ld)
-    nv = dataset.x_size * z_size
+def _better(best, sol, floor):
+    """``sol`` when its audited risk meets the floor with a lower public risk than ``best``."""
+    if sol.theta_achieved >= floor and (best is None or sol.objective < best.objective - 1e-15):
+        return sol
+    return best
 
-    def audit(chans):
-        advs = _fit_adversaries(dataset, chans, lam, cfg)
-        achieved = min(rk for _, rk in advs.values())
-        return advs, achieved
 
-    coeffs, obj = _fit_classifier(dataset, chans, lam, cfg)
-    advs, achieved = audit(chans)
-    if achieved >= th - cfg.risk_slack and (best is None or obj < best[0] - 1e-15):
-        best = (obj, [SensorChannel(c.rows) for c in chans], coeffs, advs, achieved)
+def _constrained_sweeps(dataset, chans, theta_star, r, eps_ld, lam, cfg, best):
+    """Step-(ii) block descent from one start; returns the audited best so far."""
+    th = r * theta_star
+    floor = th - cfg.risk_slack
+    a_eq, b_eq, a_ub, b_ub = ldp_polytope(dataset.x_size, chans[0].z_size, eps_ld)
+    sol = _solution(dataset, chans, lam, eps_ld, theta_star, r)
+    best = _better(best, sol, floor)
     for _ in range(cfg.max_sweeps):
         change = 0.0
         for t in range(dataset.s):
-            xt = dataset.x[:, t]
-            p0 = chans[t].rows
-            h_base, h_aw = _base_and_colweights(dataset, chans, t, coeffs)
-            k_cur = gram_matrix(dataset.x, NetworkMapping(tuple(chans)))
-            h_lam = 0.5 * lam * float(coeffs @ k_cur @ coeffs)
-            h_grad, _ = _loss_gradient_rows(
-                dataset, h_base, h_aw, xt, p0, dataset.h_signs(), _h_weights(dataset), dataset.x_size
+            h_grad, f_cur, f = _block(dataset, chans, t, sol.coeffs, lam)
+            g_rows, g_offsets, worst = _adversary_block(dataset, chans, t, sol.adversaries, lam)
+            # every linearized adversary risk stays at or above th
+            ub, rhs = _with_ratio_rows(a_ub, b_ub, -g_rows, g_offsets - th)
+            change += _channel_step(
+                chans, t, eps_ld, cfg,
+                lambda p: f(p) <= f_cur + 1e-12 and worst(p) >= floor,
+                h_grad.reshape(-1), ub, rhs, a_eq, b_eq,
             )
-            f_cur = _anchored_f(dataset, h_base, h_aw, xt, p0, h_lam)
-            g_parts = {}
-            for g in g_values_all:
-                v = advs[g][0]
-                weights, signs = _g_weights_signs(dataset, g)
-                base, a_w = _base_and_colweights(dataset, chans, t, v)
-                lam_term = 0.5 * lam * float(v @ k_cur @ v)
-                grad, scores = _loss_gradient_rows(dataset, base, a_w, xt, p0, signs, weights, dataset.x_size)
-                r_cur = float(weights @ _logistic(signs * scores)) + lam_term
-                g_parts[g] = (base, a_w, weights, signs, lam_term, grad, r_cur)
-            ub_rows = [a_ub[i] for i in range(a_ub.shape[0])] if a_ub is not None else []
-            ub_b = list(b_ub) if b_ub is not None else []
-            for g in g_values_all:
-                base, a_w, weights, signs, lam_term, grad, r_cur = g_parts[g]
-                ub_rows.append(-grad.reshape(-1))
-                ub_b.append(-(th - r_cur + float((grad * p0).sum())))
-            try:
-                res = solve_lp(
-                    h_grad.reshape(-1),
-                    a_ub=np.array(ub_rows) if ub_rows else None,
-                    b_ub=np.array(ub_b) if ub_b else None,
-                    a_eq=a_eq,
-                    b_eq=b_eq,
-                    tol=cfg.lp_tol,
-                )
-            except LPInfeasible:
-                continue
-            target = _repair(res.x[:nv].reshape(dataset.x_size, z_size), eps_ld)
-
-            def risks_at(p_rows):
-                out = {}
-                for g in g_values_all:
-                    base, a_w, weights, signs, lam_term, _, _ = g_parts[g]
-                    scores = _scores_for_channel(base, a_w, xt, p_rows)
-                    out[g] = float(weights @ _logistic(signs * scores)) + lam_term
-                return out
-
-            eta, accepted = 1.0, None
-            for _ in range(cfg.damping_steps):
-                trial = _repair(p0 + eta * (target - p0), eps_ld)
-                trial_f = _anchored_f(dataset, h_base, h_aw, xt, trial, h_lam)
-                if trial_f <= f_cur + 1e-12 and min(risks_at(trial).values()) >= th - cfg.risk_slack:
-                    accepted = trial
-                    break
-                eta *= 0.5
-            if accepted is not None:
-                change += float(np.abs(accepted - p0).sum())
-                chans[t] = SensorChannel(accepted)
-        coeffs, obj = _fit_classifier(dataset, chans, lam, cfg)
-        advs, achieved = audit(chans)
-        if achieved >= th - cfg.risk_slack and (best is None or obj < best[0] - 1e-15):
-            best = (obj, [SensorChannel(c.rows) for c in chans], coeffs, advs, achieved)
+        sol = _solution(dataset, chans, lam, eps_ld, theta_star, r)
+        best = _better(best, sol, floor)
         if change < cfg.convergence_tol:
             break
     return best
@@ -744,60 +548,33 @@ def epic_solve(
         raise ValueError("lam must be positive")
     cfg = config or EpicConfig()
     z_size = 2
-    g_values_all = dataset.present_g_values()
 
     # E-LDP warm start and utility reference
-    chans = _uniform_channels(dataset.s, dataset.x_size, z_size)
-    chans, coeffs, f_eldp = _eldp_sweeps(dataset, list(chans), eps_ld, lam, cfg)
-    if not g_values_all:
-        mapping = NetworkMapping(tuple(chans))
-        return EpicSolution(coeffs, {}, mapping, math.inf, math.inf, r, lam, eps_ld, dataset.x, f_eldp)
+    uniform = _uniform_channels(dataset.s, dataset.x_size, z_size)
+    eldp_chans = _eldp_sweeps(dataset, uniform, eps_ld, lam, cfg)
+    if not dataset.present_g_values():
+        return _solution(dataset, eldp_chans, lam, eps_ld, math.inf, r)
 
-    eldp_chans = list(chans)
-    chans_i, theta_star = _risk_floor_search(dataset, chans, f_eldp, eps_ld, lam, cfg)
-    th = r * theta_star
-
-    best = None  # (objective, chans, coeffs, advs, achieved)
-    best = _constrained_sweeps(dataset, list(chans_i), th, eps_ld, lam, cfg, best)
+    f_eldp = _fit(dataset, eldp_chans, lam)[1]
     nulled = _moment_nulled_channels(dataset, eps_ld, z_size, cfg)
-    best = _constrained_sweeps(dataset, nulled, th, eps_ld, lam, cfg, best)
+    chans_i, theta_star = _risk_floor_search(dataset, eldp_chans, nulled, f_eldp, eps_ld, lam, cfg)
+    floor = r * theta_star - cfg.risk_slack
 
-    def audit(chans):
-        advs = _fit_adversaries(dataset, chans, lam, cfg)
-        achieved = min(rk for _, rk in advs.values())
-        return advs, achieved
+    best = _constrained_sweeps(dataset, list(chans_i), theta_star, r, eps_ld, lam, cfg, None)
+    best = _constrained_sweeps(dataset, list(nulled), theta_star, r, eps_ld, lam, cfg, best)
 
     # One-dimensional polish: audited-feasible blends toward the
     # utility-only mapping often dominate the block iterates.
-    anchor = best[1] if best is not None else list(chans_i)
+    anchor = list(best.mapping.channels) if best is not None else chans_i
     for beta in np.linspace(0.1, 0.9, 9):
-        trial = [SensorChannel(_repair(c.rows, eps_ld)) for c in _blend(anchor, eldp_chans, beta)]
-        advs_t, ach_t = audit(trial)
-        if ach_t >= th - cfg.risk_slack:
-            coeffs_t, obj_t = _fit_classifier(dataset, trial, lam, cfg)
-            if best is None or obj_t < best[0] - 1e-15:
-                best = (obj_t, trial, coeffs_t, advs_t, ach_t)
+        blend = _blend(anchor, eldp_chans, beta)
+        trial = [SensorChannel(repair_ratio_columns(c.rows, eps_ld)) for c in blend]
+        best = _better(best, _solution(dataset, trial, lam, eps_ld, theta_star, r), floor)
     if best is None:
         # The step-(i) mapping satisfies the floor by construction; fall
         # back to it outright (reported as a solver defect upstream).
-        chans = chans_i
-        coeffs, obj = _fit_classifier(dataset, chans, lam, cfg)
-        advs, achieved = audit(chans)
-        best = (obj, chans, coeffs, advs, achieved)
-    obj, chans, coeffs, advs, achieved = best
-    mapping = NetworkMapping(tuple(chans))
-    return EpicSolution(
-        coeffs=coeffs,
-        adversaries={g: v for g, (v, _) in advs.items()},
-        mapping=mapping,
-        theta_achieved=achieved,
-        theta_star=theta_star,
-        r=r,
-        lam=lam,
-        eps_ld=eps_ld,
-        train_x=dataset.x,
-        objective=obj,
-    )
+        best = _solution(dataset, chans_i, lam, eps_ld, theta_star, r)
+    return best
 
 
 # -- discretization -------------------------------------------------------------
@@ -856,43 +633,13 @@ def holdout_errors(solution: EpicSolution, test: Dataset, seed: int):
     """
     rng = np.random.default_rng(seed)
     z = solution.mapping.sample(test.x, rng)
-
-    # score_i = sum_t coeffs . p_t(z_t^i | train_x_t), vectorized over i
-    def scores_for(coeffs):
-        out = np.zeros(test.n)
-        for t, ch in enumerate(solution.mapping.channels):
-            out += ch.rows[solution.train_x[:, t]][:, z[:, t]].T @ coeffs
-        return out
-
-    pred_h = (scores_for(solution.coeffs) > 0).astype(np.int64)
+    pred_h = (_onehot_scores(solution.coeffs, z) > 0).astype(np.int64)
     err_h = float(np.mean(pred_h != test.h))
     err_g = math.inf
     for g, v in solution.adversaries.items():
         mask = (test.g == 0) | (test.g == g)
         if not mask.any():
             continue
-        pred = np.where(scores_for(v)[mask] > 0, g, 0)
+        pred = np.where(_onehot_scores(v, z)[mask] > 0, g, 0)
         err_g = min(err_g, float(np.mean(pred != test.g[mask])))
-    return err_h, err_g
-
-
-def map_error_rates(model: JointModel, mapping: NetworkMapping, n: int, seed: int):
-    """Held-out error rates of the exact MAP detectors through a mapping.
-
-    Samples (h, g, x) from the model, sanitizes x, and applies the
-    maximum-a-posteriori rules for H and for G computed from the pushed
-    distribution.  Returns (error_h, error_g).
-    """
-    rng = np.random.default_rng(seed)
-    h, g, x = model.sample(n, rng)
-    z = mapping.sample(x, rng)
-    pushed = push_forward(model, mapping)
-    z_size = mapping.channels[0].z_size
-    p_hz = pushed.p_hz()
-    p_gz = pushed.p_gz()
-    rule_h = (p_hz[1] > p_hz[0]).astype(np.int64)
-    rule_g = p_gz.argmax(axis=0)
-    zflat = np.ravel_multi_index(tuple(z.T), (z_size,) * model.s)
-    err_h = float(np.mean(rule_h[zflat] != h))
-    err_g = float(np.mean(rule_g[zflat] != g))
     return err_h, err_g

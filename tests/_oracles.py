@@ -90,3 +90,53 @@ def brute_bayes_error_raw(model):
                 p_h[h] += w
         err += min(p_h)
     return err
+
+
+def pushed_features(channel_rows, x):
+    """Rows phi_i = (P_1[x_1^i], ..., P_s[x_s^i]), built by a loop over samples."""
+    return np.array([
+        np.concatenate([np.asarray(rows)[xi[t]] for t, rows in enumerate(channel_rows)])
+        for xi in np.asarray(x)
+    ])
+
+
+def logistic_risk_min(phi, signs, weights, lam, tol=1e-13, max_iter=200):
+    """min_w sum_i c_i log(1 + exp(-y_i phi_i . w)) + (lam / 2) |w|^2 by damped Newton.
+
+    Returns (w, objective).  The objective is strongly convex, so Newton steps
+    with halving until the objective does not rise reach its unique minimum.
+    """
+    phi = np.asarray(phi, dtype=float)
+
+    def objective(w):
+        return float(weights @ np.logaddexp(0.0, -signs * (phi @ w))) + 0.5 * lam * float(w @ w)
+
+    w = np.zeros(phi.shape[1])
+    obj = objective(w)
+    for _ in range(max_iter):
+        p = 1.0 / (1.0 + np.exp(signs * (phi @ w)))  # sigmoid of minus the margin
+        grad = phi.T @ (-weights * signs * p) + lam * w
+        if np.linalg.norm(grad) <= tol:
+            break
+        hess = phi.T @ np.diag(weights * p * (1.0 - p)) @ phi + lam * np.eye(w.size)
+        step = np.linalg.solve(hess, grad)
+        eta = 1.0
+        while eta > 1e-12 and objective(w - eta * step) > obj:
+            eta *= 0.5
+        if eta <= 1e-12:
+            break
+        w = w - eta * step
+        obj = objective(w)
+    return w, obj
+
+
+def adversary_risk(channel_rows, x, g_labels, g, lam):
+    """Minimum class-balanced logistic risk of telling private value g from 0."""
+    g_labels = np.asarray(g_labels)
+    weights = np.zeros(g_labels.size)
+    signs = np.zeros(g_labels.size)
+    for cls, sign in ((0, -1.0), (g, 1.0)):
+        idx = g_labels == cls
+        weights[idx] = 0.5 / idx.sum()
+        signs[idx] = sign
+    return logistic_risk_min(pushed_features(channel_rows, x), signs, weights, lam)[1]

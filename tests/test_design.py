@@ -27,7 +27,13 @@ from privdet.design import (
     ldp_closed_form_step,
     ldp_lp_step,
 )
-from privdet.detection import bayes_error_H, min_risk_detector, optimal_fusion_rule, theta
+from privdet.detection import (
+    bayes_error_H,
+    bayes_error_H_pushed,
+    min_risk_detector,
+    optimal_fusion_rule,
+    theta,
+)
 from privdet.model import JointModel, generate_correlated_model, push_forward
 from privdet.relations import random_model
 
@@ -368,6 +374,18 @@ def test_design_inp_respects_budget_and_improves_on_theta_stage():
     stage = design_info_stage(model, 0.2, dataclasses.replace(cfg, y_size=2))
     stage_err = bayes_error_H(model, stage.mapping)
     assert res.objective <= stage_err + 1e-12
+
+
+@pytest.mark.parametrize("eps_i", [0.5, 1.0])
+def test_design_inp_trace_ends_at_the_returned_objective(eps_i):
+    """The water-filled mapping wins at 0.5, the shrunk info-stage mapping at 1.0."""
+    model = generate_correlated_model(seed=3, s=2, x_size=3)
+    cfg = OptimizerConfig(eps_i=eps_i, restarts=3)
+    res = design_inp(model, cfg)
+    assert (res.profile is None) == (eps_i == 0.5)
+    assert res.trace[-1] == res.objective
+    stage = design_info_stage(model, eps_i, dataclasses.replace(cfg, y_size=2))
+    assert stage.trace[-1] == bayes_error_H_pushed(push_forward(model, stage.mapping))
 
 
 def test_chain_designs_monotone_objective():

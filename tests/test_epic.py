@@ -1,0 +1,87 @@
+"""Tests of the empirical solver (EPIC and E-LDP) against independent oracles."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from privdet import epic, metrics
+from privdet.channels import random_mapping
+from privdet.model import generate_correlated_model
+
+from _oracles import adversary_risk
+
+LAM = 0.05
+R = 0.9
+
+
+def _rows(mapping):
+    return [ch.rows for ch in mapping.channels]
+
+
+def _worst_adversary_risk(sol, data):
+    return min(adversary_risk(_rows(sol.mapping), data.x, data.g, g, sol.lam)
+               for g in data.present_g_values())
+
+
+@pytest.fixture(scope="module")
+def empirical():
+    """The benchmark's empirical cell inputs, solved at two local budgets."""
+    model = generate_correlated_model(seed=0, s=4, x_size=8)
+    train = epic.dataset_from_model(model, 40, 0)
+    cfg = epic.EpicConfig(max_sweeps=2)
+    sols = {eps: epic.epic_solve(train, eps, R, LAM, cfg) for eps in (0.5, 1.0)}
+    return model, train, cfg, sols
+
+
+@pytest.mark.parametrize("seed,s,x_size,n,z_size", [(1, 3, 5, 12, 2), (4, 2, 4, 60, 3)])
+def test_adversary_fit_reaches_the_newton_minimum(seed, s, x_size, n, z_size):
+    model = generate_correlated_model(seed=seed, s=s, x_size=x_size)
+    data = epic.dataset_from_model(model, n, seed)
+    mapping = random_mapping(seed + 1, s, x_size, z_size)
+    _, risk = epic.min_adversary_risk(mapping, data, 1, LAM, tol=1e-10, max_iter=20000)
+    assert risk == pytest.approx(adversary_risk(_rows(mapping), data.x, data.g, 1, LAM), abs=1e-9)
+
+
+def test_eldp_and_epic_meet_the_local_budget(empirical):
+    _, train, cfg, sols = empirical
+    for eps, sol in sols.items():
+        assert metrics.ldp_budget(sol.mapping) <= eps + 1e-9
+    sol = epic.eldp_solve(train, 0.5, LAM, cfg)
+    assert metrics.ldp_budget(sol.mapping) <= 0.5 + 1e-9
+
+
+def test_reaudited_worst_risk_meets_the_floor(empirical):
+    _, train, cfg, sols = empirical
+    for sol in sols.values():
+        assert _worst_adversary_risk(sol, train) >= R * sol.theta_star - cfg.risk_slack - 1e-9
+
+
+def test_theta_achieved_is_the_best_adversary_risk(empirical):
+    _, train, _, sols = empirical
+    for sol in sols.values():
+        assert sol.theta_achieved == pytest.approx(_worst_adversary_risk(sol, train), abs=1e-8)
+
+
+def test_holdout_errors_match_a_loop_over_rows(empirical):
+    model, _, _, sols = empirical
+    sol = sols[1.0]
+    test = epic.dataset_from_model(model, 400, 7)
+    z = sol.mapping.sample(test.x, np.random.default_rng(11))
+    wrong_h = sum(int(sol.score(z[i]) > 0) != test.h[i] for i in range(test.n))
+    err_g = np.inf
+    for g, w in sol.adversaries.items():
+        adv = dataclasses.replace(sol, coeffs=w)
+        rows = [i for i in range(test.n) if test.g[i] in (0, g)]
+        wrong = sum((g if adv.score(z[i]) > 0 else 0) != test.g[i] for i in rows)
+        err_g = min(err_g, wrong / len(rows))
+    assert epic.holdout_errors(sol, test, 11) == (wrong_h / test.n, err_g)
+
+
+def test_solution_is_deterministic():
+    model = generate_correlated_model(seed=2, s=3, x_size=4)
+    data = epic.dataset_from_model(model, 24, 5)
+    cfg = epic.EpicConfig(max_sweeps=2)
+    runs = [json.dumps(epic.epic_solve(data, 1.0, R, LAM, cfg).to_dict()) for _ in range(2)]
+    assert runs[0] == runs[1]
