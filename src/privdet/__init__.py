@@ -26,7 +26,6 @@ from .design import (
     design_lip,
     ldp_closed_form_step,
     ldp_lp_step,
-    solve_lp,
 )
 from .detection import (
     FusionRule,
@@ -82,5 +81,6 @@ from .relations import (
     witness_info_not_ldp,
     witness_mi_not_info,
 )
+from .simplex import solve_lp
 
 __version__ = "0.1.0"

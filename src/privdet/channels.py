@@ -196,29 +196,33 @@ def random_mapping(seed: int, s: int, x_size: int, z_size: int) -> NetworkMappin
 def ldp_polytope(x_size: int, z_size: int, eps_ld: float):
     """Linear constraints of the channels whose local budget is at most eps_ld.
 
-    Variables are the entries p(z | x), flattened as x * z_size + z.  Returns
-    (a_eq, b_eq, a_ub, b_ub): rows summing to one, and per output z and input
-    pair x != x' the ratio rows p(z|x) - e^eps p(z|x') <= 0 (None when eps_ld
-    is infinite).
+    The ratio bound max_x p(z|x) <= e^eps min_x p(z|x) is lifted: one
+    envelope variable m_z >= 0 per output z and, for every x, the rows
+    m_z - p(z|x) <= 0 and p(z|x) - e^eps m_z <= 0 (2 x z rows, not the
+    x (x - 1) z pairwise ones).  Exact, since m_z = min_x p(z|x) satisfies the
+    rows whenever the bound holds: every LP over it has the same optimum.
+
+    Variables are p(z | x) flattened as x * z_size + z, then m_0 .. m_{z-1}.
+    Returns (a_eq, b_eq, a_ub, b_ub): rows summing to one, then the envelope
+    rows in (z, x) order, lower before upper.  When eps_ld is infinite or
+    x_size < 2 there are no ratio rows (None) and no envelope columns.
     """
     nv = x_size * z_size
-    a_eq = np.zeros((x_size, nv))
+    lifted = math.isfinite(eps_ld) and x_size >= 2
+    n_cols = nv + z_size if lifted else nv
+    a_eq = np.zeros((x_size, n_cols))
     for x in range(x_size):
         a_eq[x, x * z_size:(x + 1) * z_size] = 1.0
     b_eq = np.ones(x_size)
-    if math.isinf(eps_ld) or x_size < 2:
+    if not lifted:
         return a_eq, b_eq, None, None
-    e = math.exp(eps_ld)
-    rows = []
-    for z in range(z_size):
-        for x in range(x_size):
-            for x2 in range(x_size):
-                if x2 != x:
-                    row = np.zeros(nv)
-                    row[x * z_size + z] = 1.0
-                    row[x2 * z_size + z] -= e
-                    rows.append(row)
-    return a_eq, b_eq, np.array(rows), np.zeros(len(rows))
+    a_ub = np.zeros((2 * nv, n_cols))
+    k = 2 * np.arange(nv)
+    entry = (np.arange(x_size)[None, :] * z_size + np.arange(z_size)[:, None]).reshape(-1)
+    env = nv + np.repeat(np.arange(z_size), x_size)
+    a_ub[k, env], a_ub[k, entry] = 1.0, -1.0
+    a_ub[k + 1, entry], a_ub[k + 1, env] = 1.0, -math.exp(eps_ld)
+    return a_eq, b_eq, a_ub, np.zeros(2 * nv)
 
 
 def repair_ratio_columns(rows: np.ndarray, eps_ld: float) -> np.ndarray:

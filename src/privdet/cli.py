@@ -202,12 +202,16 @@ def _audit(report, arch, eps_i, eps_ld) -> bool:
 
 
 def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float, r: float):
-    """One warm-start chain: all eps_ld values for fixed other axes."""
+    """One warm-start chain: all eps_ld values for fixed other axes.
+
+    A row's ``wall_time_s`` is its own evaluation time plus an even share of
+    the chain's design time, so the column sums to the group's time.
+    """
+    t_start = time.perf_counter()
     model = _spec_model(spec, corr)
     rows = []
     eps_ld_axis = spec.eps_ld if "eps_ld" in _AXES[arch] else (math.inf,)
     results = [None] * len(eps_ld_axis)
-    t_start = time.perf_counter()
     try:
         if arch in ("ldp", "ill", "lip"):
             cfg = _base_config(spec, seed)
@@ -219,9 +223,11 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
         elif arch == "identity":
             results = [None]
     except Exception as exc:  # per-cell failures stay in-row
+        share = (time.perf_counter() - t_start) / len(eps_ld_axis)
         for eps_ld in eps_ld_axis:
-            rows.append(_error_row(spec, arch, corr, seed, eps_i, eps_ld, r, exc))
+            rows.append(_error_row(spec, arch, corr, seed, eps_i, eps_ld, r, exc, share))
         return rows
+    design_share = (time.perf_counter() - t_start) / len(eps_ld_axis)
     for idx, eps_ld in enumerate(eps_ld_axis):
         t0 = time.perf_counter()
         row = _blank_row(spec, arch, corr, seed, eps_i, eps_ld, r)
@@ -242,7 +248,7 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
             row["status"] = "error"
             row["error"] = f"{type(exc).__name__}: {exc}"
             row["audit_ok"] = False
-        row["wall_time_s"] = time.perf_counter() - t0
+        row["wall_time_s"] = design_share + time.perf_counter() - t0
         rows.append(row)
     return rows
 
@@ -288,12 +294,12 @@ def _blank_row(spec, arch, corr, seed, eps_i, eps_ld, r):
     return row
 
 
-def _error_row(spec, arch, corr, seed, eps_i, eps_ld, r, exc):
+def _error_row(spec, arch, corr, seed, eps_i, eps_ld, r, exc, wall_time_s):
     row = _blank_row(spec, arch, corr, seed, eps_i, eps_ld, r)
     row["status"] = "error"
     row["error"] = f"{type(exc).__name__}: {exc}"
     row["audit_ok"] = False
-    row["wall_time_s"] = 0.0
+    row["wall_time_s"] = wall_time_s
     return row
 
 

@@ -47,7 +47,7 @@ from .detection import (
 )
 from .metrics import BudgetReport, full_report
 from .model import JointModel, push_forward, push_forward_model
-from .simplex import LPInfeasible, LPResult, LPUnbounded, solve_lp as _simplex_solve
+from .simplex import LPInfeasible, solve_lp
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,11 +119,6 @@ class InfoStageInfeasible(RuntimeError):
         )
         self.blocking_g = g
         self.theta = theta_val
-
-
-def solve_lp(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -> LPResult:
-    """Deterministic dense-simplex solve; raises LPInfeasible / LPUnbounded."""
-    return _simplex_solve(objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=tol)
 
 
 # -- single-sensor block steps for the local-budget design -------------------
@@ -199,8 +194,10 @@ def ldp_lp_step(
     f = block_objective_coefficients(model, rule, channels, t)
     z_size, x_size = f.shape
     a_eq, b_eq, a_ub, b_ub = ldp_polytope(x_size, z_size, eps_ld)
-    res = solve_lp(f.T.reshape(-1), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=lp_tol)
-    return SensorChannel(repair_ratio_columns(res.x.reshape(x_size, z_size), eps_ld))
+    c = np.zeros(a_eq.shape[1])  # the polytope's envelope columns cost nothing
+    c[:f.size] = f.T.reshape(-1)
+    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=lp_tol)
+    return SensorChannel(repair_ratio_columns(res.x[:f.size].reshape(x_size, z_size), eps_ld))
 
 
 def block_objective_value(f: np.ndarray, channel: SensorChannel) -> float:

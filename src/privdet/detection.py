@@ -102,20 +102,6 @@ def _p_y_given_g(model: JointModel, stage1: NetworkMapping, g: int) -> np.ndarra
     return p_gy[g] / p_g[g]
 
 
-def likelihood_ratios(model: JointModel, stage1: NetworkMapping, g: int) -> np.ndarray:
-    """l_g(y) = p(y|G=g) / p(y|G=0) with inf where only the numerator lives.
-
-    Entries outside the support of both conditionals are NaN.
-    """
-    p0 = _p_y_given_g(model, stage1, 0)
-    pg = _p_y_given_g(model, stage1, g)
-    ell = np.full(p0.shape, np.nan)
-    both = p0 > 0
-    ell[both] = pg[both] / p0[both]
-    ell[(p0 == 0) & (pg > 0)] = np.inf
-    return ell
-
-
 def min_risk_detector(model: JointModel, stage1: NetworkMapping, g: int):
     """Likelihood-ratio detector for G = g versus G = 0 and its risk.
 

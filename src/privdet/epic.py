@@ -233,11 +233,16 @@ def _adversary_block(dataset, chans, t, advs, lam):
     return rows, offsets, lambda p_rows: min(risk(p_rows) for _, _, risk in parts)
 
 
+def _pad(a, n_cols):
+    """``a`` with zero columns appended up to ``n_cols`` (envelope and extra variables)."""
+    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, n_cols - a.shape[-1])])
+
+
 def _with_ratio_rows(a_ub, b_ub, rows, rhs):
-    """The polytope's ratio constraints (if any) stacked above extra ones."""
+    """The polytope's ratio rows (if any), zero-padded to the extra rows' width, above them."""
     if a_ub is None:
         return rows, rhs
-    return np.vstack([a_ub, rows]), np.concatenate([b_ub, rhs])
+    return np.vstack([_pad(a_ub, rows.shape[1]), rows]), np.concatenate([b_ub, rhs])
 
 
 def _channel_step(chans, t, eps_ld, cfg, accept, c, a_ub, b_ub, a_eq, b_eq) -> float:
@@ -337,7 +342,7 @@ def _eldp_sweeps(dataset, chans, eps_ld, lam, cfg):
             grad, f_cur, f = _block(dataset, chans, t, coeffs, lam)
             change += _channel_step(
                 chans, t, eps_ld, cfg, lambda p: f(p) <= f_cur + 1e-12,
-                grad.reshape(-1), a_ub, b_ub, a_eq, b_eq,
+                _pad(grad.reshape(-1), a_eq.shape[1]), a_ub, b_ub, a_eq, b_eq,
             )
         if change < cfg.convergence_tol:
             break
@@ -416,12 +421,11 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
     ]
     floors = [_fit_adversaries(dataset, st, lam)[1] for st in starts]
     chans = starts[int(np.argmax(floors))]
-    # variables: channel entries then tau; maximize tau
+    # variables: channel entries, envelope, then tau; maximize tau
     a_eq, b_eq, a_ub, b_ub = ldp_polytope(dataset.x_size, z_size, eps_ld)
-    a_eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
-    if a_ub is not None:
-        a_ub = np.hstack([a_ub, np.zeros((a_ub.shape[0], 1))])
-    c = np.zeros(dataset.x_size * z_size + 1)
+    n_cols = a_eq.shape[1] + 1
+    a_eq = _pad(a_eq, n_cols)
+    c = np.zeros(n_cols)
     c[-1] = -1.0
     for _ in range(cfg.max_sweeps):
         sol = _solution(dataset, chans, lam, eps_ld)
@@ -431,12 +435,10 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
             h_grad, f_cur, f = _block(dataset, chans, t, sol.coeffs, lam)
             g_rows, g_offsets, worst = _adversary_block(dataset, chans, t, sol.adversaries, lam)
             # tau <= each linearized adversary risk; linearized public risk <= f_cap
+            extra = _pad(np.vstack([-g_rows, h_grad.reshape(-1)]), n_cols)
+            extra[:-1, -1] = 1.0
             ub, rhs = _with_ratio_rows(
-                a_ub, b_ub,
-                np.vstack([
-                    np.hstack([-g_rows, np.ones((g_rows.shape[0], 1))]),
-                    np.append(h_grad.reshape(-1), 0.0),
-                ]),
+                a_ub, b_ub, extra,
                 np.append(g_offsets, f_cap - f_cur + float((h_grad * p0).sum())),
             )
             cur_min = worst(p0)
@@ -468,27 +470,25 @@ def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int, cfg: E
         return c / max(c.sum(), 1.0)
 
     a_eq_base, b_eq_base, a_ub, b_ub = ldp_polytope(xs, z_size, eps_ld)
+    n_cols = a_eq_base.shape[1]
     chans = []
     for t in range(dataset.s):
         col = dataset.x[:, t]
         d_h = emp_cond(col, dataset.h == 1) - emp_cond(col, dataset.h == 0)
-        c = np.zeros(nv)
-        for x in range(xs):
-            c[x * z_size + 1] = -d_h[x]
-            c[x * z_size + 0] = d_h[x]
+        c = np.zeros(n_cols)
+        c[0:nv:z_size], c[1:nv:z_size] = d_h, -d_h
         null_rows = []
         for g in dataset.present_g_values():
             d_g = emp_cond(col, dataset.g == g) - emp_cond(col, dataset.g == 0)
             for z in range(1, z_size):
-                row = np.zeros(nv)
-                for x in range(xs):
-                    row[x * z_size + z] = d_g[x]
+                row = np.zeros(n_cols)
+                row[z:nv:z_size] = d_g
                 null_rows.append(row)
         a_eq = np.vstack([a_eq_base] + null_rows) if null_rows else a_eq_base
         b_eq = np.concatenate([b_eq_base, np.zeros(len(null_rows))])
         try:
             res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=cfg.lp_tol)
-            rows = repair_ratio_columns(res.x.reshape(xs, z_size), eps_ld)
+            rows = repair_ratio_columns(res.x[:nv].reshape(xs, z_size), eps_ld)
         except LPInfeasible:
             rows = np.full((xs, z_size), 1.0 / z_size)
         chans.append(SensorChannel(rows))
@@ -507,6 +507,7 @@ def _constrained_sweeps(dataset, chans, theta_star, r, eps_ld, lam, cfg, best):
     th = r * theta_star
     floor = th - cfg.risk_slack
     a_eq, b_eq, a_ub, b_ub = ldp_polytope(dataset.x_size, chans[0].z_size, eps_ld)
+    n_cols = a_eq.shape[1]
     sol = _solution(dataset, chans, lam, eps_ld, theta_star, r)
     best = _better(best, sol, floor)
     for _ in range(cfg.max_sweeps):
@@ -515,11 +516,11 @@ def _constrained_sweeps(dataset, chans, theta_star, r, eps_ld, lam, cfg, best):
             h_grad, f_cur, f = _block(dataset, chans, t, sol.coeffs, lam)
             g_rows, g_offsets, worst = _adversary_block(dataset, chans, t, sol.adversaries, lam)
             # every linearized adversary risk stays at or above th
-            ub, rhs = _with_ratio_rows(a_ub, b_ub, -g_rows, g_offsets - th)
+            ub, rhs = _with_ratio_rows(a_ub, b_ub, _pad(-g_rows, n_cols), g_offsets - th)
             change += _channel_step(
                 chans, t, eps_ld, cfg,
                 lambda p: f(p) <= f_cur + 1e-12 and worst(p) >= floor,
-                h_grad.reshape(-1), ub, rhs, a_eq, b_eq,
+                _pad(h_grad.reshape(-1), n_cols), ub, rhs, a_eq, b_eq,
             )
         sol = _solution(dataset, chans, lam, eps_ld, theta_star, r)
         best = _better(best, sol, floor)

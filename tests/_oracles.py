@@ -140,3 +140,30 @@ def adversary_risk(channel_rows, x, g_labels, g, lam):
         weights[idx] = 0.5 / idx.sum()
         signs[idx] = sign
     return logistic_risk_min(pushed_features(channel_rows, x), signs, weights, lam)[1]
+
+
+def pairwise_ldp_polytope(x_size, z_size, eps_ld):
+    """The local-budget polytope with one ratio row per output and ordered input pair.
+
+    Variables are p(z | x) flattened as x * z_size + z.  Returns
+    (a_eq, b_eq, a_ub, b_ub) with rows p(z|x) - e^eps p(z|x') <= 0 for every
+    z and x != x' (a_ub is None when eps_ld is infinite or x_size < 2).
+    """
+    nv = x_size * z_size
+    a_eq = np.zeros((x_size, nv))
+    for x in range(x_size):
+        a_eq[x, x * z_size:(x + 1) * z_size] = 1.0
+    b_eq = np.ones(x_size)
+    if np.isinf(eps_ld) or x_size < 2:
+        return a_eq, b_eq, None, None
+    e = np.exp(eps_ld)
+    rows = []
+    for z in range(z_size):
+        for x in range(x_size):
+            for x2 in range(x_size):
+                if x2 != x:
+                    row = np.zeros(nv)
+                    row[x * z_size + z] = 1.0
+                    row[x2 * z_size + z] -= e
+                    rows.append(row)
+    return a_eq, b_eq, np.array(rows), np.zeros(len(rows))

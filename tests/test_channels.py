@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from privdet import metrics
 from privdet.channels import (
@@ -13,6 +14,7 @@ from privdet.channels import (
     TwoStageMapping,
     compose,
     identity_mapping,
+    ldp_polytope,
     load_mapping,
     random_channel,
     random_mapping,
@@ -20,6 +22,12 @@ from privdet.channels import (
     save_mapping,
     uniform_mapping,
 )
+from privdet.design import ldp_lp_step
+from privdet.detection import optimal_fusion_rule
+from privdet.relations import random_model
+from privdet.simplex import solve_lp
+
+from _oracles import pairwise_ldp_polytope
 
 
 def test_channel_validation():
@@ -149,3 +157,72 @@ def test_mapping_json_round_trips(tmp_path):
     loaded2 = load_mapping(path2)
     assert loaded2.arch == "ill"
     assert json.loads(path2.read_text())["arch"] == "ill"
+
+
+# -- the local-budget polytope ---------------------------------------------------
+
+
+def _lifted_optimum(c, x_size, z_size, eps):
+    """solve_lp over ldp_polytope with objective c on the channel entries."""
+    a_eq, b_eq, a_ub, b_ub = ldp_polytope(x_size, z_size, eps)
+    cost = np.zeros(a_eq.shape[1])
+    cost[:c.size] = c
+    return solve_lp(cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("z_size", [2, 3, 4])
+@pytest.mark.parametrize("x_size", [2, 3, 5, 8])
+def test_lifted_polytope_reaches_the_pairwise_optimum(x_size, z_size, eps):
+    a_eq, b_eq, a_ub, b_ub = pairwise_ldp_polytope(x_size, z_size, eps)
+    rng = np.random.default_rng(1000 * x_size + 10 * z_size + int(10 * eps))
+    for _ in range(3):
+        c = rng.normal(size=x_size * z_size)
+        ref = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        res = _lifted_optimum(c, x_size, z_size, eps)
+        assert res.objective == pytest.approx(ref.objective, abs=1e-9)
+        p = res.x[:c.size]
+        assert float(c @ p) == pytest.approx(ref.objective, abs=1e-9)
+        assert np.all(a_ub @ p <= 1e-9)
+        assert np.abs(a_eq @ p - b_eq).max() <= 1e-9
+
+
+def test_lifted_polytope_matches_scipy_at_x16_z4():
+    x_size, z_size, eps = 16, 4, 1.0
+    a_eq, b_eq, a_ub, b_ub = pairwise_ldp_polytope(x_size, z_size, eps)
+    c = np.random.default_rng(16).normal(size=x_size * z_size)
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+    assert ref.status == 0
+    assert _lifted_optimum(c, x_size, z_size, eps).objective == pytest.approx(ref.fun, abs=1e-8)
+
+
+@pytest.mark.parametrize("x_size, eps", [(1, 1.0), (1, 0.0), (4, math.inf), (1, math.inf)])
+def test_polytope_without_ratio_rows_has_no_envelope_columns(x_size, eps):
+    a_eq, b_eq, a_ub, b_ub = ldp_polytope(x_size, 3, eps)
+    assert a_eq.shape == (x_size, 3 * x_size)
+    assert np.array_equal(b_eq, np.ones(x_size))
+    assert a_ub is None and b_ub is None
+
+
+def test_polytope_layout_is_channel_entries_then_envelope():
+    a_eq, _, a_ub, b_ub = ldp_polytope(3, 2, 1.0)
+    assert a_eq.shape == (3, 8) and a_ub.shape == (12, 8)
+    assert np.array_equal(a_eq[:, 6:], np.zeros((3, 2)))
+    assert np.array_equal(b_ub, np.zeros(12))
+    # rows for (z=1, x=2): m_1 - p(1|2) <= 0 and p(1|2) - e m_1 <= 0
+    k = 2 * (1 * 3 + 2)
+    assert a_ub[k, 7] == 1.0 and a_ub[k, 2 * 2 + 1] == -1.0
+    assert a_ub[k + 1, 2 * 2 + 1] == 1.0 and a_ub[k + 1, 7] == -math.exp(1.0)
+    assert np.count_nonzero(a_ub) == 2 * 12
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("z_size", [2, 3, 4])
+@pytest.mark.parametrize("x_size", [3, 5, 8])
+def test_repaired_lp_step_meets_its_budget(x_size, z_size, eps):
+    rng = np.random.default_rng(7 * x_size + z_size)
+    model = random_model(rng, 2, x_size, 1)
+    chans = list(random_mapping(x_size + z_size, 2, x_size, z_size).channels)
+    rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
+    ch = ldp_lp_step(model, rule, chans, 0, eps)
+    assert metrics.ldp_budget(NetworkMapping((ch,))) <= eps + 1e-12

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import time
 
-from privdet import cli
+import pytest
+
+from privdet import cli, design
 
 
 def test_design_inp_audit_ignores_the_local_budget(tmp_path):
@@ -33,3 +36,30 @@ def test_epic_sweep_cell_end_to_end(tmp_path):
         (row,) = list(csv.DictReader(fh))
     assert (row["arch"], row["status"], row["audit_ok"]) == ("epic", "ok", "1")
     assert float(row["eps_ldp_nats"]) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_sweep_wall_time_counts_the_chain_design(tmp_path, monkeypatch, fails):
+    """The chain's design time is charged to its rows, also when the chain fails."""
+    real = design.chain_designs
+
+    def slow_chain(*args, **kwargs):
+        time.sleep(0.1)
+        out = real(*args, **kwargs)
+        time.sleep(0.1)
+        if fails:
+            raise RuntimeError("chain failed")
+        return out
+
+    monkeypatch.setattr(design, "chain_designs", slow_chain)
+    spec, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    spec.write_text(json.dumps({
+        "model": {"generator": {"seed": 1, "s": 2, "x_size": 3}},
+        "architectures": ["ldp"],
+        "eps_ld": [0.5, 1.0],
+    }))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == int(fails)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["error" if fails else "ok"] * 2
+    assert sum(float(r["wall_time_s"]) for r in rows) >= 0.2
