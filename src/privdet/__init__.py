@@ -61,8 +61,6 @@ from .metrics import (
     mutual_information,
 )
 from .model import (
-    Alphabet,
-    HypothesisSpace,
     JointModel,
     PushedModel,
     generate_correlated_model,

@@ -179,7 +179,14 @@ def sweep_columns(s: int) -> list:
     return cols
 
 
-def _evaluate_mapping(model, mapping, row):
+def _evaluate_mapping(model, mapping, row, report=None):
+    """Fill ``row`` with the detection, mutual-information and budget columns.
+
+    ``report`` is the mapping's audit when the caller already has it (a
+    designed row passes ``DesignResult.report``).  Otherwise the mapping is
+    audited here, once, after the other columns are filled, so a row whose
+    audit raises keeps them.  Returns the report.
+    """
     pushed = push_forward(model, mapping)
     row["bayes_error_H"] = bayes_error_H_pushed(pushed)
     row["bayes_error_G"] = bayes_error_G_pushed(pushed)
@@ -187,8 +194,9 @@ def _evaluate_mapping(model, mapping, row):
     row["mi_G_Z"] = metrics.mutual_information(pushed.p_gz())
     for t, mi in enumerate(metrics.per_sensor_mutual_information(model, mapping)):
         row[f"mi_X{t}_Z{t}"] = mi
-    report = metrics.full_report(model, mapping)
-    row.update({k: v for k, v in report.csv_fields().items()})
+    if report is None:
+        report = metrics.full_report(model, mapping)
+    row.update(report.csv_fields())
     return report
 
 
@@ -238,7 +246,7 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
                 row["converged"] = True
             elif arch in ("ldp", "ill", "lip", "inp"):
                 res = results[idx]
-                report = _evaluate_mapping(model, res.network(), row)
+                report = _evaluate_mapping(model, res.network(), row, res.report)
                 row["converged"] = res.converged
             else:  # epic / e-ldp
                 report = _run_epic_cell(spec, arch, model, seed, eps_ld, r, row)

@@ -78,6 +78,13 @@ class OptimizerConfig:
 
 @dataclasses.dataclass(frozen=True)
 class DesignResult:
+    """A designed mapping with its fusion rule, objective and audit.
+
+    ``report`` is the result's one audit: ``full_report`` of ``network()``,
+    taken once when the result is made.  The sweep's budget columns and the
+    ``design`` JSON read it; nothing audits the mapping again.
+    """
+
     mapping: object  # NetworkMapping | TwoStageMapping
     rule: FusionRule
     trace: tuple  # detection error after each outer sweep (best restart)
@@ -221,6 +228,20 @@ def design_ldp(
     winning start is non-increasing per sweep by construction of the block
     steps.
     """
+    mapping, trace, converged = _ldp_sweeps(model, config, out_size, initial)
+    pushed = push_forward(model, mapping)
+    return DesignResult(
+        mapping=mapping,
+        rule=optimal_rule_from_pushed(pushed),
+        trace=trace,
+        report=full_report(model, mapping),
+        converged=converged,
+        objective=bayes_error_H_pushed(pushed),
+    )
+
+
+def _ldp_sweeps(model, config, out_size=None, initial=None):
+    """The block sweeps of ``design_ldp``: (mapping, trace, converged) of the best start."""
     z_size = out_size if out_size is not None else config.z_size
     eps_ld = config.eps_ld
     starts: list[list[SensorChannel]] = []
@@ -257,16 +278,7 @@ def design_ldp(
         if best is None or candidate[0] < best[0] - 1e-15:
             best = candidate
     _, chans, trace, converged = best
-    mapping = NetworkMapping(chans)
-    pushed = push_forward(model, mapping)
-    return DesignResult(
-        mapping=mapping,
-        rule=optimal_rule_from_pushed(pushed),
-        trace=trace,
-        report=full_report(model, mapping),
-        converged=converged,
-        objective=bayes_error_H_pushed(pushed),
-    )
+    return NetworkMapping(chans), trace, converged
 
 
 # -- information-privacy stage ------------------------------------------------
@@ -605,11 +617,11 @@ def design_ill(
     info = design_info_stage(model, config.eps_i, config)
     y_model = push_forward_model(model, info.mapping)
     half = dataclasses.replace(config, eps_ld=config.eps_ld / 2.0)
-    ldp = design_ldp(y_model, half, out_size=config.z_size, initial=initial_stage2)
-    two = TwoStageMapping(info.mapping, ldp.mapping, "ill")
+    stage2, trace, converged = _ldp_sweeps(y_model, half, config.z_size, initial_stage2)
+    two = TwoStageMapping(info.mapping, stage2, "ill")
     # stage 2 runs on the stage-1 image, so its per-sweep objective is the
     # final detection error of the whole pipeline
-    return _finish_two_stage(model, two, ldp.trace, ldp.converged and info.converged, info.profile)
+    return _finish_two_stage(model, two, trace, converged and info.converged, info.profile)
 
 
 def design_lip(
@@ -619,12 +631,12 @@ def design_lip(
 ) -> DesignResult:
     """Local stage at the full local budget, then an information stage on
     its output; post-processing keeps the composed local budget intact."""
-    ldp = design_ldp(model, config, out_size=config.stage_y_size, initial=initial_stage1)
-    y_model = push_forward_model(model, ldp.mapping)
+    stage1, _, converged = _ldp_sweeps(model, config, config.stage_y_size, initial_stage1)
+    y_model = push_forward_model(model, stage1)
     stage2_cfg = dataclasses.replace(config, y_size=config.z_size)
     info = design_info_stage(y_model, config.eps_i, stage2_cfg)
-    two = TwoStageMapping(ldp.mapping, info.mapping, "lip")
-    return _finish_two_stage(model, two, info.trace, ldp.converged and info.converged, info.profile)
+    two = TwoStageMapping(stage1, info.mapping, "lip")
+    return _finish_two_stage(model, two, info.trace, converged and info.converged, info.profile)
 
 
 def design_inp(model: JointModel, config: OptimizerConfig) -> DesignResult:

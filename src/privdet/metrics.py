@@ -86,20 +86,21 @@ def _neighbor_axis_budget(table: np.ndarray) -> float:
     """max log ratio between entries differing in one leading-axis index.
 
     ``table`` has shape (k, ...): entries along axis 0 with identical
-    trailing indices are compared pairwise.
+    trailing indices are compared.  Per trailing index the largest ratio is
+    log(max / min) over the positive entries; a column holding both a
+    positive entry and a zero gives inf, and a column with no positive
+    entry is skipped.
     """
-    k = table.shape[0]
-    flat = table.reshape(k, -1)
-    best = 0.0
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            r = _max_log_ratio_pairs(flat[i], flat[j])
-            best = max(best, r)
-            if best == math.inf:
-                return best
-    return best
+    flat = table.reshape(table.shape[0], -1)
+    pos = flat > 0
+    live = pos.any(axis=0)
+    if not live.any():
+        return 0.0
+    if np.any(live & (flat == 0).any(axis=0)):
+        return math.inf
+    hi = np.where(pos, flat, 0.0).max(axis=0)[live]
+    lo = np.where(pos, flat, np.inf).min(axis=0)[live]
+    return float(np.log(hi / lo).max())
 
 
 # -- per-metric operations ----------------------------------------------------

@@ -43,33 +43,6 @@ class ModelFormatError(ValueError):
     """Raised when a model file or table violates the format invariants."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Alphabet:
-    """A finite symbol alphabet; symbols are 0 .. size-1."""
-
-    name: str
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"alphabet {self.name!r} must have size >= 1, got {self.size}")
-
-
-@dataclasses.dataclass(frozen=True)
-class HypothesisSpace:
-    """Binary public hypothesis plus q binary private components."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
-
-    @property
-    def n_g(self) -> int:
-        return 2 ** self.q
-
-
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)

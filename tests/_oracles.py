@@ -167,3 +167,25 @@ def pairwise_ldp_polytope(x_size, z_size, eps_ld):
                     row[x2 * z_size + z] -= e
                     rows.append(row)
     return a_eq, b_eq, np.array(rows), np.zeros(len(rows))
+
+
+def pairwise_neighbor_budget(table):
+    """max log(a / b) over every ordered pair of rows along axis 0, column by column.
+
+    Zero conventions: a pair with a positive numerator over a zero
+    denominator gives inf; a pair where either side is not positive is
+    otherwise skipped.  Fewer than two rows give 0.
+    """
+    table = np.asarray(table, dtype=float)
+    flat = table.reshape(table.shape[0], -1)
+    best = 0.0
+    for i in range(flat.shape[0]):
+        for j in range(flat.shape[0]):
+            if i == j:
+                continue
+            for a, b in zip(flat[i], flat[j]):
+                if a > 0 and b == 0:
+                    return np.inf
+                if a > 0 and b > 0:
+                    best = max(best, float(np.log(a / b)))
+    return best

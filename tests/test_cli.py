@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line entry points."""
 
 import csv
+import dataclasses
 import json
+import math
 import time
 
 import pytest
 
-from privdet import cli, design
+from privdet import cli, design, metrics
 
 
 def test_design_inp_audit_ignores_the_local_budget(tmp_path):
@@ -63,3 +65,67 @@ def test_sweep_wall_time_counts_the_chain_design(tmp_path, monkeypatch, fails):
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["error" if fails else "ok"] * 2
     assert sum(float(r["wall_time_s"]) for r in rows) >= 0.2
+
+
+def _small_spec(tmp_path, **fields):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "model": {"generator": {"seed": 1, "s": 2, "x_size": 3}},
+        "eps_i": [1.0],
+        "eps_ld": [0.5, 1.0],
+        "design": {"restarts": 2, "max_outer_iters": 30},
+        **fields,
+    }))
+    return spec
+
+
+def _read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_audits_each_result_once(tmp_path, monkeypatch):
+    calls = []
+    real = metrics.full_report
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (metrics, design):
+        monkeypatch.setattr(module, "full_report", counted)
+    spec = _small_spec(tmp_path, architectures=["ldp", "ill", "lip", "inp", "identity"])
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert [r["arch"] for r in rows] == ["ldp"] * 2 + ["ill"] * 2 + ["lip"] * 2 + ["inp", "identity"]
+    assert len(calls) == sum(r["status"] == "ok" for r in rows) == 8
+
+
+def test_sweep_output_does_not_depend_on_jobs(tmp_path):
+    spec = _small_spec(tmp_path, architectures=["ldp", "inp", "identity"], seeds=[0, 1])
+    text = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"sweep{jobs}.csv"
+        assert cli.main(["sweep", "--spec", str(spec), "--out", str(out), "--jobs", str(jobs)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0].endswith(",wall_time_s")
+        text[jobs] = [line.rsplit(",", 1)[0] for line in lines]
+    assert len(text[1]) == 1 + 2 * 4
+    assert text[1] == text[2]
+
+
+def test_sweep_with_an_audit_miss_exits_nonzero(tmp_path, monkeypatch):
+    real = design.chain_designs
+
+    def over_budget(*args, **kwargs):
+        return [
+            dataclasses.replace(res, report=dataclasses.replace(res.report, eps_ldp=math.inf))
+            for res in real(*args, **kwargs)
+        ]
+
+    monkeypatch.setattr(design, "chain_designs", over_budget)
+    spec, out = _small_spec(tmp_path, architectures=["ldp"]), tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+    rows = _read_rows(out)
+    assert [(r["status"], r["audit_ok"], r["eps_ldp_nats"]) for r in rows] == [("ok", "0", "inf")] * 2

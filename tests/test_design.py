@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from privdet import design as design_mod
 from privdet import metrics
 from privdet.channels import (
     NetworkMapping,
@@ -19,6 +20,7 @@ from privdet.design import (
     block_objective_coefficients,
     block_objective_value,
     chain_designs,
+    design,
     design_ill,
     design_info_stage,
     design_inp,
@@ -34,6 +36,7 @@ from privdet.detection import (
     optimal_fusion_rule,
     theta,
 )
+from privdet.metrics import full_report
 from privdet.model import JointModel, generate_correlated_model, push_forward
 from privdet.relations import random_model
 
@@ -396,6 +399,35 @@ def test_chain_designs_monotone_objective():
         results = chain_designs(model, arch, grid, cfg)
         objs = [r.objective for r in results]
         assert all(b <= a + 1e-6 for a, b in zip(objs, objs[1:])), (arch, objs)
+
+
+@pytest.mark.parametrize("arch", ["ldp", "ill", "lip", "inp"])
+@pytest.mark.parametrize("eps_i", [0.5, 1.0])
+def test_design_report_is_the_audit_of_the_returned_mapping(arch, eps_i):
+    """For inp the water-filled mapping wins at 0.5, the info-stage mapping at 1.0."""
+    model = generate_correlated_model(seed=3, s=2, x_size=3)
+    res = design(model, arch, OptimizerConfig(eps_i=eps_i, eps_ld=1.0, restarts=3))
+    if arch == "inp":
+        assert (res.profile is None) == (eps_i == 0.5)
+    assert res.report == full_report(model, res.network())
+
+
+@pytest.mark.parametrize("arch", ["ldp", "ill", "lip"])
+def test_chain_fallback_keeps_the_audit_of_the_reused_mapping(monkeypatch, arch):
+    model = generate_correlated_model(seed=14, s=2, x_size=4, q=1, target_corr=0.2)
+    real = design_mod.design
+
+    def blind_at_one(model, arch, cfg, **kwargs):
+        # a fresh design held to budget zero is worse than the previous grid point
+        if cfg.eps_ld == 1.0:
+            cfg = dataclasses.replace(cfg, eps_ld=0.0)
+        return real(model, arch, cfg, **kwargs)
+
+    monkeypatch.setattr(design_mod, "design", blind_at_one)
+    cfg = OptimizerConfig(eps_i=0.3, seed=9, restarts=2, max_outer_iters=30)
+    low, high = chain_designs(model, arch, [0.5, 1.0], cfg)
+    assert high.mapping is low.mapping  # the previous mapping was reused
+    assert high.report == full_report(model, high.network())
 
 
 def test_design_results_serialize(tmp_path):

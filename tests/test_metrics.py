@@ -29,7 +29,7 @@ from privdet.metrics import (
 from privdet.model import JointModel, push_forward
 from privdet.relations import example1_joint, random_model
 
-from _oracles import mutual_information_direct
+from _oracles import mutual_information_direct, pairwise_neighbor_budget
 
 LOG2 = math.log(2.0)
 
@@ -68,6 +68,30 @@ def test_ldp_budget_identity_infinite():
 def test_ldp_budget_randomized_response_exact():
     mapping = NetworkMapping((randomized_response(2, 1.0),))
     assert ldp_budget(mapping) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_neighbor_axis_budget_matches_the_pair_loop_exactly():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        k = int(rng.integers(1, 6))
+        shape = (k,) + tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(1, 3)))
+        table = rng.random(shape) * (rng.random(shape) > 0.3)
+        assert metrics._neighbor_axis_budget(table) == pairwise_neighbor_budget(table)
+
+
+@pytest.mark.parametrize(
+    "table, expected",
+    [
+        ([[0.5, 0.0], [0.5, 0.2]], math.inf),  # a column mixing zero and positive
+        ([[0.0, 0.2], [0.0, 0.8]], math.log(4.0)),  # an all-zero column is skipped
+        ([[0.0, 0.0], [0.0, 0.0]], 0.0),
+        ([[0.3, 0.7]], 0.0),  # fewer than two entries to compare
+    ],
+)
+def test_neighbor_axis_budget_zero_conventions(table, expected):
+    table = np.array(table)
+    assert metrics._neighbor_axis_budget(table) == pairwise_neighbor_budget(table)
+    assert metrics._neighbor_axis_budget(table) == pytest.approx(expected, abs=1e-15)
 
 
 # -- posterior-ratio budget -------------------------------------------------------
