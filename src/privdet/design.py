@@ -46,7 +46,7 @@ from .detection import (
     theta,
 )
 from .metrics import BudgetReport, full_report
-from .model import JointModel, push_forward, push_forward_model
+from .model import JointModel, _sensor_product, push_forward, push_forward_model
 from .simplex import LPInfeasible, solve_lp
 
 
@@ -141,35 +141,19 @@ def block_objective_coefficients(
     z_size = rule.z_size
     signed_prior = model.prior * np.array([[1.0], [-1.0]])
     accept = np.flatnonzero(rule.table == 1)
-    if model.form == "cond_indep":
-        pushed = [
-            model.conditionals[i] @ channels[i].rows if i != t else None
-            for i in range(model.s)
-        ]
-        acc = np.zeros((2, model.n_g, z_size))
-        for zflat in accept:
-            zvec = np.unravel_index(zflat, (z_size,) * model.s)
-            w = np.ones((2, model.n_g))
-            for i in range(model.s):
-                if i != t:
-                    w = w * pushed[i][:, :, zvec[i]]
-            acc[:, :, zvec[t]] += w
-        return np.einsum("hg,hgz,hgx->zx", signed_prior, acc, model.conditionals[t])
-    # full form: contract the signed joint against the other sensors' rows
-    joint = model.joint_hgx()  # (2, n_g, n_x)
-    d = joint[0].sum(axis=0) - joint[1].sum(axis=0)  # p(x, H=0) - p(x, H=1)
-    d = d.reshape((model.x_size,) * model.s)
-    f = np.zeros((z_size, model.x_size))
+    pushed = [
+        model.conditionals[i] @ channels[i].rows if i != t else None
+        for i in range(model.s)
+    ]
+    acc = np.zeros((2, model.n_g, z_size))
     for zflat in accept:
         zvec = np.unravel_index(zflat, (z_size,) * model.s)
-        w = d
-        # contract sensors above t first so axis positions stay stable
-        for i in reversed(range(model.s)):
-            if i == t:
-                continue
-            w = np.tensordot(w, channels[i].rows[:, zvec[i]], axes=([i], [0]))
-        f[zvec[t]] += w
-    return f
+        w = np.ones((2, model.n_g))
+        for i in range(model.s):
+            if i != t:
+                w = w * pushed[i][:, :, zvec[i]]
+        acc[:, :, zvec[t]] += w
+    return np.einsum("hg,hgz,hgx->zx", signed_prior, acc, model.conditionals[t])
 
 
 def ldp_closed_form_step(
@@ -317,12 +301,8 @@ def _stage_column_stats(model, chans, t, cands, rule):
     n_g = model.n_g
     y_size = cands.shape[2]
     pushed = [model.conditionals[i] @ chans[i].rows for i in range(model.s)]
-    left = np.ones((2, n_g, 1))
-    for i in range(t):
-        left = (left[:, :, :, None] * pushed[i][:, :, None, :]).reshape(2, n_g, -1)
-    right = np.ones((2, n_g, 1))
-    for i in range(t + 1, model.s):
-        right = (right[:, :, :, None] * pushed[i][:, :, None, :]).reshape(2, n_g, -1)
+    left = _sensor_product(np.ones((2, n_g, 1)), pushed[:t])
+    right = _sensor_product(np.ones((2, n_g, 1)), pushed[t + 1:])
     cand_pushed = np.einsum("cxy,hgx->chgy", cands, model.conditionals[t])
     joint = np.einsum("hg,hga,chgy,hgb->chgayb", model.prior, left, cand_pushed, right)
     joint = joint.reshape(cands.shape[0], 2, n_g, -1)
@@ -355,8 +335,6 @@ def design_info_stage(model: JointModel, eps_i: float, config: OptimizerConfig) 
     output, so it can only raise the min risks, and the profile reports the
     (c_G, theta) pair enforced by the last accepted sweep (or the start).
     """
-    if model.form != "cond_indep":
-        raise ValueError("the information stage requires a cond_indep model")
     if eps_i <= 0:
         raise ValueError("eps_i must be positive")
     y_size = config.stage_y_size

@@ -4,15 +4,13 @@ H is a binary public hypothesis, G a vector of q binary private hypothesis
 components (so G ranges over 2**q values), and X = (X_1, ..., X_s) the
 per-sensor observations, each on the alphabet {0, ..., x_size - 1}.
 
-Two representations are supported:
-
-* ``cond_indep`` -- a prior table p(h, g) plus one conditional table
-  p(x_t | h, g) per sensor; observations are conditionally independent
-  given (H, G).  Operations work factor-wise, so the joint observation
-  space X^s is never materialized.
-* ``full`` -- a prior table plus a single conditional table over the
-  whole observation vector, flattened row-major (sensor 1 most
-  significant).  Fully general, but only viable for small s.
+A model is a prior table p(h, g) plus one conditional table p(x_t | h, g)
+per sensor.  This assumes the observations are conditionally independent
+given (H, G), the assumption the parametric designs build on: each sensor
+gets its own local mapping, designed from its own conditional law.
+Operations work factor-wise, so the joint observation space X^s is only
+materialized on request (``joint_hgx``), flattened row-major with sensor 1
+most significant.  Model files store this form as ``"form": "cond_indep"``.
 
 All model objects are immutable after construction; every operation here
 is a pure function of its inputs.
@@ -21,7 +19,6 @@ is a pure function of its inputs.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 from typing import Sequence
@@ -64,20 +61,17 @@ def _check_rows_stochastic(table: np.ndarray, what: str, atol: float = PROB_ATOL
 
 @dataclasses.dataclass(frozen=True)
 class JointModel:
-    """Joint law of (H, G, X_1..X_s); see module docstring for the two forms."""
+    """Joint law of (H, G, X_1..X_s) with X_t independent given (H, G)."""
 
     s: int
     x_size: int
     q: int
-    form: str  # "cond_indep" | "full"
     prior: np.ndarray  # (2, 2**q), p(h, g)
-    conditionals: tuple  # cond_indep: s tables (2, 2**q, x_size); full: 1 table (2, 2**q, x_size**s)
+    conditionals: tuple  # s tables (2, 2**q, x_size), p(x_t | h, g)
 
     def __post_init__(self):
         if self.s < 1 or self.x_size < 1 or self.q < 1:
             raise ModelFormatError("s, x_size and q must all be >= 1")
-        if self.form not in ("cond_indep", "full"):
-            raise ModelFormatError(f"unknown model form {self.form!r}")
         prior = _as_readonly(self.prior)
         if prior.shape != (2, self.n_g):
             raise ModelFormatError(f"prior shape {prior.shape} != (2, {self.n_g})")
@@ -87,18 +81,12 @@ class JointModel:
         if abs(mass - 1.0) > PROB_ATOL_INPUT:
             raise ModelFormatError(f"prior mass is {mass!r} (deficit {1.0 - mass:.3e})")
         conds = tuple(_as_readonly(c) for c in self.conditionals)
-        if self.form == "cond_indep":
-            if len(conds) != self.s:
-                raise ModelFormatError(f"expected {self.s} conditionals, got {len(conds)}")
-            row_len = self.x_size
-        else:
-            if len(conds) != 1:
-                raise ModelFormatError("full form takes exactly one conditional table")
-            row_len = self.x_size ** self.s
+        if len(conds) != self.s:
+            raise ModelFormatError(f"expected {self.s} conditionals, got {len(conds)}")
         for t, c in enumerate(conds):
-            if c.shape != (2, self.n_g, row_len):
+            if c.shape != (2, self.n_g, self.x_size):
                 raise ModelFormatError(
-                    f"conditional {t} shape {c.shape} != (2, {self.n_g}, {row_len})"
+                    f"conditional {t} shape {c.shape} != (2, {self.n_g}, {self.x_size})"
                 )
             _check_rows_stochastic(c, f"conditional table {t}")
         object.__setattr__(self, "prior", prior)
@@ -114,58 +102,20 @@ class JointModel:
     def n_x(self) -> int:
         return self.x_size ** self.s
 
-    def p_hg(self) -> np.ndarray:
-        return self.prior
-
     def joint_hgx(self) -> np.ndarray:
         """Full joint table p(h, g, x-vector) of shape (2, 2**q, x_size**s)."""
         cells = 2 * self.n_g * self.n_x
         if cells > EXPANSION_CAP:
             raise ModelFormatError(
                 f"joint expansion needs {cells} cells (cap {EXPANSION_CAP}); "
-                "keep the model in cond_indep form at this size"
+                "work factor-wise at this size"
             )
-        if self.form == "full":
-            return self.prior[:, :, None] * self.conditionals[0]
-        out = self.prior[:, :, None].copy()
-        for c in self.conditionals:
-            out = out[:, :, :, None] * c[:, :, None, :]
-            out = out.reshape(2, self.n_g, -1)
-        return out
-
-    def to_full(self) -> "JointModel":
-        """Convert to the fully materialized representation."""
-        if self.form == "full":
-            return self
-        joint = self.joint_hgx()
-        prior = joint.sum(axis=2)
-        cond = np.empty_like(joint)
-        for h in range(2):
-            for g in range(self.n_g):
-                if prior[h, g] > 0:
-                    cond[h, g] = joint[h, g] / prior[h, g]
-                else:
-                    cond[h, g] = 1.0 / self.n_x
-        return JointModel(self.s, self.x_size, self.q, "full", self.prior, (cond,))
+        return _sensor_product(self.prior[:, :, None], self.conditionals)
 
     def p_x(self) -> np.ndarray:
         """Marginal over the flattened observation vector."""
         joint = self.joint_hgx()
         return joint.sum(axis=(0, 1))
-
-    def sensor_conditional(self, t: int) -> np.ndarray:
-        """p(x_t | h, g) as a (2, 2**q, x_size) table (cond_indep only)."""
-        if self.form != "cond_indep":
-            raise ModelFormatError("per-sensor conditionals only exist in cond_indep form")
-        return self.conditionals[t]
-
-    def replace_sensor_conditional(self, t: int, table: np.ndarray) -> "JointModel":
-        """A new model with sensor t's conditional replaced (cond_indep only)."""
-        if self.form != "cond_indep":
-            raise ModelFormatError("replace_sensor_conditional needs cond_indep form")
-        conds = list(self.conditionals)
-        conds[t] = np.asarray(table, dtype=float)
-        return JointModel(self.s, self.x_size, self.q, self.form, self.prior, tuple(conds))
 
     # -- sampling ---------------------------------------------------------
 
@@ -175,21 +125,12 @@ class JointModel:
         hg = rng.choice(flat_prior.size, size=n, p=flat_prior)
         h, g = np.divmod(hg, self.n_g)
         x = np.empty((n, self.s), dtype=np.int64)
-        if self.form == "cond_indep":
-            u = rng.random((n, self.s))
-            for t in range(self.s):
-                cdf = np.cumsum(self.conditionals[t], axis=-1)  # (2, n_g, x_size)
-                x[:, t] = np.minimum(
-                    (u[:, t, None] > cdf[h, g]).sum(axis=1), self.x_size - 1
-                )
-        else:
-            cond = self.conditionals[0]
-            u = rng.random(n)
-            cdf = np.cumsum(cond, axis=-1)
-            flat = np.minimum((u[:, None] > cdf[h, g]).sum(axis=1), self.n_x - 1)
-            for t in reversed(range(self.s)):
-                x[:, t] = flat % self.x_size
-                flat //= self.x_size
+        u = rng.random((n, self.s))
+        for t in range(self.s):
+            cdf = np.cumsum(self.conditionals[t], axis=-1)  # (2, n_g, x_size)
+            x[:, t] = np.minimum(
+                (u[:, t, None] > cdf[h, g]).sum(axis=1), self.x_size - 1
+            )
         return h, g, x
 
     # -- serialization ----------------------------------------------------
@@ -199,7 +140,7 @@ class JointModel:
             "s": self.s,
             "x_size": self.x_size,
             "q": self.q,
-            "form": self.form,
+            "form": "cond_indep",
             "prior": self.prior.tolist(),
             "conditionals": [c.tolist() for c in self.conditionals],
         }
@@ -207,11 +148,14 @@ class JointModel:
     @classmethod
     def from_dict(cls, data: dict) -> "JointModel":
         try:
+            if data["form"] != "cond_indep":
+                raise ModelFormatError(
+                    f"unsupported model form {data['form']!r}; only 'cond_indep' is supported"
+                )
             return cls(
                 s=int(data["s"]),
                 x_size=int(data["x_size"]),
                 q=int(data["q"]),
-                form=str(data["form"]),
                 prior=np.asarray(data["prior"], dtype=float),
                 conditionals=tuple(np.asarray(c, dtype=float) for c in data["conditionals"]),
             )
@@ -269,49 +213,38 @@ class PushedModel:
 def push_forward(model: JointModel, mapping: NetworkMapping) -> PushedModel:
     """Push (H, G, X) through a product-form mapping, yielding (H, G, Z).
 
-    In cond_indep form the computation is factor-wise per sensor and never
-    touches X^s; in full form the per-sensor channels are combined into a
-    Kronecker-product channel over whole vectors.
+    The computation is factor-wise per sensor and never touches X^s.
     """
     _check_compatible(model, mapping)
-    z_size = mapping.channels[0].z_size
-    n_g = model.n_g
-    if model.form == "cond_indep":
-        joint = model.prior[:, :, None].copy()
-        for t in range(model.s):
-            pushed_t = model.conditionals[t] @ mapping.channels[t].rows  # (2, n_g, z)
-            joint = joint[:, :, :, None] * pushed_t[:, :, None, :]
-            joint = joint.reshape(2, n_g, -1)
-    else:
-        big = functools.reduce(np.kron, [ch.rows for ch in mapping.channels])
-        joint = model.joint_hgx() @ big
-    return PushedModel(joint, model.s, z_size, model.q, model, mapping)
+    pushed = [c @ ch.rows for c, ch in zip(model.conditionals, mapping.channels)]
+    joint = _sensor_product(model.prior[:, :, None], pushed)
+    return PushedModel(joint, model.s, mapping.channels[0].z_size, model.q, model, mapping)
 
 
 def push_forward_model(model: JointModel, mapping: NetworkMapping) -> JointModel:
     """Like :func:`push_forward`, but returns the image as a JointModel.
 
     Used to treat an intermediate sanitized alphabet as the observation
-    space of a downstream design stage.  Preserves the representation form.
+    space of a downstream design stage.
     """
     _check_compatible(model, mapping)
     z_size = mapping.channels[0].z_size
-    if model.form == "cond_indep":
-        conds = tuple(
-            model.conditionals[t] @ mapping.channels[t].rows for t in range(model.s)
+    conds = tuple(c @ ch.rows for c, ch in zip(model.conditionals, mapping.channels))
+    conds = tuple(c / c.sum(axis=-1, keepdims=True) for c in conds)
+    return JointModel(model.s, z_size, model.q, model.prior, conds)
+
+
+def _sensor_product(table: np.ndarray, factors) -> np.ndarray:
+    """Fold per-sensor (2, n_g, k) factors into the flattened last axis of table.
+
+    Each factor multiplies in as a new least significant digit, so the
+    result's last axis is row-major over (table's axis, factor 1, ...).
+    """
+    for f in factors:
+        table = (table[:, :, :, None] * f[:, :, None, :]).reshape(
+            table.shape[0], table.shape[1], -1
         )
-        conds = tuple(c / c.sum(axis=-1, keepdims=True) for c in conds)
-        return JointModel(model.s, z_size, model.q, "cond_indep", model.prior, conds)
-    pushed = push_forward(model, mapping)
-    prior = model.prior
-    cond = np.empty((2, model.n_g, pushed.n_z))
-    for h in range(2):
-        for g in range(model.n_g):
-            if prior[h, g] > 0:
-                cond[h, g] = pushed.joint[h, g] / prior[h, g]
-            else:
-                cond[h, g] = 1.0 / pushed.n_z
-    return JointModel(model.s, z_size, model.q, "full", prior, (cond,))
+    return table
 
 
 def _check_compatible(model: JointModel, mapping: NetworkMapping) -> None:
@@ -398,9 +331,9 @@ def _marginal_model(model: JointModel, variables):
     if not tokens:
         return np.asarray(model.prior.sum())
     needs_vec = any(tok == ("vec",) for tok in tokens)
-    if model.form == "full" or needs_vec:
+    if needs_vec:
         return _marginal_from_joint(model.joint_hgx(), model.s, model.x_size, tokens)
-    # cond_indep: only materialize the requested sensors
+    # only materialize the requested sensors
     sensors = [tok[1] for tok in tokens if isinstance(tok, tuple) and tok[0] == "comp"]
     table = model.prior.copy()  # axes (h, g) then requested sensors in order
     for t in sensors:
@@ -447,7 +380,7 @@ def generate_correlated_model(
     p_g0: float = 0.5,
     jitter: float = 0.5,
 ) -> JointModel:
-    """Seeded cond_indep model whose corr(H, G) equals target_corr exactly.
+    """Seeded model whose corr(H, G) equals target_corr exactly.
 
     The prior is solved from the moment equations for the requested
     marginals; per-sensor conditionals come from a shifted-noise family
@@ -492,7 +425,7 @@ def generate_correlated_model(
                 sym = min(max(sym, 0), x_size - 1)
                 table[h, g, sym] += 1.0 / len(_NOISE_OFFSETS)
         conds.append(table)
-    return JointModel(s, x_size, 1, "cond_indep", prior, tuple(conds))
+    return JointModel(s, x_size, 1, prior, tuple(conds))
 
 
 def table3_model(s: int = 4, target_corr: float = 0.2) -> JointModel:

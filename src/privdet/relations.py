@@ -136,7 +136,7 @@ def witness_info_not_ldp(x_size: int = 2, s: int = 1, q: int = 1) -> Implication
     n_g = 2 ** q
     prior = np.full((2, n_g), 1.0 / (2 * n_g))
     conds = tuple(np.full((2, n_g, x_size), 1.0 / x_size) for _ in range(s))
-    model = JointModel(s, x_size, q, "cond_indep", prior, conds)
+    model = JointModel(s, x_size, q, prior, conds)
     mapping = identity_mapping(s, x_size)
     pushed = push_forward(model, mapping)
     eps_a = metrics.info_privacy_budget(pushed)
@@ -150,7 +150,7 @@ def witness_info_not_mutual_info(x_size: int = 2, s: int = 1, q: int = 1):
     n_g = 2 ** q
     prior = np.full((2, n_g), 1.0 / (2 * n_g))
     conds = tuple(np.full((2, n_g, x_size), 1.0 / x_size) for _ in range(s))
-    model = JointModel(s, x_size, q, "cond_indep", prior, conds)
+    model = JointModel(s, x_size, q, prior, conds)
     mapping = identity_mapping(s, x_size)
     pushed = push_forward(model, mapping)
     eps_a = metrics.info_privacy_budget(pushed)
@@ -239,7 +239,7 @@ def random_model(rng: np.random.Generator, s: int, x_size: int, q: int) -> Joint
     n_g = 2 ** q
     prior = rng.dirichlet(np.ones(2 * n_g)).reshape(2, n_g)
     conds = tuple(rng.dirichlet(np.ones(x_size), size=(2, n_g)) for _ in range(s))
-    return JointModel(s, x_size, q, "cond_indep", prior, conds)
+    return JointModel(s, x_size, q, prior, conds)
 
 
 def _random_mapping(rng: np.random.Generator, kind: int, s, x_size, z_size) -> NetworkMapping:

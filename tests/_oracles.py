@@ -5,6 +5,7 @@ spaces) so the fast implementations are checked against a path they share
 no code with.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -28,6 +29,35 @@ def brute_push(model, mapping):
                         w *= mapping.channels[t].rows[xvec[t], zvec[t]]
                     out[h, g, zi] += p_x * w
     return out
+
+
+def kron_push(model, mapping):
+    """p(h, g, z-vector) through the Kronecker product of the sensor channels."""
+    big = functools.reduce(np.kron, [ch.rows for ch in mapping.channels])
+    return model.joint_hgx() @ big
+
+
+def joint_block_coefficients(model, rule, channels, t):
+    """f(z, x) of sensor t's block objective from the joint table over X^s.
+
+    Contracts p(x, H=0) - p(x, H=1) against the other sensors' channel
+    columns, once per accepted output vector; entry t of ``channels`` is
+    ignored.
+    """
+    z_size = rule.z_size
+    joint = model.joint_hgx()
+    d = joint[0].sum(axis=0) - joint[1].sum(axis=0)
+    d = d.reshape((model.x_size,) * model.s)
+    f = np.zeros((z_size, model.x_size))
+    for zflat in np.flatnonzero(rule.table == 1):
+        zvec = np.unravel_index(zflat, (z_size,) * model.s)
+        w = d
+        # contract sensors above t first so axis positions stay stable
+        for i in reversed(range(model.s)):
+            if i != t:
+                w = np.tensordot(w, channels[i].rows[:, zvec[i]], axes=([i], [0]))
+        f[zvec[t]] += w
+    return f
 
 
 def brute_error_with_rule(pushed, rule_table):

@@ -129,3 +129,45 @@ def test_sweep_with_an_audit_miss_exits_nonzero(tmp_path, monkeypatch):
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
     rows = _read_rows(out)
     assert [(r["status"], r["audit_ok"], r["eps_ldp_nats"]) for r in rows] == [("ok", "0", "inf")] * 2
+
+
+def test_toml_spec_writes_the_json_spec_csv(tmp_path):
+    json_spec = _small_spec(tmp_path, architectures=["ldp", "inp", "identity"])
+    toml_spec = tmp_path / "spec.toml"
+    toml_spec.write_text(
+        'architectures = ["ldp", "inp", "identity"]\n'
+        "eps_i = [1.0]\n"
+        "eps_ld = [0.5, 1.0]\n"
+        "[model.generator]\n"
+        "seed = 1\n"
+        "s = 2\n"
+        "x_size = 3\n"
+        "[design]\n"
+        "restarts = 2\n"
+        "max_outer_iters = 30\n"
+    )
+    text = {}
+    for spec in (json_spec, toml_spec):
+        out = tmp_path / f"{spec.suffix[1:]}.csv"
+        assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0].endswith(",wall_time_s")
+        text[spec.suffix] = [line.rsplit(",", 1)[0] for line in lines]
+    assert len(text[".json"]) == 1 + 4
+    assert text[".toml"] == text[".json"]
+
+
+def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_path):
+    """inp at eps_i = 0 raises in the design; the row says so and the others stay ok."""
+    spec = _small_spec(tmp_path, architectures=["ldp", "inp"], eps_i=[0.0, 1.0])
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+    rows = _read_rows(out)
+    got = [(r["arch"], r["eps_i"], r["status"], r["audit_ok"], r["error"]) for r in rows]
+    assert got == [
+        ("ldp", "", "ok", "1", ""),
+        ("ldp", "", "ok", "1", ""),
+        ("inp", "0.0", "error", "0", "ValueError: eps_i must be positive"),
+        ("inp", "1.0", "ok", "1", ""),
+    ]
+    assert rows[2]["bayes_error_H"] == ""

@@ -40,7 +40,11 @@ from privdet.metrics import full_report
 from privdet.model import JointModel, generate_correlated_model, push_forward
 from privdet.relations import random_model
 
-from _oracles import brute_bayes_error_raw, brute_error_with_rule
+from _oracles import (
+    brute_bayes_error_raw,
+    brute_error_with_rule,
+    joint_block_coefficients,
+)
 
 
 def converged_step_instances(n_instances, seed=2026):
@@ -92,7 +96,7 @@ def test_objective_coefficients_full_form_agrees():
     rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
     for t in range(2):
         a = block_objective_coefficients(model, rule, chans, t)
-        b = block_objective_coefficients(model.to_full(), rule, chans, t)
+        b = joint_block_coefficients(model, rule, chans, t)
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -129,7 +133,7 @@ def test_closed_form_derived_case_matches_lp():
     cond = np.zeros((2, 2, 2))
     cond[0, :, :] = [1.0, 0.0]
     cond[1, :, :] = [0.0, 1.0]
-    model = JointModel(1, 2, 1, "cond_indep", prior, (cond,))
+    model = JointModel(1, 2, 1, prior, (cond,))
     chans = [randomized_response(2, 1.0)]
     from privdet.detection import FusionRule
 
@@ -223,7 +227,7 @@ def test_design_info_stage_independent_g_returns_quantizer():
     cond = np.zeros((2, 2, 3))
     cond[0, :, :] = [0.7, 0.2, 0.1]
     cond[1, :, :] = [0.1, 0.2, 0.7]
-    model = JointModel(2, 3, 1, "cond_indep", prior, (cond, cond))
+    model = JointModel(2, 3, 1, prior, (cond, cond))
     res = design_info_stage(model, 5.0, OptimizerConfig(seed=1, y_size=2))
     for g, risk in res.profile.min_risks.items():
         assert risk == pytest.approx(0.5, abs=1e-12)
@@ -269,7 +273,7 @@ def random_models_with_skewed_priors(n, seed):
         if k % 2:
             prior = model.prior / model.prior.sum(axis=1, keepdims=True)
             prior = prior * np.array([[0.95], [0.05]])
-            model = JointModel(model.s, model.x_size, 1, "cond_indep", prior, model.conditionals)
+            model = JointModel(model.s, model.x_size, 1, prior, model.conditionals)
         out.append(model)
     return out
 

@@ -30,7 +30,7 @@ from _oracles import best_detector_exhaustive, best_rule_exhaustive, brute_error
 def biased_h_model(p_h0=0.7):
     prior = np.array([[p_h0 / 2, p_h0 / 2], [(1 - p_h0) / 2, (1 - p_h0) / 2]])
     cond = np.full((2, 2, 2), 0.5)
-    return JointModel(1, 2, 1, "cond_indep", prior, (cond,))
+    return JointModel(1, 2, 1, prior, (cond,))
 
 
 def copy_h_model():
@@ -38,7 +38,7 @@ def copy_h_model():
     cond = np.zeros((2, 2, 2))
     cond[0, :, :] = [1.0, 0.0]
     cond[1, :, :] = [0.0, 1.0]
-    return JointModel(1, 2, 1, "cond_indep", prior, (cond,))
+    return JointModel(1, 2, 1, prior, (cond,))
 
 
 def test_optimal_rule_falls_back_to_prior():
@@ -68,7 +68,7 @@ def test_optimal_rule_matches_exhaustive_search():
 def test_bayes_error_H_independent_uniform_half():
     prior = np.full((2, 2), 0.25)
     cond = np.full((2, 2, 2), 0.5)
-    model = JointModel(1, 2, 1, "cond_indep", prior, (cond,))
+    model = JointModel(1, 2, 1, prior, (cond,))
     rule = FusionRule(np.array([0, 1]), 1, 2)
     assert bayes_error_H(model, identity_mapping(1, 2), rule) == pytest.approx(0.5)
 
@@ -124,7 +124,7 @@ def test_bayes_error_H_matches_brute_sum():
 def test_bayes_error_G_independent_uniform():
     prior = np.full((2, 2), 0.25)
     cond = np.full((2, 2, 3), 1 / 3)
-    model = JointModel(1, 3, 1, "cond_indep", prior, (cond,))
+    model = JointModel(1, 3, 1, prior, (cond,))
     assert bayes_error_G(model, identity_mapping(1, 3)) == pytest.approx(0.5)
 
 
@@ -133,14 +133,14 @@ def test_bayes_error_G_copy_zero():
     cond = np.zeros((2, 2, 2))
     cond[:, 0, :] = [1.0, 0.0]
     cond[:, 1, :] = [0.0, 1.0]
-    model = JointModel(1, 2, 1, "cond_indep", prior, (cond,))
+    model = JointModel(1, 2, 1, prior, (cond,))
     assert bayes_error_G(model, identity_mapping(1, 2)) == 0.0
 
 
 def test_bayes_error_G_q2_independent():
     prior = np.full((2, 4), 0.125)
     cond = np.full((2, 4, 2), 0.5)
-    model = JointModel(1, 2, 2, "cond_indep", prior, (cond,))
+    model = JointModel(1, 2, 2, prior, (cond,))
     assert bayes_error_G(model, identity_mapping(1, 2)) == pytest.approx(0.75)
 
 
@@ -150,7 +150,7 @@ def test_bayes_error_G_q2_independent():
 def test_min_risk_detector_independent_half():
     prior = np.full((2, 2), 0.25)
     cond = np.full((2, 2, 3), 1 / 3)
-    model = JointModel(1, 3, 1, "cond_indep", prior, (cond,))
+    model = JointModel(1, 3, 1, prior, (cond,))
     detector, risk = min_risk_detector(model, identity_mapping(1, 3), 1)
     assert risk == pytest.approx(0.5, abs=1e-15)
     assert np.array_equal(detector, [1, 1, 1])  # ratio ties decide g
@@ -161,7 +161,7 @@ def test_min_risk_detector_perfect_indicator_zero():
     cond = np.zeros((2, 2, 2))
     cond[:, 0, :] = [1.0, 0.0]
     cond[:, 1, :] = [0.0, 1.0]
-    model = JointModel(1, 2, 1, "cond_indep", prior, (cond,))
+    model = JointModel(1, 2, 1, prior, (cond,))
     _, risk = min_risk_detector(model, identity_mapping(1, 2), 1)
     assert risk == 0.0
 

@@ -49,7 +49,7 @@ def gz_model(p_gz):
             cond[:, g, :] = p_gz[g] / p_gz[g].sum()
         else:
             cond[:, g, :] = 1.0 / n_x
-    model = JointModel(1, n_x, q, "cond_indep", prior, (cond,))
+    model = JointModel(1, n_x, q, prior, (cond,))
     return push_forward(model, identity_mapping(1, n_x))
 
 
@@ -105,7 +105,7 @@ def test_info_budget_independent_is_zero():
 def test_info_budget_uniform_conditionals_any_mapping():
     prior = np.full((2, 2), 0.25)
     conds = tuple(np.full((2, 2, 3), 1.0 / 3) for _ in range(2))
-    model = JointModel(2, 3, 1, "cond_indep", prior, conds)
+    model = JointModel(2, 3, 1, prior, conds)
     for seed in range(5):
         pushed = push_forward(model, random_mapping(seed, 2, 3, 2))
         assert info_privacy_budget(pushed) <= 1e-10
@@ -175,14 +175,14 @@ def test_mutual_information_symmetric_nonnegative():
 def test_delta_x_uniform_prior_zero():
     prior = np.full((2, 2), 0.25)
     conds = tuple(np.full((2, 2, 3), 1.0 / 3) for _ in range(2))
-    model = JointModel(2, 3, 1, "cond_indep", prior, conds)
+    model = JointModel(2, 3, 1, prior, conds)
     assert delta_x(model) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_identifiability_bounded_by_budget_under_uniform_prior():
     prior = np.full((2, 2), 0.25)
     conds = tuple(np.full((2, 2, 3), 1.0 / 3) for _ in range(2))
-    model = JointModel(2, 3, 1, "cond_indep", prior, conds)
+    model = JointModel(2, 3, 1, prior, conds)
     for eps in (0.5, 1.0, 2.0):
         mapping = NetworkMapping(tuple(randomized_response(3, eps) for _ in range(2)))
         pushed = push_forward(model, mapping)
@@ -196,7 +196,7 @@ def test_identifiability_skewed_prior_identity_channel():
     cond[1] = [0.2, 0.8]
     # arrange p_X = (0.8, 0.2): p(x=0) = 0.4*0.8 + 0.6*... use custom rows
     cond[:, :, :] = [[0.8, 0.2]]
-    model = JointModel(1, 2, 1, "cond_indep", prior, (cond,))
+    model = JointModel(1, 2, 1, prior, (cond,))
     pushed = push_forward(model, identity_mapping(1, 2))
     assert identifiability_budget(pushed) == math.inf
     assert delta_x(model) == pytest.approx(math.log(4.0), abs=1e-12)
@@ -228,7 +228,7 @@ def test_empirical_budget_converges_to_log2():
     cond = np.zeros((2, 2, 2))
     cond[:, 0, :] = [1.0, 0.0]
     cond[:, 1, :] = [0.0, 1.0]
-    model = JointModel(1, 2, 1, "cond_indep", prior, (cond,))
+    model = JointModel(1, 2, 1, prior, (cond,))
     mapping = identity_mapping(1, 2)
     assert info_privacy_budget(push_forward(model, mapping)) == pytest.approx(LOG2)
     rng = np.random.default_rng(7)
@@ -284,7 +284,7 @@ def test_budgets_invariant_under_relabeling():
     # permute the observation alphabet consistently in model and channels
     perm = np.array([2, 0, 3, 1])
     conds = tuple(c[:, :, perm] for c in model.conditionals)
-    model_p = JointModel(2, 4, 1, "cond_indep", model.prior, conds)
+    model_p = JointModel(2, 4, 1, model.prior, conds)
     zperm = np.array([1, 2, 0])
     chans = tuple(SensorChannel(ch.rows[perm][:, zperm]) for ch in mapping.channels)
     report_p = full_report(model_p, NetworkMapping(chans))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from privdet.model import (
 )
 from privdet.relations import random_model
 
-from _oracles import brute_push
+from _oracles import brute_push, kron_push
 
 
 def hand_model():
@@ -31,7 +33,7 @@ def hand_model():
     cond = np.zeros((2, 2, 2))
     cond[0, :, :] = [0.8, 0.2]
     cond[1, :, :] = [0.2, 0.8]
-    return JointModel(1, 2, 1, "cond_indep", prior, (cond,))
+    return JointModel(1, 2, 1, prior, (cond,))
 
 
 # Hand enumeration of hand_model pushed through a 0.25-flip channel:
@@ -99,7 +101,7 @@ def test_cond_indep_and_full_forms_agree():
         model = random_model(rng, s, x_size, 1)
         mapping = random_mapping(seed, s, x_size, 2)
         a = push_forward(model, mapping).joint
-        b = push_forward(model.to_full(), mapping).joint
+        b = kron_push(model, mapping)
         assert np.abs(a - b).max() <= 1e-12
 
 
@@ -116,7 +118,6 @@ def test_push_forward_model_round_trip():
     model = generate_correlated_model(seed=9, s=3, x_size=5, q=1, target_corr=0.3)
     mapping = random_mapping(4, 3, 5, 2)
     as_model = push_forward_model(model, mapping)
-    assert as_model.form == "cond_indep"
     assert np.allclose(
         as_model.joint_hgx(), push_forward(model, mapping).joint, atol=1e-12
     )
@@ -133,7 +134,7 @@ def test_marginal_of_nothing_is_total_mass():
 def test_marginal_reads_prior():
     prior = np.array([[0.2, 0.1], [0.4, 0.3]])
     cond = np.full((2, 2, 3), 1.0 / 3)
-    model = JointModel(1, 3, 1, "cond_indep", prior, (cond,))
+    model = JointModel(1, 3, 1, prior, (cond,))
     assert marginal(model, ["H"]) == pytest.approx([0.3, 0.7], abs=1e-15)
     assert np.allclose(marginal(model, ["G", "H"]), prior.T)
 
@@ -236,6 +237,27 @@ def test_save_load_round_trip(tmp_path):
     path2 = tmp_path / "model2.json"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_saved_file_holds_the_cond_indep_form(tmp_path):
+    model = generate_correlated_model(seed=11, s=2, x_size=3, q=1, target_corr=0.0)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    data = json.loads(path.read_text())
+    assert data["form"] == "cond_indep"
+    assert np.array(data["conditionals"]).shape == (2, 2, 2, 3)
+
+
+def test_load_rejects_the_full_form(tmp_path):
+    """A table over the whole vector X^s is not a model file any more."""
+    model = generate_correlated_model(seed=11, s=2, x_size=3, q=1, target_corr=0.0)
+    data = model.to_dict()
+    data["form"] = "full"
+    data["conditionals"] = [(model.joint_hgx() / model.prior[:, :, None]).tolist()]
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelFormatError, match="form 'full'"):
+        load_model(path)
 
 
 def test_load_rejects_negative_entry(tmp_path):
