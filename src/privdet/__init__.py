@@ -65,7 +65,6 @@ from .model import (
     PushedModel,
     generate_correlated_model,
     load_model,
-    marginal,
     push_forward,
     push_forward_model,
     save_model,

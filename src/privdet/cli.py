@@ -71,6 +71,30 @@ def _parse_eps(v) -> float:
 
 # -- sweep spec ------------------------------------------------------------
 
+#: the keys a sweep spec may set, per table; anything else is rejected
+_SPEC_KEYS = {
+    "": ("model", "architectures", "eps_i", "eps_ld", "r", "corr", "seeds", "epic", "design",
+         "output"),
+    "model": ("file", "generator"),
+    "model.generator": ("seed", "s", "x_size", "q", "jitter"),
+    "design": ("z_size", "y_size", "max_outer_iters", "restarts"),
+    "epic": ("n_train", "n_test", "lambda", "max_sweeps", "utility_slack"),
+}
+
+
+def _check_spec_keys(data) -> None:
+    """Raise ValueError naming the first key a spec table may not set, or a non-table."""
+    for where, allowed in _SPEC_KEYS.items():  # a table's parent is checked before it
+        table = data
+        for part in filter(None, where.split(".")):
+            table = table.get(part) or {}
+        if not isinstance(table, dict):
+            raise ValueError(f"sweep spec entry {where or 'top level'!r} must be a table")
+        unknown = sorted(set(table) - set(allowed))
+        if unknown:
+            key = f"{where}.{unknown[0]}" if where else unknown[0]
+            raise ValueError(f"unknown sweep spec key {key!r}")
+
 
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
@@ -88,6 +112,7 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
+        _check_spec_keys(data)
         model = data.get("model", {})
         archs = tuple(data.get("architectures", ("ldp",)))
         for a in archs:
@@ -140,17 +165,15 @@ def _spec_model(spec: SweepSpec, corr: float) -> JointModel:
     )
 
 
-def _base_config(spec: SweepSpec, seed: int) -> design_mod.OptimizerConfig:
-    d = spec.design
+def _base_config(d: dict, seed: int, **budgets) -> design_mod.OptimizerConfig:
+    """OptimizerConfig from a ``design`` table, with the defaults sweeps and ``privdet design`` share."""
     return design_mod.OptimizerConfig(
         z_size=int(d.get("z_size", 2)),
         y_size=d.get("y_size"),
         max_outer_iters=int(d.get("max_outer_iters", 60)),
-        convergence_tol=float(d.get("convergence_tol", 1e-6)),
         seed=seed,
-        phi_cap=int(d.get("phi_cap", 4096)),
-        lp_tol=float(d.get("lp_tol", 1e-9)),
         restarts=int(d.get("restarts", 3)),
+        **budgets,
     )
 
 
@@ -222,23 +245,22 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
     results = [None] * len(eps_ld_axis)
     try:
         if arch in ("ldp", "ill", "lip"):
-            cfg = _base_config(spec, seed)
-            cfg = dataclasses.replace(cfg, eps_i=eps_i)
+            cfg = _base_config(spec.design, seed, eps_i=eps_i)
             results = design_mod.chain_designs(model, arch, list(eps_ld_axis), cfg)
         elif arch == "inp":
-            cfg = dataclasses.replace(_base_config(spec, seed), eps_i=eps_i)
-            results = [design_mod.design_inp(model, cfg)]
-        elif arch == "identity":
-            results = [None]
+            results = [design_mod.design_inp(model, _base_config(spec.design, seed, eps_i=eps_i))]
     except Exception as exc:  # per-cell failures stay in-row
         share = (time.perf_counter() - t_start) / len(eps_ld_axis)
         for eps_ld in eps_ld_axis:
-            rows.append(_error_row(spec, arch, corr, seed, eps_i, eps_ld, r, exc, share))
+            row = _blank_row(spec, model.s, arch, corr, seed, eps_i, eps_ld, r)
+            _fail_row(row, exc)
+            row["wall_time_s"] = share
+            rows.append(row)
         return rows
     design_share = (time.perf_counter() - t_start) / len(eps_ld_axis)
     for idx, eps_ld in enumerate(eps_ld_axis):
         t0 = time.perf_counter()
-        row = _blank_row(spec, arch, corr, seed, eps_i, eps_ld, r)
+        row = _blank_row(spec, model.s, arch, corr, seed, eps_i, eps_ld, r)
         try:
             if arch == "identity":
                 mapping = identity_mapping(model.s, model.x_size)
@@ -253,9 +275,7 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
             row["audit_ok"] = _audit(report, arch, eps_i, eps_ld)
             row["status"] = "ok"
         except Exception as exc:
-            row["status"] = "error"
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            row["audit_ok"] = False
+            _fail_row(row, exc)
         row["wall_time_s"] = design_share + time.perf_counter() - t0
         rows.append(row)
     return rows
@@ -277,22 +297,29 @@ def _run_epic_cell(spec, arch, model, seed, eps_ld, r, row):
     else:
         sol = epic_mod.eldp_solve(train, eps_ld, lam, cfg)
     report = _evaluate_mapping(model, sol.mapping, row)
-    eh, eg = epic_mod.holdout_errors(sol, test, seed + 2_000_000)
-    row["holdout_error_H"] = eh
-    row["holdout_error_G"] = eg
-    rng = np.random.default_rng(seed + 3_000_000)
-    z = sol.mapping.sample(test.x, rng)
-    eps_i_hat, eps_ld_hat = metrics.empirical_budgets(
-        list(zip(test.g.tolist(), [tuple(zz) for zz in z.tolist()])), sol.mapping
-    )
-    row["eps_i_hat"] = eps_i_hat
-    row["eps_ld_hat"] = eps_ld_hat
+    fields = ("holdout_error_H", "holdout_error_G", "eps_i_hat", "eps_ld_hat")
+    row.update(zip(fields, _holdout_and_empirical(sol, test, seed)))
     row["converged"] = True
     return report
 
 
-def _blank_row(spec, arch, corr, seed, eps_i, eps_ld, r):
-    row = {c: "" for c in sweep_columns(_spec_s(spec))}
+def _holdout_and_empirical(sol, test, seed):
+    """(error_H, error_G, eps_i_hat, eps_ld_hat) of an EPIC solution on held-out data.
+
+    The holdout decisions draw from seed + 2e6, the sanitized test outputs
+    that the empirical budgets read from seed + 3e6.
+    """
+    err_h, err_g = epic_mod.holdout_errors(sol, test, seed + 2_000_000)
+    z = sol.mapping.sample(test.x, np.random.default_rng(seed + 3_000_000))
+    eps_i_hat, eps_ld_hat = metrics.empirical_budgets(
+        list(zip(test.g.tolist(), [tuple(zz) for zz in z.tolist()])), sol.mapping
+    )
+    return err_h, err_g, eps_i_hat, eps_ld_hat
+
+
+def _blank_row(spec, s, arch, corr, seed, eps_i, eps_ld, r):
+    """A row with every column of an s-sensor sweep, in CSV order, and its grid cell set."""
+    row = {c: "" for c in sweep_columns(s)}
     row["arch"] = arch
     row["corr"] = "" if spec.model_file else corr
     row["seed"] = seed
@@ -302,19 +329,10 @@ def _blank_row(spec, arch, corr, seed, eps_i, eps_ld, r):
     return row
 
 
-def _error_row(spec, arch, corr, seed, eps_i, eps_ld, r, exc, wall_time_s):
-    row = _blank_row(spec, arch, corr, seed, eps_i, eps_ld, r)
+def _fail_row(row, exc) -> None:
     row["status"] = "error"
     row["error"] = f"{type(exc).__name__}: {exc}"
     row["audit_ok"] = False
-    row["wall_time_s"] = wall_time_s
-    return row
-
-
-def _spec_s(spec: SweepSpec) -> int:
-    if spec.model_file:
-        return load_model(spec.model_file).s
-    return int((spec.generator or {}).get("s", 4))
 
 
 def _group_keys(spec: SweepSpec):
@@ -352,8 +370,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
     return rows
 
 
-def write_sweep_csv(rows, spec: SweepSpec, path) -> None:
-    cols = sweep_columns(_spec_s(spec))
+def write_sweep_csv(rows, path) -> None:
+    cols = list(rows[0])  # every row is laid out by _blank_row, all columns in order
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(cols)
@@ -411,13 +429,9 @@ def _cmd_report(args) -> int:
 
 def _cmd_design(args) -> int:
     model = load_model(args.model)
-    cfg = design_mod.OptimizerConfig(
-        eps_i=_parse_eps(args.eps_i),
-        eps_ld=_parse_eps(args.eps_ld),
-        seed=args.seed,
-        z_size=args.z_size,
-        y_size=args.y_size,
-        restarts=args.restarts,
+    settings = {"z_size": args.z_size, "y_size": args.y_size, "restarts": args.restarts}
+    cfg = _base_config(
+        settings, args.seed, eps_i=_parse_eps(args.eps_i), eps_ld=_parse_eps(args.eps_ld)
     )
     res = design_mod.design(model, args.arch, cfg)
     payload = res.to_dict()
@@ -476,13 +490,17 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = load_sweep_spec(args.spec)
+    try:
+        spec = load_sweep_spec(args.spec)
+    except ValueError as exc:
+        print(f"{args.spec}: {exc}", file=sys.stderr)
+        return 2
     out = args.out or spec.output
     if not out:
         print("no output path given (use --out or the spec's 'output')", file=sys.stderr)
         return 2
     rows = run_sweep(spec, jobs=args.jobs)
-    write_sweep_csv(rows, spec, out)
+    write_sweep_csv(rows, out)
     if args.gnuplot_stub:
         stub = GNUPLOT_STUB.format(archs=" ".join(spec.architectures), csv=out)
         with open(out + ".gp", "w", encoding="utf-8") as fh:
@@ -511,12 +529,7 @@ def _cmd_epic(args) -> int:
         sol = epic_mod.eldp_solve(train, _parse_eps(args.eps_ld), args.lam, cfg)
     else:
         sol = epic_mod.epic_solve(train, _parse_eps(args.eps_ld), args.r, args.lam, cfg)
-    err_h, err_g = epic_mod.holdout_errors(sol, test, args.seed + 2_000_000)
-    rng = np.random.default_rng(args.seed + 3_000_000)
-    z = sol.mapping.sample(test.x, rng)
-    eps_i_hat, eps_ld_hat = metrics.empirical_budgets(
-        list(zip(test.g.tolist(), [tuple(zz) for zz in z.tolist()])), sol.mapping
-    )
+    err_h, err_g, eps_i_hat, eps_ld_hat = _holdout_and_empirical(sol, test, args.seed)
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         json.dump(sol.to_dict(), fh, indent=1)
         fh.write("\n")

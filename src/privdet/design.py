@@ -40,7 +40,7 @@ from .detection import (
     PrivacyRiskProfile,
     bayes_error_H_pushed,
     compute_c_G,
-    min_risk_detector,
+    min_risks,
     optimal_fusion_rule,
     optimal_rule_from_pushed,
     theta,
@@ -48,6 +48,12 @@ from .detection import (
 from .metrics import BudgetReport, full_report
 from .model import JointModel, _sensor_product, push_forward, push_forward_model
 from .simplex import LPInfeasible, solve_lp
+
+#: L1 norm of the mapping change per sweep below which a design has converged
+CONVERGENCE_TOL = 1e-6
+#: most deterministic quantizers an information-stage LP takes as columns
+PHI_CAP = 4096
+LP_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,17 +65,12 @@ class OptimizerConfig:
     z_size: int = 2
     y_size: int | None = None  # intermediate alphabet; defaults to z_size
     max_outer_iters: int = 100
-    convergence_tol: float = 1e-6  # L1 norm of the mapping change per sweep
     seed: int = 0
-    phi_cap: int = 4096
-    lp_tol: float = 1e-9
     restarts: int = 5
 
     def __post_init__(self):
         if self.eps_i < 0 or self.eps_ld < 0:
             raise ValueError("privacy budgets must be nonnegative")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence tolerance must be positive")
 
     @property
     def stage_y_size(self) -> int:
@@ -131,6 +132,18 @@ class InfoStageInfeasible(RuntimeError):
 # -- single-sensor block steps for the local-budget design -------------------
 
 
+def _sensor_block(model: JointModel, channels, t: int):
+    """(left, right): the pushed ``_sensor_product`` tables of the sensors before and after t.
+
+    Each is (2, n_g, k) with k the size of its slice of Z^s, so a flattened
+    output index splits row-major into (left, z_t, right).  Entry t of
+    ``channels`` is ignored.
+    """
+    pushed = [model.conditionals[i] @ channels[i].rows for i in range(model.s) if i != t]
+    ones = np.ones((2, model.n_g, 1))
+    return _sensor_product(ones, pushed[:t]), _sensor_product(ones, pushed[t:])
+
+
 def block_objective_coefficients(
     model: JointModel, rule: FusionRule, channels, t: int
 ) -> np.ndarray:
@@ -138,21 +151,10 @@ def block_objective_coefficients(
 
     ``channels`` is the full per-sensor list; entry t is ignored.
     """
-    z_size = rule.z_size
+    left, right = _sensor_block(model, channels, t)
+    accept = rule.table.reshape(left.shape[2], rule.z_size, right.shape[2])
+    acc = np.einsum("hga,azb,hgb->hgz", left, accept, right)
     signed_prior = model.prior * np.array([[1.0], [-1.0]])
-    accept = np.flatnonzero(rule.table == 1)
-    pushed = [
-        model.conditionals[i] @ channels[i].rows if i != t else None
-        for i in range(model.s)
-    ]
-    acc = np.zeros((2, model.n_g, z_size))
-    for zflat in accept:
-        zvec = np.unravel_index(zflat, (z_size,) * model.s)
-        w = np.ones((2, model.n_g))
-        for i in range(model.s):
-            if i != t:
-                w = w * pushed[i][:, :, zvec[i]]
-        acc[:, :, zvec[t]] += w
     return np.einsum("hg,hgz,hgx->zx", signed_prior, acc, model.conditionals[t])
 
 
@@ -177,7 +179,7 @@ def ldp_closed_form_step(
 
 
 def ldp_lp_step(
-    model: JointModel, rule: FusionRule, channels, t: int, eps_ld: float, lp_tol: float = 1e-9
+    model: JointModel, rule: FusionRule, channels, t: int, eps_ld: float
 ) -> SensorChannel:
     """Block linear program over one sensor's channel for any output size."""
     if eps_ld < 0:
@@ -187,7 +189,7 @@ def ldp_lp_step(
     a_eq, b_eq, a_ub, b_ub = ldp_polytope(x_size, z_size, eps_ld)
     c = np.zeros(a_eq.shape[1])  # the polytope's envelope columns cost nothing
     c[:f.size] = f.T.reshape(-1)
-    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=lp_tol)
+    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=LP_TOL)
     return SensorChannel(repair_ratio_columns(res.x[:f.size].reshape(x_size, z_size), eps_ld))
 
 
@@ -248,14 +250,14 @@ def _ldp_sweeps(model, config, out_size=None, initial=None):
                 if z_size == 2:
                     chans[t] = ldp_closed_form_step(model, rule, chans, t, eps_ld)
                 else:
-                    chans[t] = ldp_lp_step(model, rule, chans, t, eps_ld, config.lp_tol)
+                    chans[t] = ldp_lp_step(model, rule, chans, t, eps_ld)
             mapping = NetworkMapping(tuple(chans))
             pushed = push_forward(model, mapping)
             trace.append(bayes_error_H_pushed(pushed))
             change = sum(
                 float(np.abs(c.rows - p).sum()) for c, p in zip(chans, prev_rows)
             )
-            if change < config.convergence_tol:
+            if change < CONVERGENCE_TOL:
                 converged = True
                 break
         candidate = (trace[-1], tuple(chans), tuple(trace), converged)
@@ -297,12 +299,17 @@ def _deterministic_candidates(x_size: int, y_size: int, phi_cap: int, seed: int)
 
 
 def _stage_column_stats(model, chans, t, cands, rule):
-    """Detection error and per-g min risks for every candidate at sensor t."""
+    """Detection error and per-g min risks for every candidate at sensor t.
+
+    Builds the (candidate, H, G, Z) joint from the other sensors'
+    ``_sensor_block`` tables.  The error column sums it where the rule
+    errs, and the risks are ``min_risks`` of its G rows under the prior's
+    G marginal.  The error is not derived from ``block_objective_coefficients``:
+    that agrees mathematically but rounds differently, and the rounding
+    decides which of several tied quantizers the LP picks.
+    """
     n_g = model.n_g
-    y_size = cands.shape[2]
-    pushed = [model.conditionals[i] @ chans[i].rows for i in range(model.s)]
-    left = _sensor_product(np.ones((2, n_g, 1)), pushed[:t])
-    right = _sensor_product(np.ones((2, n_g, 1)), pushed[t + 1:])
+    left, right = _sensor_block(model, chans, t)
     cand_pushed = np.einsum("cxy,hgx->chgy", cands, model.conditionals[t])
     joint = np.einsum("hg,hga,chgy,hgb->chgayb", model.prior, left, cand_pushed, right)
     joint = joint.reshape(cands.shape[0], 2, n_g, -1)
@@ -310,14 +317,7 @@ def _stage_column_stats(model, chans, t, cands, rule):
     err = joint[:, 0, :, :][:, :, accept].sum(axis=(1, 2)) + joint[:, 1, :, :][
         :, :, ~accept
     ].sum(axis=(1, 2))
-    p_gy = joint.sum(axis=1)  # (c, n_g, NY)
-    p_g = model.prior.sum(axis=0)
-    risks = {}
-    for g in range(1, n_g):
-        if p_g[g] <= 0 or p_g[0] <= 0:
-            continue
-        risks[g] = 0.5 * np.minimum(p_gy[:, 0] / p_g[0], p_gy[:, g] / p_g[g]).sum(axis=1)
-    return err, risks
+    return err, min_risks(joint.sum(axis=1), model.prior.sum(axis=0))
 
 
 def design_info_stage(model: JointModel, eps_i: float, config: OptimizerConfig) -> InfoStageResult:
@@ -338,7 +338,7 @@ def design_info_stage(model: JointModel, eps_i: float, config: OptimizerConfig) 
     if eps_i <= 0:
         raise ValueError("eps_i must be positive")
     y_size = config.stage_y_size
-    cands = _deterministic_candidates(model.x_size, y_size, config.phi_cap, config.seed)
+    cands = _deterministic_candidates(model.x_size, y_size, PHI_CAP, config.seed)
     chans, enforced = _info_stage_start(model, eps_i, y_size)
     trace: list[float] = []
     converged = False
@@ -352,7 +352,7 @@ def design_info_stage(model: JointModel, eps_i: float, config: OptimizerConfig) 
             for t in range(model.s):
                 cols = np.concatenate([cands, chans[t].rows[None, :, :]], axis=0)
                 err, risks = _stage_column_stats(model, chans, t, cols, rule)
-                nu = _solve_mixture_lp(err, risks, th, config.lp_tol)
+                nu = _solve_mixture_lp(err, risks, th)
                 rows = np.einsum("c,cxy->xy", nu, cols)
                 rows = np.clip(rows, 0.0, None)
                 chans[t] = SensorChannel(rows / rows.sum(axis=1, keepdims=True))
@@ -362,13 +362,13 @@ def design_info_stage(model: JointModel, eps_i: float, config: OptimizerConfig) 
             chans = [SensorChannel(r) for r in prev_rows]
             break
         obj = bayes_error_H_pushed(push_forward(model, NetworkMapping(tuple(chans))))
-        if trace and obj > trace[-1] + config.lp_tol:
+        if trace and obj > trace[-1] + LP_TOL:
             chans = [SensorChannel(r) for r in prev_rows]
             break
         trace.append(obj)
         enforced = (c_g, th)
         change = sum(float(np.abs(c.rows - p).sum()) for c, p in zip(chans, prev_rows))
-        if change < config.convergence_tol:
+        if change < CONVERGENCE_TOL:
             converged = True
             break
     chans = _enforce_info_budget(model, chans, eps_i)
@@ -429,7 +429,7 @@ def _info_stage_start(model, eps_i, y_size):
     return list(best[1]), best[2]
 
 
-def _solve_mixture_lp(err, risks, th, lp_tol):
+def _solve_mixture_lp(err, risks, th):
     n_cols = err.shape[0]
     a_ub, b_ub = [], []
     for g, r in sorted(risks.items()):
@@ -444,7 +444,7 @@ def _solve_mixture_lp(err, risks, th, lp_tol):
             b_ub=np.array(b_ub) if b_ub else None,
             a_eq=a_eq,
             b_eq=b_eq,
-            tol=lp_tol,
+            tol=LP_TOL,
         )
     except LPInfeasible:
         blocking = min(
@@ -457,15 +457,11 @@ def _solve_mixture_lp(err, risks, th, lp_tol):
 
 def _min_risks(model, mapping) -> dict:
     """g -> min over detectors of R_g on ``mapping``, for every live g != 0."""
-    p_g = model.prior.sum(axis=0)
-    return {
-        g: min_risk_detector(model, mapping, g)[1]
-        for g in range(1, model.n_g)
-        if p_g[g] > 0 and p_g[0] > 0
-    }
+    risks = min_risks(push_forward(model, mapping).p_gz(), model.prior.sum(axis=0))
+    return {g: float(r) for g, r in risks.items()}
 
 
-def _utility_stage(model, config, cands, max_sweeps=30):
+def _utility_stage(model, cands, max_sweeps=30):
     """Detection-error minimization with no privacy constraint at all.
 
     Per sweep each sensor takes the error-minimizing deterministic
@@ -488,7 +484,21 @@ def _utility_stage(model, config, cands, max_sweeps=30):
     return chans
 
 
-def _audited_waterfill(model, eps_i, config, cands):
+def _mix_toward_mean(model, rows, weights):
+    """Blend each sensor toward its column-mean row, keeping ``weights[t]`` on its rows.
+
+    Weight 0 makes every sensor input-independent (budget zero), weight 1
+    leaves it as it is.  Returns (audited posterior-ratio budget, channels).
+    """
+    mixed = [
+        SensorChannel((1 - w) * np.tile(r.mean(axis=0), (r.shape[0], 1)) + w * r)
+        for w, r in zip(weights, rows)
+    ]
+    pushed = push_forward(model, NetworkMapping(tuple(mixed)))
+    return metrics.info_privacy_budget(pushed), mixed
+
+
+def _audited_waterfill(model, eps_i, cands):
     """Direct utility-vs-budget allocation for the no-data-privacy design.
 
     Starting from input-independent channels (budget zero), each sensor is
@@ -498,45 +508,30 @@ def _audited_waterfill(model, eps_i, config, cands):
     no budget and gets passed through close to raw, which is exactly why a
     design without a data-privacy constraint leaks data privacy.
     """
-    util = _utility_stage(model, config, cands)
-    target = [u.rows for u in util]
-    base = [np.tile(u.mean(axis=0), (model.x_size, 1)) for u in target]
-
-    def mix(gammas):
-        return [
-            SensorChannel((1 - g) * b + g * u)
-            for g, b, u in zip(gammas, base, target)
-        ]
-
-    def audit(mixed):
-        pushed = push_forward(model, NetworkMapping(tuple(mixed)))
-        return metrics.info_privacy_budget(pushed), bayes_error_H_pushed(pushed)
-
+    util = _utility_stage(model, cands)
     if math.isinf(eps_i):
         return util
+    target = [u.rows for u in util]
     # Incremental water-filling: repeatedly grant the cheapest affordable
     # marginal step until the budget binds everywhere.
     gammas = np.zeros(model.s)
+    cur_b, _ = _mix_toward_mean(model, target, gammas)
     for step in (0.1, 0.02):
         while True:
-            cur_b, _ = audit(mix(gammas))
             candidates = []
             for t in range(model.s):
                 if gammas[t] >= 1.0:
                     continue
                 trial = gammas.copy()
                 trial[t] = min(1.0, gammas[t] + step)
-                b, _ = audit(mix(trial))
+                b, _ = _mix_toward_mean(model, target, trial)
                 if b <= eps_i:
-                    candidates.append((b - cur_b, t, trial[t]))
+                    candidates.append((b - cur_b, t, trial[t], b))
             if not candidates:
                 break
-            _, t, g = min(candidates)
+            _, t, g, cur_b = min(candidates)
             gammas[t] = g
-    best = mix(gammas)
-    if audit(best)[0] > eps_i:
-        best = mix(np.zeros(model.s))
-    return best
+    return _mix_toward_mean(model, target, gammas)[1]
 
 
 def _enforce_info_budget(model, chans, eps_i):
@@ -544,41 +539,31 @@ def _enforce_info_budget(model, chans, eps_i):
 
     The risk threshold is a sufficient condition only up to the constant
     c_G measured on the evolving mapping, so the final mapping is audited
-    directly; mixing every sensor toward its column-average row reaches
-    budget zero at full shrinkage, and the smallest adequate mixing weight
+    directly.  ``_mix_toward_mean`` with one common weight w on every
+    sensor's rows reaches budget zero at w = 0, and the largest adequate w
     is located by bisection (validated, with a linear scan as fallback).
     """
     if math.isinf(eps_i):
         return chans
-    base = [c.rows for c in chans]
-    const = [np.tile(r.mean(axis=0), (r.shape[0], 1)) for r in base]
+    rows = [c.rows for c in chans]
 
-    def budget(beta):
-        mixed = [
-            SensorChannel((1 - beta) * b + beta * c) for b, c in zip(base, const)
-        ]
-        mapping = NetworkMapping(tuple(mixed))
-        return metrics.info_privacy_budget(push_forward(model, mapping)), mixed
+    def audit(w):
+        return _mix_toward_mean(model, rows, np.full(model.s, w))
 
-    val, mixed = budget(0.0)
+    val, mixed = audit(1.0)
     if val <= eps_i:
         return mixed
-    lo, hi = 0.0, 1.0
+    lo, hi = 0.0, 1.0  # the audit passes at lo and fails at hi
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        val, _ = budget(mid)
-        if val <= eps_i:
-            hi = mid
-        else:
+        if audit(mid)[0] <= eps_i:
             lo = mid
-    val, mixed = budget(hi)
-    if val <= eps_i:
-        return mixed
-    for beta in np.linspace(0.0, 1.0, 101):
-        val, mixed = budget(beta)
+        else:
+            hi = mid
+    for w in np.concatenate([[lo], np.linspace(1.0, 0.0, 101)]):
+        val, mixed = audit(w)
         if val <= eps_i:
             return mixed
-    val, mixed = budget(1.0)
     return mixed
 
 
@@ -628,8 +613,8 @@ def design_inp(model: JointModel, config: OptimizerConfig) -> DesignResult:
     """
     cfg = dataclasses.replace(config, y_size=config.z_size)
     info = design_info_stage(model, config.eps_i, cfg)
-    cands = _deterministic_candidates(model.x_size, config.z_size, cfg.phi_cap, cfg.seed)
-    filled = NetworkMapping(tuple(_audited_waterfill(model, config.eps_i, cfg, cands)))
+    cands = _deterministic_candidates(model.x_size, config.z_size, PHI_CAP, cfg.seed)
+    filled = NetworkMapping(tuple(_audited_waterfill(model, config.eps_i, cands)))
     err_info = bayes_error_H_pushed(push_forward(model, info.mapping))
     err_fill = bayes_error_H_pushed(push_forward(model, filled))
     if err_fill <= err_info:

@@ -93,36 +93,41 @@ def bayes_error_G_pushed(pushed: PushedModel) -> float:
 # -- pairwise detection risks ---------------------------------------------
 
 
-def _p_y_given_g(model: JointModel, stage1: NetworkMapping, g: int) -> np.ndarray:
-    pushed = push_forward(model, stage1)
-    p_gy = pushed.p_gz()
-    p_g = p_gy.sum(axis=1)
-    if p_g[g] <= 0:
-        raise ValueError(f"private value {g} has zero prior probability")
-    return p_gy[g] / p_g[g]
+def min_risks(p_gy: np.ndarray, p_g: np.ndarray) -> dict:
+    """g -> min over detectors of R_g, for every live g != 0.
+
+    ``p_gy`` holds p(g, y) on its last two axes (n_g, n_y); any leading
+    axes index candidates, and each R_g takes their shape.  ``p_g`` is the
+    G marginal the conditionals are normalized by; g is live when p_g[g]
+    and p_g[0] are both positive.  R_g = sum_y min(p(y|0), p(y|g)) / 2.
+    """
+    if p_g[0] <= 0:
+        return {}
+    p0 = p_gy[..., 0, :] / p_g[0]
+    return {
+        g: 0.5 * np.minimum(p0, p_gy[..., g, :] / p_g[g]).sum(axis=-1)
+        for g in range(1, len(p_g))
+        if p_g[g] > 0
+    }
 
 
 def min_risk_detector(model: JointModel, stage1: NetworkMapping, g: int):
     """Likelihood-ratio detector for G = g versus G = 0 and its risk.
 
     The detector decides g exactly when l_g(y) >= 1.  Its risk
-    R_g = (P(decide g | G=0) + P(decide 0 | G=g)) / 2 equals
-    sum_y min(p(y|0), p(y|g)) / 2, the minimum over all detectors.
+    R_g = (P(decide g | G=0) + P(decide 0 | G=g)) / 2 is the minimum over
+    all detectors, read from :func:`min_risks` on one push-forward, with
+    p(g) taken from the pushed table.
     """
     if g == 0:
         raise ValueError("the reference hypothesis G=0 cannot be its own alternative")
-    p0 = _p_y_given_g(model, stage1, 0)
-    if not np.any(p0 > 0):
-        raise ValueError("p(y | G=0) is identically zero")
-    pg = _p_y_given_g(model, stage1, g)
-    decide_g = pg >= p0  # l_g(y) >= 1, ties decide g
-    risk = 0.5 * (p0[decide_g].sum() + pg[~decide_g].sum())
-    return decide_g.astype(np.int8), float(risk)
-
-
-def min_risk_value(p0: np.ndarray, pg: np.ndarray) -> float:
-    """min over detectors of R_g, directly from the two conditionals."""
-    return float(0.5 * np.minimum(p0, pg).sum())
+    p_gy = push_forward(model, stage1).p_gz()
+    p_g = p_gy.sum(axis=1)
+    for v in (0, g):
+        if p_g[v] <= 0:
+            raise ValueError(f"private value {v} has zero prior probability")
+    decide_g = p_gy[g] / p_g[g] >= p_gy[0] / p_g[0]  # l_g(y) >= 1, ties decide g
+    return decide_g.astype(np.int8), float(min_risks(p_gy, p_g)[g])
 
 
 def compute_c_G(model: JointModel, stage1: NetworkMapping) -> float:

@@ -42,6 +42,11 @@ LOG2 = math.log(2.0)
 #: its objective by no more than the objective's rounding error
 FIT_TOL = 1e-12
 FIT_MAX_ITER = 100
+#: L1 norm of the mapping change per sweep below which a solve has converged
+CONVERGENCE_TOL = 1e-6
+LP_TOL = 1e-9
+#: step halvings a block step tries toward its LP optimum before it gives up
+DAMPING_STEPS = 6
 
 
 # -- data ------------------------------------------------------------------
@@ -254,12 +259,12 @@ def _channel_step(chans, t, eps_ld, cfg, accept, c, a_ub, b_ub, a_eq, b_eq) -> f
     """
     p0 = chans[t].rows
     try:
-        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=cfg.lp_tol)
+        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=LP_TOL)
     except LPInfeasible:
         return 0.0
     target = repair_ratio_columns(res.x[:p0.size].reshape(p0.shape), eps_ld)
     eta = 1.0
-    for _ in range(cfg.damping_steps):
+    for _ in range(DAMPING_STEPS):
         trial = repair_ratio_columns(p0 + eta * (target - p0), eps_ld)
         if accept(trial):
             chans[t] = SensorChannel(trial)
@@ -274,11 +279,8 @@ def _channel_step(chans, t, eps_ld, cfg, accept, c, a_ub, b_ub, a_eq, b_eq) -> f
 @dataclasses.dataclass(frozen=True)
 class EpicConfig:
     max_sweeps: int = 30
-    convergence_tol: float = 1e-6
-    lp_tol: float = 1e-9
     utility_slack: float = 0.3  # risk-floor search keeps this share of the H-risk gap
     risk_slack: float = 1e-4  # audited floor tolerance on returned solutions
-    damping_steps: int = 6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -344,7 +346,7 @@ def _eldp_sweeps(dataset, chans, eps_ld, lam, cfg):
                 chans, t, eps_ld, cfg, lambda p: f(p) <= f_cur + 1e-12,
                 _pad(grad.reshape(-1), a_eq.shape[1]), a_ub, b_ub, a_eq, b_eq,
             )
-        if change < cfg.convergence_tol:
+        if change < CONVERGENCE_TOL:
             break
     return chans
 
@@ -447,7 +449,7 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
                 lambda p: worst(p) >= cur_min - 1e-12 and f(p) <= f_cap + 1e-9,
                 c, ub, rhs, a_eq, b_eq,
             )
-        if change < cfg.convergence_tol:
+        if change < CONVERGENCE_TOL:
             break
     return chans, _fit_adversaries(dataset, chans, lam)[1]
 
@@ -487,7 +489,7 @@ def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int, cfg: E
         a_eq = np.vstack([a_eq_base] + null_rows) if null_rows else a_eq_base
         b_eq = np.concatenate([b_eq_base, np.zeros(len(null_rows))])
         try:
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=cfg.lp_tol)
+            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=LP_TOL)
             rows = repair_ratio_columns(res.x[:nv].reshape(xs, z_size), eps_ld)
         except LPInfeasible:
             rows = np.full((xs, z_size), 1.0 / z_size)
@@ -524,7 +526,7 @@ def _constrained_sweeps(dataset, chans, theta_star, r, eps_ld, lam, cfg, best):
             )
         sol = _solution(dataset, chans, lam, eps_ld, theta_star, r)
         best = _better(best, sol, floor)
-        if change < cfg.convergence_tol:
+        if change < CONVERGENCE_TOL:
             break
     return best
 

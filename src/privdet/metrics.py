@@ -275,11 +275,9 @@ def full_report(model: JointModel, mapping: NetworkMapping) -> BudgetReport:
 
 def per_sensor_mutual_information(model: JointModel, mapping: NetworkMapping):
     """[I(X_t; Z_t)] for each sensor, computed factor-wise."""
-    from .model import marginal
-
     out = []
     for t in range(model.s):
-        p_x_t = marginal(model, [f"X{t}"])
+        p_x_t = np.einsum("hg,hgx->x", model.prior, model.conditionals[t])
         joint = p_x_t[:, None] * mapping.channels[t].rows
         out.append(mutual_information(joint))
     return out

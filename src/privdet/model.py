@@ -19,9 +19,7 @@ is a pure function of its inputs.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
-from typing import Sequence
 
 import numpy as np
 
@@ -260,107 +258,6 @@ def _check_compatible(model: JointModel, mapping: NetworkMapping) -> None:
     z_sizes = {ch.z_size for ch in mapping.channels}
     if len(z_sizes) != 1:
         raise ModelFormatError("all channels must share one output alphabet")
-
-
-# -- marginals -------------------------------------------------------------
-
-
-def marginal(obj, variables: Sequence[str]) -> np.ndarray:
-    """Exact marginal table of the requested variables, axes in given order.
-
-    Variables are "H", "G", the whole vector "X"/"Z" (one flattened axis) or
-    single components "X0".."X{s-1}" / "Z0"...  An empty list sums
-    everything out and returns the total mass (scalar array 1.0).
-    """
-    if isinstance(obj, JointModel):
-        return _marginal_model(obj, list(variables))
-    if isinstance(obj, PushedModel):
-        return _marginal_pushed(obj, list(variables))
-    raise TypeError(f"cannot take marginals of {type(obj).__name__}")
-
-
-def _parse_vars(variables, vec_letter, s):
-    """Map variable names to ('H'|'G'|('vec',)|('comp', t)) tokens."""
-    tokens = []
-    for v in variables:
-        if v == "H" or v == "G":
-            tokens.append(v)
-        elif v == vec_letter:
-            tokens.append(("vec",))
-        elif v.startswith(vec_letter) and v[len(vec_letter):].isdigit():
-            t = int(v[len(vec_letter):])
-            if not 0 <= t < s:
-                raise ValueError(f"unknown variable {v!r}: sensor index out of range")
-            tokens.append(("comp", t))
-        else:
-            raise ValueError(f"unknown variable {v!r}")
-    if len(set(map(str, tokens))) != len(tokens):
-        raise ValueError("duplicate variable requested")
-    return tokens
-
-
-def _marginal_from_joint(joint, s, sym_size, tokens):
-    """Marginalize a (2, n_g, sym_size**s) table down to the tokens."""
-    n_g = joint.shape[1]
-    full = joint.reshape((2, n_g) + (sym_size,) * s)
-    keep = []
-    for tok in tokens:
-        if tok == "H":
-            keep.append(0)
-        elif tok == "G":
-            keep.append(1)
-        elif tok == ("vec",):
-            keep.extend(range(2, 2 + s))
-        else:
-            keep.append(2 + tok[1])
-    drop = tuple(ax for ax in range(2 + s) if ax not in keep)
-    summed = full.sum(axis=drop, keepdims=True)
-    order = keep + [ax for ax in range(2 + s) if ax not in keep]
-    summed = np.transpose(summed, order)
-    summed = summed.reshape(summed.shape[: len(keep)])
-    if any(tok == ("vec",) for tok in tokens):
-        # collapse the s component axes into one flattened axis, in place
-        pos = next(i for i, tok in enumerate(tokens) if tok == ("vec",))
-        shape = summed.shape[:pos] + (sym_size ** s,) + summed.shape[pos + s:]
-        summed = summed.reshape(shape)
-    return summed if tokens else np.asarray(summed.sum())
-
-
-def _marginal_model(model: JointModel, variables):
-    tokens = _parse_vars(variables, "X", model.s)
-    if not tokens:
-        return np.asarray(model.prior.sum())
-    needs_vec = any(tok == ("vec",) for tok in tokens)
-    if needs_vec:
-        return _marginal_from_joint(model.joint_hgx(), model.s, model.x_size, tokens)
-    # only materialize the requested sensors
-    sensors = [tok[1] for tok in tokens if isinstance(tok, tuple) and tok[0] == "comp"]
-    table = model.prior.copy()  # axes (h, g) then requested sensors in order
-    for t in sensors:
-        table = table[..., None] * np.moveaxis(
-            model.conditionals[t], (0, 1), (0, 1)
-        ).reshape((2, model.n_g) + (1,) * (table.ndim - 2) + (model.x_size,))
-    # now axes are (h, g, x_{sensors[0]}, ...); reduce and order per tokens
-    keep = []
-    for tok in tokens:
-        if tok == "H":
-            keep.append(0)
-        elif tok == "G":
-            keep.append(1)
-        else:
-            keep.append(2 + sensors.index(tok[1]))
-    drop = tuple(ax for ax in range(table.ndim) if ax not in keep)
-    summed = table.sum(axis=drop, keepdims=True)
-    order = keep + [ax for ax in range(table.ndim) if ax not in keep]
-    summed = np.transpose(summed, order)
-    return summed.reshape(summed.shape[: len(keep)])
-
-
-def _marginal_pushed(pushed: PushedModel, variables):
-    tokens = _parse_vars(variables, "Z", pushed.s)
-    if not tokens:
-        return np.asarray(pushed.joint.sum())
-    return _marginal_from_joint(pushed.joint, pushed.s, pushed.z_size, tokens)
 
 
 # -- synthetic model generator ---------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import time
 
 import pytest
@@ -171,3 +172,76 @@ def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_p
         ("inp", "1.0", "ok", "1", ""),
     ]
     assert rows[2]["bayes_error_H"] == ""
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"restart": 1}, "restart"),
+    ({"model": {"generator": {"seed": 1}, "path": "m.json"}}, "model.path"),
+    ({"model": {"generator": {"sensors": 2}}}, "model.generator.sensors"),
+    ({"design": {"restart": 1}}, "design.restart"),
+    ({"design": {"lp_tol": 1e-9}}, "design.lp_tol"),
+    ({"epic": {"n_trian": 30}}, "epic.n_trian"),
+    ({"design": 5}, "design"),
+])
+def test_sweep_spec_rejects_unknown_keys(tmp_path, fields, key):
+    """Unknown keys and non-table entries are named; the sweep exits 2 before any work."""
+    data = {"model": {"generator": {"seed": 1, "s": 2, "x_size": 3}}, "architectures": ["ldp"]}
+    data.update(fields)
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        cli.SweepSpec.from_dict(data)
+    spec, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    spec.write_text(json.dumps(data))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sweep_loads_its_model_file_once_per_group(tmp_path, monkeypatch):
+    model = tmp_path / "model.json"
+    gen = ["gen-model", "--seed", "1", "--sensors", "2", "--x-size", "3", "--out", str(model)]
+    assert cli.main(gen) == 0
+    loads = []
+    real = cli.load_model
+
+    def counted(path):
+        loads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_model", counted)
+    spec, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    spec.write_text(json.dumps({
+        "model": {"file": str(model)},
+        "architectures": ["ldp"],
+        "eps_ld": [0.5, 1.0],
+        "seeds": [0, 1],
+        "design": {"restarts": 1, "max_outer_iters": 10},
+    }))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    assert len(_read_rows(out)) == 4
+    assert len(loads) == 2
+
+
+def test_design_and_sweep_run_one_set_of_defaults(tmp_path, monkeypatch):
+    configs = {}
+    real_design, real_inp = design.design, design.design_inp
+
+    def record_design(model, arch, config):
+        configs["design"] = config
+        return real_design(model, arch, config)
+
+    def record_inp(model, config):
+        configs["sweep"] = config
+        return real_inp(model, config)
+
+    monkeypatch.setattr(design, "design", record_design)
+    monkeypatch.setattr(design, "design_inp", record_inp)
+    model = tmp_path / "model.json"
+    gen = ["gen-model", "--seed", "3", "--sensors", "2", "--x-size", "3", "--out", str(model)]
+    assert cli.main(gen) == 0
+    argv = ["design", "--arch", "inp", "--model", str(model), "--eps-i", "0.5"]
+    assert cli.main(argv + ["--out", str(tmp_path / "design.json")]) == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "model": {"file": str(model)}, "architectures": ["inp"], "eps_i": [0.5],
+    }))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert configs["design"] == configs["sweep"]

@@ -32,7 +32,6 @@ from privdet.design import (
 from privdet.detection import (
     bayes_error_H,
     bayes_error_H_pushed,
-    min_risk_detector,
     optimal_fusion_rule,
     theta,
 )
@@ -41,8 +40,10 @@ from privdet.model import JointModel, generate_correlated_model, push_forward
 from privdet.relations import random_model
 
 from _oracles import (
+    best_detector_exhaustive,
     brute_bayes_error_raw,
     brute_error_with_rule,
+    brute_push,
     joint_block_coefficients,
 )
 
@@ -90,14 +91,16 @@ def test_objective_coefficients_reproduce_error():
 
 
 def test_objective_coefficients_full_form_agrees():
-    rng = np.random.default_rng(17)
-    model = random_model(rng, 2, 3, 1)
-    chans = list(random_mapping(3, 2, 3, 2).channels)
-    rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
-    for t in range(2):
-        a = block_objective_coefficients(model, rule, chans, t)
-        b = joint_block_coefficients(model, rule, chans, t)
-        assert np.allclose(a, b, atol=1e-12)
+    # s = 4, z = 3 at t = 2 has sensors on both sides of t: the (left, z, right) split
+    for seed, s, z_size, ts in ((20, 2, 2, range(2)), (18, 4, 3, (2,))):
+        model = random_model(np.random.default_rng(seed), s, 3, 1)
+        chans = list(random_mapping(seed - 14, s, 3, z_size).channels)
+        rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
+        assert 0 < rule.table.sum() < rule.table.size
+        for t in ts:
+            a = block_objective_coefficients(model, rule, chans, t)
+            b = joint_block_coefficients(model, rule, chans, t)
+            assert np.allclose(a, b, atol=1e-12)
 
 
 def test_closed_form_uniform_sign_gives_constant_channel():
@@ -235,7 +238,7 @@ def test_design_info_stage_independent_g_returns_quantizer():
 
 
 def test_design_info_stage_risk_rows_match_detector_audit():
-    """The vectorized LP column risks equal the detector recomputation."""
+    """The vectorized LP column risks equal the exhaustive detector search."""
     from privdet.design import _deterministic_candidates, _stage_column_stats
 
     model = generate_correlated_model(seed=7, s=2, x_size=4, q=1, target_corr=0.2)
@@ -246,7 +249,9 @@ def test_design_info_stage_risk_rows_match_detector_audit():
     rng = np.random.default_rng(0)
     for idx in rng.choice(cands.shape[0], size=6, replace=False):
         trial = [SensorChannel(cands[idx]), chans[1]]
-        _, risk = min_risk_detector(model, NetworkMapping(tuple(trial)), 1)
+        p_gy = brute_push(model, NetworkMapping(tuple(trial))).sum(axis=0)
+        p_g = p_gy.sum(axis=1)
+        risk = best_detector_exhaustive(p_gy[0] / p_g[0], p_gy[1] / p_g[1])
         assert risks[1][idx] == pytest.approx(risk, abs=1e-9)
 
 
@@ -322,7 +327,7 @@ def test_mixture_lp_infeasible_reports_blocking_g():
     err = np.array([0.1, 0.2])
     risks = {1: np.array([0.1, 0.2]), 3: np.array([0.3, 0.05])}
     with pytest.raises(InfoStageInfeasible) as exc_info:
-        _solve_mixture_lp(err, risks, 0.45, 1e-9)
+        _solve_mixture_lp(err, risks, 0.45)
     assert exc_info.value.blocking_g == 1
 
 

@@ -17,7 +17,7 @@ from privdet.detection import (
     bayes_error_H,
     compute_c_G,
     min_risk_detector,
-    min_risk_value,
+    min_risks,
     optimal_fusion_rule,
     theta,
 )
@@ -180,6 +180,23 @@ def test_min_risk_detector_matches_exhaustive():
             _, risk = min_risk_detector(model, mapping, g)
             brute = best_detector_exhaustive(p_gy[0] / p_g[0], p_gy[g] / p_g[g])
             assert risk == pytest.approx(brute, abs=1e-12)
+
+
+def test_min_risks_over_candidate_axes_match_exhaustive():
+    """Leading axes index candidates; dead values of g are left out."""
+    rng = np.random.default_rng(5)
+    p_gy = rng.random((3, 2, 4, 3))  # (candidate, candidate, g, y)
+    p_gy[..., 2, :] = 0.0
+    p_g = np.array([0.3, 0.25, 0.0, 0.45])
+    p_gy *= p_g[:, None] / p_gy.sum(axis=-1, keepdims=True).clip(1e-300)
+    risks = min_risks(p_gy, p_g)
+    assert sorted(risks) == [1, 3]
+    for g, r in risks.items():
+        assert r.shape == (3, 2)
+        for idx in itertools.product(range(3), range(2)):
+            brute = best_detector_exhaustive(p_gy[idx][0] / p_g[0], p_gy[idx][g] / p_g[g])
+            assert r[idx] == pytest.approx(brute, abs=1e-12)
+    assert min_risks(p_gy, np.array([0.0, 0.5, 0.0, 0.5])) == {}
 
 
 def test_min_risk_invariant_under_output_relabeling():

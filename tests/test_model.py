@@ -16,7 +16,6 @@ from privdet.model import (
     ModelFormatError,
     generate_correlated_model,
     load_model,
-    marginal,
     push_forward,
     push_forward_model,
     save_model,
@@ -123,45 +122,6 @@ def test_push_forward_model_round_trip():
     )
 
 
-# -- marginals ---------------------------------------------------------------
-
-
-def test_marginal_of_nothing_is_total_mass():
-    model = hand_model()
-    assert marginal(model, []) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_marginal_reads_prior():
-    prior = np.array([[0.2, 0.1], [0.4, 0.3]])
-    cond = np.full((2, 2, 3), 1.0 / 3)
-    model = JointModel(1, 3, 1, prior, (cond,))
-    assert marginal(model, ["H"]) == pytest.approx([0.3, 0.7], abs=1e-15)
-    assert np.allclose(marginal(model, ["G", "H"]), prior.T)
-
-
-def test_marginal_pushed_z_from_hand_case():
-    model = hand_model()
-    mapping = NetworkMapping((SensorChannel([[0.75, 0.25], [0.25, 0.75]]),))
-    pushed = push_forward(model, mapping)
-    assert marginal(pushed, ["Z"]) == pytest.approx([0.5, 0.5], abs=1e-12)
-    assert marginal(pushed, ["Z0"]) == pytest.approx([0.5, 0.5], abs=1e-12)
-
-
-def test_marginal_component_consistency():
-    model = generate_correlated_model(seed=2, s=3, x_size=4, q=1, target_corr=0.2)
-    full = model.joint_hgx().reshape(2, 2, 4, 4, 4)
-    assert np.allclose(marginal(model, ["X1"]), full.sum(axis=(0, 1, 2, 4)))
-    hx2 = marginal(model, ["H", "X2"])
-    assert np.allclose(hx2, full.sum(axis=(1, 2, 3)))
-
-
-def test_marginal_unknown_variable():
-    with pytest.raises(ValueError, match="unknown variable"):
-        marginal(hand_model(), ["Q"])
-    with pytest.raises(ValueError, match="unknown variable"):
-        marginal(hand_model(), ["X7"])
-
-
 # -- generator ---------------------------------------------------------------
 
 
@@ -217,7 +177,7 @@ def test_sampling_matches_model_frequencies():
     model = generate_correlated_model(seed=3, s=2, x_size=5, q=1, target_corr=0.2)
     h, g, x = model.sample(200_000, np.random.default_rng(0))
     assert np.mean(h) == pytest.approx(model.prior[1].sum(), abs=5e-3)
-    p_x0 = marginal(model, ["X0"])
+    p_x0 = np.einsum("hg,hgx->x", model.prior, model.conditionals[0])
     freq = np.bincount(x[:, 0], minlength=5) / x.shape[0]
     assert np.abs(freq - p_x0).max() < 5e-3
 
