@@ -30,11 +30,7 @@ from .design import (
 from .detection import (
     FusionRule,
     PrivacyRiskProfile,
-    bayes_error_G,
-    bayes_error_H,
     compute_c_G,
-    min_risk_detector,
-    optimal_fusion_rule,
     theta,
 )
 from .epic import (

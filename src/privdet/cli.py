@@ -23,7 +23,7 @@ import numpy as np
 from . import design as design_mod
 from . import epic as epic_mod
 from . import metrics, relations
-from .channels import TwoStageMapping, compose, identity_mapping, load_mapping, save_mapping
+from .channels import TwoStageMapping, compose, identity_mapping, load_mapping
 from .detection import bayes_error_G_pushed, bayes_error_H_pushed
 from .model import (
     JointModel,

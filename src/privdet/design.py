@@ -1,21 +1,29 @@
 """Parametric privacy-mapping optimizers.
 
-Three designs are provided, all built from the same block coordinate
+Four architectures are designed, all from the same block coordinate
 descent skeleton (alternate between the fusion rule and one sensor's
 channel at a time, sweeping sensors in order):
 
-* ``design_ldp``   -- detection error minimization under a per-sensor local
+* ``design_ldp`` -- detection error minimization under a per-sensor local
   ratio budget only.  Binary outputs use an exact closed-form block step;
   larger outputs solve the block linear program.
-* ``design_info_stage`` -- detection error minimization subject to the
-  per-g detection-risk threshold theta that enforces a posterior-ratio
-  budget on G.  Each block step is a linear program over mixtures of
-  deterministic per-sensor quantizers.
+* ``design_inp`` -- the posterior-ratio budget on G only.  Its stage,
+  ``design_info_stage``, minimizes the detection error subject to the
+  per-g detection-risk threshold theta that enforces that budget; each
+  block step is a linear program over mixtures of deterministic per-sensor
+  quantizers.  An audited water-filling allocation competes with it.
 * ``design_ill`` / ``design_lip`` -- two-stage architectures concatenating
   the two designs.  "ill" sanitizes for G first and then adds local noise
   at half the budget per stage; "lip" applies the full local budget first
   and sanitizes its output for G.  Both orders keep each composed budget
   within its target.
+
+Each sweep reads the fusion rule, the detection error, c_G and the min
+risks of its iterate from one push-forward.  Every design ends in
+``_result``, which pushes the returned mapping forward once and is the one
+place a result is audited.  ``chain_designs`` warm-starts each grid point
+from the previous point's result through one ``warm`` argument; each
+design reads from it the stage it can reuse.
 """
 
 from __future__ import annotations
@@ -41,12 +49,11 @@ from .detection import (
     bayes_error_H_pushed,
     compute_c_G,
     min_risks,
-    optimal_fusion_rule,
     optimal_rule_from_pushed,
     theta,
 )
 from .metrics import BudgetReport, full_report
-from .model import JointModel, _sensor_product, push_forward, push_forward_model
+from .model import JointModel, PushedModel, _sensor_product, push_forward, push_forward_model
 from .simplex import LPInfeasible, solve_lp
 
 #: L1 norm of the mapping change per sweep below which a design has converged
@@ -81,8 +88,8 @@ class OptimizerConfig:
 class DesignResult:
     """A designed mapping with its fusion rule, objective and audit.
 
-    ``report`` is the result's one audit: ``full_report`` of ``network()``,
-    taken once when the result is made.  The sweep's budget columns and the
+    Made only by ``_result``.  ``report`` is the result's one audit:
+    ``full_report`` of ``network()``, taken once when the result is made.  The sweep's budget columns and the
     ``design`` JSON read it; nothing audits the mapping again.
     """
 
@@ -193,42 +200,29 @@ def ldp_lp_step(
     return SensorChannel(repair_ratio_columns(res.x[:f.size].reshape(x_size, z_size), eps_ld))
 
 
-def block_objective_value(f: np.ndarray, channel: SensorChannel) -> float:
-    """sum_{z,x} p(z|x) f(z, x) for comparing block minimizers."""
-    return float(np.einsum("zx,xz->", f, channel.rows))
-
-
 # -- local-differential-privacy design ---------------------------------------
 
 
 def design_ldp(
-    model: JointModel,
-    config: OptimizerConfig,
-    out_size: int | None = None,
-    initial: NetworkMapping | None = None,
+    model: JointModel, config: OptimizerConfig, warm: DesignResult | None = None
 ) -> DesignResult:
     """Gauss-Seidel detection-error minimization under the local budget.
 
-    Runs ``config.restarts`` seeded random starts (plus ``initial`` if
-    given) and keeps the best final objective.  The objective trace of the
-    winning start is non-increasing per sweep by construction of the block
-    steps.
+    Runs ``config.restarts`` seeded random starts (plus the mapping of
+    ``warm``, an ``ldp`` result, if given) and keeps the best final
+    objective.  The objective trace of the winning start is non-increasing
+    per sweep by construction of the block steps.
     """
-    mapping, trace, converged = _ldp_sweeps(model, config, out_size, initial)
-    pushed = push_forward(model, mapping)
-    return DesignResult(
-        mapping=mapping,
-        rule=optimal_rule_from_pushed(pushed),
-        trace=trace,
-        report=full_report(model, mapping),
-        converged=converged,
-        objective=bayes_error_H_pushed(pushed),
-    )
+    initial = warm.mapping if warm is not None else None
+    return _result(model, *_ldp_sweeps(model, config, config.z_size, initial))
 
 
-def _ldp_sweeps(model, config, out_size=None, initial=None):
-    """The block sweeps of ``design_ldp``: (mapping, trace, converged) of the best start."""
-    z_size = out_size if out_size is not None else config.z_size
+def _ldp_sweeps(model, config, z_size, initial=None):
+    """The block sweeps of ``design_ldp``: (mapping, trace, converged) of the best start.
+
+    Each sweep pushes its iterate forward once; the fusion rule of the next
+    sweep is read from the push that scored this one.
+    """
     eps_ld = config.eps_ld
     starts: list[list[SensorChannel]] = []
     for ss in np.random.SeedSequence(config.seed).spawn(config.restarts):
@@ -242,17 +236,16 @@ def _ldp_sweeps(model, config, out_size=None, initial=None):
         chans = list(chans)
         trace = []
         converged = False
+        pushed = push_forward(model, NetworkMapping(tuple(chans)))
         for _ in range(config.max_outer_iters):
-            mapping = NetworkMapping(tuple(chans))
-            rule = optimal_fusion_rule(model, mapping)
+            rule = optimal_rule_from_pushed(pushed)
             prev_rows = [c.rows for c in chans]
             for t in range(model.s):
                 if z_size == 2:
                     chans[t] = ldp_closed_form_step(model, rule, chans, t, eps_ld)
                 else:
                     chans[t] = ldp_lp_step(model, rule, chans, t, eps_ld)
-            mapping = NetworkMapping(tuple(chans))
-            pushed = push_forward(model, mapping)
+            pushed = push_forward(model, NetworkMapping(tuple(chans)))
             trace.append(bayes_error_H_pushed(pushed))
             change = sum(
                 float(np.abs(c.rows - p).sum()) for c, p in zip(chans, prev_rows)
@@ -334,19 +327,18 @@ def design_info_stage(model: JointModel, eps_i: float, config: OptimizerConfig) 
     channel until the audit passes.  The shrink garbles each sensor's
     output, so it can only raise the min risks, and the profile reports the
     (c_G, theta) pair enforced by the last accepted sweep (or the start).
+    Each iterate is pushed forward once.
     """
     if eps_i <= 0:
         raise ValueError("eps_i must be positive")
     y_size = config.stage_y_size
     cands = _deterministic_candidates(model.x_size, y_size, PHI_CAP, config.seed)
-    chans, enforced = _info_stage_start(model, eps_i, y_size)
+    chans, enforced, pushed = _info_stage_start(model, eps_i, y_size)
     trace: list[float] = []
     converged = False
     for sweep in range(config.max_outer_iters):
-        mapping = NetworkMapping(tuple(chans))
-        pushed = push_forward(model, mapping)
         rule = optimal_rule_from_pushed(pushed)
-        c_g, th = _risk_floor(model, mapping, eps_i)
+        c_g, th = _risk_floor(pushed, eps_i)
         prev_rows = [c.rows for c in chans]
         try:
             for t in range(model.s):
@@ -361,7 +353,8 @@ def design_info_stage(model: JointModel, eps_i: float, config: OptimizerConfig) 
                 raise
             chans = [SensorChannel(r) for r in prev_rows]
             break
-        obj = bayes_error_H_pushed(push_forward(model, NetworkMapping(tuple(chans))))
+        pushed = push_forward(model, NetworkMapping(tuple(chans)))
+        obj = bayes_error_H_pushed(pushed)
         if trace and obj > trace[-1] + LP_TOL:
             chans = [SensorChannel(r) for r in prev_rows]
             break
@@ -373,20 +366,21 @@ def design_info_stage(model: JointModel, eps_i: float, config: OptimizerConfig) 
             break
     chans = _enforce_info_budget(model, chans, eps_i)
     mapping = NetworkMapping(tuple(chans))
-    obj = bayes_error_H_pushed(push_forward(model, mapping))
+    pushed = push_forward(model, mapping)
+    obj = bayes_error_H_pushed(pushed)
     if not trace or trace[-1] != obj:
         trace.append(obj)  # the shrink moved the mapping after the last sweep
-    profile = PrivacyRiskProfile(_min_risks(model, mapping), *enforced)
+    profile = PrivacyRiskProfile(_min_risks(pushed), *enforced)
     return InfoStageResult(mapping, profile, tuple(trace), converged)
 
 
-def _risk_floor(model, mapping, eps_i) -> tuple[float, float]:
-    """(c_G, theta) for the block steps taken from ``mapping``.
+def _risk_floor(pushed: PushedModel, eps_i) -> tuple[float, float]:
+    """(c_G, theta) for the block steps taken from the pushed iterate.
 
     An unbounded budget disables the floor outright (the closed-form
     threshold tends to (1 - c_G)/2, an artifact of its derivation).
     """
-    c_g = compute_c_G(model, mapping)
+    c_g = compute_c_G(pushed)
     return c_g, 0.0 if math.isinf(eps_i) else theta(eps_i, c_g)
 
 
@@ -410,7 +404,7 @@ def _info_stage_start(model, eps_i, y_size):
     quantizer x -> x, which by data processing no mapping beats once the
     floor is vacuous.  An all-constant start alone is a degenerate fixed
     point: the fusion rule is constant, so every LP column has one error.
-    Returns the start channels and their (c_G, theta) pair.
+    Returns the start channels, their (c_G, theta) pair and their push-forward.
     """
     const = np.zeros((model.x_size, y_size))
     const[:, 0] = 1.0
@@ -419,14 +413,14 @@ def _info_stage_start(model, eps_i, y_size):
         starts.append([SensorChannel(np.eye(model.x_size, y_size))] * model.s)
     best = None
     for chans in starts:
-        mapping = NetworkMapping(tuple(chans))
-        c_g, th = _risk_floor(model, mapping, eps_i)
-        if any(r < th for r in _min_risks(model, mapping).values()):
+        pushed = push_forward(model, NetworkMapping(tuple(chans)))
+        c_g, th = _risk_floor(pushed, eps_i)
+        if any(r < th for r in _min_risks(pushed).values()):
             continue
-        err = bayes_error_H_pushed(push_forward(model, mapping))
+        err = bayes_error_H_pushed(pushed)
         if best is None or err < best[0]:
-            best = (err, chans, (c_g, th))
-    return list(best[1]), best[2]
+            best = (err, chans, (c_g, th), pushed)
+    return list(best[1]), best[2], best[3]
 
 
 def _solve_mixture_lp(err, risks, th):
@@ -455,9 +449,12 @@ def _solve_mixture_lp(err, risks, th):
     return nu / nu.sum()
 
 
-def _min_risks(model, mapping) -> dict:
-    """g -> min over detectors of R_g on ``mapping``, for every live g != 0."""
-    risks = min_risks(push_forward(model, mapping).p_gz(), model.prior.sum(axis=0))
+def _min_risks(pushed: PushedModel) -> dict:
+    """g -> min over detectors of R_g on the pushed iterate, for every live g != 0.
+
+    The risks are normalized by the model prior's G marginal.
+    """
+    risks = min_risks(pushed.p_gz(), pushed.source.prior.sum(axis=0))
     return {g: float(r) for g, r in risks.items()}
 
 
@@ -471,13 +468,14 @@ def _utility_stage(model, cands, max_sweeps=30):
     """
     chans = _likelihood_sign_quantizers(model, cands.shape[2])
     prev_obj = np.inf
+    pushed = push_forward(model, NetworkMapping(tuple(chans)))
     for _ in range(max_sweeps):
-        mapping = NetworkMapping(tuple(chans))
-        rule = optimal_rule_from_pushed(push_forward(model, mapping))
+        rule = optimal_rule_from_pushed(pushed)
         for t in range(model.s):
             err, _ = _stage_column_stats(model, chans, t, cands, rule)
             chans[t] = SensorChannel(cands[int(np.argmin(err))])
-        obj = bayes_error_H_pushed(push_forward(model, NetworkMapping(tuple(chans))))
+        pushed = push_forward(model, NetworkMapping(tuple(chans)))
+        obj = bayes_error_H_pushed(pushed)
         if obj >= prev_obj - 1e-12:
             break
         prev_obj = obj
@@ -571,35 +569,37 @@ def _enforce_info_budget(model, chans, eps_i):
 
 
 def design_ill(
-    model: JointModel,
-    config: OptimizerConfig,
-    initial_stage2: NetworkMapping | None = None,
+    model: JointModel, config: OptimizerConfig, warm: DesignResult | None = None
 ) -> DesignResult:
     """Information stage at the full posterior budget, then a local stage
-    run at half the local budget per stage so the composition meets it."""
+    run at half the local budget per stage so the composition meets it.
+
+    ``warm``, an ``ill`` result, offers its local stage as a start."""
     info = design_info_stage(model, config.eps_i, config)
     y_model = push_forward_model(model, info.mapping)
     half = dataclasses.replace(config, eps_ld=config.eps_ld / 2.0)
-    stage2, trace, converged = _ldp_sweeps(y_model, half, config.z_size, initial_stage2)
+    initial = warm.mapping.stage2 if warm is not None else None
+    stage2, trace, converged = _ldp_sweeps(y_model, half, config.z_size, initial)
     two = TwoStageMapping(info.mapping, stage2, "ill")
     # stage 2 runs on the stage-1 image, so its per-sweep objective is the
     # final detection error of the whole pipeline
-    return _finish_two_stage(model, two, trace, converged and info.converged, info.profile)
+    return _result(model, two, trace, converged and info.converged, info.profile)
 
 
 def design_lip(
-    model: JointModel,
-    config: OptimizerConfig,
-    initial_stage1: NetworkMapping | None = None,
+    model: JointModel, config: OptimizerConfig, warm: DesignResult | None = None
 ) -> DesignResult:
     """Local stage at the full local budget, then an information stage on
-    its output; post-processing keeps the composed local budget intact."""
-    stage1, _, converged = _ldp_sweeps(model, config, config.stage_y_size, initial_stage1)
+    its output; post-processing keeps the composed local budget intact.
+
+    ``warm``, a ``lip`` result, offers its local stage as a start."""
+    initial = warm.mapping.stage1 if warm is not None else None
+    stage1, _, converged = _ldp_sweeps(model, config, config.stage_y_size, initial)
     y_model = push_forward_model(model, stage1)
     stage2_cfg = dataclasses.replace(config, y_size=config.z_size)
     info = design_info_stage(y_model, config.eps_i, stage2_cfg)
     two = TwoStageMapping(stage1, info.mapping, "lip")
-    return _finish_two_stage(model, two, info.trace, converged and info.converged, info.profile)
+    return _result(model, two, info.trace, converged and info.converged, info.profile)
 
 
 def design_inp(model: JointModel, config: OptimizerConfig) -> DesignResult:
@@ -615,47 +615,48 @@ def design_inp(model: JointModel, config: OptimizerConfig) -> DesignResult:
     info = design_info_stage(model, config.eps_i, cfg)
     cands = _deterministic_candidates(model.x_size, config.z_size, PHI_CAP, cfg.seed)
     filled = NetworkMapping(tuple(_audited_waterfill(model, config.eps_i, cands)))
-    err_info = bayes_error_H_pushed(push_forward(model, info.mapping))
     err_fill = bayes_error_H_pushed(push_forward(model, filled))
-    if err_fill <= err_info:
-        mapping, profile, trace = filled, None, info.trace + (err_fill,)
-    else:
-        mapping, profile, trace = info.mapping, info.profile, info.trace
+    if err_fill <= info.trace[-1]:  # the stage's trace ends at its mapping's error
+        return _result(model, filled, info.trace + (err_fill,), info.converged)
+    return _result(model, info.mapping, info.trace, info.converged, info.profile)
+
+
+def _result(model, mapping, trace, converged, profile=None) -> DesignResult:
+    """The designed ``mapping`` with its rule, objective and audit.
+
+    A two-stage mapping is composed first.  The composed mapping is pushed
+    forward once for the rule and the objective, and this is the one place
+    a design calls ``full_report``.
+    """
+    network = compose(mapping) if isinstance(mapping, TwoStageMapping) else mapping
+    pushed = push_forward(model, network)
     return DesignResult(
         mapping=mapping,
-        rule=optimal_rule_from_pushed(push_forward(model, mapping)),
-        trace=trace,
-        report=full_report(model, mapping),
-        converged=info.converged,
-        objective=min(err_fill, err_info),
-        profile=profile,
-    )
-
-
-def _finish_two_stage(model, two, trace, converged, profile) -> DesignResult:
-    composed = compose(two)
-    pushed = push_forward(model, composed)
-    return DesignResult(
-        mapping=two,
         rule=optimal_rule_from_pushed(pushed),
         trace=tuple(trace),
-        report=full_report(model, composed),
+        report=full_report(model, network),
         converged=converged,
         objective=bayes_error_H_pushed(pushed),
         profile=profile,
     )
 
 
-def design(model: JointModel, arch: str, config: OptimizerConfig, **kwargs) -> DesignResult:
-    """Dispatch by architecture name: ldp, ill, lip or inp."""
+def design(
+    model: JointModel, arch: str, config: OptimizerConfig, warm: DesignResult | None = None
+) -> DesignResult:
+    """Dispatch by architecture name: ldp, ill, lip or inp.
+
+    ``warm`` is a result of the same architecture to start from; ``inp``
+    has no local stage to start and ignores it.
+    """
     if arch == "ldp":
-        return design_ldp(model, config, **kwargs)
+        return design_ldp(model, config, warm)
     if arch == "ill":
-        return design_ill(model, config, **kwargs)
+        return design_ill(model, config, warm)
     if arch == "lip":
-        return design_lip(model, config, **kwargs)
+        return design_lip(model, config, warm)
     if arch == "inp":
-        return design_inp(model, config, **kwargs)
+        return design_inp(model, config)
     raise ValueError(f"unknown architecture {arch!r}")
 
 
@@ -672,29 +673,13 @@ def chain_designs(model: JointModel, arch: str, eps_ld_grid, config: OptimizerCo
     prev: DesignResult | None = None
     for idx in order:
         cfg = dataclasses.replace(config, eps_ld=float(eps_ld_grid[idx]))
-        kwargs = {}
-        if prev is not None and arch == "ill":
-            kwargs["initial_stage2"] = prev.mapping.stage2
-        elif prev is not None and arch == "lip":
-            kwargs["initial_stage1"] = prev.mapping.stage1
-        elif prev is not None and arch == "ldp":
-            kwargs["initial"] = prev.mapping
-        res = design(model, arch, cfg, **kwargs)
+        res = design(model, arch, cfg, warm=prev)
         if prev is not None and prev.objective < res.objective - 1e-15:
-            res = _reuse_previous(model, prev, res)
-        results[idx] = res
-        prev = results[idx]
+            res = _reuse_previous(prev, res)
+        results[idx] = prev = res
     return [results[i] for i in range(len(eps_ld_grid))]
 
 
-def _reuse_previous(model, prev: DesignResult, fresh: DesignResult) -> DesignResult:
+def _reuse_previous(prev: DesignResult, fresh: DesignResult) -> DesignResult:
     """Keep the previous grid point's mapping when it is strictly better."""
-    return DesignResult(
-        mapping=prev.mapping,
-        rule=prev.rule,
-        trace=fresh.trace + (prev.objective,),
-        report=prev.report,
-        converged=prev.converged,
-        objective=prev.objective,
-        profile=prev.profile,
-    )
+    return dataclasses.replace(prev, trace=fresh.trace + (prev.objective,))

@@ -9,6 +9,11 @@ This module also computes the binary detection risk R_g for telling
 G = g apart from G = 0 on an intermediate sanitized alphabet, together
 with the model constant c_G and the risk threshold theta whose
 satisfaction enforces a posterior-ratio budget on G.
+
+Every function here reads the pushed law of (H, G, Z): a ``PushedModel``
+from ``model.push_forward``, or the p(g, y) table of one.  A caller that
+needs the rule, the error, c_G and the risks of one mapping pushes it
+forward once and reads them all from that one table.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ import math
 
 import numpy as np
 
-from .channels import NetworkMapping
-from .model import JointModel, PushedModel, push_forward
+from .model import PushedModel
 
 RATIO_TIE_RTOL = 1e-12
 
@@ -47,45 +51,26 @@ class FusionRule:
         return int(self.table[z_flat])
 
 
-def optimal_fusion_rule(model: JointModel, mapping: NetworkMapping) -> FusionRule:
-    """Maximum-a-posteriori rule for H; ties broken toward H = 0."""
-    pushed = push_forward(model, mapping)
-    return optimal_rule_from_pushed(pushed)
-
-
 def optimal_rule_from_pushed(pushed: PushedModel) -> FusionRule:
+    """Maximum-a-posteriori rule for H; ties broken toward H = 0."""
     p_hz = pushed.p_hz()
     table = (p_hz[1] > p_hz[0]).astype(np.int8)
     return FusionRule(table, pushed.s, pushed.z_size)
 
 
-def bayes_error_H(model: JointModel, mapping: NetworkMapping, rule: FusionRule | None = None) -> float:
-    """P(rule(Z) != H); with rule=None uses the optimal rule (Bayes error)."""
-    pushed = push_forward(model, mapping)
-    return bayes_error_H_pushed(pushed, rule)
-
-
 def bayes_error_H_pushed(pushed: PushedModel, rule: FusionRule | None = None) -> float:
+    """P(rule(Z) != H); with rule=None uses the optimal rule (Bayes error)."""
     p_hz = pushed.p_hz()
     if rule is None:
         return float(np.minimum(p_hz[0], p_hz[1]).sum())
-    decide_one = pushed_rule_mask(pushed, rule)
+    if rule.table.shape[0] != pushed.n_z:
+        raise ValueError("rule is defined on a different output space")
+    decide_one = rule.table.astype(bool)
     return float(p_hz[0][decide_one].sum() + p_hz[1][~decide_one].sum())
 
 
-def pushed_rule_mask(pushed: PushedModel, rule: FusionRule) -> np.ndarray:
-    if rule.table.shape[0] != pushed.n_z:
-        raise ValueError("rule is defined on a different output space")
-    return rule.table.astype(bool)
-
-
-def bayes_error_G(model: JointModel, mapping: NetworkMapping) -> float:
-    """Minimum error of the 2**q-ary MAP detector for G: 1 - sum_z max_g p(g, z)."""
-    pushed = push_forward(model, mapping)
-    return bayes_error_G_pushed(pushed)
-
-
 def bayes_error_G_pushed(pushed: PushedModel) -> float:
+    """Minimum error of the 2**q-ary MAP detector for G: 1 - sum_z max_g p(g, z)."""
     p_gz = pushed.p_gz()
     return float(1.0 - p_gz.max(axis=0).sum())
 
@@ -111,33 +96,13 @@ def min_risks(p_gy: np.ndarray, p_g: np.ndarray) -> dict:
     }
 
 
-def min_risk_detector(model: JointModel, stage1: NetworkMapping, g: int):
-    """Likelihood-ratio detector for G = g versus G = 0 and its risk.
-
-    The detector decides g exactly when l_g(y) >= 1.  Its risk
-    R_g = (P(decide g | G=0) + P(decide 0 | G=g)) / 2 is the minimum over
-    all detectors, read from :func:`min_risks` on one push-forward, with
-    p(g) taken from the pushed table.
-    """
-    if g == 0:
-        raise ValueError("the reference hypothesis G=0 cannot be its own alternative")
-    p_gy = push_forward(model, stage1).p_gz()
-    p_g = p_gy.sum(axis=1)
-    for v in (0, g):
-        if p_g[v] <= 0:
-            raise ValueError(f"private value {v} has zero prior probability")
-    decide_g = p_gy[g] / p_g[g] >= p_gy[0] / p_g[0]  # l_g(y) >= 1, ties decide g
-    return decide_g.astype(np.int8), float(min_risks(p_gy, p_g)[g])
-
-
-def compute_c_G(model: JointModel, stage1: NetworkMapping) -> float:
+def compute_c_G(pushed: PushedModel) -> float:
     """min over g != 0 of the extreme-likelihood-set probabilities.
 
     For each g the two candidates are P(Y in argmin_y l_g | G=0) and
-    P(Y in argmax_y l_g | G=g); ratio ties within 1e-12 relative are
-    grouped into the arg sets.
+    P(Y in argmax_y l_g | G=g) on the pushed law of (G, Y); ratio ties
+    within 1e-12 relative are grouped into the arg sets.
     """
-    pushed = push_forward(model, stage1)
     p_gy = pushed.p_gz()
     p_g = p_gy.sum(axis=1)
     best = 1.0

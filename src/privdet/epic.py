@@ -32,7 +32,13 @@ import warnings
 
 import numpy as np
 
-from .channels import NetworkMapping, SensorChannel, ldp_polytope, repair_ratio_columns
+from .channels import (
+    NetworkMapping,
+    SensorChannel,
+    ldp_polytope,
+    repair_ratio_columns,
+    uniform_mapping,
+)
 from .model import JointModel
 from .simplex import LPInfeasible, solve_lp
 
@@ -250,7 +256,7 @@ def _with_ratio_rows(a_ub, b_ub, rows, rhs):
     return np.vstack([_pad(a_ub, rows.shape[1]), rows]), np.concatenate([b_ub, rhs])
 
 
-def _channel_step(chans, t, eps_ld, cfg, accept, c, a_ub, b_ub, a_eq, b_eq) -> float:
+def _channel_step(chans, t, eps_ld, accept, c, a_ub, b_ub, a_eq, b_eq) -> float:
     """Move sensor t toward its block LP's optimum by the first accepted damped step.
 
     The LP's leading variables are the channel entries.  Steps of
@@ -329,11 +335,6 @@ def _solution(dataset, chans, lam, eps_ld, theta_star=math.nan, r=0.0) -> EpicSo
 # -- solvers ---------------------------------------------------------------------
 
 
-def _uniform_channels(s, x_size, z_size):
-    rows = np.full((x_size, z_size), 1.0 / z_size)
-    return [SensorChannel(rows.copy()) for _ in range(s)]
-
-
 def _eldp_sweeps(dataset, chans, eps_ld, lam, cfg):
     """Minimize the empirical public risk over local-budget channels."""
     a_eq, b_eq, a_ub, b_ub = ldp_polytope(dataset.x_size, chans[0].z_size, eps_ld)
@@ -343,7 +344,7 @@ def _eldp_sweeps(dataset, chans, eps_ld, lam, cfg):
         for t in range(dataset.s):
             grad, f_cur, f = _block(dataset, chans, t, coeffs, lam)
             change += _channel_step(
-                chans, t, eps_ld, cfg, lambda p: f(p) <= f_cur + 1e-12,
+                chans, t, eps_ld, lambda p: f(p) <= f_cur + 1e-12,
                 _pad(grad.reshape(-1), a_eq.shape[1]), a_ub, b_ub, a_eq, b_eq,
             )
         if change < CONVERGENCE_TOL:
@@ -354,7 +355,8 @@ def _eldp_sweeps(dataset, chans, eps_ld, lam, cfg):
 def eldp_solve(dataset: Dataset, eps_ld: float, lam: float, config: EpicConfig | None = None) -> EpicSolution:
     """Local-budget-only empirical design (the risk floor dropped)."""
     cfg = config or EpicConfig()
-    chans = _eldp_sweeps(dataset, _uniform_channels(dataset.s, dataset.x_size, 2), eps_ld, lam, cfg)
+    uniform = list(uniform_mapping(dataset.s, dataset.x_size, 2).channels)
+    chans = _eldp_sweeps(dataset, uniform, eps_ld, lam, cfg)
     return _solution(dataset, chans, lam, eps_ld)
 
 
@@ -416,7 +418,7 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
     """
     z_size = start_chans[0].z_size
     f_cap = f_eldp + cfg.utility_slack * (LOG2 - f_eldp)
-    uniform = _uniform_channels(dataset.s, dataset.x_size, z_size)
+    uniform = list(uniform_mapping(dataset.s, dataset.x_size, z_size).channels)
     starts = [
         _capped_path_point(dataset, uniform, start_chans, f_cap, lam),
         _capped_path_point(dataset, nulled, start_chans, f_cap, lam),
@@ -445,7 +447,7 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
             )
             cur_min = worst(p0)
             change += _channel_step(
-                chans, t, eps_ld, cfg,
+                chans, t, eps_ld,
                 lambda p: worst(p) >= cur_min - 1e-12 and f(p) <= f_cap + 1e-9,
                 c, ub, rhs, a_eq, b_eq,
             )
@@ -454,7 +456,7 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
     return chans, _fit_adversaries(dataset, chans, lam)[1]
 
 
-def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int, cfg: EpicConfig):
+def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int):
     """Channels matching per-g empirical feature means while separating H.
 
     The adversary gradient at zero weights is the per-sensor class-mean
@@ -473,6 +475,7 @@ def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int, cfg: E
 
     a_eq_base, b_eq_base, a_ub, b_ub = ldp_polytope(xs, z_size, eps_ld)
     n_cols = a_eq_base.shape[1]
+    uniform = uniform_mapping(dataset.s, xs, z_size)
     chans = []
     for t in range(dataset.s):
         col = dataset.x[:, t]
@@ -490,10 +493,10 @@ def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int, cfg: E
         b_eq = np.concatenate([b_eq_base, np.zeros(len(null_rows))])
         try:
             res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=LP_TOL)
-            rows = repair_ratio_columns(res.x[:nv].reshape(xs, z_size), eps_ld)
         except LPInfeasible:
-            rows = np.full((xs, z_size), 1.0 / z_size)
-        chans.append(SensorChannel(rows))
+            chans.append(uniform.channels[t])
+            continue
+        chans.append(SensorChannel(repair_ratio_columns(res.x[:nv].reshape(xs, z_size), eps_ld)))
     return chans
 
 
@@ -520,7 +523,7 @@ def _constrained_sweeps(dataset, chans, theta_star, r, eps_ld, lam, cfg, best):
             # every linearized adversary risk stays at or above th
             ub, rhs = _with_ratio_rows(a_ub, b_ub, _pad(-g_rows, n_cols), g_offsets - th)
             change += _channel_step(
-                chans, t, eps_ld, cfg,
+                chans, t, eps_ld,
                 lambda p: f(p) <= f_cur + 1e-12 and worst(p) >= floor,
                 _pad(h_grad.reshape(-1), n_cols), ub, rhs, a_eq, b_eq,
             )
@@ -553,13 +556,13 @@ def epic_solve(
     z_size = 2
 
     # E-LDP warm start and utility reference
-    uniform = _uniform_channels(dataset.s, dataset.x_size, z_size)
+    uniform = list(uniform_mapping(dataset.s, dataset.x_size, z_size).channels)
     eldp_chans = _eldp_sweeps(dataset, uniform, eps_ld, lam, cfg)
     if not dataset.present_g_values():
         return _solution(dataset, eldp_chans, lam, eps_ld, math.inf, r)
 
     f_eldp = _fit(dataset, eldp_chans, lam)[1]
-    nulled = _moment_nulled_channels(dataset, eps_ld, z_size, cfg)
+    nulled = _moment_nulled_channels(dataset, eps_ld, z_size)
     chans_i, theta_star = _risk_floor_search(dataset, eldp_chans, nulled, f_eldp, eps_ld, lam, cfg)
     floor = r * theta_star - cfg.risk_slack
 

@@ -67,21 +67,6 @@ def max_abs_log_posterior_ratio(joint: np.ndarray) -> float:
     return float(np.abs(np.log(joint[mask] / denom[mask])).max())
 
 
-def _max_log_ratio_pairs(num: np.ndarray, den: np.ndarray) -> float:
-    """max log(num_k / den_k) over aligned entries, with zero conventions."""
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    live = (num > 0) | (den > 0)
-    if not live.any():
-        return 0.0
-    if np.any((den == 0) & (num > 0)):
-        return math.inf
-    both = (num > 0) & (den > 0)
-    if not both.any():
-        return 0.0
-    return float(np.log(num[both] / den[both]).max())
-
-
 def _neighbor_axis_budget(table: np.ndarray) -> float:
     """max log ratio between entries differing in one leading-axis index.
 
@@ -121,19 +106,26 @@ def info_privacy_budget(pushed: PushedModel) -> float:
 
 
 def inference_dp_budget(pushed: PushedModel) -> float:
-    """max log p(z|g)/p(z|g') over g, g' differing in one component."""
+    """max log p(z|g)/p(z|g') over g, g' differing in one component.
+
+    Per bit, the conditional rows of every pair (g, g with that bit set)
+    whose values both have positive probability are stacked on a leading
+    axis of two, so ``_neighbor_axis_budget`` compares each pair in both
+    directions at once.
+    """
     p_gz = pushed.p_gz()
     p_g = p_gz.sum(axis=1)
+    live = p_g > 0
+    cond = np.zeros_like(p_gz)
+    cond[live] = p_gz[live] / p_g[live, None]
+    g = np.arange(pushed.n_g)
     best = 0.0
-    for g in range(pushed.n_g):
-        if p_g[g] <= 0:
-            continue
-        for bit in range(pushed.q):
-            g2 = g ^ (1 << bit)
-            if p_g[g2] <= 0:
-                continue
-            r = _max_log_ratio_pairs(p_gz[g] / p_g[g], p_gz[g2] / p_g[g2])
-            best = max(best, r)
+    for bit in range(pushed.q):
+        lo = g[(g & (1 << bit)) == 0]
+        hi = lo | (1 << bit)
+        pairs = live[lo] & live[hi]
+        if pairs.any():
+            best = max(best, _neighbor_axis_budget(np.stack([cond[lo[pairs]], cond[hi[pairs]]])))
             if best == math.inf:
                 return best
     return best

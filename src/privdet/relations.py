@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import metrics
-from .channels import NetworkMapping, SensorChannel, identity_mapping, uniform_mapping
+from .channels import NetworkMapping, SensorChannel, identity_mapping
 from .metrics import (
     BudgetReport,
     full_report,
@@ -179,7 +179,7 @@ def witness_ai_not_inference_dp(alphas=DEFAULT_ALPHAS) -> ImplicationWitness:
         joint = example1_joint(a)
         eps_a = mutual_information(joint)
         cond = joint / joint.sum(axis=1, keepdims=True)
-        eps_b = metrics._max_log_ratio_pairs(cond[0], cond[1])
+        eps_b = metrics._neighbor_axis_budget(cond)
         points.append((a, eps_a, eps_b))
     return ImplicationWitness("avg_leakage", "inference_dp", tuple(points), _verdict(points))
 

@@ -219,3 +219,26 @@ def pairwise_neighbor_budget(table):
                 if a > 0 and b > 0:
                     best = max(best, float(np.log(a / b)))
     return best
+
+
+def pairwise_inference_dp(p_gz, q):
+    """max log p(z|g) / p(z|g') over ordered pairs of live g, g' one bit apart.
+
+    Pair by pair and entry by entry: a positive numerator over a zero
+    denominator gives inf, and entries where either side is zero are
+    otherwise skipped.  Values of g with p(g) = 0 take no part.
+    """
+    p_gz = np.asarray(p_gz, dtype=float)
+    p_g = p_gz.sum(axis=1)
+    best = 0.0
+    for g in range(p_gz.shape[0]):
+        for bit in range(q):
+            g2 = g ^ (1 << bit)
+            if p_g[g] <= 0 or p_g[g2] <= 0:
+                continue
+            for a, b in zip(p_gz[g] / p_g[g], p_gz[g2] / p_g[g2]):
+                if a > 0 and b == 0:
+                    return np.inf
+                if a > 0 and b > 0:
+                    best = max(best, float(np.log(a / b)))
+    return best

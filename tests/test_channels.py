@@ -23,7 +23,8 @@ from privdet.channels import (
     uniform_mapping,
 )
 from privdet.design import ldp_lp_step
-from privdet.detection import optimal_fusion_rule
+from privdet.detection import optimal_rule_from_pushed
+from privdet.model import push_forward
 from privdet.relations import random_model
 from privdet.simplex import solve_lp
 
@@ -223,6 +224,6 @@ def test_repaired_lp_step_meets_its_budget(x_size, z_size, eps):
     rng = np.random.default_rng(7 * x_size + z_size)
     model = random_model(rng, 2, x_size, 1)
     chans = list(random_mapping(x_size + z_size, 2, x_size, z_size).channels)
-    rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
+    rule = optimal_rule_from_pushed(push_forward(model, NetworkMapping(tuple(chans))))
     ch = ldp_lp_step(model, rule, chans, 0, eps)
     assert metrics.ldp_budget(NetworkMapping((ch,))) <= eps + 1e-12

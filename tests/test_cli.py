@@ -10,6 +10,15 @@ import time
 import pytest
 
 from privdet import cli, design, metrics
+from privdet.channels import (
+    NetworkMapping,
+    TwoStageMapping,
+    compose,
+    random_mapping,
+    save_mapping,
+)
+from privdet.epic import dataset_from_model
+from privdet.model import generate_correlated_model, load_model, save_model
 
 
 def test_design_inp_audit_ignores_the_local_budget(tmp_path):
@@ -245,3 +254,38 @@ def test_design_and_sweep_run_one_set_of_defaults(tmp_path, monkeypatch):
     }))
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep.csv")]) == 0
     assert configs["design"] == configs["sweep"]
+
+
+def test_report_on_a_saved_two_stage_mapping(tmp_path):
+    model_path, mapping_path = tmp_path / "model.json", tmp_path / "mapping.json"
+    save_model(generate_correlated_model(seed=2, s=2, x_size=3), model_path)
+    two = TwoStageMapping(random_mapping(0, 2, 3, 2), random_mapping(1, 2, 2, 2), "ill")
+    save_mapping(two, mapping_path)
+    out = tmp_path / "report"
+    argv = ["report", "--model", str(model_path), "--mapping", str(mapping_path), "--out", str(out)]
+    assert cli.main(argv) == 0
+    expected = metrics.full_report(load_model(model_path), compose(two)).to_dict()
+    assert json.loads((tmp_path / "report.json").read_text()) == expected
+
+
+def _write_labeled_csv(path, data):
+    lines = ["h,g," + ",".join(f"x{t}" for t in range(data.s))]
+    lines += [",".join(map(str, [h, g, *x])) for h, g, x in zip(data.h, data.g, data.x.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("e_ldp", [False, True])
+def test_epic_on_labeled_csvs(tmp_path, e_ldp):
+    model = generate_correlated_model(seed=1, s=2, x_size=3)
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    _write_labeled_csv(train, dataset_from_model(model, 30, 0))
+    _write_labeled_csv(test, dataset_from_model(model, 300, 1))
+    out = tmp_path / "epic"
+    argv = ["epic", "--train", str(train), "--test", str(test), "--eps-ld", "1.0", "--out", str(out)]
+    assert cli.main(argv + ["--e-ldp"] * e_ldp) == 0
+    (row,) = _read_rows(tmp_path / "epic.csv")
+    assert 0.0 <= float(row["error_H"]) <= 1.0
+    assert 0.0 <= float(row["error_G"]) <= 1.0
+    assert float(row["eps_ld_hat"]) <= 1.0 + 1e-9
+    mapping = NetworkMapping.from_list(json.loads((tmp_path / "epic.json").read_text())["mapping"])
+    assert metrics.ldp_budget(mapping) == float(row["eps_ld_hat"])

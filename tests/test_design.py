@@ -18,7 +18,6 @@ from privdet.design import (
     OptimizerConfig,
     _solve_mixture_lp,
     block_objective_coefficients,
-    block_objective_value,
     chain_designs,
     design,
     design_ill,
@@ -30,9 +29,9 @@ from privdet.design import (
     ldp_lp_step,
 )
 from privdet.detection import (
-    bayes_error_H,
+    FusionRule,
     bayes_error_H_pushed,
-    optimal_fusion_rule,
+    optimal_rule_from_pushed,
     theta,
 )
 from privdet.metrics import full_report
@@ -46,6 +45,19 @@ from _oracles import (
     brute_push,
     joint_block_coefficients,
 )
+
+
+def rule_of(model, chans):
+    return optimal_rule_from_pushed(push_forward(model, NetworkMapping(tuple(chans))))
+
+
+def error_h(model, mapping):
+    return bayes_error_H_pushed(push_forward(model, mapping))
+
+
+def block_value(f, channel):
+    """sum_{z,x} p(z|x) f(z, x): the block objective of one sensor's channel."""
+    return float(np.einsum("zx,xz->", f, channel.rows))
 
 
 def converged_step_instances(n_instances, seed=2026):
@@ -74,19 +86,21 @@ def converged_step_instances(n_instances, seed=2026):
 
 
 def test_objective_coefficients_reproduce_error():
-    # P(rule(Z) != H) == p_H(1) + sum p_t(z|x) f(z, x) for every sensor
-    for seed in range(6):
+    # P(rule(Z) != H) == p_H(1) + sum p_t(z|x) f(z, x) for every sensor; the
+    # inputs are seeds whose optimal rule is not constant, so f depends on z
+    for seed in (0, 3, 7, 9):
         rng = np.random.default_rng(seed)
         s = int(rng.integers(1, 4))
         model = random_model(rng, s, int(rng.integers(2, 5)), 1)
         chans = list(random_mapping(seed, s, model.x_size, 2).channels)
-        rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
         pushed = push_forward(model, NetworkMapping(tuple(chans)))
+        rule = optimal_rule_from_pushed(pushed)
+        assert 0 < rule.table.sum() < rule.table.size
         direct = brute_error_with_rule(pushed, rule.table)
         p_h1 = model.prior[1].sum()
         for t in range(s):
             f = block_objective_coefficients(model, rule, chans, t)
-            via_f = p_h1 + block_objective_value(f, chans[t])
+            via_f = p_h1 + block_value(f, chans[t])
             assert via_f == pytest.approx(direct, abs=1e-12)
 
 
@@ -95,7 +109,7 @@ def test_objective_coefficients_full_form_agrees():
     for seed, s, z_size, ts in ((20, 2, 2, range(2)), (18, 4, 3, (2,))):
         model = random_model(np.random.default_rng(seed), s, 3, 1)
         chans = list(random_mapping(seed - 14, s, 3, z_size).channels)
-        rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
+        rule = rule_of(model, chans)
         assert 0 < rule.table.sum() < rule.table.size
         for t in ts:
             a = block_objective_coefficients(model, rule, chans, t)
@@ -104,28 +118,26 @@ def test_objective_coefficients_full_form_agrees():
 
 
 def test_closed_form_uniform_sign_gives_constant_channel():
-    # all f(0, x) < f(1, x): formula puts the high value on output 0 everywhere
-    model = random_model(np.random.default_rng(0), 1, 3, 1)
+    # s = 1 with rule z -> z gives f(0, x) = 0 and f(1, x) = p(H=0, x) - p(H=1, x),
+    # so a prior leaning to H = 0 at every x makes f(0, x) < f(1, x) everywhere:
+    # the formula puts the high value on output 0 in every row
+    cond = np.random.default_rng(0).dirichlet(np.ones(3), size=(2, 2))
+    prior = np.array([[0.45, 0.45], [0.05, 0.05]])
+    model = JointModel(1, 3, 1, prior, (cond,))
+    rule = FusionRule(np.array([0, 1]), 1, 2)
     chans = list(random_mapping(0, 1, 3, 2).channels)
-    rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
-    f = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])  # f(0,x) < f(1,x) everywhere
-
-    class _Fixed:
-        pass
-
-    # feed the sign pattern through a channel built directly from the formula
-    eps = 1.0
-    e = math.exp(eps)
-    ch = ldp_closed_form_step(model, rule, chans, 0, eps)
-    # regardless of instance, rows are two-level at ratio e^eps
-    vals = np.unique(np.round(ch.rows, 12))
-    assert set(vals.tolist()) <= {round(1 / (1 + e), 12), round(e / (1 + e), 12)}
+    f = block_objective_coefficients(model, rule, chans, 0)
+    assert (f[0] < f[1]).all()
+    e = math.exp(1.0)
+    ch = ldp_closed_form_step(model, rule, chans, 0, 1.0)
+    assert np.allclose(ch.rows, [[e / (1 + e), 1 / (1 + e)]] * 3, rtol=0, atol=1e-15)
+    assert metrics.ldp_budget(NetworkMapping((ch,))) == 0.0
 
 
 def test_closed_form_zero_budget_uniform_rows():
     model = random_model(np.random.default_rng(1), 2, 4, 1)
     chans = list(random_mapping(1, 2, 4, 2).channels)
-    rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
+    rule = rule_of(model, chans)
     ch = ldp_closed_form_step(model, rule, chans, 0, 0.0)
     assert np.allclose(ch.rows, 0.5, atol=1e-15)
 
@@ -138,14 +150,12 @@ def test_closed_form_derived_case_matches_lp():
     cond[1, :, :] = [0.0, 1.0]
     model = JointModel(1, 2, 1, prior, (cond,))
     chans = [randomized_response(2, 1.0)]
-    from privdet.detection import FusionRule
-
     rule = FusionRule(np.array([0, 1]), 1, 2)
     f = block_objective_coefficients(model, rule, chans, 0)
     cf = ldp_closed_form_step(model, rule, chans, 0, 1.0)
     lp = ldp_lp_step(model, rule, chans, 0, 1.0)
-    assert block_objective_value(f, cf) == pytest.approx(
-        block_objective_value(f, lp), abs=1e-10
+    assert block_value(f, cf) == pytest.approx(
+        block_value(f, lp), abs=1e-10
     )
     e = math.e
     assert cf.rows[0, 0] == pytest.approx(e / (1 + e), abs=1e-12)
@@ -155,7 +165,7 @@ def test_closed_form_derived_case_matches_lp():
 def test_closed_form_requires_binary_output():
     model = random_model(np.random.default_rng(2), 1, 3, 1)
     chans = list(random_mapping(2, 1, 3, 3).channels)
-    rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
+    rule = rule_of(model, chans)
     with pytest.raises(ValueError):
         ldp_closed_form_step(model, rule, chans, 0, 1.0)
 
@@ -165,7 +175,7 @@ def test_lp_step_never_infeasible_and_feasible_output():
         rng = np.random.default_rng(seed)
         model = random_model(rng, 2, 3, 1)
         chans = list(random_mapping(seed, 2, 3, 3).channels)
-        rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
+        rule = rule_of(model, chans)
         eps = float(rng.choice([0.3, 1.0, 4.0]))
         ch = ldp_lp_step(model, rule, chans, 0, eps)
         assert np.abs(ch.rows.sum(axis=1) - 1.0).max() <= 1e-12
@@ -177,13 +187,13 @@ def test_lp_step_unconstrained_is_deterministic_and_dominates():
         rng = np.random.default_rng(seed + 40)
         model = random_model(rng, 2, 4, 1)
         chans = list(random_mapping(seed, 2, 4, 2).channels)
-        rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
+        rule = rule_of(model, chans)
         f = block_objective_coefficients(model, rule, chans, 0)
         free = ldp_lp_step(model, rule, chans, 0, math.inf)
         assert np.isin(free.rows, (0.0, 1.0)).all()
         for eps in (0.5, 2.0):
             capped = ldp_lp_step(model, rule, chans, 0, eps)
-            assert block_objective_value(f, free) <= block_objective_value(f, capped) + 1e-12
+            assert block_value(f, free) <= block_value(f, capped) + 1e-12
 
 
 def test_closed_form_matches_lp_at_converged_states():
@@ -191,7 +201,7 @@ def test_closed_form_matches_lp_at_converged_states():
         f = block_objective_coefficients(model, rule, chans, t)
         cf = ldp_closed_form_step(model, rule, chans, t, eps)
         lp = ldp_lp_step(model, rule, chans, t, eps)
-        diff = block_objective_value(f, cf) - block_objective_value(f, lp)
+        diff = block_value(f, cf) - block_value(f, lp)
         assert abs(diff) <= 1e-8
 
 
@@ -221,7 +231,7 @@ def test_design_ldp_beats_randomized_response_baseline():
     # same output alphabet as the square baseline channel
     res = design_ldp(model, OptimizerConfig(eps_ld=eps, seed=3, restarts=3, z_size=3))
     baseline = NetworkMapping(tuple(randomized_response(3, eps) for _ in range(2)))
-    assert res.objective <= bayes_error_H(model, baseline) + 1e-12
+    assert res.objective <= error_h(model, baseline) + 1e-12
 
 
 def test_design_info_stage_independent_g_returns_quantizer():
@@ -244,7 +254,7 @@ def test_design_info_stage_risk_rows_match_detector_audit():
     model = generate_correlated_model(seed=7, s=2, x_size=4, q=1, target_corr=0.2)
     chans = [SensorChannel(np.tile([1.0, 0.0], (4, 1))) for _ in range(2)]
     cands = _deterministic_candidates(4, 2, 4096, 0)
-    rule = optimal_fusion_rule(model, NetworkMapping(tuple(chans)))
+    rule = rule_of(model, chans)
     err, risks = _stage_column_stats(model, chans, 0, cands, rule)
     rng = np.random.default_rng(0)
     for idx in rng.choice(cands.shape[0], size=6, replace=False):
@@ -290,15 +300,15 @@ def test_design_info_stage_unbounded_budget_reaches_raw_bayes_error():
         for y_size in (model.x_size, model.x_size + 1):
             cfg = OptimizerConfig(seed=k, y_size=y_size, max_outer_iters=30)
             res = design_info_stage(model, math.inf, cfg)
-            assert bayes_error_H(model, res.mapping) == pytest.approx(raw, abs=1e-9)
+            assert error_h(model, res.mapping) == pytest.approx(raw, abs=1e-9)
         # a smaller alphabet never does worse than the likelihood-sign quantizers
         sign = []
         for t in range(model.s):
             p_hx = np.einsum("hg,hgx->hx", model.prior, model.conditionals[t])
             sign.append(SensorChannel(np.eye(2)[(p_hx[1] > p_hx[0]).astype(int)]))
         res = design_info_stage(model, math.inf, OptimizerConfig(seed=k, max_outer_iters=30))
-        sign_err = bayes_error_H(model, NetworkMapping(tuple(sign)))
-        assert bayes_error_H(model, res.mapping) <= sign_err + 1e-12
+        sign_err = error_h(model, NetworkMapping(tuple(sign)))
+        assert error_h(model, res.mapping) <= sign_err + 1e-12
 
 
 def test_design_lip_unbounded_info_budget_matches_ldp_on_random_models():
@@ -384,7 +394,7 @@ def test_design_inp_respects_budget_and_improves_on_theta_stage():
     res = design_inp(model, cfg)
     assert res.report.eps_info <= 0.2 + 1e-9
     stage = design_info_stage(model, 0.2, dataclasses.replace(cfg, y_size=2))
-    stage_err = bayes_error_H(model, stage.mapping)
+    stage_err = error_h(model, stage.mapping)
     assert res.objective <= stage_err + 1e-12
 
 

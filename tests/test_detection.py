@@ -13,12 +13,11 @@ from privdet.channels import (
 )
 from privdet.detection import (
     FusionRule,
-    bayes_error_G,
-    bayes_error_H,
+    bayes_error_G_pushed,
+    bayes_error_H_pushed,
     compute_c_G,
-    min_risk_detector,
     min_risks,
-    optimal_fusion_rule,
+    optimal_rule_from_pushed,
     theta,
 )
 from privdet.model import JointModel, push_forward
@@ -41,15 +40,23 @@ def copy_h_model():
     return JointModel(1, 2, 1, prior, (cond,))
 
 
+def rule_of(model, mapping):
+    return optimal_rule_from_pushed(push_forward(model, mapping))
+
+
+def error_h(model, mapping, rule=None):
+    return bayes_error_H_pushed(push_forward(model, mapping), rule)
+
+
 def test_optimal_rule_falls_back_to_prior():
     model = biased_h_model(0.7)
-    rule = optimal_fusion_rule(model, identity_mapping(1, 2))
+    rule = rule_of(model, identity_mapping(1, 2))
     assert np.array_equal(rule.table, [0, 0])
 
 
 def test_optimal_rule_identity_when_z_copies_h():
     model = copy_h_model()
-    rule = optimal_fusion_rule(model, identity_mapping(1, 2))
+    rule = rule_of(model, identity_mapping(1, 2))
     assert np.array_equal(rule.table, [0, 1])
 
 
@@ -61,8 +68,8 @@ def test_optimal_rule_matches_exhaustive_search():
         mapping = random_mapping(seed, s, model.x_size, 2)
         pushed = push_forward(model, mapping)
         best_err, _ = best_rule_exhaustive(pushed)
-        rule = optimal_fusion_rule(model, mapping)
-        assert bayes_error_H(model, mapping, rule) == pytest.approx(best_err, abs=1e-12)
+        rule = optimal_rule_from_pushed(pushed)
+        assert bayes_error_H_pushed(pushed, rule) == pytest.approx(best_err, abs=1e-12)
 
 
 def test_bayes_error_H_independent_uniform_half():
@@ -70,20 +77,20 @@ def test_bayes_error_H_independent_uniform_half():
     cond = np.full((2, 2, 2), 0.5)
     model = JointModel(1, 2, 1, prior, (cond,))
     rule = FusionRule(np.array([0, 1]), 1, 2)
-    assert bayes_error_H(model, identity_mapping(1, 2), rule) == pytest.approx(0.5)
+    assert error_h(model, identity_mapping(1, 2), rule) == pytest.approx(0.5)
 
 
 def test_bayes_error_H_perfect_copy_zero():
     model = copy_h_model()
     rule = FusionRule(np.array([0, 1]), 1, 2)
-    assert bayes_error_H(model, identity_mapping(1, 2), rule) == 0.0
+    assert error_h(model, identity_mapping(1, 2), rule) == 0.0
 
 
 def test_bayes_error_H_constant_rules_hit_prior():
     model = biased_h_model(0.7)
     mapping = identity_mapping(1, 2)
     errs = [
-        bayes_error_H(model, mapping, FusionRule(np.array([b, b]), 1, 2))
+        error_h(model, mapping, FusionRule(np.array([b, b]), 1, 2))
         for b in (0, 1)
     ]
     assert min(errs) == pytest.approx(0.3, abs=1e-12)
@@ -93,10 +100,10 @@ def test_bayes_error_H_optimal_beats_random_rules():
     rng = np.random.default_rng(11)
     model = random_model(rng, 2, 3, 1)
     mapping = random_mapping(2, 2, 3, 2)
-    best = bayes_error_H(model, mapping)
+    best = error_h(model, mapping)
     for seed in range(50):
         table = np.random.default_rng(seed).integers(0, 2, size=4)
-        err = bayes_error_H(model, mapping, FusionRule(table, 2, 2))
+        err = error_h(model, mapping, FusionRule(table, 2, 2))
         assert best <= err + 1e-12
 
 
@@ -106,7 +113,7 @@ def test_bayes_error_H_bounded_by_prior():
         model = random_model(rng, 2, 3, 1)
         mapping = random_mapping(seed, 2, 3, 2)
         p_h = model.prior.sum(axis=1)
-        assert bayes_error_H(model, mapping) <= min(p_h) + 1e-12
+        assert error_h(model, mapping) <= min(p_h) + 1e-12
 
 
 def test_bayes_error_H_matches_brute_sum():
@@ -116,7 +123,7 @@ def test_bayes_error_H_matches_brute_sum():
     pushed = push_forward(model, mapping)
     table = np.random.default_rng(0).integers(0, 2, size=pushed.n_z)
     rule = FusionRule(table, 2, 2)
-    assert bayes_error_H(model, mapping, rule) == pytest.approx(
+    assert error_h(model, mapping, rule) == pytest.approx(
         brute_error_with_rule(pushed, table), abs=1e-14
     )
 
@@ -125,7 +132,7 @@ def test_bayes_error_G_independent_uniform():
     prior = np.full((2, 2), 0.25)
     cond = np.full((2, 2, 3), 1 / 3)
     model = JointModel(1, 3, 1, prior, (cond,))
-    assert bayes_error_G(model, identity_mapping(1, 3)) == pytest.approx(0.5)
+    assert bayes_error_G_pushed(push_forward(model, identity_mapping(1, 3))) == pytest.approx(0.5)
 
 
 def test_bayes_error_G_copy_zero():
@@ -134,50 +141,53 @@ def test_bayes_error_G_copy_zero():
     cond[:, 0, :] = [1.0, 0.0]
     cond[:, 1, :] = [0.0, 1.0]
     model = JointModel(1, 2, 1, prior, (cond,))
-    assert bayes_error_G(model, identity_mapping(1, 2)) == 0.0
+    assert bayes_error_G_pushed(push_forward(model, identity_mapping(1, 2))) == 0.0
 
 
 def test_bayes_error_G_q2_independent():
     prior = np.full((2, 4), 0.125)
     cond = np.full((2, 4, 2), 0.5)
     model = JointModel(1, 2, 2, prior, (cond,))
-    assert bayes_error_G(model, identity_mapping(1, 2)) == pytest.approx(0.75)
+    assert bayes_error_G_pushed(push_forward(model, identity_mapping(1, 2))) == pytest.approx(0.75)
 
 
 # -- pairwise detection risks -------------------------------------------------
 
 
-def test_min_risk_detector_independent_half():
+def risks_of(model, mapping):
+    """g -> min risk R_g on the pushed law, p(g) read from the pushed table."""
+    p_gy = push_forward(model, mapping).p_gz()
+    return min_risks(p_gy, p_gy.sum(axis=1))
+
+
+def test_min_risks_independent_half():
     prior = np.full((2, 2), 0.25)
     cond = np.full((2, 2, 3), 1 / 3)
     model = JointModel(1, 3, 1, prior, (cond,))
-    detector, risk = min_risk_detector(model, identity_mapping(1, 3), 1)
-    assert risk == pytest.approx(0.5, abs=1e-15)
-    assert np.array_equal(detector, [1, 1, 1])  # ratio ties decide g
+    assert risks_of(model, identity_mapping(1, 3))[1] == pytest.approx(0.5, abs=1e-15)
 
 
-def test_min_risk_detector_perfect_indicator_zero():
+def test_min_risks_perfect_indicator_zero():
     prior = np.full((2, 2), 0.25)
     cond = np.zeros((2, 2, 2))
     cond[:, 0, :] = [1.0, 0.0]
     cond[:, 1, :] = [0.0, 1.0]
     model = JointModel(1, 2, 1, prior, (cond,))
-    _, risk = min_risk_detector(model, identity_mapping(1, 2), 1)
-    assert risk == 0.0
+    assert risks_of(model, identity_mapping(1, 2))[1] == 0.0
 
 
-def test_min_risk_detector_matches_exhaustive():
+def test_min_risks_match_exhaustive_on_pushed_models():
     for seed in range(12):
         rng = np.random.default_rng(seed)
         s = int(rng.integers(1, 3))
         q = int(rng.integers(1, 3))
         model = random_model(rng, s, int(rng.integers(2, 4)), q)
         mapping = random_mapping(seed, s, model.x_size, 2)
-        pushed = push_forward(model, mapping)
-        p_gy = pushed.p_gz()
+        p_gy = push_forward(model, mapping).p_gz()
         p_g = p_gy.sum(axis=1)
-        for g in range(1, model.n_g):
-            _, risk = min_risk_detector(model, mapping, g)
+        risks = risks_of(model, mapping)
+        assert sorted(risks) == list(range(1, model.n_g))
+        for g, risk in risks.items():
             brute = best_detector_exhaustive(p_gy[0] / p_g[0], p_gy[g] / p_g[g])
             assert risk == pytest.approx(brute, abs=1e-12)
 
@@ -203,18 +213,16 @@ def test_min_risk_invariant_under_output_relabeling():
     rng = np.random.default_rng(4)
     model = random_model(rng, 2, 3, 1)
     mapping = random_mapping(8, 2, 3, 2)
-    _, risk = min_risk_detector(model, mapping, 1)
     flipped = NetworkMapping(
         tuple(SensorChannel(ch.rows[:, ::-1]) for ch in mapping.channels)
     )
-    _, risk_flipped = min_risk_detector(model, flipped, 1)
-    assert risk == pytest.approx(risk_flipped, abs=1e-12)
+    assert risks_of(model, mapping)[1] == pytest.approx(risks_of(model, flipped)[1], abs=1e-12)
 
 
-def test_min_risk_detector_rejects_reference_value():
-    model = random_model(np.random.default_rng(0), 1, 3, 1)
-    with pytest.raises(ValueError):
-        min_risk_detector(model, identity_mapping(1, 3), 0)
+def test_min_risks_leave_out_the_reference_value():
+    """G = 0 is every risk's reference, never its own alternative."""
+    model = random_model(np.random.default_rng(0), 1, 3, 2)
+    assert sorted(risks_of(model, identity_mapping(1, 3))) == [1, 2, 3]
 
 
 # -- c_G and theta -------------------------------------------------------------
@@ -244,12 +252,12 @@ def test_theta_validates_inputs():
 
 def test_c_g_constant_mapping_is_one():
     model = random_model(np.random.default_rng(1), 2, 3, 1)
-    assert compute_c_G(model, uniform_mapping(2, 3, 2)) == pytest.approx(1.0)
+    assert compute_c_G(push_forward(model, uniform_mapping(2, 3, 2))) == pytest.approx(1.0)
 
 
 def test_c_g_lies_in_unit_interval():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         model = random_model(rng, 2, 3, int(rng.integers(1, 3)))
-        c = compute_c_G(model, random_mapping(seed, 2, 3, 2))
+        c = compute_c_G(push_forward(model, random_mapping(seed, 2, 3, 2)))
         assert 0.0 <= c <= 1.0

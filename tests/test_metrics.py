@@ -29,7 +29,7 @@ from privdet.metrics import (
 from privdet.model import JointModel, push_forward
 from privdet.relations import example1_joint, random_model
 
-from _oracles import mutual_information_direct, pairwise_neighbor_budget
+from _oracles import mutual_information_direct, pairwise_inference_dp, pairwise_neighbor_budget
 
 LOG2 = math.log(2.0)
 
@@ -128,6 +128,21 @@ def test_inference_dp_symmetric_channel():
     c = 1.0 / (1.0 + math.e)
     p_gz = 0.5 * np.array([[1 - c, c], [c, 1 - c]])
     assert inference_dp_budget(gz_model(p_gz)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_inference_dp_matches_the_pair_loop_exactly():
+    """Random (G, Z) tables with zero cells and dead values of g, q = 1 to 3."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        q = int(rng.integers(1, 4))
+        n_z = int(rng.integers(1, 5))
+        zeros = rng.choice([0.0, 0.1, 0.3])
+        table = rng.random((2 ** q, n_z)) * (rng.random((2 ** q, n_z)) >= zeros)
+        table[rng.random(2 ** q) < 0.25] = 0.0  # dead rows: p(g) = 0
+        if table.sum() == 0:
+            continue
+        pushed = gz_model(table / table.sum())
+        assert metrics.inference_dp_budget(pushed) == pairwise_inference_dp(pushed.p_gz(), q)
 
 
 def test_inference_dp_at_most_twice_info_budget():
