@@ -6,6 +6,14 @@ deterministic exact-pivot solver is worth more than raw speed.  Bland's
 rule guarantees termination; all tie-breaks are by lowest index.
 
 Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
+
+Phase 1 (and driving the artificials out of the basis) depends only on the
+constraints and ``tol``, never on ``c``.  The block-coordinate loops solve
+the same constraint set many times with different costs, so the solver
+keeps the feasible start of the last phase 1, read-only, and a repeat
+solve of the same constraints runs phase 2 from a copy of it.  The result
+is bit for bit what a cold solve gives.  Keep phase 1 independent of ``c``:
+the kept start is only correct while it is.
 """
 
 from __future__ import annotations
@@ -34,6 +42,12 @@ class LPUnbounded(LPError):
 class LPResult:
     x: np.ndarray
     objective: float
+    pivots: int  # pivots made by this call (phase 2 alone when the start was kept)
+
+
+# (key, start) of the last phase 1: start is the read-only phase-2 tableau
+# and basis, or the message of the LPInfeasible it raised.
+_kept: tuple | None = None
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -> LPResult:
@@ -41,7 +55,13 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -
 
     Raises LPInfeasible / LPUnbounded; otherwise returns a primal-feasible
     basic solution within ``tol`` of the optimum.
+
+    Phase 1 depends only on the constraints and ``tol``.  When both are
+    exactly those of the previous call that reached phase 1, its feasible
+    basis is reused (or its infeasibility raised again) and only phase 2
+    runs; ``x`` and ``objective`` are bitwise what a cold solve gives.
     """
+    global _kept
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
@@ -58,7 +78,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -
         # coefficient is negative, in which case it is unbounded.
         if np.any(c < -tol):
             raise LPUnbounded("no constraints and a negative cost coefficient")
-        return LPResult(np.zeros(n), 0.0)
+        return LPResult(np.zeros(n), 0.0, 0)
 
     # Columns: n structural, m_ub slacks, then one artificial per row that
     # needs it.  Rows are normalized to b >= 0 first.
@@ -68,6 +88,40 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -
     a[neg] *= -1.0
     b[neg] *= -1.0
 
+    key = (tol, m_ub, a.shape, a.tobytes(), b.tobytes())
+    if _kept is not None and _kept[0] == key:
+        start, pivots = _kept[1], 0
+    else:
+        try:
+            tableau, basis, pivots = _phase_one(a, b, neg, n, m_ub, tol)
+            tableau.setflags(write=False)
+            basis.setflags(write=False)
+            start = (tableau, basis)
+        except LPInfeasible as exc:
+            start = str(exc)
+        _kept = (key, start)
+    if isinstance(start, str):
+        raise LPInfeasible(start)
+    tableau, basis = start[0].copy(), start[1].copy()
+
+    # Phase 2 on structural + slack columns only.
+    cost2 = np.concatenate([c, np.zeros(m_ub)])
+    cost_row = _canonical_cost(cost2, tableau, basis)
+    _, phase2 = _iterate(tableau, basis, cost_row, n + m_ub, tol)
+
+    x = np.zeros(n + m_ub)
+    x[basis] = tableau[:, -1]
+    x = x[:n]
+    return LPResult(x, float(c @ x), pivots + phase2)
+
+
+def _phase_one(a, b, neg, n, m_ub, tol):
+    """Feasible start of the normalized constraints: (tableau, basis, pivots).
+
+    The tableau holds the structural and slack columns and the right-hand
+    side, with the rows whose artificial stayed basic dropped.
+    """
+    m = a.shape[0]
     basis = np.empty(m, dtype=int)
     needs_art = []
     for i in range(m):
@@ -84,40 +138,31 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -
     tableau = np.hstack([a, art_cols, b[:, None]])
     total = n + m_ub + n_art
 
+    pivots = 0
     if n_art:
         cost1 = np.zeros(total)
         cost1[n + m_ub:] = 1.0
         cost_row = _canonical_cost(cost1, tableau, basis)
-        cost_row, obj1 = _iterate(tableau, basis, cost_row, total, tol)
+        obj1, pivots = _iterate(tableau, basis, cost_row, total, tol)
         if obj1 > FEAS_TOL:
             raise LPInfeasible(f"phase-1 optimum {obj1:.3e} > 0")
-        _drive_out_artificials(tableau, basis, n + m_ub, tol)
+        pivots += _drive_out_artificials(tableau, basis, n + m_ub, tol)
 
-    # Phase 2 on structural + slack columns only.
     keep = n + m_ub
     live_rows = [i for i in range(m) if basis[i] < keep]
-    tableau = tableau[live_rows][:, list(range(keep)) + [total]]
-    basis = basis[live_rows]
-    cost2 = np.concatenate([c, np.zeros(m_ub)])
-    cost_row = _canonical_cost(cost2, tableau, basis)
-    cost_row, _ = _iterate(tableau, basis, cost_row, keep, tol)
-
-    x = np.zeros(keep)
-    x[basis] = tableau[:, -1]
-    x = x[:n]
-    return LPResult(x, float(c @ x))
+    return tableau[live_rows][:, list(range(keep)) + [total]], basis[live_rows], pivots
 
 
 def _canonical_cost(cost: np.ndarray, tableau: np.ndarray, basis: np.ndarray) -> np.ndarray:
     row = np.concatenate([cost, [0.0]])
     for i, j in enumerate(basis):
         if abs(row[j]) > 0:
-            row = row - row[j] * tableau[i]
+            row -= row[j] * tableau[i]
     return row
 
 
 def _iterate(tableau, basis, cost_row, n_cols, tol):
-    """Run Bland-rule pivots until optimal; returns (cost_row, objective).
+    """Run Bland-rule pivots until optimal; returns (objective, pivots).
 
     Entering: lowest-index column with a negative reduced cost.  Leaving:
     among the minimum-ratio rows, the one holding the lowest-index basis
@@ -126,20 +171,17 @@ def _iterate(tableau, basis, cost_row, n_cols, tol):
     right-hand sides are mostly zero).
     """
     max_pivots = 50000 + 200 * (tableau.shape[0] + n_cols)
-    for _ in range(max_pivots):
-        improving = np.flatnonzero(cost_row[:n_cols] < -tol)
-        if improving.size == 0:
-            return cost_row, -cost_row[-1]
-        entering = int(improving[0])
+    for pivots in range(max_pivots):
+        improving = cost_row[:n_cols] < -tol
+        entering = int(np.argmax(improving))
+        if not improving[entering]:
+            return -cost_row[-1], pivots
         col = tableau[:, entering]
-        rhs = tableau[:, -1]
-        mask = col > PIVOT_EPS
-        if not mask.any():
+        rows = np.flatnonzero(col > PIVOT_EPS)
+        if rows.size == 0:
             raise LPUnbounded(f"column {entering} is unbounded")
-        ratios = np.full(col.shape, np.inf)
-        ratios[mask] = np.maximum(rhs[mask], 0.0) / col[mask]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12)
+        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
+        ties = rows[ratios <= ratios.min() + 1e-12]
         leaving = int(ties[np.argmin(basis[ties])])
         _pivot(tableau, cost_row, leaving, entering)
         basis[leaving] = entering
@@ -147,20 +189,36 @@ def _iterate(tableau, basis, cost_row, n_cols, tol):
 
 
 def _pivot(tableau, cost_row, row, col):
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row][None, :]
-    cost_row -= cost_row[col] * tableau[row]
+    """Gauss-Jordan step on the rows with a nonzero entry in ``col``.
+
+    Skipping the other rows changes no finite value: subtracting zero times
+    the pivot row could only flip the sign of a zero, and no pivot choice
+    reads that sign.  The pivot row still subtracts zero times itself, which
+    turns its -0.0 entries into +0.0, so the right-hand side, and the
+    solution read from it, keep every bit of the full update.
+    """
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    pivot_row -= 0.0 * pivot_row
+    rows = np.flatnonzero(tableau[:, col])
+    rows = rows[rows != row]
+    tableau[rows] -= tableau[rows, col][:, None] * pivot_row
+    cost_row -= cost_row[col] * pivot_row
 
 
 def _drive_out_artificials(tableau, basis, n_real, tol):
-    """Pivot basic artificials onto real columns; redundant rows stay put
-    (they are dropped by the caller when still artificial-basic)."""
+    """Pivot basic artificials onto real columns; returns the pivots made.
+
+    Redundant rows stay put (they are dropped by the caller when still
+    artificial-basic).
+    """
+    pivots = 0
     for i in range(tableau.shape[0]):
         if basis[i] >= n_real:
             for j in range(n_real):
                 if abs(tableau[i, j]) > max(tol, PIVOT_EPS):
                     _pivot(tableau, np.zeros(tableau.shape[1]), i, j)
                     basis[i] = j
+                    pivots += 1
                     break
+    return pivots

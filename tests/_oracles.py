@@ -5,10 +5,13 @@ spaces) so the fast implementations are checked against a path they share
 no code with.
 """
 
+import collections
 import functools
 import itertools
 
 import numpy as np
+
+from privdet.simplex import FEAS_TOL, PIVOT_EPS, LPError, LPInfeasible, LPUnbounded
 
 
 def brute_push(model, mapping):
@@ -242,3 +245,139 @@ def pairwise_inference_dp(p_gz, q):
                 if a > 0 and b > 0:
                     best = max(best, float(np.log(a / b)))
     return best
+
+
+# -- cold two-phase simplex --------------------------------------------------
+
+ColdResult = collections.namedtuple("ColdResult", "x objective")
+
+
+def cold_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -> ColdResult:
+    """``privdet.simplex.solve_lp`` as it was before it kept a feasible start.
+
+    Every call runs phase 1 from scratch and pivots over the whole tableau,
+    so a solve never depends on the calls before it.  The kept-start solver
+    must agree with it bit for bit.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
+    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
+    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
+    if a_ub.shape != (b_ub.shape[0], n) or a_eq.shape != (b_eq.shape[0], n):
+        raise ValueError("constraint shapes do not match the cost vector")
+
+    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
+    m = m_ub + m_eq
+    if m == 0:
+        # Pure sign-constrained problem: optimum at zero unless some cost
+        # coefficient is negative, in which case it is unbounded.
+        if np.any(c < -tol):
+            raise LPUnbounded("no constraints and a negative cost coefficient")
+        return ColdResult(np.zeros(n), 0.0)
+
+    # Columns: n structural, m_ub slacks, then one artificial per row that
+    # needs it.  Rows are normalized to b >= 0 first.
+    a = np.hstack([np.vstack([a_ub, a_eq]), np.vstack([np.eye(m_ub), np.zeros((m_eq, m_ub))])])
+    b = np.concatenate([b_ub, b_eq]).astype(float)
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+
+    basis = np.empty(m, dtype=int)
+    needs_art = []
+    for i in range(m):
+        slack_ok = i < m_ub and not neg[i]
+        if slack_ok:
+            basis[i] = n + i
+        else:
+            needs_art.append(i)
+    n_art = len(needs_art)
+    art_cols = np.zeros((m, n_art))
+    for k, i in enumerate(needs_art):
+        art_cols[i, k] = 1.0
+        basis[i] = n + m_ub + k
+    tableau = np.hstack([a, art_cols, b[:, None]])
+    total = n + m_ub + n_art
+
+    if n_art:
+        cost1 = np.zeros(total)
+        cost1[n + m_ub:] = 1.0
+        cost_row = _cold_canonical_cost(cost1, tableau, basis)
+        cost_row, obj1 = _cold_iterate(tableau, basis, cost_row, total, tol)
+        if obj1 > FEAS_TOL:
+            raise LPInfeasible(f"phase-1 optimum {obj1:.3e} > 0")
+        _cold_drive_out_artificials(tableau, basis, n + m_ub, tol)
+
+    # Phase 2 on structural + slack columns only.
+    keep = n + m_ub
+    live_rows = [i for i in range(m) if basis[i] < keep]
+    tableau = tableau[live_rows][:, list(range(keep)) + [total]]
+    basis = basis[live_rows]
+    cost2 = np.concatenate([c, np.zeros(m_ub)])
+    cost_row = _cold_canonical_cost(cost2, tableau, basis)
+    cost_row, _ = _cold_iterate(tableau, basis, cost_row, keep, tol)
+
+    x = np.zeros(keep)
+    x[basis] = tableau[:, -1]
+    x = x[:n]
+    return ColdResult(x, float(c @ x))
+
+
+def _cold_canonical_cost(cost: np.ndarray, tableau: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    row = np.concatenate([cost, [0.0]])
+    for i, j in enumerate(basis):
+        if abs(row[j]) > 0:
+            row = row - row[j] * tableau[i]
+    return row
+
+
+def _cold_iterate(tableau, basis, cost_row, n_cols, tol):
+    """Run Bland-rule pivots until optimal; returns (cost_row, objective).
+
+    Entering: lowest-index column with a negative reduced cost.  Leaving:
+    among the minimum-ratio rows, the one holding the lowest-index basis
+    variable.  Bland's rule is what guarantees termination on the highly
+    degenerate programs produced by the ratio-budget polytopes (whose
+    right-hand sides are mostly zero).
+    """
+    max_pivots = 50000 + 200 * (tableau.shape[0] + n_cols)
+    for _ in range(max_pivots):
+        improving = np.flatnonzero(cost_row[:n_cols] < -tol)
+        if improving.size == 0:
+            return cost_row, -cost_row[-1]
+        entering = int(improving[0])
+        col = tableau[:, entering]
+        rhs = tableau[:, -1]
+        mask = col > PIVOT_EPS
+        if not mask.any():
+            raise LPUnbounded(f"column {entering} is unbounded")
+        ratios = np.full(col.shape, np.inf)
+        ratios[mask] = np.maximum(rhs[mask], 0.0) / col[mask]
+        best = ratios.min()
+        ties = np.flatnonzero(ratios <= best + 1e-12)
+        leaving = int(ties[np.argmin(basis[ties])])
+        _cold_pivot(tableau, cost_row, leaving, entering)
+        basis[leaving] = entering
+    raise LPError("pivot limit exceeded")
+
+
+def _cold_pivot(tableau, cost_row, row, col):
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= factors[:, None] * tableau[row][None, :]
+    cost_row -= cost_row[col] * tableau[row]
+
+
+def _cold_drive_out_artificials(tableau, basis, n_real, tol):
+    """Pivot basic artificials onto real columns; redundant rows stay put
+    (they are dropped by the caller when still artificial-basic)."""
+    for i in range(tableau.shape[0]):
+        if basis[i] >= n_real:
+            for j in range(n_real):
+                if abs(tableau[i, j]) > max(tol, PIVOT_EPS):
+                    _cold_pivot(tableau, np.zeros(tableau.shape[1]), i, j)
+                    basis[i] = j
+                    break

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from privdet.simplex import LPInfeasible, LPUnbounded, solve_lp
+from privdet import simplex
+from privdet.channels import ldp_polytope
+from privdet.simplex import LPError, LPInfeasible, LPUnbounded, solve_lp
+
+from _oracles import cold_solve_lp
 
 
 def test_min_x_above_three():
@@ -47,8 +53,8 @@ def test_equalities_with_negative_rhs():
     assert np.allclose(res.x, [0.0, 1.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_matches_scipy_on_random_instances(seed):
+def _random_instance(seed):
+    """(c, a_ub, b_ub, a_eq, b_eq) of a feasible random program."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 8))
     m = int(rng.integers(1, 6))
@@ -58,6 +64,12 @@ def test_matches_scipy_on_random_instances(seed):
     b_ub = a_ub @ x_feas + rng.uniform(0.05, 1.0, size=m)
     a_eq = np.ones((1, n))
     b_eq = np.array([x_feas.sum()])
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matches_scipy_on_random_instances(seed):
+    c, a_ub, b_ub, a_eq, b_eq = _random_instance(seed)
     ours = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
     assert ref.status == 0
@@ -98,3 +110,100 @@ def test_deterministic_solutions():
     a = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=np.ones((1, 5)), b_eq=np.array([1.0]))
     b = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=np.ones((1, 5)), b_eq=np.array([1.0]))
     assert a.x.tobytes() == b.x.tobytes()
+
+
+# -- the kept feasible start ---------------------------------------------------
+
+
+def _outcome(solver, c, a_ub, b_ub, a_eq, b_eq):
+    """(x bytes, objective) of a solve, or (exception type, message)."""
+    try:
+        res = solver(c, a_ub, b_ub, a_eq, b_eq)
+    except LPError as exc:
+        return type(exc), str(exc)
+    return res.x.tobytes(), res.objective
+
+
+def _ldp_program(x_size, z_size, eps, seed):
+    """A random objective over the channel entries of ``ldp_polytope``."""
+    a_eq, b_eq, a_ub, b_ub = ldp_polytope(x_size, z_size, eps)
+    c = np.zeros(a_eq.shape[1])
+    c[:x_size * z_size] = np.random.default_rng(seed).normal(size=x_size * z_size)
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+# x <= 2 over a nonnegative x >= 3: phase 1 fails whatever the cost.
+_INFEASIBLE = (np.array([[1.0], [-1.0]]), np.array([2.0, -3.0]), None, None)
+# x0 - x1 <= 1: a cost decreasing in x1 has no minimum.
+_UNBOUNDED = (np.array([[1.0, -1.0]]), np.array([1.0]), None, None)
+
+
+@pytest.mark.parametrize("x_size", [2, 3, 5, 8, 11])
+@pytest.mark.parametrize("z_size", [2, 3, 4])
+def test_kept_start_is_bitwise_a_cold_solve(x_size, z_size):
+    """Interleaved and repeated constraint sets agree bit for bit with the cold solver."""
+    programs = []
+    for k, (e1, e2) in enumerate([(0.0, 0.3), (1.0, math.inf), (0.3, 1.0)]):
+        p1 = [_ldp_program(x_size, z_size, e1, 10 * k + j) for j in range(3)]
+        p2 = [_ldp_program(x_size, z_size, e2, 10 * k + 5 + j) for j in range(3)]
+        programs += [p1[0], p1[1], p2[0], p1[2], p2[1], p2[1], p1[0], p2[2]]
+        programs.append(_random_instance(x_size * z_size + k))
+        programs += [(np.array([1.0]), *_INFEASIBLE), (np.array([2.0]), *_INFEASIBLE)]
+        programs += [(np.array([0.0, -1.0]), *_UNBOUNDED), (np.array([1.0, 1.0]), *_UNBOUNDED)]
+        programs += [(np.array([0.0, -1.0]), *_UNBOUNDED), p1[1], p1[1]]
+    for program in programs:
+        assert _outcome(solve_lp, *program) == _outcome(cold_solve_lp, *program)
+
+
+def test_constraint_sets_that_share_a_tableau_matrix_are_told_apart():
+    c, a_ub, b_ub, a_eq, b_eq = _ldp_program(5, 3, 1.0, 6)
+    # the same matrix with a different right-hand side
+    programs = [(c, a_ub, b_ub, a_eq, b_eq), (c, a_ub, b_ub, a_eq, 2.0 * b_eq)]
+    # 2 x0 + x1 = 1 and 2 x0 <= 1 (slack x1) normalize to one matrix; with a
+    # zero cost each keeps the start it finds, which differs between them
+    programs += [
+        (np.zeros(2), None, None, np.array([[2.0, 1.0]]), np.ones(1)),
+        (np.zeros(1), np.array([[2.0]]), np.ones(1), None, None),
+    ]
+    for program in programs + programs[::-1]:
+        assert _outcome(solve_lp, *program) == _outcome(cold_solve_lp, *program)
+
+
+def test_repeat_solve_makes_only_phase_two_pivots():
+    solve_lp(np.array([1.0]), a_eq=np.ones((1, 1)), b_eq=np.ones(1))  # another start is kept
+    program = _ldp_program(11, 3, 1.0, 0)
+    first = solve_lp(*program)
+    again = solve_lp(*program)
+    assert 0 < again.pivots < first.pivots
+    assert again.x.tobytes() == first.x.tobytes()
+
+
+def test_interleaved_costs_give_bitwise_equal_results():
+    c1, *constraints = _ldp_program(8, 3, 0.5, 1)
+    c2 = _ldp_program(8, 3, 0.5, 2)[0]
+    first = solve_lp(c1, *constraints)
+    solve_lp(c2, *constraints)
+    third = solve_lp(c1, *constraints)
+    assert third.x.tobytes() == first.x.tobytes()
+    assert third.objective == first.objective
+    assert third.pivots < first.pivots
+
+
+def test_inputs_are_not_mutated():
+    c, a_ub, b_ub, a_eq, b_eq = _ldp_program(5, 2, 0.3, 3)
+    # negated equality rows: the solver flips rows with a negative right-hand side
+    program = (c, a_ub, b_ub, -a_eq, -b_eq)
+    before = [arr.copy() for arr in program]
+    for _ in range(2):
+        solve_lp(*program)
+    for arr, old in zip(program, before):
+        assert arr.tobytes() == old.tobytes()
+
+
+def test_kept_tableau_is_read_only():
+    solve_lp(*_ldp_program(3, 2, 1.0, 4))
+    tableau, basis = simplex._kept[1]
+    with pytest.raises(ValueError):
+        tableau[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        basis[0] = 0
