@@ -252,8 +252,6 @@ def save_mapping(mapping, path) -> None:
         payload = mapping.to_dict()
     elif isinstance(mapping, NetworkMapping):
         payload = mapping.to_list()
-    elif isinstance(mapping, SensorChannel):
-        payload = mapping.to_dict()
     else:
         raise TypeError(f"cannot serialize {type(mapping).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -262,13 +260,11 @@ def save_mapping(mapping, path) -> None:
 
 
 def load_mapping(path):
-    """Load a channel, network mapping or two-stage mapping from JSON."""
+    """Load a network mapping or two-stage mapping from JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, list):
         return NetworkMapping.from_list(data)
     if isinstance(data, dict) and "arch" in data:
         return TwoStageMapping.from_dict(data)
-    if isinstance(data, dict) and "rows" in data:
-        return SensorChannel.from_dict(data)
     raise ValueError(f"{path}: unrecognized mapping layout")

@@ -177,19 +177,10 @@ def _base_config(d: dict, seed: int, **budgets) -> design_mod.OptimizerConfig:
     )
 
 
-CSV_BUDGET_FIELDS = [
-    f"{name}_{unit}"
-    for name in (
-        "eps_info",
-        "eps_inference_dp",
-        "eps_avg_leakage",
-        "eps_ldp",
-        "eps_mutual_info",
-        "eps_identifiability",
-        "delta_x",
-    )
-    for unit in ("nats", "bits")
-]
+#: the budget columns of a sweep row, named and ordered as ``BudgetReport.csv_fields``
+CSV_BUDGET_FIELDS = list(
+    metrics.BudgetReport(*[0.0] * len(dataclasses.fields(metrics.BudgetReport))).csv_fields()
+)
 
 
 def sweep_columns(s: int) -> list:
@@ -311,9 +302,7 @@ def _holdout_and_empirical(sol, test, seed):
     """
     err_h, err_g = epic_mod.holdout_errors(sol, test, seed + 2_000_000)
     z = sol.mapping.sample(test.x, np.random.default_rng(seed + 3_000_000))
-    eps_i_hat, eps_ld_hat = metrics.empirical_budgets(
-        list(zip(test.g.tolist(), [tuple(zz) for zz in z.tolist()])), sol.mapping
-    )
+    eps_i_hat, eps_ld_hat = metrics.empirical_budgets(test.g, z, sol.mapping)
     return err_h, err_g, eps_i_hat, eps_ld_hat
 
 

@@ -47,9 +47,6 @@ class FusionRule:
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
-    def __call__(self, z_flat: int) -> int:
-        return int(self.table[z_flat])
-
 
 def optimal_rule_from_pushed(pushed: PushedModel) -> FusionRule:
     """Maximum-a-posteriori rule for H; ties broken toward H = 0."""
@@ -158,8 +155,3 @@ class PrivacyRiskProfile:
     min_risks: dict  # g -> min over detectors of R_g
     c_g: float
     theta: float
-
-    def worst_margin(self) -> float:
-        if not self.min_risks:
-            return math.inf
-        return min(self.min_risks.values()) - self.theta

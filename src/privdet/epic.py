@@ -301,10 +301,6 @@ class EpicSolution:
     eps_ld: float
     objective: float  # empirical public risk at the solution
 
-    def score(self, z: np.ndarray) -> float:
-        """Classifier score of one sanitized vector z."""
-        return float(_onehot_scores(self.coeffs, np.asarray(z)))
-
     def to_dict(self) -> dict:
         return {
             "coeffs": self.coeffs.tolist(),
@@ -586,10 +582,10 @@ def epic_solve(
 # -- discretization -------------------------------------------------------------
 
 
-def discretize(raw: np.ndarray, bins: int, scheme: str = "quantile", edges=None):
+def discretize(raw: np.ndarray, bins: int, edges=None):
     """Quantize real-valued feature columns to integer symbols.
 
-    Equal-frequency (quantile) binning by default; bin edges are computed
+    Equal-frequency (quantile) binning; bin edges are computed
     on the given table unless ``edges`` is supplied (pass the training
     edges when transforming a test split).  Returns (symbols, edges).
     A constant column collapses to the single symbol 0 with a warning.
@@ -599,8 +595,6 @@ def discretize(raw: np.ndarray, bins: int, scheme: str = "quantile", edges=None)
         raise ValueError("expected a 2-D feature table")
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
-    if scheme not in ("quantile", "width"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     n, d = raw.shape
     if edges is None:
         edges = []
@@ -610,17 +604,10 @@ def discretize(raw: np.ndarray, bins: int, scheme: str = "quantile", edges=None)
                 warnings.warn(f"feature column {j} is constant; using a single symbol")
                 edges.append(np.zeros(0))
                 continue
-            if scheme == "quantile":
-                e = np.quantile(col, np.arange(1, bins) / bins)
-            else:
-                e = np.linspace(col.min(), col.max(), bins + 1)[1:-1]
-            edges.append(np.asarray(e))
+            edges.append(np.quantile(col, np.arange(1, bins) / bins))
     symbols = np.empty((n, d), dtype=np.int64)
-    for j in range(d):
-        if edges[j].size == 0:
-            symbols[:, j] = 0
-        else:
-            symbols[:, j] = np.searchsorted(edges[j], raw[:, j], side="left")
+    for j in range(d):  # no edges (a constant column) puts every value at symbol 0
+        symbols[:, j] = np.searchsorted(edges[j], raw[:, j], side="left")
     return symbols, edges
 
 

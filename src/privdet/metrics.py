@@ -16,6 +16,9 @@ The six budgets:
 * identifiability         -- max log p(x|z) / p(x'|z) over neighboring x, x'
 
 plus delta_x, the max log prior ratio over neighboring observation vectors.
+
+The empirical eps_I of a sample is the information-privacy budget of the
+empirical (G, Z) table: max_abs_log_posterior_ratio of its counts over n.
 """
 
 from __future__ import annotations
@@ -88,17 +91,27 @@ def _neighbor_axis_budget(table: np.ndarray) -> float:
     return float(np.log(hi / lo).max())
 
 
+def _max_neighbor_budget(tables) -> float:
+    """The largest ``_neighbor_axis_budget`` over ``tables``, stopping at the first inf."""
+    best = 0.0
+    for table in tables:
+        best = max(best, _neighbor_axis_budget(table))
+        if best == math.inf:
+            return best
+    return best
+
+
+def _max_sensor_axis_budget(table: np.ndarray, s: int) -> float:
+    """Neighbor budget over vectors differing in one of the leading ``s`` (sensor) axes."""
+    return _max_neighbor_budget(np.moveaxis(table, t, 0) for t in range(s))
+
+
 # -- per-metric operations ----------------------------------------------------
 
 
 def ldp_budget(mapping: NetworkMapping) -> float:
     """Worst-case per-sensor log likelihood ratio across inputs."""
-    best = 0.0
-    for ch in mapping.channels:
-        best = max(best, _neighbor_axis_budget(ch.rows))
-        if best == math.inf:
-            return best
-    return best
+    return _max_neighbor_budget(ch.rows for ch in mapping.channels)
 
 
 def info_privacy_budget(pushed: PushedModel) -> float:
@@ -119,16 +132,13 @@ def inference_dp_budget(pushed: PushedModel) -> float:
     cond = np.zeros_like(p_gz)
     cond[live] = p_gz[live] / p_g[live, None]
     g = np.arange(pushed.n_g)
-    best = 0.0
-    for bit in range(pushed.q):
-        lo = g[(g & (1 << bit)) == 0]
-        hi = lo | (1 << bit)
-        pairs = live[lo] & live[hi]
-        if pairs.any():
-            best = max(best, _neighbor_axis_budget(np.stack([cond[lo[pairs]], cond[hi[pairs]]])))
-            if best == math.inf:
-                return best
-    return best
+    pairs = []
+    for bit in (1 << b for b in range(pushed.q)):
+        lo = g[(g & bit) == 0]
+        lo = lo[live[lo] & live[lo | bit]]
+        if lo.size:
+            pairs.append((lo, lo | bit))
+    return _max_neighbor_budget(np.stack([cond[lo], cond[hi]]) for lo, hi in pairs)
 
 
 def avg_info_leakage(pushed: PushedModel) -> float:
@@ -142,28 +152,14 @@ def mutual_info_privacy_budget(pushed: PushedModel) -> float:
 
 def identifiability_budget(pushed: PushedModel) -> float:
     """max log p(x|z)/p(x'|z) over observation vectors differing in one sensor."""
-    joint_xz = _joint_xz(pushed)
     model = pushed.source
-    shaped = joint_xz.reshape((model.x_size,) * model.s + (pushed.n_z,))
-    best = 0.0
-    for t in range(model.s):
-        moved = np.moveaxis(shaped, t, 0)
-        best = max(best, _neighbor_axis_budget(moved))
-        if best == math.inf:
-            return best
-    return best
+    shaped = _joint_xz(pushed).reshape((model.x_size,) * model.s + (pushed.n_z,))
+    return _max_sensor_axis_budget(shaped, model.s)
 
 
 def delta_x(model: JointModel) -> float:
     """max log p(x)/p(x') over neighboring observation vectors."""
-    p_x = model.p_x().reshape((model.x_size,) * model.s)
-    best = 0.0
-    for t in range(model.s):
-        moved = np.moveaxis(p_x, t, 0)
-        best = max(best, _neighbor_axis_budget(moved))
-        if best == math.inf:
-            return best
-    return best
+    return _max_sensor_axis_budget(model.p_x().reshape((model.x_size,) * model.s), model.s)
 
 
 def _joint_xz(pushed: PushedModel) -> np.ndarray:
@@ -182,30 +178,22 @@ def _joint_xz(pushed: PushedModel) -> np.ndarray:
 # -- empirical estimators -----------------------------------------------------
 
 
-def empirical_budgets(samples, channels: NetworkMapping):
-    """(eps_I_hat, eps_LD_hat) from (g, z) samples and the true channels.
+def empirical_budgets(g: np.ndarray, z: np.ndarray, mapping: NetworkMapping):
+    """(eps_I_hat, eps_LD_hat) from n sampled private values and sanitized outputs.
 
-    The information-privacy estimate uses empirical frequencies over the
-    observed (g, z) pairs; the local budget is exact because the channels
-    are known.
+    ``g`` holds the private values as integers, ``z`` the sanitized vectors
+    (shape (n, s)) drawn through ``mapping``.  eps_I_hat is the
+    posterior-ratio budget of the empirical (G, Z) count table; the local
+    budget is exact because the channels are known.
     """
-    samples = list(samples)
-    if not samples:
+    g = np.asarray(g, dtype=np.int64)
+    if g.size == 0:
         raise ValueError("empirical_budgets needs at least one sample")
-    counts: dict = {}
-    g_counts: dict = {}
-    z_counts: dict = {}
-    n = len(samples)
-    for g, z in samples:
-        gz = (int(g) if np.isscalar(g) else tuple(np.asarray(g).tolist()), tuple(np.asarray(z).tolist()))
-        counts[gz] = counts.get(gz, 0) + 1
-        g_counts[gz[0]] = g_counts.get(gz[0], 0) + 1
-        z_counts[gz[1]] = z_counts.get(gz[1], 0) + 1
-    eps_i = 0.0
-    for (g, z), c in counts.items():
-        ratio = (c / n) / ((g_counts[g] / n) * (z_counts[z] / n))
-        eps_i = max(eps_i, abs(math.log(ratio)))
-    return eps_i, ldp_budget(channels)
+    dims = tuple(ch.z_size for ch in mapping.channels)
+    n_z = math.prod(dims)
+    cells = g * n_z + np.ravel_multi_index(np.asarray(z).T, dims)
+    counts = np.bincount(cells, minlength=(int(g.max()) + 1) * n_z).reshape(-1, n_z)
+    return max_abs_log_posterior_ratio(counts / g.size), ldp_budget(mapping)
 
 
 # -- aggregate report ---------------------------------------------------------
@@ -226,10 +214,6 @@ class BudgetReport:
     def to_dict(self) -> dict:
         return {k: _json_float(v) for k, v in dataclasses.asdict(self).items()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BudgetReport":
-        return cls(**{k: _parse_float(data[k]) for k in (f.name for f in dataclasses.fields(cls))})
-
     def csv_fields(self) -> dict:
         """Flat dict with a nats and a bits column per budget."""
         out = {}
@@ -243,12 +227,6 @@ def _json_float(v: float):
     if math.isinf(v):
         return "inf"
     return v
-
-
-def _parse_float(v) -> float:
-    if v == "inf":
-        return math.inf
-    return float(v)
 
 
 def full_report(model: JointModel, mapping: NetworkMapping) -> BudgetReport:

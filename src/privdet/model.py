@@ -195,17 +195,11 @@ class PushedModel:
     def n_z(self) -> int:
         return self.z_size ** self.s
 
-    def p_hg(self) -> np.ndarray:
-        return self.joint.sum(axis=2)
-
     def p_gz(self) -> np.ndarray:
         return self.joint.sum(axis=0)
 
     def p_hz(self) -> np.ndarray:
         return self.joint.sum(axis=1)
-
-    def p_z(self) -> np.ndarray:
-        return self.joint.sum(axis=(0, 1))
 
 
 def push_forward(model: JointModel, mapping: NetworkMapping) -> PushedModel:

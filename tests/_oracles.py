@@ -8,6 +8,7 @@ no code with.
 import collections
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -108,6 +109,22 @@ def mutual_information_direct(joint):
             if joint[i, j] > 0:
                 total += joint[i, j] * np.log(joint[i, j] / (pa[i] * pb[j]))
     return total
+
+
+def empirical_eps_i_dict(g, z):
+    """max |log p(g, z) / (p(g) p(z))| over the observed pairs, counted per sample in dicts."""
+    n = len(g)
+    counts, g_counts, z_counts = {}, {}, {}
+    for gi, zi in zip(np.asarray(g).tolist(), np.asarray(z).tolist()):
+        key = (gi, tuple(zi))
+        counts[key] = counts.get(key, 0) + 1
+        g_counts[gi] = g_counts.get(gi, 0) + 1
+        z_counts[key[1]] = z_counts.get(key[1], 0) + 1
+    eps_i = 0.0
+    for (gi, zi), c in counts.items():
+        ratio = (c / n) / ((g_counts[gi] / n) * (z_counts[zi] / n))
+        eps_i = max(eps_i, abs(math.log(ratio)))
+    return eps_i
 
 
 def brute_bayes_error_raw(model):

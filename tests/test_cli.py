@@ -7,6 +7,7 @@ import math
 import re
 import time
 
+import numpy as np
 import pytest
 
 from privdet import cli, design, metrics
@@ -14,6 +15,7 @@ from privdet.channels import (
     NetworkMapping,
     TwoStageMapping,
     compose,
+    random_channel,
     random_mapping,
     save_mapping,
 )
@@ -268,9 +270,28 @@ def test_report_on_a_saved_two_stage_mapping(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text()) == expected
 
 
-def _write_labeled_csv(path, data):
+def test_report_refuses_a_bare_channel_file(tmp_path):
+    model_path, mapping_path = tmp_path / "model.json", tmp_path / "channel.json"
+    save_model(generate_correlated_model(seed=2, s=1, x_size=3), model_path)
+    channel = random_channel(0, 3, 2)
+    with pytest.raises(TypeError):
+        save_mapping(channel, mapping_path)
+    mapping_path.write_text(json.dumps(channel.to_dict()))
+    argv = ["report", "--model", str(model_path), "--mapping", str(mapping_path)]
+    with pytest.raises(ValueError, match="unrecognized mapping layout"):
+        cli.main(argv + ["--out", str(tmp_path / "report")])
+
+
+def test_sweep_budget_columns_are_the_report_csv_fields():
+    keys = list(metrics.BudgetReport(0.1, 0.2, 0.05, math.inf, 0.3, math.inf, 0.7).csv_fields())
+    for s in (1, 3):
+        assert [c for c in cli.sweep_columns(s) if c.endswith(("_nats", "_bits"))] == keys
+
+
+def _write_labeled_csv(path, data, x=None):
+    x = data.x if x is None else x
     lines = ["h,g," + ",".join(f"x{t}" for t in range(data.s))]
-    lines += [",".join(map(str, [h, g, *x])) for h, g, x in zip(data.h, data.g, data.x.tolist())]
+    lines += [",".join(map(str, [h, g, *xi])) for h, g, xi in zip(data.h, data.g, x.tolist())]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -289,3 +310,31 @@ def test_epic_on_labeled_csvs(tmp_path, e_ldp):
     assert float(row["eps_ld_hat"]) <= 1.0 + 1e-9
     mapping = NetworkMapping.from_list(json.loads((tmp_path / "epic.json").read_text())["mapping"])
     assert metrics.ldp_budget(mapping) == float(row["eps_ld_hat"])
+
+
+def _quantile_symbols(train, test, bins):
+    """Per column: edges are training quantiles, and a value's symbol counts the edges below it."""
+    out = [np.zeros(train.shape, dtype=int), np.zeros(test.shape, dtype=int)]
+    for j in range(train.shape[1]):
+        edges = np.quantile(train[:, j], np.arange(1, bins) / bins)
+        for table, sym in zip((train, test), out):
+            for i in range(table.shape[0]):
+                sym[i, j] = sum(1 for e in edges if e < table[i, j])
+    return out
+
+
+def test_epic_bins_equals_a_run_on_binned_symbols(tmp_path):
+    """--bins on real features gives the run on the features binned by hand."""
+    model = generate_correlated_model(seed=1, s=2, x_size=3)
+    train, test = dataset_from_model(model, 30, 0), dataset_from_model(model, 300, 1)
+    rng = np.random.default_rng(5)
+    raw = [d.x + rng.random(d.x.shape) for d in (train, test)]
+    for name, xs in (("binned", raw), ("by_hand", _quantile_symbols(*raw, 3))):
+        for split, data, x in zip(("train", "test"), (train, test), xs):
+            _write_labeled_csv(tmp_path / f"{name}_{split}.csv", data, x)
+        argv = ["epic", "--train", str(tmp_path / f"{name}_train.csv"),
+                "--test", str(tmp_path / f"{name}_test.csv"),
+                "--eps-ld", "1.0", "--seed", "2", "--out", str(tmp_path / name)]
+        assert cli.main(argv + ["--bins", "3"] * (name == "binned")) == 0
+    for ext in (".json", ".csv"):
+        assert (tmp_path / f"binned{ext}").read_text() == (tmp_path / f"by_hand{ext}").read_text()

@@ -1,6 +1,5 @@
 """Tests of the empirical solver (EPIC and E-LDP) against independent oracles."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -69,12 +68,15 @@ def test_holdout_errors_match_a_loop_over_rows(empirical):
     sol = sols[1.0]
     test = epic.dataset_from_model(model, 400, 7)
     z = sol.mapping.sample(test.x, np.random.default_rng(11))
-    wrong_h = sum(int(sol.score(z[i]) > 0) != test.h[i] for i in range(test.n))
+
+    def score(w, zi):
+        return sum(w[t, zt] for t, zt in enumerate(zi))
+
+    wrong_h = sum(int(score(sol.coeffs, z[i]) > 0) != test.h[i] for i in range(test.n))
     err_g = np.inf
     for g, w in sol.adversaries.items():
-        adv = dataclasses.replace(sol, coeffs=w)
         rows = [i for i in range(test.n) if test.g[i] in (0, g)]
-        wrong = sum((g if adv.score(z[i]) > 0 else 0) != test.g[i] for i in rows)
+        wrong = sum((g if score(w, z[i]) > 0 else 0) != test.g[i] for i in rows)
         err_g = min(err_g, wrong / len(rows))
     assert epic.holdout_errors(sol, test, 11) == (wrong_h / test.n, err_g)
 
@@ -85,3 +87,37 @@ def test_solution_is_deterministic():
     cfg = epic.EpicConfig(max_sweeps=2)
     runs = [json.dumps(epic.epic_solve(data, 1.0, R, LAM, cfg).to_dict()) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# -- discretization ----------------------------------------------------------------
+
+
+def _symbols_loop(edges, table):
+    """Per value, the number of its column's edges below it."""
+    return np.array([[sum(e < v for e in edges[j]) for j, v in enumerate(row)] for row in table])
+
+
+@pytest.mark.parametrize("bins", [2, 4])
+def test_discretize_bins_by_training_quantiles(bins):
+    rng = np.random.default_rng(bins)
+    # a continuous column and one with ties, so values land exactly on edges
+    train = np.column_stack([rng.normal(size=41), rng.integers(0, 5, size=41)]).astype(float)
+    test = np.column_stack([rng.normal(size=30) * 2, rng.integers(-1, 7, size=30)]).astype(float)
+    sym, edges = epic.discretize(train, bins)
+    want = [np.quantile(train[:, j], np.arange(1, bins) / bins) for j in range(2)]
+    assert all(np.array_equal(e, w) for e, w in zip(edges, want))
+    assert np.array_equal(sym, _symbols_loop(want, train))
+    test_sym, test_edges = epic.discretize(test, bins, edges=edges)
+    assert test_edges is edges
+    assert np.array_equal(test_sym, _symbols_loop(want, test))
+    assert sym.dtype == np.int64 and sym.min() >= 0 and test_sym.max() <= bins - 1
+
+
+def test_discretize_constant_column_is_one_symbol():
+    train = np.column_stack([np.full(6, 2.5), np.arange(6.0)])
+    with pytest.warns(UserWarning, match="column 0 is constant"):
+        sym, edges = epic.discretize(train, 3)
+    assert edges[0].size == 0
+    assert np.array_equal(sym[:, 0], np.zeros(6))
+    test_sym, _ = epic.discretize(np.array([[-1.0, 0.0], [9.0, 5.0]]), 3, edges=edges)
+    assert np.array_equal(test_sym[:, 0], [0, 0])

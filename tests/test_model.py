@@ -110,7 +110,7 @@ def test_push_forward_preserves_hg_marginal():
         model = random_model(rng, 3, 4, 2)
         mapping = random_mapping(seed, 3, 4, 2)
         pushed = push_forward(model, mapping)
-        assert np.abs(pushed.p_hg() - model.prior).max() <= 1e-10
+        assert np.abs(pushed.joint.sum(axis=2) - model.prior).max() <= 1e-10
 
 
 def test_push_forward_model_round_trip():
