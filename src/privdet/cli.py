@@ -1,9 +1,10 @@
 """Command-line experiment harness.
 
 Subcommands: gen-model, report, design, relations, sweep, epic.  Sweeps are
-driven by a JSON or TOML spec file and write one CSV row per grid cell;
-re-running with the same spec and seeds reproduces the file byte for byte
-(except the trailing wall-time column).  The process exits nonzero if any
+driven by a JSON or TOML spec file, whose keys and defaults are
+``SPEC_DEFAULTS``, and write one CSV row per grid cell; re-running with the
+same spec and seeds reproduces the file byte for byte (except the trailing
+wall-time column).  The process exits nonzero if any
 cell failed or any designed mapping missed its declared budget audit.
 """
 
@@ -71,35 +72,66 @@ def _parse_eps(v) -> float:
 
 # -- sweep spec ------------------------------------------------------------
 
-#: the keys a sweep spec may set, per table; anything else is rejected
-_SPEC_KEYS = {
-    "": ("model", "architectures", "eps_i", "eps_ld", "r", "corr", "seeds", "epic", "design",
-         "output"),
-    "model": ("file", "generator"),
-    "model.generator": ("seed", "s", "x_size", "q", "jitter"),
-    "design": ("z_size", "y_size", "max_outer_iters", "restarts"),
-    "epic": ("n_train", "n_test", "lambda", "max_sweeps", "utility_slack"),
+#: Every key a sweep spec may set, with its default; a dict value is a table
+#: of its own, and any other key is rejected.  The ``gen-model``, ``design``
+#: and ``epic`` subcommands take their flag defaults from here, so each runs
+#: the settings of the sweep cell it stands for.
+SPEC_DEFAULTS = {
+    "model": {
+        "file": None,
+        "generator": {"seed": 0, "s": 4, "x_size": 8, "jitter": 0.5},
+    },
+    "architectures": ("ldp",),
+    "eps_i": (math.inf,),
+    "eps_ld": (math.inf,),
+    "r": (0.999,),
+    "corr": (0.2,),
+    "seeds": (0,),
+    "design": {"z_size": 2, "y_size": None, "max_outer_iters": 60, "restarts": 3},
+    "epic": {"n_train": 40, "n_test": 5000, "lambda": 0.05, "max_sweeps": 12},
+}
+
+#: how each grid axis of a spec reads its values
+_GRID_PARSERS = {
+    "architectures": str, "eps_i": _parse_eps, "eps_ld": _parse_eps,
+    "r": float, "corr": float, "seeds": int,
 }
 
 
-def _check_spec_keys(data) -> None:
-    """Raise ValueError naming the first key a spec table may not set, or a non-table."""
-    for where, allowed in _SPEC_KEYS.items():  # a table's parent is checked before it
-        table = data
-        for part in filter(None, where.split(".")):
-            table = table.get(part) or {}
-        if not isinstance(table, dict):
-            raise ValueError(f"sweep spec entry {where or 'top level'!r} must be a table")
-        unknown = sorted(set(table) - set(allowed))
-        if unknown:
-            key = f"{where}.{unknown[0]}" if where else unknown[0]
-            raise ValueError(f"unknown sweep spec key {key!r}")
+def _resolve(data, defaults, where=""):
+    """``data`` checked against ``defaults`` and completed from it, table by table.
+
+    A value whose default is a number is converted to the default's type.
+    Raises ValueError naming the first key ``defaults`` does not declare, or
+    an entry that is not a table, list or number where its default is one;
+    a table is checked before the tables inside it.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"sweep spec entry {where or 'top level'!r} must be a table")
+    prefix = f"{where}." if where else ""
+    unknown = sorted(set(data) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown sweep spec key {prefix + unknown[0]!r}")
+    out = {}
+    for key, default in defaults.items():
+        value, name = data.get(key, default), prefix + key
+        if isinstance(default, dict):
+            value = _resolve(value, default, name)
+        elif isinstance(default, (int, float)):
+            try:
+                value = type(default)(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"sweep spec key {name!r} must be a number") from None
+        elif isinstance(default, tuple) and not isinstance(value, (list, tuple)):
+            raise ValueError(f"sweep spec key {name!r} must be a list")
+        out[key] = value
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
     model_file: str | None
-    generator: dict | None
+    generator: dict  # keyword arguments of generate_correlated_model, target_corr aside
     architectures: tuple
     eps_i: tuple
     eps_ld: tuple
@@ -107,36 +139,23 @@ class SweepSpec:
     corr: tuple
     seeds: tuple
     epic: dict
-    design: dict
-    output: str | None
+    design: dict  # keyword arguments of OptimizerConfig, seed and budgets aside
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        _check_spec_keys(data)
-        model = data.get("model", {})
-        archs = tuple(data.get("architectures", ("ldp",)))
-        for a in archs:
+        d = _resolve(data, SPEC_DEFAULTS)
+        grids = {key: tuple(map(parse, d[key])) for key, parse in _GRID_PARSERS.items()}
+        for a in grids["architectures"]:
             if a not in ARCHITECTURES:
                 raise ValueError(f"unknown architecture {a!r}")
-        eps_i = tuple(_parse_eps(v) for v in data.get("eps_i", (math.inf,)))
-        eps_ld = tuple(_parse_eps(v) for v in data.get("eps_ld", (math.inf,)))
-        r = tuple(float(v) for v in data.get("r", (0.999,)))
-        corr = tuple(float(v) for v in data.get("corr", (0.2,)))
-        seeds = tuple(int(v) for v in data.get("seeds", (0,)))
-        if not archs or not eps_i or not eps_ld or not r or not corr or not seeds:
+        if not all(grids.values()):
             raise ValueError("every sweep grid must be nonempty")
         return cls(
-            model_file=model.get("file"),
-            generator=model.get("generator"),
-            architectures=archs,
-            eps_i=eps_i,
-            eps_ld=eps_ld,
-            r=r,
-            corr=corr,
-            seeds=seeds,
-            epic=dict(data.get("epic", {})),
-            design=dict(data.get("design", {})),
-            output=data.get("output"),
+            model_file=d["model"]["file"],
+            generator=d["model"]["generator"],
+            epic=d["epic"],
+            design=d["design"],
+            **grids,
         )
 
 
@@ -154,27 +173,7 @@ def load_sweep_spec(path) -> SweepSpec:
 def _spec_model(spec: SweepSpec, corr: float) -> JointModel:
     if spec.model_file:
         return load_model(spec.model_file)
-    gen = dict(spec.generator or {})
-    return generate_correlated_model(
-        seed=int(gen.get("seed", 0)),
-        s=int(gen.get("s", 4)),
-        x_size=int(gen.get("x_size", 8)),
-        q=int(gen.get("q", 1)),
-        target_corr=corr,
-        jitter=float(gen.get("jitter", 0.5)),
-    )
-
-
-def _base_config(d: dict, seed: int, **budgets) -> design_mod.OptimizerConfig:
-    """OptimizerConfig from a ``design`` table, with the defaults sweeps and ``privdet design`` share."""
-    return design_mod.OptimizerConfig(
-        z_size=int(d.get("z_size", 2)),
-        y_size=d.get("y_size"),
-        max_outer_iters=int(d.get("max_outer_iters", 60)),
-        seed=seed,
-        restarts=int(d.get("restarts", 3)),
-        **budgets,
-    )
+    return generate_correlated_model(**spec.generator, target_corr=corr)
 
 
 #: the budget columns of a sweep row, named and ordered as ``BudgetReport.csv_fields``
@@ -236,10 +235,11 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
     results = [None] * len(eps_ld_axis)
     try:
         if arch in ("ldp", "ill", "lip"):
-            cfg = _base_config(spec.design, seed, eps_i=eps_i)
+            cfg = design_mod.OptimizerConfig(**spec.design, seed=seed, eps_i=eps_i)
             results = design_mod.chain_designs(model, arch, list(eps_ld_axis), cfg)
         elif arch == "inp":
-            results = [design_mod.design_inp(model, _base_config(spec.design, seed, eps_i=eps_i))]
+            cfg = design_mod.OptimizerConfig(**spec.design, seed=seed, eps_i=eps_i)
+            results = [design_mod.design_inp(model, cfg)]
     except Exception as exc:  # per-cell failures stay in-row
         share = (time.perf_counter() - t_start) / len(eps_ld_axis)
         for eps_ld in eps_ld_axis:
@@ -274,19 +274,13 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
 
 def _run_epic_cell(spec, arch, model, seed, eps_ld, r, row):
     ep = spec.epic
-    n_train = int(ep.get("n_train", 40))
-    n_test = int(ep.get("n_test", 5000))
-    lam = float(ep.get("lambda", 0.05))
-    cfg = epic_mod.EpicConfig(
-        max_sweeps=int(ep.get("max_sweeps", 12)),
-        utility_slack=float(ep.get("utility_slack", 0.3)),
-    )
-    train = epic_mod.dataset_from_model(model, n_train, seed)
-    test = epic_mod.dataset_from_model(model, n_test, seed + 1_000_000)
+    cfg = epic_mod.EpicConfig(max_sweeps=ep["max_sweeps"])
+    train = epic_mod.dataset_from_model(model, ep["n_train"], seed)
+    test = epic_mod.dataset_from_model(model, ep["n_test"], seed + 1_000_000)
     if arch == "epic":
-        sol = epic_mod.epic_solve(train, eps_ld, r, lam, cfg)
+        sol = epic_mod.epic_solve(train, eps_ld, r, ep["lambda"], cfg)
     else:
-        sol = epic_mod.eldp_solve(train, eps_ld, lam, cfg)
+        sol = epic_mod.eldp_solve(train, eps_ld, ep["lambda"], cfg)
     report = _evaluate_mapping(model, sol.mapping, row)
     fields = ("holdout_error_H", "holdout_error_G", "eps_i_hat", "eps_ld_hat")
     row.update(zip(fields, _holdout_and_empirical(sol, test, seed)))
@@ -332,7 +326,7 @@ def _group_keys(spec: SweepSpec):
         for corr in corrs:
             for seed in spec.seeds:
                 eps_is = spec.eps_i if "eps_i" in axes else (math.inf,)
-                rs = spec.r if "r" in axes else (0.999,)
+                rs = spec.r if "r" in axes else (None,)
                 for eps_i in eps_is:
                     for r in rs:
                         keys.append((arch, corr, seed, eps_i, r))
@@ -368,19 +362,6 @@ def write_sweep_csv(rows, path) -> None:
             writer.writerow([_fmt(row.get(c, "")) for c in cols])
 
 
-GNUPLOT_STUB = """# gnuplot script for sweep results
-set datafile separator ','
-set key autotitle columnhead outside
-set xlabel 'eps_LD'
-set ylabel 'Bayes error'
-set logscale x
-plot for [arch in "{archs}"] '{csv}' \\
-    using 5:(strcol(1) eq arch ? column(8) : NaN) with linespoints title arch.' H', \\
-    for [arch in "{archs}"] '{csv}' \\
-    using 5:(strcol(1) eq arch ? column(9) : NaN) with linespoints title arch.' G'
-"""
-
-
 # -- subcommand entry points -------------------------------------------------
 
 
@@ -389,7 +370,6 @@ def _cmd_gen_model(args) -> int:
         seed=args.seed,
         s=args.sensors,
         x_size=args.x_size,
-        q=args.q,
         target_corr=args.corr,
         jitter=args.jitter,
     )
@@ -418,9 +398,11 @@ def _cmd_report(args) -> int:
 
 def _cmd_design(args) -> int:
     model = load_model(args.model)
-    settings = {"z_size": args.z_size, "y_size": args.y_size, "restarts": args.restarts}
-    cfg = _base_config(
-        settings, args.seed, eps_i=_parse_eps(args.eps_i), eps_ld=_parse_eps(args.eps_ld)
+    settings = dict(
+        SPEC_DEFAULTS["design"], z_size=args.z_size, y_size=args.y_size, restarts=args.restarts
+    )
+    cfg = design_mod.OptimizerConfig(
+        **settings, seed=args.seed, eps_i=args.eps_i, eps_ld=args.eps_ld
     )
     res = design_mod.design(model, args.arch, cfg)
     payload = res.to_dict()
@@ -437,44 +419,12 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    suite = relations.check_bound_suite(args.seed, args.trials)
-    witnesses = relations.all_witnesses()
+    rows, ok = relations.implication_table(args.seed, args.trials)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["metric_a", "metric_b", "kind", "bound_constant", "verdict", "witness_params"]
-        )
-        for key, _, _, constant in relations.BOUND_SPECS:
-            a, b = key.split("->")
-            viol = suite.max_violation[key]
-            verdict = (
-                "implies-bound-holds"
-                if viol <= relations.BOUND_TOL
-                else f"violated ({viol:.3e})"
-            )
-            writer.writerow([a, b, "implies", constant, verdict, ""])
-        for w in witnesses:
-            params = ";".join(_fmt(p[0]) for p in w.points)
-            writer.writerow(
-                [w.metric_a, w.metric_b, "does-not-guarantee", "", w.verdict, params]
-            )
-        writer.writerow(
-            ["inference_dp", "info", "does-not-guarantee (q->inf)", "", "external, unverified", ""]
-        )
-        writer.writerow(
-            [
-                "inference_dp",
-                "avg_leakage",
-                "does-not-guarantee (q->inf)",
-                "",
-                "external, unverified",
-                "",
-            ]
-        )
-    ok = suite.ok and all(
-        w.verdict == relations.VERDICT_NON_GUARANTEE for w in witnesses
-    )
-    print(f"wrote {args.out}; bound suite over {suite.trials} trials: {'ok' if suite.ok else 'VIOLATED'}")
+        writer.writerow(relations.TABLE_COLUMNS)
+        writer.writerows(rows)
+    print(f"wrote {args.out}; {args.trials} bound-suite trials: {'ok' if ok else 'VIOLATED'}")
     return 0 if ok else 1
 
 
@@ -484,19 +434,11 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"{args.spec}: {exc}", file=sys.stderr)
         return 2
-    out = args.out or spec.output
-    if not out:
-        print("no output path given (use --out or the spec's 'output')", file=sys.stderr)
-        return 2
     rows = run_sweep(spec, jobs=args.jobs)
-    write_sweep_csv(rows, out)
-    if args.gnuplot_stub:
-        stub = GNUPLOT_STUB.format(archs=" ".join(spec.architectures), csv=out)
-        with open(out + ".gp", "w", encoding="utf-8") as fh:
-            fh.write(stub)
+    write_sweep_csv(rows, args.out)
     n_err = sum(1 for r in rows if r.get("status") != "ok")
     n_audit = sum(1 for r in rows if r.get("status") == "ok" and not r.get("audit_ok"))
-    print(f"wrote {out}: {len(rows)} rows, {n_err} failures, {n_audit} audit misses")
+    print(f"wrote {args.out}: {len(rows)} rows, {n_err} failures, {n_audit} audit misses")
     return 0 if n_err == 0 and n_audit == 0 else 1
 
 
@@ -513,11 +455,11 @@ def _cmd_epic(args) -> int:
         x_size = int(max(train_x.max(), test_x.max())) + 1
     train = epic_mod.Dataset(train_h, train_g, train_x, x_size, args.q)
     test = epic_mod.Dataset(test_h, test_g, np.clip(test_x, 0, x_size - 1), x_size, args.q)
-    cfg = epic_mod.EpicConfig(utility_slack=args.utility_slack)
+    cfg = epic_mod.EpicConfig(max_sweeps=SPEC_DEFAULTS["epic"]["max_sweeps"])
     if args.e_ldp:
-        sol = epic_mod.eldp_solve(train, _parse_eps(args.eps_ld), args.lam, cfg)
+        sol = epic_mod.eldp_solve(train, args.eps_ld, args.lam, cfg)
     else:
-        sol = epic_mod.epic_solve(train, _parse_eps(args.eps_ld), args.r, args.lam, cfg)
+        sol = epic_mod.epic_solve(train, args.eps_ld, args.r, args.lam, cfg)
     err_h, err_g, eps_i_hat, eps_ld_hat = _holdout_and_empirical(sol, test, args.seed)
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         json.dump(sol.to_dict(), fh, indent=1)
@@ -534,15 +476,26 @@ def _cmd_epic(args) -> int:
 
 
 def _read_labeled_csv(path, q):
+    """(h, g, features) from a CSV of rows h, the q bits of g, then the features.
+
+    Blank lines and ``#`` comments are skipped.  The first other line may be
+    a header; any later line with a non-numeric field raises ValueError.
+    """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.reader(fh):
+        reader = csv.reader(fh)
+        first = True
+        for rec in reader:
             if not rec or rec[0].strip().startswith("#"):
                 continue
             try:
                 rows.append([float(v) for v in rec])
             except ValueError:
-                continue  # header line
+                if not first:
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: non-numeric field in {rec}"
+                    ) from None
+            first = False
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2 + q:
         raise ValueError(f"{path}: expected h, {q} g columns and features")
@@ -557,14 +510,18 @@ def _read_labeled_csv(path, q):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="privdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    gen, des, ep = (SPEC_DEFAULTS["model"]["generator"], SPEC_DEFAULTS["design"],
+                    SPEC_DEFAULTS["epic"])
+
+    def first(key):  # a subcommand runs one cell: the first value of the spec's default grid
+        return SPEC_DEFAULTS[key][0]
 
     p = sub.add_parser("gen-model", help="generate a synthetic correlated model")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sensors", type=int, default=4)
-    p.add_argument("--x-size", type=int, default=8)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--corr", type=float, default=0.2)
-    p.add_argument("--jitter", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=gen["seed"])
+    p.add_argument("--sensors", type=int, default=gen["s"])
+    p.add_argument("--x-size", type=int, default=gen["x_size"])
+    p.add_argument("--corr", type=float, default=first("corr"))
+    p.add_argument("--jitter", type=float, default=gen["jitter"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_model)
 
@@ -577,12 +534,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="optimize a privacy mapping")
     p.add_argument("--arch", choices=("ldp", "ill", "lip", "inp"), required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--eps-i", default="inf")
-    p.add_argument("--eps-ld", default="inf")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--z-size", type=int, default=2)
-    p.add_argument("--y-size", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--eps-i", type=_parse_eps, default=first("eps_i"))
+    p.add_argument("--eps-ld", type=_parse_eps, default=first("eps_ld"))
+    p.add_argument("--seed", type=int, default=first("seeds"))
+    p.add_argument("--z-size", type=int, default=des["z_size"])
+    p.add_argument("--y-size", type=int, default=des["y_size"])
+    p.add_argument("--restarts", type=int, default=des["restarts"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_design)
 
@@ -594,9 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a configuration-driven experiment sweep")
     p.add_argument("--spec", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--gnuplot-stub", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("epic", help="empirical design from labeled CSV data")
@@ -604,12 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--eps-ld", default="inf")
-    p.add_argument("--r", type=float, default=0.999)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    p.add_argument("--utility-slack", type=float, default=0.3)
+    p.add_argument("--eps-ld", type=_parse_eps, default=first("eps_ld"))
+    p.add_argument("--r", type=float, default=first("r"))
+    p.add_argument("--lambda", dest="lam", type=float, default=ep["lambda"])
     p.add_argument("--e-ldp", action="store_true", help="drop the inference-privacy floor")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=first("seeds"))
     p.add_argument("--out", required=True, help="output prefix (.json/.csv appended)")
     p.set_defaults(func=_cmd_epic)
     return parser

@@ -53,6 +53,9 @@ CONVERGENCE_TOL = 1e-6
 LP_TOL = 1e-9
 #: step halvings a block step tries toward its LP optimum before it gives up
 DAMPING_STEPS = 6
+#: share of the gap between the utility-only public risk and log 2 that the
+#: risk-floor search may give up
+UTILITY_SLACK = 0.3
 
 
 # -- data ------------------------------------------------------------------
@@ -285,7 +288,6 @@ def _channel_step(chans, t, eps_ld, accept, c, a_ub, b_ub, a_eq, b_eq) -> float:
 @dataclasses.dataclass(frozen=True)
 class EpicConfig:
     max_sweeps: int = 30
-    utility_slack: float = 0.3  # risk-floor search keeps this share of the H-risk gap
     risk_slack: float = 1e-4  # audited floor tolerance on returned solutions
 
 
@@ -405,7 +407,7 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
     """Step (i): raise the worst-g adversary risk over the budget polytope.
 
     Candidate starts are the most-sanitized points meeting the utility cap
-    f_eldp + utility_slack * (log 2 - f_eldp) along two paths from the
+    f_eldp + UTILITY_SLACK * (log 2 - f_eldp) along two paths from the
     utility-only solution: toward input-independent rows, and toward the
     per-sensor moment-matched channels ``nulled``.  The better start (by
     audited worst-g risk) seeds per-sensor maximin linear programs on the
@@ -413,7 +415,7 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
     classifier are refreshed every sweep.
     """
     z_size = start_chans[0].z_size
-    f_cap = f_eldp + cfg.utility_slack * (LOG2 - f_eldp)
+    f_cap = f_eldp + UTILITY_SLACK * (LOG2 - f_eldp)
     uniform = list(uniform_mapping(dataset.s, dataset.x_size, z_size).channels)
     starts = [
         _capped_path_point(dataset, uniform, start_chans, f_cap, lam),

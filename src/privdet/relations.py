@@ -214,6 +214,10 @@ BOUND_SPECS = (
 BOUND_TOL = 1e-9
 
 
+def _bound_holds(violation: float) -> bool:
+    return violation <= BOUND_TOL
+
+
 @dataclasses.dataclass(frozen=True)
 class BoundSuiteReport:
     trials: int
@@ -285,8 +289,7 @@ def check_bound_suite(seed: int, trials: int) -> BoundSuiteReport:
                 vacuous[key] += 1
             else:
                 worst[key] = max(worst[key], viol)
-    ok = all(v <= BOUND_TOL for v in worst.values() if v != -math.inf)
-    return BoundSuiteReport(trials, worst, vacuous, ok)
+    return BoundSuiteReport(trials, worst, vacuous, all(map(_bound_holds, worst.values())))
 
 
 def all_witnesses() -> list:
@@ -299,3 +302,36 @@ def all_witnesses() -> list:
         witness_mi_not_info(),
         witness_mi_not_ldp(),
     ]
+
+
+# -- the implication table -------------------------------------------------------
+
+TABLE_COLUMNS = ("metric_a", "metric_b", "kind", "bound_constant", "verdict", "witness_params")
+
+#: non-guarantees that need q -> inf; listed in the table but not checked here
+UNVERIFIED_NON_GUARANTEES = (("inference_dp", "info"), ("inference_dp", "avg_leakage"))
+
+
+def implication_table(seed: int, trials: int) -> tuple:
+    """(rows, ok): the metric-implication table, one tuple of ``TABLE_COLUMNS`` a row.
+
+    One "implies" row per bound of ``BOUND_SPECS``, judged on
+    ``check_bound_suite(seed, trials)`` (its worst violation when it fails),
+    one "does-not-guarantee" row per witness of ``all_witnesses`` with the
+    parameters of its points, then the unverified non-guarantees.  ``ok``
+    says every bound held and every witness witnessed its non-guarantee.
+    """
+    suite = check_bound_suite(seed, trials)
+    rows = []
+    for key, _, _, constant in BOUND_SPECS:
+        viol = suite.max_violation[key]
+        verdict = VERDICT_BOUND_HOLDS if _bound_holds(viol) else f"violated ({viol:.3e})"
+        rows.append((*key.split("->"), "implies", constant, verdict, ""))
+    witnesses = all_witnesses()
+    for w in witnesses:
+        params = ";".join(repr(float(p[0])) for p in w.points)
+        rows.append((w.metric_a, w.metric_b, "does-not-guarantee", "", w.verdict, params))
+    for a, b in UNVERIFIED_NON_GUARANTEES:
+        rows.append((a, b, "does-not-guarantee (q->inf)", "", "external, unverified", ""))
+    ok = suite.ok and all(w.verdict == VERDICT_NON_GUARANTEE for w in witnesses)
+    return rows, ok

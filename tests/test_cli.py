@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from privdet import cli, design, metrics
+from privdet import cli, design, metrics, relations
+from privdet import epic as epic_mod
 from privdet.channels import (
     NetworkMapping,
     TwoStageMapping,
@@ -193,9 +194,16 @@ def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_p
     ({"design": {"lp_tol": 1e-9}}, "design.lp_tol"),
     ({"epic": {"n_trian": 30}}, "epic.n_trian"),
     ({"design": 5}, "design"),
+    ({"output": "sweep.csv"}, "output"),
+    ({"model": {"generator": {"seed": 1, "q": 1}}}, "model.generator.q"),
+    ({"epic": {"utility_slack": 0.3}}, "epic.utility_slack"),
+    ({"design": {"z_size": "two"}}, "design.z_size"),
+    ({"model": {"generator": {"seed": [1]}}}, "model.generator.seed"),
+    ({"eps_ld": "inf"}, "eps_ld"),
+    ({"r": 0.9}, "r"),
 ])
 def test_sweep_spec_rejects_unknown_keys(tmp_path, fields, key):
-    """Unknown keys and non-table entries are named; the sweep exits 2 before any work."""
+    """Unknown keys and entries of the wrong kind are named; the sweep exits 2 before any work."""
     data = {"model": {"generator": {"seed": 1, "s": 2, "x_size": 3}}, "architectures": ["ldp"]}
     data.update(fields)
     with pytest.raises(ValueError, match=re.escape(repr(key))):
@@ -338,3 +346,134 @@ def test_epic_bins_equals_a_run_on_binned_symbols(tmp_path):
         assert cli.main(argv + ["--bins", "3"] * (name == "binned")) == 0
     for ext in (".json", ".csv"):
         assert (tmp_path / f"binned{ext}").read_text() == (tmp_path / f"by_hand{ext}").read_text()
+
+
+def test_epic_and_a_sweep_epic_cell_run_one_set_of_defaults(tmp_path, monkeypatch):
+    calls = []  # privdet epic's, then the sweep cell's
+    real = epic_mod.epic_solve
+
+    def record(dataset, eps_ld, r, lam, config):
+        calls.append((eps_ld, r, lam, config))
+        return real(dataset, eps_ld, r, lam, config)
+
+    monkeypatch.setattr(epic_mod, "epic_solve", record)
+    model = generate_correlated_model(seed=1, s=2, x_size=3)
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    _write_labeled_csv(train, dataset_from_model(model, 30, 0))
+    _write_labeled_csv(test, dataset_from_model(model, 100, 1))
+    argv = ["epic", "--train", str(train), "--test", str(test), "--out", str(tmp_path / "epic")]
+    assert cli.main(argv) == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "model": {"generator": {"seed": 1, "s": 2, "x_size": 3}},
+        "architectures": ["epic"],
+        "epic": {"n_train": 30, "n_test": 100},
+    }))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert calls[0][3].max_sweeps == 12
+
+
+#: every key a sweep spec may set, at the default the program documents for it
+_ALL_DEFAULTS = {
+    "model": {"file": None, "generator": {"seed": 0, "s": 4, "x_size": 8, "jitter": 0.5}},
+    "architectures": ["ldp"],
+    "eps_i": ["inf"],
+    "eps_ld": ["inf"],
+    "r": [0.999],
+    "corr": [0.2],
+    "seeds": [0],
+    "design": {"z_size": 2, "y_size": None, "max_outer_iters": 60, "restarts": 3},
+    "epic": {"n_train": 40, "n_test": 5000, "lambda": 0.05, "max_sweeps": 12},
+}
+
+
+def _keys(table, where=""):
+    out = set()
+    for key, value in table.items():
+        out.add(where + key)
+        if isinstance(value, dict):
+            out |= _keys(value, where + key + ".")
+    return out
+
+
+@pytest.mark.parametrize("archs", [None, ["inp", "e-ldp", "epic"]])
+def test_a_spec_of_every_default_writes_the_empty_spec_csv(tmp_path, archs):
+    assert _keys(_ALL_DEFAULTS) == _keys(cli.SPEC_DEFAULTS)
+    given = {} if archs is None else {"architectures": archs}
+    text = []
+    for name, data in (("empty", given), ("full", {**_ALL_DEFAULTS, **given})):
+        spec, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        spec.write_text(json.dumps(data))
+        assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        text.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+    assert len(text[0]) == 1 + (1 if archs is None else 3)
+    assert text[0] == text[1]
+
+
+def test_sweep_requires_an_output_path(tmp_path, capsys):
+    spec = _small_spec(tmp_path, architectures=["identity"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--spec", str(spec)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-model", "report", "design", "relations", "sweep", "epic"])
+def test_every_subcommand_has_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: privdet {command}")
+
+
+def test_relations_writes_the_table_and_exits_zero(tmp_path):
+    out = tmp_path / "relations.csv"
+    assert cli.main(["relations", "--seed", "3", "--trials", "40", "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert tuple(rows[0]) == relations.TABLE_COLUMNS
+    kinds = [r["kind"] for r in rows]
+    n_bounds, n_witnesses = len(relations.BOUND_SPECS), len(relations.all_witnesses())
+    assert kinds == (["implies"] * n_bounds + ["does-not-guarantee"] * n_witnesses
+                     + ["does-not-guarantee (q->inf)"] * 2)
+    assert {r["verdict"] for r in rows[:n_bounds]} == {relations.VERDICT_BOUND_HOLDS}
+    assert {r["verdict"] for r in rows[n_bounds:-2]} == {relations.VERDICT_NON_GUARANTEE}
+
+
+def test_relations_names_a_violated_bound_and_exits_nonzero(tmp_path, monkeypatch):
+    """A bound tightened to zero leakage fails on the first random mapping that leaks."""
+    key = "mutual_info->avg_leakage"
+    tightened = tuple(
+        (k, lhs, (lambda r, s, q: 0.0) if k == key else rhs, const)
+        for k, lhs, rhs, const in relations.BOUND_SPECS
+    )
+    monkeypatch.setattr(relations, "BOUND_SPECS", tightened)
+    out = tmp_path / "relations.csv"
+    assert cli.main(["relations", "--seed", "3", "--trials", "40", "--out", str(out)]) == 1
+    verdicts = {f"{r['metric_a']}->{r['metric_b']}": r["verdict"]
+                for r in _read_rows(out) if r["kind"] == "implies"}
+    worst = relations.check_bound_suite(3, 40).max_violation[key]
+    assert worst > relations.BOUND_TOL
+    assert verdicts.pop(key) == f"violated ({worst:.3e})"
+    assert set(verdicts.values()) == {relations.VERDICT_BOUND_HOLDS}
+
+
+def test_labeled_csv_takes_a_header_only_on_its_first_line(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("# h, g, one feature\nh,g,x0\n0,1,2\n\n1,0,0\n")
+    h, g, feats = cli._read_labeled_csv(path, 1)
+    assert (h.tolist(), g.tolist(), feats.tolist()) == ([0, 1], [1, 0], [[2.0], [0.0]])
+    path.write_text("0,1,2\n1,0,0\n")
+    assert cli._read_labeled_csv(path, 1)[0].tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("h,g,x0\n0,0,1\n1,1,O\n0,1,2\n", 3),  # a letter O typed for a zero
+    ("0,0,1\nh,g,x0\n", 2),  # a header below the data
+    ("h,g,x0\n# x0 is binned\nh,g,x0\n", 3),  # a second header
+])
+def test_labeled_csv_rejects_a_non_numeric_row(tmp_path, text, line):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}:")):
+        cli._read_labeled_csv(path, 1)

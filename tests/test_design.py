@@ -265,6 +265,23 @@ def test_design_info_stage_risk_rows_match_detector_audit():
         assert risks[1][idx] == pytest.approx(risk, abs=1e-9)
 
 
+@pytest.mark.parametrize("x_size, y_size, cap", [(6, 3, 50), (13, 2, 4096)])
+def test_deterministic_candidates_over_the_cap_are_a_seeded_subset(x_size, y_size, cap):
+    """Past the cap (13 symbols into 2 is paper scale): distinct one-hot quantizers, constants kept."""
+    from privdet.design import _deterministic_candidates
+
+    assert y_size ** x_size > cap
+    cands = _deterministic_candidates(x_size, y_size, cap, 4)
+    assert cands.shape[1:] == (x_size, y_size) and y_size < cands.shape[0] <= cap + y_size
+    assert set(np.unique(cands)) == {0.0, 1.0}
+    assert np.array_equal(cands.sum(axis=2), np.ones(cands.shape[:2]))
+    maps = {tuple(row) for row in cands.argmax(axis=2)}
+    assert len(maps) == cands.shape[0]
+    assert {(y,) * x_size for y in range(y_size)} <= maps
+    assert np.array_equal(cands, _deterministic_candidates(x_size, y_size, cap, 4))
+    assert not np.array_equal(cands, _deterministic_candidates(x_size, y_size, cap, 5))
+
+
 def test_design_info_stage_budget_audit_holds():
     model = generate_correlated_model(seed=8, s=2, x_size=4, q=1, target_corr=0.4)
     for eps_i in (0.05, 0.3, 1.0):

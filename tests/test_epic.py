@@ -1,6 +1,7 @@
 """Tests of the empirical solver (EPIC and E-LDP) against independent oracles."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,34 @@ def test_solution_is_deterministic():
     cfg = epic.EpicConfig(max_sweeps=2)
     runs = [json.dumps(epic.epic_solve(data, 1.0, R, LAM, cfg).to_dict()) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("solver", ["epic", "e-ldp"])
+def test_an_infinite_local_budget_solves_without_ratio_rows(solver, monkeypatch):
+    """At eps_ld = inf the LPs carry no envelope columns and no ratio rows, only the extra rows."""
+    model = generate_correlated_model(seed=3, s=2, x_size=4)
+    data = epic.dataset_from_model(model, 30, 1)
+    cfg = epic.EpicConfig(max_sweeps=2)
+    lps = []
+    real = epic.solve_lp
+
+    def recorded(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol=1e-9):
+        lps.append((c.size, 0 if a_ub is None else a_ub.shape[0]))
+        return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=tol)
+
+    monkeypatch.setattr(epic, "solve_lp", recorded)
+    if solver == "epic":
+        sol = epic.epic_solve(data, math.inf, R, LAM, cfg)
+        assert _worst_adversary_risk(sol, data) >= R * sol.theta_star - cfg.risk_slack - 1e-9
+        assert sol.theta_achieved == pytest.approx(_worst_adversary_risk(sol, data), abs=1e-8)
+    else:
+        sol = epic.eldp_solve(data, math.inf, LAM, cfg)
+    n_entries = data.x_size * 2
+    n_extra = len(data.present_g_values()) + 1  # adversary rows and the utility cap
+    assert lps and all(n in (n_entries, n_entries + 1) and rows <= n_extra for n, rows in lps)
+    for rows in _rows(sol.mapping):
+        assert rows.min() >= 0.0 and np.allclose(rows.sum(axis=1), 1.0)
+    assert sol.eps_ld == math.inf
 
 
 # -- discretization ----------------------------------------------------------------
