@@ -5,6 +5,11 @@ the product-form collection of one channel per sensor.  Two-stage mappings
 concatenate two network mappings per sensor, either sanitizing for the
 private hypothesis first and then adding local noise ("ill") or the other
 way around ("lip").
+
+Every block step over one sensor's channel, parametric or empirical, is one
+``solve_channel_lp``: a linear program over the local-budget polytope
+``ldp_polytope`` plus the caller's own rows and variables.  The polytope's
+column and row layout is known only here.
 """
 
 from __future__ import annotations
@@ -15,7 +20,11 @@ import math
 
 import numpy as np
 
+from .simplex import solve_lp
+
 ROW_ATOL = 1e-12
+#: tolerance of every channel linear program
+LP_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,6 +251,39 @@ def repair_ratio_columns(rows: np.ndarray, eps_ld: float) -> np.ndarray:
     else:
         rows[rows <= 1e-12] = 0.0
     return rows / rows.sum(axis=1, keepdims=True)
+
+
+def solve_channel_lp(shape, eps_ld, cost, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    """Minimize cost . v over the channels of ``shape`` with local budget at most eps_ld.
+
+    v is the channel p(z | x) flattened as x * z_size + z, then any variables
+    of the caller's own; ``a_ub``/``a_eq`` are extra rows over v.  The LP puts
+    the polytope's envelope columns right after the channel entries and its
+    rows above the extra ones.  Returns the optimal rows repaired by
+    ``repair_ratio_columns``; raises LPInfeasible when no channel meets the rows.
+    """
+    x_size, z_size = shape
+    nv = x_size * z_size
+    poly_eq, poly_beq, poly_ub, poly_bub = ldp_polytope(x_size, z_size, eps_ld)
+    n_cols = poly_eq.shape[1] + np.size(cost) - nv
+
+    def widen(a, front):  # a's first ``front`` columns in front, the rest last, zeros between
+        a = np.asarray(a, dtype=float)
+        zeros = np.zeros(a.shape[:-1] + (n_cols - a.shape[-1],))
+        return np.concatenate([a[..., :front], zeros, a[..., front:]], axis=-1)
+
+    def stack(poly, poly_b, extra, extra_b):
+        blocks = [] if poly is None else [(widen(poly, poly.shape[1]), poly_b)]
+        if extra is not None:
+            blocks.append((widen(extra, nv), extra_b))
+        if not blocks:
+            return None, None
+        return np.vstack([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
+
+    a_ub, b_ub = stack(poly_ub, poly_bub, a_ub, b_ub)
+    a_eq, b_eq = stack(poly_eq, poly_beq, a_eq, b_eq)
+    res = solve_lp(widen(cost, nv), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=LP_TOL)
+    return repair_ratio_columns(res.x[:nv].reshape(x_size, z_size), eps_ld)
 
 
 # -- serialization helpers ---------------------------------------------------

@@ -14,6 +14,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -65,9 +66,11 @@ def _fmt(v) -> str:
 
 
 def _parse_eps(v) -> float:
-    if isinstance(v, str) and v.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(v)
+    """A privacy budget: a nonnegative number, ``inf`` included."""
+    eps = float(v)
+    if not eps >= 0:
+        raise ValueError(f"a privacy budget must be a nonnegative number, got {v!r}")
+    return eps
 
 
 # -- sweep spec ------------------------------------------------------------
@@ -139,7 +142,7 @@ class SweepSpec:
     corr: tuple
     seeds: tuple
     epic: dict
-    design: dict  # keyword arguments of OptimizerConfig, seed and budgets aside
+    design: design_mod.OptimizerConfig  # each cell sets its own seed and budgets
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
@@ -154,7 +157,7 @@ class SweepSpec:
             model_file=d["model"]["file"],
             generator=d["model"]["generator"],
             epic=d["epic"],
-            design=d["design"],
+            design=design_mod.OptimizerConfig(**d["design"]),
             **grids,
         )
 
@@ -234,11 +237,10 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
     eps_ld_axis = spec.eps_ld if "eps_ld" in _AXES[arch] else (math.inf,)
     results = [None] * len(eps_ld_axis)
     try:
+        cfg = dataclasses.replace(spec.design, seed=seed, eps_i=eps_i)
         if arch in ("ldp", "ill", "lip"):
-            cfg = design_mod.OptimizerConfig(**spec.design, seed=seed, eps_i=eps_i)
             results = design_mod.chain_designs(model, arch, list(eps_ld_axis), cfg)
         elif arch == "inp":
-            cfg = design_mod.OptimizerConfig(**spec.design, seed=seed, eps_i=eps_i)
             results = [design_mod.design_inp(model, cfg)]
     except Exception as exc:  # per-cell failures stay in-row
         share = (time.perf_counter() - t_start) / len(eps_ld_axis)
@@ -319,38 +321,26 @@ def _fail_row(row, exc) -> None:
 
 
 def _group_keys(spec: SweepSpec):
+    """(arch, corr, seed, eps_i, r) of every warm-start chain, in grid order."""
     keys = []
+    corrs = spec.corr if not spec.model_file else (0.0,)
     for arch in spec.architectures:
-        axes = _AXES[arch]
-        corrs = spec.corr if not spec.model_file else (0.0,)
-        for corr in corrs:
-            for seed in spec.seeds:
-                eps_is = spec.eps_i if "eps_i" in axes else (math.inf,)
-                rs = spec.r if "r" in axes else (None,)
-                for eps_i in eps_is:
-                    for r in rs:
-                        keys.append((arch, corr, seed, eps_i, r))
+        eps_is = spec.eps_i if "eps_i" in _AXES[arch] else (math.inf,)
+        rs = spec.r if "r" in _AXES[arch] else (None,)
+        keys += itertools.product((arch,), corrs, spec.seeds, eps_is, rs)
     return keys
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1):
     """Execute every grid cell; returns rows in deterministic grid order."""
     keys = _group_keys(spec)
-    results = {}
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_run_group, spec, *key): key for key in keys
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
+            futures = [pool.submit(_run_group, spec, *key) for key in keys]
+            groups = [fut.result() for fut in futures]
     else:
-        for key in keys:
-            results[key] = _run_group(spec, *key)
-    rows = []
-    for key in keys:
-        rows.extend(results[key])
-    return rows
+        groups = [_run_group(spec, *key) for key in keys]
+    return [row for rows in groups for row in rows]
 
 
 def write_sweep_csv(rows, path) -> None:

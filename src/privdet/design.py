@@ -36,12 +36,12 @@ import numpy as np
 
 from . import metrics
 from .channels import (
+    LP_TOL,
     NetworkMapping,
     SensorChannel,
     TwoStageMapping,
     compose,
-    ldp_polytope,
-    repair_ratio_columns,
+    solve_channel_lp,
 )
 from .detection import (
     FusionRule,
@@ -60,7 +60,6 @@ from .simplex import LPInfeasible, solve_lp
 CONVERGENCE_TOL = 1e-6
 #: most deterministic quantizers an information-stage LP takes as columns
 PHI_CAP = 4096
-LP_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,8 +75,15 @@ class OptimizerConfig:
     restarts: int = 5
 
     def __post_init__(self):
-        if self.eps_i < 0 or self.eps_ld < 0:
-            raise ValueError("privacy budgets must be nonnegative")
+        for name in ("eps_i", "eps_ld"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name!r} must be nonnegative, got {value}")
+        counts = {"z_size": self.z_size, "y_size": self.stage_y_size,
+                  "max_outer_iters": self.max_outer_iters, "restarts": self.restarts}
+        for name, value in counts.items():
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name!r} must be an integer of at least 1, got {value!r}")
 
     @property
     def stage_y_size(self) -> int:
@@ -189,15 +195,10 @@ def ldp_lp_step(
     model: JointModel, rule: FusionRule, channels, t: int, eps_ld: float
 ) -> SensorChannel:
     """Block linear program over one sensor's channel for any output size."""
-    if eps_ld < 0:
-        raise ValueError("eps_ld must be nonnegative")
-    f = block_objective_coefficients(model, rule, channels, t)
-    z_size, x_size = f.shape
-    a_eq, b_eq, a_ub, b_ub = ldp_polytope(x_size, z_size, eps_ld)
-    c = np.zeros(a_eq.shape[1])  # the polytope's envelope columns cost nothing
-    c[:f.size] = f.T.reshape(-1)
-    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=LP_TOL)
-    return SensorChannel(repair_ratio_columns(res.x[:f.size].reshape(x_size, z_size), eps_ld))
+    if not eps_ld >= 0:
+        raise ValueError(f"eps_ld must be nonnegative, got {eps_ld}")
+    f = block_objective_coefficients(model, rule, channels, t).T
+    return SensorChannel(solve_channel_lp(f.shape, eps_ld, f.reshape(-1)))
 
 
 # -- local-differential-privacy design ---------------------------------------
@@ -424,26 +425,19 @@ def _info_stage_start(model, eps_i, y_size):
 
 
 def _solve_mixture_lp(err, risks, th):
-    n_cols = err.shape[0]
-    a_ub, b_ub = [], []
-    for g, r in sorted(risks.items()):
-        a_ub.append(-r)
-        b_ub.append(-th)
-    a_eq = np.ones((1, n_cols))
-    b_eq = np.ones(1)
+    """Mixture weights over the LP columns of least error with every risk at least th."""
+    rows = [-risks[g] for g in sorted(risks)]
     try:
         res = solve_lp(
             err,
-            a_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            a_eq=a_eq,
-            b_eq=b_eq,
+            a_ub=np.array(rows) if rows else None,
+            b_ub=np.full(len(rows), -th) if rows else None,
+            a_eq=np.ones((1, err.shape[0])),
+            b_eq=np.ones(1),
             tol=LP_TOL,
         )
     except LPInfeasible:
-        blocking = min(
-            risks, key=lambda g: float(np.max(risks[g]))
-        ) if risks else -1
+        blocking = min(risks, key=lambda g: float(np.max(risks[g]))) if risks else -1
         raise InfoStageInfeasible(blocking, th) from None
     nu = np.clip(res.x, 0.0, None)
     return nu / nu.sum()
@@ -539,7 +533,9 @@ def _enforce_info_budget(model, chans, eps_i):
     c_G measured on the evolving mapping, so the final mapping is audited
     directly.  ``_mix_toward_mean`` with one common weight w on every
     sensor's rows reaches budget zero at w = 0, and the largest adequate w
-    is located by bisection (validated, with a linear scan as fallback).
+    is located by bisection.  Its lower end passed the audit, unless it is
+    still 0 and eps_i lies below the rounding error of an input-independent
+    channel's budget; that mixture is returned either way.
     """
     if math.isinf(eps_i):
         return chans
@@ -551,18 +547,14 @@ def _enforce_info_budget(model, chans, eps_i):
     val, mixed = audit(1.0)
     if val <= eps_i:
         return mixed
-    lo, hi = 0.0, 1.0  # the audit passes at lo and fails at hi
+    lo, hi = 0.0, 1.0  # the audit fails at hi, and passes at lo once lo > 0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if audit(mid)[0] <= eps_i:
             lo = mid
         else:
             hi = mid
-    for w in np.concatenate([[lo], np.linspace(1.0, 0.0, 101)]):
-        val, mixed = audit(w)
-        if val <= eps_i:
-            return mixed
-    return mixed
+    return audit(lo)[1]
 
 
 # -- two-stage architectures ---------------------------------------------------

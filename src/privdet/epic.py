@@ -21,7 +21,8 @@ constraints, by block coordinate descent over (classifier, per-sensor
 channels, adversaries).  With the weights held fixed, each score is linear
 in one sensor's channel and the regularizer is constant, so channel blocks
 are linear programs on the linearized risks with a backtracking damping
-step on the exact ones.
+step on the exact ones.  Each is one ``channels.solve_channel_lp`` over the
+channel entries (and, in the risk-floor search, the floor variable tau).
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ import numpy as np
 from .channels import (
     NetworkMapping,
     SensorChannel,
-    ldp_polytope,
     repair_ratio_columns,
+    solve_channel_lp,
     uniform_mapping,
 )
 from .model import JointModel
-from .simplex import LPInfeasible, solve_lp
+from .simplex import LPInfeasible
 
 LOG2 = math.log(2.0)
 
@@ -50,7 +51,6 @@ FIT_TOL = 1e-12
 FIT_MAX_ITER = 100
 #: L1 norm of the mapping change per sweep below which a solve has converged
 CONVERGENCE_TOL = 1e-6
-LP_TOL = 1e-9
 #: step halvings a block step tries toward its LP optimum before it gives up
 DAMPING_STEPS = 6
 #: share of the gap between the utility-only public risk and log 2 that the
@@ -247,31 +247,18 @@ def _adversary_block(dataset, chans, t, advs, lam):
     return rows, offsets, lambda p_rows: min(risk(p_rows) for _, _, risk in parts)
 
 
-def _pad(a, n_cols):
-    """``a`` with zero columns appended up to ``n_cols`` (envelope and extra variables)."""
-    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, n_cols - a.shape[-1])])
-
-
-def _with_ratio_rows(a_ub, b_ub, rows, rhs):
-    """The polytope's ratio rows (if any), zero-padded to the extra rows' width, above them."""
-    if a_ub is None:
-        return rows, rhs
-    return np.vstack([_pad(a_ub, rows.shape[1]), rows]), np.concatenate([b_ub, rhs])
-
-
-def _channel_step(chans, t, eps_ld, accept, c, a_ub, b_ub, a_eq, b_eq) -> float:
+def _channel_step(chans, t, eps_ld, accept, cost, a_ub=None, b_ub=None) -> float:
     """Move sensor t toward its block LP's optimum by the first accepted damped step.
 
-    The LP's leading variables are the channel entries.  Steps of
-    1, 1/2, 1/4, ... toward the repaired optimum are tried until ``accept``
+    The LP is ``solve_channel_lp`` with this cost and these extra rows.
+    Steps of 1, 1/2, 1/4, ... toward its optimum are tried until ``accept``
     takes one.  Returns the L1 change of the channel (0 when none is taken).
     """
     p0 = chans[t].rows
     try:
-        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=LP_TOL)
+        target = solve_channel_lp(p0.shape, eps_ld, cost, a_ub, b_ub)
     except LPInfeasible:
         return 0.0
-    target = repair_ratio_columns(res.x[:p0.size].reshape(p0.shape), eps_ld)
     eta = 1.0
     for _ in range(DAMPING_STEPS):
         trial = repair_ratio_columns(p0 + eta * (target - p0), eps_ld)
@@ -335,15 +322,13 @@ def _solution(dataset, chans, lam, eps_ld, theta_star=math.nan, r=0.0) -> EpicSo
 
 def _eldp_sweeps(dataset, chans, eps_ld, lam, cfg):
     """Minimize the empirical public risk over local-budget channels."""
-    a_eq, b_eq, a_ub, b_ub = ldp_polytope(dataset.x_size, chans[0].z_size, eps_ld)
     for _ in range(cfg.max_sweeps):
         coeffs, _ = _fit(dataset, chans, lam)
         change = 0.0
         for t in range(dataset.s):
             grad, f_cur, f = _block(dataset, chans, t, coeffs, lam)
             change += _channel_step(
-                chans, t, eps_ld, lambda p: f(p) <= f_cur + 1e-12,
-                _pad(grad.reshape(-1), a_eq.shape[1]), a_ub, b_ub, a_eq, b_eq,
+                chans, t, eps_ld, lambda p: f(p) <= f_cur + 1e-12, grad.reshape(-1)
             )
         if change < CONVERGENCE_TOL:
             break
@@ -352,6 +337,8 @@ def _eldp_sweeps(dataset, chans, eps_ld, lam, cfg):
 
 def eldp_solve(dataset: Dataset, eps_ld: float, lam: float, config: EpicConfig | None = None) -> EpicSolution:
     """Local-budget-only empirical design (the risk floor dropped)."""
+    if not eps_ld >= 0:
+        raise ValueError(f"eps_ld must be nonnegative, got {eps_ld}")
     cfg = config or EpicConfig()
     uniform = list(uniform_mapping(dataset.s, dataset.x_size, 2).channels)
     chans = _eldp_sweeps(dataset, uniform, eps_ld, lam, cfg)
@@ -423,11 +410,8 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
     ]
     floors = [_fit_adversaries(dataset, st, lam)[1] for st in starts]
     chans = starts[int(np.argmax(floors))]
-    # variables: channel entries, envelope, then tau; maximize tau
-    a_eq, b_eq, a_ub, b_ub = ldp_polytope(dataset.x_size, z_size, eps_ld)
-    n_cols = a_eq.shape[1] + 1
-    a_eq = _pad(a_eq, n_cols)
-    c = np.zeros(n_cols)
+    # variables: channel entries, then tau; maximize tau
+    c = np.zeros(dataset.x_size * z_size + 1)
     c[-1] = -1.0
     for _ in range(cfg.max_sweeps):
         sol = _solution(dataset, chans, lam, eps_ld)
@@ -437,17 +421,14 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
             h_grad, f_cur, f = _block(dataset, chans, t, sol.coeffs, lam)
             g_rows, g_offsets, worst = _adversary_block(dataset, chans, t, sol.adversaries, lam)
             # tau <= each linearized adversary risk; linearized public risk <= f_cap
-            extra = _pad(np.vstack([-g_rows, h_grad.reshape(-1)]), n_cols)
+            extra = np.pad(np.vstack([-g_rows, h_grad.reshape(-1)]), [(0, 0), (0, 1)])
             extra[:-1, -1] = 1.0
-            ub, rhs = _with_ratio_rows(
-                a_ub, b_ub, extra,
-                np.append(g_offsets, f_cap - f_cur + float((h_grad * p0).sum())),
-            )
+            rhs = np.append(g_offsets, f_cap - f_cur + float((h_grad * p0).sum()))
             cur_min = worst(p0)
             change += _channel_step(
                 chans, t, eps_ld,
                 lambda p: worst(p) >= cur_min - 1e-12 and f(p) <= f_cap + 1e-9,
-                c, ub, rhs, a_eq, b_eq,
+                c, extra, rhs,
             )
         if change < CONVERGENCE_TOL:
             break
@@ -471,30 +452,27 @@ def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int):
         c = np.bincount(col[mask], minlength=xs).astype(float)
         return c / max(c.sum(), 1.0)
 
-    a_eq_base, b_eq_base, a_ub, b_ub = ldp_polytope(xs, z_size, eps_ld)
-    n_cols = a_eq_base.shape[1]
-    uniform = uniform_mapping(dataset.s, xs, z_size)
     chans = []
     for t in range(dataset.s):
         col = dataset.x[:, t]
         d_h = emp_cond(col, dataset.h == 1) - emp_cond(col, dataset.h == 0)
-        c = np.zeros(n_cols)
-        c[0:nv:z_size], c[1:nv:z_size] = d_h, -d_h
+        c = np.zeros(nv)
+        c[0::z_size], c[1::z_size] = d_h, -d_h
         null_rows = []
         for g in dataset.present_g_values():
             d_g = emp_cond(col, dataset.g == g) - emp_cond(col, dataset.g == 0)
             for z in range(1, z_size):
-                row = np.zeros(n_cols)
-                row[z:nv:z_size] = d_g
+                row = np.zeros(nv)
+                row[z::z_size] = d_g
                 null_rows.append(row)
-        a_eq = np.vstack([a_eq_base] + null_rows) if null_rows else a_eq_base
-        b_eq = np.concatenate([b_eq_base, np.zeros(len(null_rows))])
         try:
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=LP_TOL)
+            rows = solve_channel_lp(
+                (xs, z_size), eps_ld, c,
+                a_eq=np.reshape(null_rows, (-1, nv)), b_eq=np.zeros(len(null_rows)),
+            )
         except LPInfeasible:
-            chans.append(uniform.channels[t])
-            continue
-        chans.append(SensorChannel(repair_ratio_columns(res.x[:nv].reshape(xs, z_size), eps_ld)))
+            rows = np.full((xs, z_size), 1.0 / z_size)
+        chans.append(SensorChannel(rows))
     return chans
 
 
@@ -509,8 +487,6 @@ def _constrained_sweeps(dataset, chans, theta_star, r, eps_ld, lam, cfg, best):
     """Step-(ii) block descent from one start; returns the audited best so far."""
     th = r * theta_star
     floor = th - cfg.risk_slack
-    a_eq, b_eq, a_ub, b_ub = ldp_polytope(dataset.x_size, chans[0].z_size, eps_ld)
-    n_cols = a_eq.shape[1]
     sol = _solution(dataset, chans, lam, eps_ld, theta_star, r)
     best = _better(best, sol, floor)
     for _ in range(cfg.max_sweeps):
@@ -519,11 +495,10 @@ def _constrained_sweeps(dataset, chans, theta_star, r, eps_ld, lam, cfg, best):
             h_grad, f_cur, f = _block(dataset, chans, t, sol.coeffs, lam)
             g_rows, g_offsets, worst = _adversary_block(dataset, chans, t, sol.adversaries, lam)
             # every linearized adversary risk stays at or above th
-            ub, rhs = _with_ratio_rows(a_ub, b_ub, _pad(-g_rows, n_cols), g_offsets - th)
             change += _channel_step(
                 chans, t, eps_ld,
                 lambda p: f(p) <= f_cur + 1e-12 and worst(p) >= floor,
-                _pad(h_grad.reshape(-1), n_cols), ub, rhs, a_eq, b_eq,
+                h_grad.reshape(-1), -g_rows, g_offsets - th,
             )
         sol = _solution(dataset, chans, lam, eps_ld, theta_star, r)
         best = _better(best, sol, floor)
@@ -546,8 +521,8 @@ def epic_solve(
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"the floor ratio r must lie in (0, 1), got {r}")
-    if eps_ld < 0:
-        raise ValueError("eps_ld must be nonnegative")
+    if not eps_ld >= 0:
+        raise ValueError(f"eps_ld must be nonnegative, got {eps_ld}")
     if lam <= 0:
         raise ValueError("lam must be positive")
     cfg = config or EpicConfig()

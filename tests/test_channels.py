@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from privdet import channels as channels_mod
 from privdet import metrics
 from privdet.channels import (
+    LP_TOL,
     NetworkMapping,
     SensorChannel,
     TwoStageMapping,
@@ -19,16 +21,18 @@ from privdet.channels import (
     random_channel,
     random_mapping,
     randomized_response,
+    repair_ratio_columns,
     save_mapping,
+    solve_channel_lp,
     uniform_mapping,
 )
 from privdet.design import ldp_lp_step
 from privdet.detection import optimal_rule_from_pushed
 from privdet.model import push_forward
 from privdet.relations import random_model
-from privdet.simplex import solve_lp
+from privdet.simplex import LPInfeasible, solve_lp
 
-from _oracles import pairwise_ldp_polytope
+from _oracles import cold_solve_lp, padded_channel_lp, pairwise_ldp_polytope
 
 
 def test_channel_validation():
@@ -227,3 +231,70 @@ def test_repaired_lp_step_meets_its_budget(x_size, z_size, eps):
     rule = optimal_rule_from_pushed(push_forward(model, NetworkMapping(tuple(chans))))
     ch = ldp_lp_step(model, rule, chans, 0, eps)
     assert metrics.ldp_budget(NetworkMapping((ch,))) <= eps + 1e-12
+
+
+# -- the channel LP ------------------------------------------------------------
+
+
+def _channel_lp_case(case, x_size, z_size, rng):
+    """(cost, extra rows) of one block LP; the uniform channel meets every extra row."""
+    nv = x_size * z_size
+    uniform = np.full(nv, 1.0 / z_size)
+    rows = rng.normal(size=(3, nv))
+    if case == "none":
+        return rng.normal(size=nv), {}
+    if case == "ub":
+        return rng.normal(size=nv), {"a_ub": rows, "b_ub": rows @ uniform + 0.1}
+    if case == "eq":
+        return rng.normal(size=nv), {"a_eq": rows[:1], "b_eq": rows[:1] @ uniform}
+    # maximize tau below two linear risks, under a cap row that does not involve tau
+    cost = np.zeros(nv + 1)
+    cost[-1] = -1.0
+    risks = rng.random(size=(2, nv))
+    a_ub = np.vstack([np.column_stack([-risks, np.ones(2)]), np.append(rows[0], 0.0)])
+    return cost, {"a_ub": a_ub, "b_ub": np.append(rng.random(2), rows[0] @ uniform + 0.1)}
+
+
+def _same_bytes(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["none", "ub", "eq", "ub+tau"])
+@pytest.mark.parametrize("eps", [0.0, 0.7, math.inf])
+@pytest.mark.parametrize("z_size", [2, 3])
+@pytest.mark.parametrize("x_size", [1, 2, 5])
+def test_channel_lp_solves_the_padded_assembly(x_size, z_size, eps, case, monkeypatch):
+    """solve_lp sees the padded program byte for byte, and the rows are its repaired optimum."""
+    rng = np.random.default_rng(100 * x_size + 10 * z_size + len(case))
+    cost, extra = _channel_lp_case(case, x_size, z_size, rng)
+    calls = []
+    real = channels_mod.solve_lp
+
+    def recorded(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol=1e-9):
+        calls.append(((c, a_ub, b_ub, a_eq, b_eq), tol))
+        return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=tol)
+
+    monkeypatch.setattr(channels_mod, "solve_lp", recorded)
+    rows = solve_channel_lp((x_size, z_size), eps, cost, **extra)
+    program = padded_channel_lp((x_size, z_size), eps, cost, **extra)
+    ((args, tol),) = calls
+    assert all(_same_bytes(a, b) for a, b in zip(args, program))
+    assert tol == LP_TOL
+    ref = cold_solve_lp(*program, tol=LP_TOL).x[:x_size * z_size].reshape(x_size, z_size)
+    assert np.array_equal(rows, repair_ratio_columns(ref, eps))
+    assert metrics.ldp_budget(NetworkMapping((SensorChannel(rows),))) <= eps + 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.7, math.inf])
+@pytest.mark.parametrize("x_size", [1, 2, 5])
+def test_an_infeasible_channel_lp_raises_on_both_paths(x_size, eps):
+    nv = 3 * x_size
+    a_ub = np.zeros((1, nv))
+    a_ub[0, 0] = -1.0  # p(0 | 0) >= 2
+    args = ((x_size, 3), eps, np.ones(nv), a_ub, np.array([-2.0]))
+    with pytest.raises(LPInfeasible):
+        solve_channel_lp(*args)
+    with pytest.raises(LPInfeasible):
+        solve_lp(*padded_channel_lp(*args), tol=LP_TOL)

@@ -201,9 +201,13 @@ def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_p
     ({"model": {"generator": {"seed": [1]}}}, "model.generator.seed"),
     ({"eps_ld": "inf"}, "eps_ld"),
     ({"r": 0.9}, "r"),
+    ({"eps_ld": ["nan"]}, "nan"),
+    ({"eps_i": ["-1"]}, "-1"),
+    ({"design": {"max_outer_iters": 0}}, "max_outer_iters"),
+    ({"design": {"y_size": 0}}, "y_size"),
 ])
 def test_sweep_spec_rejects_unknown_keys(tmp_path, fields, key):
-    """Unknown keys and entries of the wrong kind are named; the sweep exits 2 before any work."""
+    """Unknown keys and entries of the wrong kind or value are named; the sweep exits 2 before any work."""
     data = {"model": {"generator": {"seed": 1, "s": 2, "x_size": 3}}, "architectures": ["ldp"]}
     data.update(fields)
     with pytest.raises(ValueError, match=re.escape(repr(key))):
@@ -212,6 +216,17 @@ def test_sweep_spec_rejects_unknown_keys(tmp_path, fields, key):
     spec.write_text(json.dumps(data))
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["design", "epic"])
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_a_nan_or_negative_budget_flag_is_rejected(tmp_path, capsys, command, value):
+    inputs = ["--arch", "ldp", "--model"] if command == "design" else ["--train", "t.csv", "--test"]
+    argv = [command, *inputs, "m.csv", "--eps-ld", value, "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"--eps-ld: invalid _parse_eps value: {value!r}" in capsys.readouterr().err
 
 
 def test_sweep_loads_its_model_file_once_per_group(tmp_path, monkeypatch):

@@ -350,6 +350,20 @@ def test_design_profiles_meet_the_theta_they_report():
                 assert min(profile.min_risks.values()) >= profile.theta - 1e-6
 
 
+@pytest.mark.parametrize("field", ["restarts", "max_outer_iters", "z_size", "y_size"])
+def test_optimizer_config_requires_counts_of_at_least_one(field):
+    with pytest.raises(ValueError, match=f"^'{field}' must be an integer of at least 1, got 0$"):
+        OptimizerConfig(**{field: 0})
+    assert getattr(OptimizerConfig(**{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize("field", ["eps_i", "eps_ld"])
+@pytest.mark.parametrize("value", [math.nan, -0.5])
+def test_optimizer_config_rejects_a_nan_or_negative_budget(field, value):
+    with pytest.raises(ValueError, match=f"^'{field}' must be nonnegative"):
+        OptimizerConfig(**{field: value})
+
+
 def test_mixture_lp_infeasible_reports_blocking_g():
     err = np.array([0.1, 0.2])
     risks = {1: np.array([0.1, 0.2]), 3: np.array([0.3, 0.05])}

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from privdet import epic, metrics
+from privdet import channels, epic, metrics
 from privdet.channels import random_mapping
 from privdet.model import generate_correlated_model
 
@@ -97,13 +97,13 @@ def test_an_infinite_local_budget_solves_without_ratio_rows(solver, monkeypatch)
     data = epic.dataset_from_model(model, 30, 1)
     cfg = epic.EpicConfig(max_sweeps=2)
     lps = []
-    real = epic.solve_lp
+    real = channels.solve_lp
 
     def recorded(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol=1e-9):
         lps.append((c.size, 0 if a_ub is None else a_ub.shape[0]))
         return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=tol)
 
-    monkeypatch.setattr(epic, "solve_lp", recorded)
+    monkeypatch.setattr(channels, "solve_lp", recorded)
     if solver == "epic":
         sol = epic.epic_solve(data, math.inf, R, LAM, cfg)
         assert _worst_adversary_risk(sol, data) >= R * sol.theta_star - cfg.risk_slack - 1e-9
@@ -116,6 +116,15 @@ def test_an_infinite_local_budget_solves_without_ratio_rows(solver, monkeypatch)
     for rows in _rows(sol.mapping):
         assert rows.min() >= 0.0 and np.allclose(rows.sum(axis=1), 1.0)
     assert sol.eps_ld == math.inf
+
+
+@pytest.mark.parametrize("eps", [math.nan, -0.5])
+def test_solvers_reject_a_nan_or_negative_local_budget(empirical, eps):
+    _, train, cfg, _ = empirical
+    with pytest.raises(ValueError, match="eps_ld must be nonnegative"):
+        epic.epic_solve(train, eps, R, LAM, cfg)
+    with pytest.raises(ValueError, match="eps_ld must be nonnegative"):
+        epic.eldp_solve(train, eps, LAM, cfg)
 
 
 # -- discretization ----------------------------------------------------------------
