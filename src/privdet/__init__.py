@@ -6,7 +6,6 @@ from .channels import (
     NetworkMapping,
     SensorChannel,
     TwoStageMapping,
-    compose,
     identity_mapping,
     load_mapping,
     random_channel,

@@ -23,8 +23,6 @@ import numpy as np
 from .simplex import solve_lp
 
 ROW_ATOL = 1e-12
-#: tolerance of every channel linear program
-LP_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,7 +92,12 @@ class NetworkMapping:
             z[:, t] = np.minimum((u[:, None] > cdf[x[:, t]]).sum(axis=1), ch.z_size - 1)
         return z
 
-    def to_list(self) -> list:
+    def network(self) -> "NetworkMapping":
+        """The one channel per sensor that the network applies: this mapping itself."""
+        return self
+
+    def to_json(self) -> list:
+        """The mapping file's payload: a list of channels."""
         return [ch.to_dict() for ch in self.channels]
 
     @classmethod
@@ -125,11 +128,21 @@ class TwoStageMapping:
     def s(self) -> int:
         return self.stage1.s
 
-    def to_dict(self) -> dict:
+    def network(self) -> NetworkMapping:
+        """The two stages collapsed into one channel per sensor."""
+        chans = []
+        for a, b in zip(self.stage1.channels, self.stage2.channels):
+            rows = a.rows @ b.rows
+            rows = rows / rows.sum(axis=1, keepdims=True)
+            chans.append(SensorChannel(rows))
+        return NetworkMapping(tuple(chans))
+
+    def to_json(self) -> dict:
+        """The mapping file's payload: the tag and both stages."""
         return {
             "arch": self.arch,
-            "stage1": self.stage1.to_list(),
-            "stage2": self.stage2.to_list(),
+            "stage1": self.stage1.to_json(),
+            "stage2": self.stage2.to_json(),
         }
 
     @classmethod
@@ -139,16 +152,6 @@ class TwoStageMapping:
             NetworkMapping.from_list(data["stage2"]),
             str(data["arch"]),
         )
-
-
-def compose(two_stage: TwoStageMapping) -> NetworkMapping:
-    """Collapse a two-stage mapping into one channel per sensor."""
-    chans = []
-    for a, b in zip(two_stage.stage1.channels, two_stage.stage2.channels):
-        rows = a.rows @ b.rows
-        rows = rows / rows.sum(axis=1, keepdims=True)
-        chans.append(SensorChannel(rows))
-    return NetworkMapping(tuple(chans))
 
 
 def identity_mapping(s: int, x_size: int) -> NetworkMapping:
@@ -282,7 +285,7 @@ def solve_channel_lp(shape, eps_ld, cost, a_ub=None, b_ub=None, a_eq=None, b_eq=
 
     a_ub, b_ub = stack(poly_ub, poly_bub, a_ub, b_ub)
     a_eq, b_eq = stack(poly_eq, poly_beq, a_eq, b_eq)
-    res = solve_lp(widen(cost, nv), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=LP_TOL)
+    res = solve_lp(widen(cost, nv), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     return repair_ratio_columns(res.x[:nv].reshape(x_size, z_size), eps_ld)
 
 
@@ -290,14 +293,10 @@ def solve_channel_lp(shape, eps_ld, cost, a_ub=None, b_ub=None, a_eq=None, b_eq=
 
 
 def save_mapping(mapping, path) -> None:
-    if isinstance(mapping, TwoStageMapping):
-        payload = mapping.to_dict()
-    elif isinstance(mapping, NetworkMapping):
-        payload = mapping.to_list()
-    else:
+    if not isinstance(mapping, (NetworkMapping, TwoStageMapping)):
         raise TypeError(f"cannot serialize {type(mapping).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(mapping.to_json(), fh, indent=1)
         fh.write("\n")
 
 

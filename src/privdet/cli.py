@@ -25,7 +25,7 @@ import numpy as np
 from . import design as design_mod
 from . import epic as epic_mod
 from . import metrics, relations
-from .channels import TwoStageMapping, compose, identity_mapping, load_mapping
+from .channels import identity_mapping, load_mapping
 from .detection import bayes_error_G_pushed, bayes_error_H_pushed
 from .model import (
     JointModel,
@@ -147,7 +147,12 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
         d = _resolve(data, SPEC_DEFAULTS)
-        grids = {key: tuple(map(parse, d[key])) for key, parse in _GRID_PARSERS.items()}
+        grids = {}
+        for key, parse in _GRID_PARSERS.items():
+            try:
+                grids[key] = tuple(map(parse, d[key]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"sweep spec key {key!r}: {exc}") from None
         for a in grids["architectures"]:
             if a not in ARCHITECTURES:
                 raise ValueError(f"unknown architecture {a!r}")
@@ -261,7 +266,7 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
                 row["converged"] = True
             elif arch in ("ldp", "ill", "lip", "inp"):
                 res = results[idx]
-                report = _evaluate_mapping(model, res.network(), row, res.report)
+                report = _evaluate_mapping(model, res.mapping.network(), row, res.report)
                 row["converged"] = res.converged
             else:  # epic / e-ldp
                 report = _run_epic_cell(spec, arch, model, seed, eps_ld, r, row)
@@ -370,10 +375,7 @@ def _cmd_gen_model(args) -> int:
 
 def _cmd_report(args) -> int:
     model = load_model(args.model)
-    mapping = load_mapping(args.mapping)
-    if isinstance(mapping, TwoStageMapping):
-        mapping = compose(mapping)
-    report = metrics.full_report(model, mapping)
+    report = metrics.full_report(model, load_mapping(args.mapping).network())
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=1)
         fh.write("\n")
@@ -391,14 +393,18 @@ def _cmd_design(args) -> int:
     settings = dict(
         SPEC_DEFAULTS["design"], z_size=args.z_size, y_size=args.y_size, restarts=args.restarts
     )
-    cfg = design_mod.OptimizerConfig(
-        **settings, seed=args.seed, eps_i=args.eps_i, eps_ld=args.eps_ld
-    )
+    try:
+        cfg = design_mod.OptimizerConfig(
+            **settings, seed=args.seed, eps_i=args.eps_i, eps_ld=args.eps_ld
+        )
+    except ValueError as exc:
+        print(f"privdet design: {exc}", file=sys.stderr)
+        return 2
     res = design_mod.design(model, args.arch, cfg)
     payload = res.to_dict()
     payload["arch"] = args.arch
-    payload["eps_i"] = metrics._json_float(cfg.eps_i)
-    payload["eps_ld"] = metrics._json_float(cfg.eps_ld)
+    payload["eps_i"] = metrics.json_float(cfg.eps_i)
+    payload["eps_ld"] = metrics.json_float(cfg.eps_ld)
     audit_ok = _audit(res.report, args.arch, cfg.eps_i, cfg.eps_ld)
     payload["audit_ok"] = audit_ok
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -35,14 +35,7 @@ import math
 import numpy as np
 
 from . import metrics
-from .channels import (
-    LP_TOL,
-    NetworkMapping,
-    SensorChannel,
-    TwoStageMapping,
-    compose,
-    solve_channel_lp,
-)
+from .channels import NetworkMapping, SensorChannel, TwoStageMapping, solve_channel_lp
 from .detection import (
     FusionRule,
     PrivacyRiskProfile,
@@ -54,12 +47,14 @@ from .detection import (
 )
 from .metrics import BudgetReport, full_report
 from .model import JointModel, PushedModel, _sensor_product, push_forward, push_forward_model
-from .simplex import LPInfeasible, solve_lp
+from .simplex import LP_TOL, LPInfeasible, solve_lp
 
 #: L1 norm of the mapping change per sweep below which a design has converged
 CONVERGENCE_TOL = 1e-6
 #: most deterministic quantizers an information-stage LP takes as columns
 PHI_CAP = 4096
+#: most sweeps of the unconstrained utility stage behind the water-filled ``inp`` mapping
+UTILITY_SWEEPS = 30
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,8 +90,9 @@ class DesignResult:
     """A designed mapping with its fusion rule, objective and audit.
 
     Made only by ``_result``.  ``report`` is the result's one audit:
-    ``full_report`` of ``network()``, taken once when the result is made.  The sweep's budget columns and the
-    ``design`` JSON read it; nothing audits the mapping again.
+    ``full_report`` of ``mapping.network()``, taken once when the result is
+    made.  The sweep's budget columns and the ``design`` JSON read it;
+    nothing audits the mapping again.
     """
 
     mapping: object  # NetworkMapping | TwoStageMapping
@@ -107,16 +103,9 @@ class DesignResult:
     objective: float  # detection error of the returned mapping
     profile: PrivacyRiskProfile | None = None
 
-    def network(self) -> NetworkMapping:
-        if isinstance(self.mapping, TwoStageMapping):
-            return compose(self.mapping)
-        return self.mapping
-
     def to_dict(self) -> dict:
         payload = {
-            "mapping": self.mapping.to_dict()
-            if isinstance(self.mapping, TwoStageMapping)
-            else self.mapping.to_list(),
+            "mapping": self.mapping.to_json(),
             "rule": self.rule.table.tolist(),
             "objective_trace": list(self.trace),
             "converged": self.converged,
@@ -139,7 +128,6 @@ class InfoStageInfeasible(RuntimeError):
             f"risk constraint for private value g={g} cannot reach theta={theta_val:.6g}"
         )
         self.blocking_g = g
-        self.theta = theta_val
 
 
 # -- single-sensor block steps for the local-budget design -------------------
@@ -434,7 +422,6 @@ def _solve_mixture_lp(err, risks, th):
             b_ub=np.full(len(rows), -th) if rows else None,
             a_eq=np.ones((1, err.shape[0])),
             b_eq=np.ones(1),
-            tol=LP_TOL,
         )
     except LPInfeasible:
         blocking = min(risks, key=lambda g: float(np.max(risks[g]))) if risks else -1
@@ -452,7 +439,7 @@ def _min_risks(pushed: PushedModel) -> dict:
     return {g: float(r) for g, r in risks.items()}
 
 
-def _utility_stage(model, cands, max_sweeps=30):
+def _utility_stage(model, cands):
     """Detection-error minimization with no privacy constraint at all.
 
     Per sweep each sensor takes the error-minimizing deterministic
@@ -463,7 +450,7 @@ def _utility_stage(model, cands, max_sweeps=30):
     chans = _likelihood_sign_quantizers(model, cands.shape[2])
     prev_obj = np.inf
     pushed = push_forward(model, NetworkMapping(tuple(chans)))
-    for _ in range(max_sweeps):
+    for _ in range(UTILITY_SWEEPS):
         rule = optimal_rule_from_pushed(pushed)
         for t in range(model.s):
             err, _ = _stage_column_stats(model, chans, t, cands, rule)
@@ -620,7 +607,7 @@ def _result(model, mapping, trace, converged, profile=None) -> DesignResult:
     forward once for the rule and the objective, and this is the one place
     a design calls ``full_report``.
     """
-    network = compose(mapping) if isinstance(mapping, TwoStageMapping) else mapping
+    network = mapping.network()
     pushed = push_forward(model, network)
     return DesignResult(
         mapping=mapping,

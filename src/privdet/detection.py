@@ -55,15 +55,10 @@ def optimal_rule_from_pushed(pushed: PushedModel) -> FusionRule:
     return FusionRule(table, pushed.s, pushed.z_size)
 
 
-def bayes_error_H_pushed(pushed: PushedModel, rule: FusionRule | None = None) -> float:
-    """P(rule(Z) != H); with rule=None uses the optimal rule (Bayes error)."""
+def bayes_error_H_pushed(pushed: PushedModel) -> float:
+    """Bayes error for H: P(rule(Z) != H) under the optimal rule."""
     p_hz = pushed.p_hz()
-    if rule is None:
-        return float(np.minimum(p_hz[0], p_hz[1]).sum())
-    if rule.table.shape[0] != pushed.n_z:
-        raise ValueError("rule is defined on a different output space")
-    decide_one = rule.table.astype(bool)
-    return float(p_hz[0][decide_one].sum() + p_hz[1][~decide_one].sum())
+    return float(np.minimum(p_hz[0], p_hz[1]).sum())
 
 
 def bayes_error_G_pushed(pushed: PushedModel) -> float:
@@ -97,39 +92,26 @@ def compute_c_G(pushed: PushedModel) -> float:
     """min over g != 0 of the extreme-likelihood-set probabilities.
 
     For each g the two candidates are P(Y in argmin_y l_g | G=0) and
-    P(Y in argmax_y l_g | G=g) on the pushed law of (G, Y); ratio ties
-    within 1e-12 relative are grouped into the arg sets.
+    P(Y in argmax_y l_g | G=g) on the pushed law of (G, Y), where
+    l_g = p(y|g) / p(y|0) is inf where p(y|0) = 0; ratio ties within 1e-12
+    relative are grouped into the arg sets.  With no live g (as in
+    ``min_risks``) the value is 1.
     """
     p_gy = pushed.p_gz()
     p_g = p_gy.sum(axis=1)
+    if p_g[0] <= 0:
+        return 1.0
+    p0 = p_gy[0] / p_g[0]
     best = 1.0
     for g in range(1, pushed.n_g):
         if p_g[g] <= 0:
             continue
-        p0 = p_gy[0] / p_g[0]
         pg = p_gy[g] / p_g[g]
-        live = (p0 > 0) | (pg > 0)
-        ell = np.full(p0.shape, np.nan)
-        both = p0 > 0
-        ell[both & live] = pg[both & live] / p0[both & live]
-        ell[(p0 == 0) & (pg > 0)] = np.inf
-        defined = live & ~np.isnan(ell)
-        if not defined.any():
-            continue
-        vals = ell[defined]
-        finite = vals[np.isfinite(vals)]
-        lo = finite.min() if finite.size else np.inf
-        if np.isfinite(lo):
-            argmin = defined & (ell <= lo * (1 + RATIO_TIE_RTOL) + 1e-300)
-        else:
-            argmin = defined & np.isinf(ell)
-        hi = vals.max()
-        if np.isinf(hi):
-            argmax = defined & np.isinf(ell)
-        else:
-            argmax = defined & (ell >= hi * (1 - RATIO_TIE_RTOL) - 1e-300)
-        cand = min(float(p0[argmin].sum()), float(pg[argmax].sum()))
-        best = min(best, cand)
+        live = (p0 > 0) | (pg > 0)  # nonempty, as pg sums to one
+        ell = np.divide(pg, p0, out=np.full(p0.shape, np.inf), where=p0 > 0)[live]
+        argmin = ell <= ell.min() * (1 + RATIO_TIE_RTOL) + 1e-300
+        argmax = ell >= ell.max() * (1 - RATIO_TIE_RTOL) - 1e-300
+        best = min(best, float(p0[live][argmin].sum()), float(pg[live][argmax].sum()))
     return best
 
 

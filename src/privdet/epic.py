@@ -40,6 +40,7 @@ from .channels import (
     solve_channel_lp,
     uniform_mapping,
 )
+from .metrics import json_float
 from .model import JointModel
 from .simplex import LPInfeasible
 
@@ -294,12 +295,12 @@ class EpicSolution:
         return {
             "coeffs": self.coeffs.tolist(),
             "adversaries": {str(g): v.tolist() for g, v in self.adversaries.items()},
-            "mapping": self.mapping.to_list(),
-            "theta_achieved": self.theta_achieved,
-            "theta_star": self.theta_star,
+            "mapping": self.mapping.to_json(),
+            "theta_achieved": json_float(self.theta_achieved),
+            "theta_star": json_float(self.theta_star),
             "r": self.r,
             "lambda": self.lam,
-            "eps_ld": self.eps_ld,
+            "eps_ld": json_float(self.eps_ld),
             "objective": self.objective,
         }
 

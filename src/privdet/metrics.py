@@ -212,7 +212,7 @@ class BudgetReport:
     delta_x: float
 
     def to_dict(self) -> dict:
-        return {k: _json_float(v) for k, v in dataclasses.asdict(self).items()}
+        return {k: json_float(v) for k, v in dataclasses.asdict(self).items()}
 
     def csv_fields(self) -> dict:
         """Flat dict with a nats and a bits column per budget."""
@@ -223,10 +223,9 @@ class BudgetReport:
         return out
 
 
-def _json_float(v: float):
-    if math.isinf(v):
-        return "inf"
-    return v
+def json_float(v: float):
+    """``v`` for a JSON file, where strict JSON has no inf or nan: "inf", "-inf", "nan" instead."""
+    return v if math.isfinite(v) else str(float(v))
 
 
 def full_report(model: JointModel, mapping: NetworkMapping) -> BudgetReport:

@@ -166,13 +166,11 @@ class PushedModel:
     """Joint law of (H, G, Z) obtained by pushing a model through a mapping.
 
     Keeps references to the source model and mapping so that views that
-    genuinely involve X (identifiability, I(X;Z), ...) stay computable.
+    genuinely involve X (identifiability, I(X;Z), ...) stay computable; the
+    sizes s, q and z_size are read from them.
     """
 
     joint: np.ndarray  # (2, 2**q, z_size**s)
-    s: int
-    z_size: int
-    q: int
     source: JointModel
     mapping: NetworkMapping
 
@@ -186,6 +184,18 @@ class PushedModel:
         if drift > PROB_ATOL_DERIVED:
             raise ModelFormatError(f"(H, G) marginal drifted by {drift:.3e} under push-forward")
         object.__setattr__(self, "joint", joint)
+
+    @property
+    def s(self) -> int:
+        return self.source.s
+
+    @property
+    def q(self) -> int:
+        return self.source.q
+
+    @property
+    def z_size(self) -> int:
+        return self.mapping.channels[0].z_size
 
     @property
     def n_g(self) -> int:
@@ -210,7 +220,7 @@ def push_forward(model: JointModel, mapping: NetworkMapping) -> PushedModel:
     _check_compatible(model, mapping)
     pushed = [c @ ch.rows for c, ch in zip(model.conditionals, mapping.channels)]
     joint = _sensor_product(model.prior[:, :, None], pushed)
-    return PushedModel(joint, model.s, mapping.channels[0].z_size, model.q, model, mapping)
+    return PushedModel(joint, model, mapping)
 
 
 def push_forward_model(model: JointModel, mapping: NetworkMapping) -> JointModel:
@@ -262,45 +272,22 @@ _NOISE_OFFSETS = np.arange(-2, 3)  # uniform over 5 values
 
 
 def generate_correlated_model(
-    seed: int,
-    s: int,
-    x_size: int,
-    q: int = 1,
-    target_corr: float = 0.2,
-    p_h0: float = 0.5,
-    p_g0: float = 0.5,
-    jitter: float = 0.5,
+    seed: int, s: int, x_size: int, target_corr: float = 0.2, jitter: float = 0.5
 ) -> JointModel:
-    """Seeded model whose corr(H, G) equals target_corr exactly.
+    """Seeded model with uniform H and G marginals whose corr(H, G) equals target_corr exactly.
 
-    The prior is solved from the moment equations for the requested
-    marginals; per-sensor conditionals come from a shifted-noise family
-    (mean offset -3/-1/+1/+3 per (h, g) cell plus uniform noise over five
-    steps), rescaled onto {0, ..., x_size - 1}.  ``jitter`` perturbs each
-    sensor's offsets by a seeded uniform amount in [-jitter, jitter] so
-    sensors are not identical; jitter=0 reproduces the family verbatim.
-
-    Raises ValueError when the correlation is infeasible for the requested
-    marginals.
+    With both marginals at 1/2 every correlation in [-1, 1] is feasible:
+    p(1, 1) = p(0, 0) = (1 + target_corr) / 4.  Per-sensor conditionals come
+    from a shifted-noise family (mean offset -3/-1/+1/+3 per (h, g) cell
+    plus uniform noise over five steps), rescaled onto {0, ..., x_size - 1}.
+    ``jitter`` perturbs each sensor's offsets by a seeded uniform amount in
+    [-jitter, jitter] so sensors are not identical; jitter=0 reproduces the
+    family verbatim.
     """
-    if q != 1:
-        raise ValueError("generator supports a single private component (q=1)")
     if not -1.0 <= target_corr <= 1.0:
         raise ValueError(f"target_corr must lie in [-1, 1], got {target_corr}")
-    if not (0.0 < p_h0 < 1.0 and 0.0 < p_g0 < 1.0):
-        raise ValueError("marginals must be interior: 0 < p_h0, p_g0 < 1")
-    p_h1, p_g1 = 1.0 - p_h0, 1.0 - p_g0
-    sd = np.sqrt(p_h0 * p_h1 * p_g0 * p_g1)
-    p11 = p_h1 * p_g1 + target_corr * sd
-    prior = np.array(
-        [[1.0 - p_h1 - p_g1 + p11, p_g1 - p11], [p_h1 - p11, p11]]
-    )
-    if np.any(prior < -1e-12):
-        raise ValueError(
-            f"correlation {target_corr} is infeasible for marginals "
-            f"p_h0={p_h0}, p_g0={p_g0}"
-        )
-    prior = np.clip(prior, 0.0, None)
+    p11 = 0.25 + target_corr * 0.25
+    prior = np.array([[p11, 0.5 - p11], [0.5 - p11, p11]])
     prior /= prior.sum()
 
     rng = np.random.default_rng(seed)
@@ -322,7 +309,7 @@ def generate_correlated_model(
 def table3_model(s: int = 4, target_corr: float = 0.2) -> JointModel:
     """The shifted-noise synthetic family on its native 11-symbol alphabet."""
     return generate_correlated_model(
-        seed=0, s=s, x_size=11, q=1, target_corr=target_corr, jitter=0.0
+        seed=0, s=s, x_size=11, target_corr=target_corr, jitter=0.0
     )
 
 

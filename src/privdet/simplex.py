@@ -8,7 +8,7 @@ rule guarantees termination; all tie-breaks are by lowest index.
 Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
 Phase 1 (and driving the artificials out of the basis) depends only on the
-constraints and ``tol``, never on ``c``.  The block-coordinate loops solve
+constraints, never on ``c``.  The block-coordinate loops solve
 the same constraint set many times with different costs, so the solver
 keeps the feasible start of the last phase 1, read-only, and a repeat
 solve of the same constraints runs phase 2 from a copy of it.  The result
@@ -24,6 +24,8 @@ import numpy as np
 
 PIVOT_EPS = 1e-10
 FEAS_TOL = 1e-8
+#: reduced costs above -LP_TOL count as optimal; an artificial leaves only on a larger pivot
+LP_TOL = 1e-9
 
 
 class LPError(Exception):
@@ -50,14 +52,14 @@ class LPResult:
 _kept: tuple | None = None
 
 
-def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -> LPResult:
+def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LPResult:
     """Minimize c.x over {A_ub x <= b_ub, A_eq x = b_eq, x >= 0}.
 
     Raises LPInfeasible / LPUnbounded; otherwise returns a primal-feasible
-    basic solution within ``tol`` of the optimum.
+    basic solution within ``LP_TOL`` of the optimum.
 
-    Phase 1 depends only on the constraints and ``tol``.  When both are
-    exactly those of the previous call that reached phase 1, its feasible
+    Phase 1 depends only on the constraints.  When they are exactly those
+    of the previous call that reached phase 1, its feasible
     basis is reused (or its infeasibility raised again) and only phase 2
     runs; ``x`` and ``objective`` are bitwise what a cold solve gives.
     """
@@ -76,7 +78,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -
     if m == 0:
         # Pure sign-constrained problem: optimum at zero unless some cost
         # coefficient is negative, in which case it is unbounded.
-        if np.any(c < -tol):
+        if np.any(c < -LP_TOL):
             raise LPUnbounded("no constraints and a negative cost coefficient")
         return LPResult(np.zeros(n), 0.0, 0)
 
@@ -88,12 +90,12 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -
     a[neg] *= -1.0
     b[neg] *= -1.0
 
-    key = (tol, m_ub, a.shape, a.tobytes(), b.tobytes())
+    key = (m_ub, a.shape, a.tobytes(), b.tobytes())
     if _kept is not None and _kept[0] == key:
         start, pivots = _kept[1], 0
     else:
         try:
-            tableau, basis, pivots = _phase_one(a, b, neg, n, m_ub, tol)
+            tableau, basis, pivots = _phase_one(a, b, neg, n, m_ub)
             tableau.setflags(write=False)
             basis.setflags(write=False)
             start = (tableau, basis)
@@ -107,7 +109,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -
     # Phase 2 on structural + slack columns only.
     cost2 = np.concatenate([c, np.zeros(m_ub)])
     cost_row = _canonical_cost(cost2, tableau, basis)
-    _, phase2 = _iterate(tableau, basis, cost_row, n + m_ub, tol)
+    _, phase2 = _iterate(tableau, basis, cost_row, n + m_ub)
 
     x = np.zeros(n + m_ub)
     x[basis] = tableau[:, -1]
@@ -115,7 +117,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -
     return LPResult(x, float(c @ x), pivots + phase2)
 
 
-def _phase_one(a, b, neg, n, m_ub, tol):
+def _phase_one(a, b, neg, n, m_ub):
     """Feasible start of the normalized constraints: (tableau, basis, pivots).
 
     The tableau holds the structural and slack columns and the right-hand
@@ -143,10 +145,10 @@ def _phase_one(a, b, neg, n, m_ub, tol):
         cost1 = np.zeros(total)
         cost1[n + m_ub:] = 1.0
         cost_row = _canonical_cost(cost1, tableau, basis)
-        obj1, pivots = _iterate(tableau, basis, cost_row, total, tol)
+        obj1, pivots = _iterate(tableau, basis, cost_row, total)
         if obj1 > FEAS_TOL:
             raise LPInfeasible(f"phase-1 optimum {obj1:.3e} > 0")
-        pivots += _drive_out_artificials(tableau, basis, n + m_ub, tol)
+        pivots += _drive_out_artificials(tableau, basis, n + m_ub)
 
     keep = n + m_ub
     live_rows = [i for i in range(m) if basis[i] < keep]
@@ -161,7 +163,7 @@ def _canonical_cost(cost: np.ndarray, tableau: np.ndarray, basis: np.ndarray) ->
     return row
 
 
-def _iterate(tableau, basis, cost_row, n_cols, tol):
+def _iterate(tableau, basis, cost_row, n_cols):
     """Run Bland-rule pivots until optimal; returns (objective, pivots).
 
     Entering: lowest-index column with a negative reduced cost.  Leaving:
@@ -172,7 +174,7 @@ def _iterate(tableau, basis, cost_row, n_cols, tol):
     """
     max_pivots = 50000 + 200 * (tableau.shape[0] + n_cols)
     for pivots in range(max_pivots):
-        improving = cost_row[:n_cols] < -tol
+        improving = cost_row[:n_cols] < -LP_TOL
         entering = int(np.argmax(improving))
         if not improving[entering]:
             return -cost_row[-1], pivots
@@ -206,7 +208,7 @@ def _pivot(tableau, cost_row, row, col):
     cost_row -= cost_row[col] * pivot_row
 
 
-def _drive_out_artificials(tableau, basis, n_real, tol):
+def _drive_out_artificials(tableau, basis, n_real):
     """Pivot basic artificials onto real columns; returns the pivots made.
 
     Redundant rows stay put (they are dropped by the caller when still
@@ -216,7 +218,7 @@ def _drive_out_artificials(tableau, basis, n_real, tol):
     for i in range(tableau.shape[0]):
         if basis[i] >= n_real:
             for j in range(n_real):
-                if abs(tableau[i, j]) > max(tol, PIVOT_EPS):
+                if abs(tableau[i, j]) > LP_TOL:
                     _pivot(tableau, np.zeros(tableau.shape[1]), i, j)
                     basis[i] = j
                     pivots += 1

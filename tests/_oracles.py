@@ -128,6 +128,65 @@ def empirical_eps_i_dict(g, z):
     return eps_i
 
 
+def moment_prior(target_corr, p_h0, p_g0):
+    """p(h, g) with the given marginals and corr(H, G), solved from the moment equations.
+
+    The generator's prior before it fixed both marginals at 1/2, with the
+    same float operations; raises ValueError where the correlation is
+    infeasible for the marginals.
+    """
+    p_h1, p_g1 = 1.0 - p_h0, 1.0 - p_g0
+    sd = np.sqrt(p_h0 * p_h1 * p_g0 * p_g1)
+    p11 = p_h1 * p_g1 + target_corr * sd
+    prior = np.array(
+        [[1.0 - p_h1 - p_g1 + p11, p_g1 - p11], [p_h1 - p11, p11]]
+    )
+    if np.any(prior < -1e-12):
+        raise ValueError(f"correlation {target_corr} is infeasible for p_h0={p_h0}, p_g0={p_g0}")
+    prior = np.clip(prior, 0.0, None)
+    return prior / prior.sum()
+
+
+def sentinel_c_G(p_gy):
+    """c_G of a (G, Y) table with NaN marking the ratios outside the support.
+
+    ``privdet.detection.compute_c_G`` as it was before it dropped the NaN
+    fill; with p(G=0) = 0 every ratio is NaN and the value is 1.
+    """
+    p_g = p_gy.sum(axis=1)
+    best = 1.0
+    for g in range(1, p_gy.shape[0]):
+        if p_g[g] <= 0:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p0 = p_gy[0] / p_g[0]
+        pg = p_gy[g] / p_g[g]
+        with np.errstate(invalid="ignore"):
+            live = (p0 > 0) | (pg > 0)
+            ell = np.full(p0.shape, np.nan)
+            both = p0 > 0
+            ell[both & live] = pg[both & live] / p0[both & live]
+            ell[(p0 == 0) & (pg > 0)] = np.inf
+        defined = live & ~np.isnan(ell)
+        if not defined.any():
+            continue
+        vals = ell[defined]
+        finite = vals[np.isfinite(vals)]
+        lo = finite.min() if finite.size else np.inf
+        if np.isfinite(lo):
+            argmin = defined & (ell <= lo * (1 + 1e-12) + 1e-300)
+        else:
+            argmin = defined & np.isinf(ell)
+        hi = vals.max()
+        if np.isinf(hi):
+            argmax = defined & np.isinf(ell)
+        else:
+            argmax = defined & (ell >= hi * (1 - 1e-12) - 1e-300)
+        cand = min(float(p0[argmin].sum()), float(pg[argmax].sum()))
+        best = min(best, cand)
+    return best
+
+
 def brute_bayes_error_raw(model):
     """Bayes error of H from the raw vector X, summing p(h, x) over X^s."""
     err = 0.0

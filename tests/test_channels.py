@@ -10,11 +10,9 @@ from scipy.optimize import linprog
 from privdet import channels as channels_mod
 from privdet import metrics
 from privdet.channels import (
-    LP_TOL,
     NetworkMapping,
     SensorChannel,
     TwoStageMapping,
-    compose,
     identity_mapping,
     ldp_polytope,
     load_mapping,
@@ -46,7 +44,7 @@ def test_compose_identity_stage2_is_stage1():
     stage1 = NetworkMapping((random_channel(0, 3, 2), random_channel(1, 3, 2)))
     stage2 = identity_mapping(2, 2)
     two = TwoStageMapping(stage1, stage2, "ill")
-    comp = compose(two)
+    comp = two.network()
     for a, b in zip(comp.channels, stage1.channels):
         assert np.allclose(a.rows, b.rows, atol=1e-15)
 
@@ -55,7 +53,7 @@ def test_compose_constant_stage1_absorbs():
     u = np.array([0.2, 0.8])
     stage1 = NetworkMapping((SensorChannel(np.tile(u, (4, 1))),))
     stage2 = NetworkMapping((random_channel(5, 2, 3),))
-    comp = compose(TwoStageMapping(stage1, stage2, "lip"))
+    comp = TwoStageMapping(stage1, stage2, "lip").network()
     expected = u @ stage2.channels[0].rows
     assert np.allclose(comp.channels[0].rows, np.tile(expected, (4, 1)), atol=1e-15)
 
@@ -65,7 +63,7 @@ def test_compose_two_flips():
     two = TwoStageMapping(
         NetworkMapping((flip,)), NetworkMapping((flip,)), "ill"
     )
-    comp = compose(two)
+    comp = two.network()
     assert comp.channels[0].rows[0, 1] == pytest.approx(0.375, abs=1e-15)
     assert comp.channels[0].rows[1, 0] == pytest.approx(0.375, abs=1e-15)
 
@@ -82,7 +80,7 @@ def test_compose_alphabet_mismatch():
 def test_compose_rows_stochastic(seed, x_size, z_size):
     s1 = NetworkMapping((random_channel(seed, x_size, 3),))
     s2 = NetworkMapping((random_channel(seed + 1, 3, z_size),))
-    comp = compose(TwoStageMapping(s1, s2, "lip"))
+    comp = TwoStageMapping(s1, s2, "lip").network()
     assert np.abs(comp.channels[0].rows.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -133,7 +131,7 @@ def test_lip_order_preserves_local_budget():
             (randomized_response(3, eps), randomized_response(3, eps))
         )
         stage2 = random_mapping(seed, 2, 3, 2)
-        comp = compose(TwoStageMapping(stage1, stage2, "lip"))
+        comp = TwoStageMapping(stage1, stage2, "lip").network()
         assert metrics.ldp_budget(comp) <= eps + 1e-9
 
 
@@ -145,7 +143,7 @@ def test_ill_order_half_budget_per_stage():
         stage2 = NetworkMapping(
             (randomized_response(3, eps / 2), randomized_response(3, eps / 2))
         )
-        comp = compose(TwoStageMapping(stage1, stage2, "ill"))
+        comp = TwoStageMapping(stage1, stage2, "ill").network()
         assert metrics.ldp_budget(comp) <= eps + 1e-9
 
 
@@ -272,17 +270,16 @@ def test_channel_lp_solves_the_padded_assembly(x_size, z_size, eps, case, monkey
     calls = []
     real = channels_mod.solve_lp
 
-    def recorded(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol=1e-9):
-        calls.append(((c, a_ub, b_ub, a_eq, b_eq), tol))
-        return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=tol)
+    def recorded(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+        calls.append((c, a_ub, b_ub, a_eq, b_eq))
+        return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
     monkeypatch.setattr(channels_mod, "solve_lp", recorded)
     rows = solve_channel_lp((x_size, z_size), eps, cost, **extra)
     program = padded_channel_lp((x_size, z_size), eps, cost, **extra)
-    ((args, tol),) = calls
+    (args,) = calls
     assert all(_same_bytes(a, b) for a, b in zip(args, program))
-    assert tol == LP_TOL
-    ref = cold_solve_lp(*program, tol=LP_TOL).x[:x_size * z_size].reshape(x_size, z_size)
+    ref = cold_solve_lp(*program).x[:x_size * z_size].reshape(x_size, z_size)
     assert np.array_equal(rows, repair_ratio_columns(ref, eps))
     assert metrics.ldp_budget(NetworkMapping((SensorChannel(rows),))) <= eps + 1e-12
 
@@ -297,4 +294,4 @@ def test_an_infeasible_channel_lp_raises_on_both_paths(x_size, eps):
     with pytest.raises(LPInfeasible):
         solve_channel_lp(*args)
     with pytest.raises(LPInfeasible):
-        solve_lp(*padded_channel_lp(*args), tol=LP_TOL)
+        solve_lp(*padded_channel_lp(*args))

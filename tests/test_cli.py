@@ -15,7 +15,6 @@ from privdet import epic as epic_mod
 from privdet.channels import (
     NetworkMapping,
     TwoStageMapping,
-    compose,
     random_channel,
     random_mapping,
     save_mapping,
@@ -205,6 +204,9 @@ def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_p
     ({"eps_i": ["-1"]}, "-1"),
     ({"design": {"max_outer_iters": 0}}, "max_outer_iters"),
     ({"design": {"y_size": 0}}, "y_size"),
+    ({"eps_ld": [None]}, "eps_ld"),
+    ({"seeds": [None]}, "seeds"),
+    ({"r": [None]}, "r"),
 ])
 def test_sweep_spec_rejects_unknown_keys(tmp_path, fields, key):
     """Unknown keys and entries of the wrong kind or value are named; the sweep exits 2 before any work."""
@@ -227,6 +229,18 @@ def test_a_nan_or_negative_budget_flag_is_rejected(tmp_path, capsys, command, va
         cli.main(argv)
     assert exc.value.code == 2
     assert f"--eps-ld: invalid _parse_eps value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--restarts", "restarts"), ("--z-size", "z_size"), ("--y-size", "y_size"),
+])
+def test_a_design_count_below_one_is_a_usage_error(tmp_path, capsys, flag, field):
+    model, out = tmp_path / "model.json", tmp_path / "design.json"
+    save_model(generate_correlated_model(seed=1, s=2, x_size=3), model)
+    argv = ["design", "--arch", "ldp", "--model", str(model), flag, "0", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert f"{field!r} must be an integer of at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_loads_its_model_file_once_per_group(tmp_path, monkeypatch):
@@ -289,7 +303,7 @@ def test_report_on_a_saved_two_stage_mapping(tmp_path):
     out = tmp_path / "report"
     argv = ["report", "--model", str(model_path), "--mapping", str(mapping_path), "--out", str(out)]
     assert cli.main(argv) == 0
-    expected = metrics.full_report(load_model(model_path), compose(two)).to_dict()
+    expected = metrics.full_report(load_model(model_path), two.network()).to_dict()
     assert json.loads((tmp_path / "report.json").read_text()) == expected
 
 
@@ -318,6 +332,10 @@ def _write_labeled_csv(path, data, x=None):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _not_strict_json(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 @pytest.mark.parametrize("e_ldp", [False, True])
 def test_epic_on_labeled_csvs(tmp_path, e_ldp):
     model = generate_correlated_model(seed=1, s=2, x_size=3)
@@ -331,7 +349,11 @@ def test_epic_on_labeled_csvs(tmp_path, e_ldp):
     assert 0.0 <= float(row["error_H"]) <= 1.0
     assert 0.0 <= float(row["error_G"]) <= 1.0
     assert float(row["eps_ld_hat"]) <= 1.0 + 1e-9
-    mapping = NetworkMapping.from_list(json.loads((tmp_path / "epic.json").read_text())["mapping"])
+    payload = json.loads((tmp_path / "epic.json").read_text(), parse_constant=_not_strict_json)
+    assert payload["eps_ld"] == 1.0
+    if e_ldp:
+        assert payload["theta_star"] == "nan"
+    mapping = NetworkMapping.from_list(payload["mapping"])
     assert metrics.ldp_budget(mapping) == float(row["eps_ld_hat"])
 
 

@@ -9,7 +9,6 @@ from privdet import metrics
 from privdet.channels import (
     NetworkMapping,
     SensorChannel,
-    compose,
     random_mapping,
     randomized_response,
 )
@@ -209,7 +208,7 @@ def test_closed_form_matches_lp_at_converged_states():
 
 
 def test_design_ldp_zero_budget_constant():
-    model = generate_correlated_model(seed=4, s=2, x_size=3, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=4, s=2, x_size=3, target_corr=0.2)
     res = design_ldp(model, OptimizerConfig(eps_ld=0.0, seed=1, restarts=2))
     p_h = model.prior.sum(axis=1)
     assert res.objective == pytest.approx(min(p_h), abs=1e-12)
@@ -218,7 +217,7 @@ def test_design_ldp_zero_budget_constant():
 
 
 def test_design_ldp_trace_non_increasing():
-    model = generate_correlated_model(seed=5, s=3, x_size=4, q=1, target_corr=0.3)
+    model = generate_correlated_model(seed=5, s=3, x_size=4, target_corr=0.3)
     res = design_ldp(model, OptimizerConfig(eps_ld=1.0, seed=2, restarts=3))
     trace = res.trace
     assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
@@ -226,7 +225,7 @@ def test_design_ldp_trace_non_increasing():
 
 
 def test_design_ldp_beats_randomized_response_baseline():
-    model = generate_correlated_model(seed=6, s=2, x_size=3, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=6, s=2, x_size=3, target_corr=0.2)
     eps = 1.5
     # same output alphabet as the square baseline channel
     res = design_ldp(model, OptimizerConfig(eps_ld=eps, seed=3, restarts=3, z_size=3))
@@ -251,7 +250,7 @@ def test_design_info_stage_risk_rows_match_detector_audit():
     """The vectorized LP column risks equal the exhaustive detector search."""
     from privdet.design import _deterministic_candidates, _stage_column_stats
 
-    model = generate_correlated_model(seed=7, s=2, x_size=4, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=7, s=2, x_size=4, target_corr=0.2)
     chans = [SensorChannel(np.tile([1.0, 0.0], (4, 1))) for _ in range(2)]
     cands = _deterministic_candidates(4, 2, 4096, 0)
     rule = rule_of(model, chans)
@@ -283,7 +282,7 @@ def test_deterministic_candidates_over_the_cap_are_a_seeded_subset(x_size, y_siz
 
 
 def test_design_info_stage_budget_audit_holds():
-    model = generate_correlated_model(seed=8, s=2, x_size=4, q=1, target_corr=0.4)
+    model = generate_correlated_model(seed=8, s=2, x_size=4, target_corr=0.4)
     for eps_i in (0.05, 0.3, 1.0):
         res = design_info_stage(model, eps_i, OptimizerConfig(seed=2, y_size=2))
         pushed = push_forward(model, res.mapping)
@@ -373,7 +372,7 @@ def test_mixture_lp_infeasible_reports_blocking_g():
 
 
 def test_design_ill_budget_audits():
-    model = generate_correlated_model(seed=9, s=2, x_size=3, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=9, s=2, x_size=3, target_corr=0.2)
     for eps_i, eps_ld in ((0.1, 0.5), (1.0, 2.0)):
         cfg = OptimizerConfig(eps_i=eps_i, eps_ld=eps_ld, seed=4, restarts=2)
         res = design_ill(model, cfg)
@@ -383,7 +382,7 @@ def test_design_ill_budget_audits():
 
 
 def test_design_lip_budget_audits():
-    model = generate_correlated_model(seed=9, s=2, x_size=3, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=9, s=2, x_size=3, target_corr=0.2)
     for eps_i, eps_ld in ((0.1, 0.5), (1.0, 2.0)):
         cfg = OptimizerConfig(eps_i=eps_i, eps_ld=eps_ld, seed=4, restarts=2)
         res = design_lip(model, cfg)
@@ -392,7 +391,7 @@ def test_design_lip_budget_audits():
 
 
 def test_design_ill_unbounded_local_budget_keeps_info_guarantee():
-    model = generate_correlated_model(seed=10, s=2, x_size=3, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=10, s=2, x_size=3, target_corr=0.2)
     cfg = OptimizerConfig(eps_i=0.2, eps_ld=math.inf, seed=5, restarts=2)
     res = design_ill(model, cfg)
     # post-processing closure: any second stage preserves the budget
@@ -402,7 +401,7 @@ def test_design_ill_unbounded_local_budget_keeps_info_guarantee():
 
 
 def test_design_two_stage_zero_local_budget_blinds_everything():
-    model = generate_correlated_model(seed=11, s=2, x_size=3, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=11, s=2, x_size=3, target_corr=0.2)
     p_min = min(model.prior.sum(axis=1))
     for designer in (design_ill, design_lip):
         cfg = OptimizerConfig(eps_i=0.5, eps_ld=0.0, seed=6, restarts=2)
@@ -412,7 +411,7 @@ def test_design_two_stage_zero_local_budget_blinds_everything():
 
 
 def test_design_lip_vacuous_info_constraint_reduces_to_ldp():
-    model = generate_correlated_model(seed=12, s=2, x_size=3, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=12, s=2, x_size=3, target_corr=0.2)
     cfg = OptimizerConfig(eps_i=math.inf, eps_ld=1.0, seed=7, restarts=3)
     lip = design_lip(model, cfg)
     ldp = design_ldp(model, cfg)
@@ -420,7 +419,7 @@ def test_design_lip_vacuous_info_constraint_reduces_to_ldp():
 
 
 def test_design_inp_respects_budget_and_improves_on_theta_stage():
-    model = generate_correlated_model(seed=13, s=3, x_size=4, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=13, s=3, x_size=4, target_corr=0.2)
     cfg = OptimizerConfig(eps_i=0.2, seed=8)
     res = design_inp(model, cfg)
     assert res.report.eps_info <= 0.2 + 1e-9
@@ -442,7 +441,7 @@ def test_design_inp_trace_ends_at_the_returned_objective(eps_i):
 
 
 def test_chain_designs_monotone_objective():
-    model = generate_correlated_model(seed=14, s=2, x_size=4, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=14, s=2, x_size=4, target_corr=0.2)
     grid = [0.5, 1.0, 2.0, math.inf]
     for arch in ("ldp", "ill", "lip"):
         cfg = OptimizerConfig(eps_i=0.3, seed=9, restarts=2, max_outer_iters=30)
@@ -459,12 +458,12 @@ def test_design_report_is_the_audit_of_the_returned_mapping(arch, eps_i):
     res = design(model, arch, OptimizerConfig(eps_i=eps_i, eps_ld=1.0, restarts=3))
     if arch == "inp":
         assert (res.profile is None) == (eps_i == 0.5)
-    assert res.report == full_report(model, res.network())
+    assert res.report == full_report(model, res.mapping.network())
 
 
 @pytest.mark.parametrize("arch", ["ldp", "ill", "lip"])
 def test_chain_fallback_keeps_the_audit_of_the_reused_mapping(monkeypatch, arch):
-    model = generate_correlated_model(seed=14, s=2, x_size=4, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=14, s=2, x_size=4, target_corr=0.2)
     real = design_mod.design
 
     def blind_at_one(model, arch, cfg, **kwargs):
@@ -477,13 +476,13 @@ def test_chain_fallback_keeps_the_audit_of_the_reused_mapping(monkeypatch, arch)
     cfg = OptimizerConfig(eps_i=0.3, seed=9, restarts=2, max_outer_iters=30)
     low, high = chain_designs(model, arch, [0.5, 1.0], cfg)
     assert high.mapping is low.mapping  # the previous mapping was reused
-    assert high.report == full_report(model, high.network())
+    assert high.report == full_report(model, high.mapping.network())
 
 
 def test_design_results_serialize(tmp_path):
     import json
 
-    model = generate_correlated_model(seed=15, s=2, x_size=3, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=15, s=2, x_size=3, target_corr=0.2)
     cfg = OptimizerConfig(eps_i=0.3, eps_ld=1.0, seed=10, restarts=2)
     res = design_ill(model, cfg)
     payload = res.to_dict()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from privdet.detection import (
 from privdet.model import JointModel, push_forward
 from privdet.relations import random_model
 
-from _oracles import best_detector_exhaustive, best_rule_exhaustive, brute_error_with_rule
+from _oracles import (
+    best_detector_exhaustive,
+    best_rule_exhaustive,
+    brute_error_with_rule,
+    sentinel_c_G,
+)
 
 
 def biased_h_model(p_h0=0.7):
@@ -45,7 +51,11 @@ def rule_of(model, mapping):
 
 
 def error_h(model, mapping, rule=None):
-    return bayes_error_H_pushed(push_forward(model, mapping), rule)
+    """The Bayes error, or the error of ``rule`` by the oracle's direct sum."""
+    pushed = push_forward(model, mapping)
+    if rule is None:
+        return bayes_error_H_pushed(pushed)
+    return brute_error_with_rule(pushed, rule.table)
 
 
 def test_optimal_rule_falls_back_to_prior():
@@ -69,7 +79,8 @@ def test_optimal_rule_matches_exhaustive_search():
         pushed = push_forward(model, mapping)
         best_err, _ = best_rule_exhaustive(pushed)
         rule = optimal_rule_from_pushed(pushed)
-        assert bayes_error_H_pushed(pushed, rule) == pytest.approx(best_err, abs=1e-12)
+        assert brute_error_with_rule(pushed, rule.table) == pytest.approx(best_err, abs=1e-12)
+        assert bayes_error_H_pushed(pushed) == pytest.approx(best_err, abs=1e-12)
 
 
 def test_bayes_error_H_independent_uniform_half():
@@ -121,9 +132,8 @@ def test_bayes_error_H_matches_brute_sum():
     model = random_model(rng, 2, 3, 2)
     mapping = random_mapping(5, 2, 3, 2)
     pushed = push_forward(model, mapping)
-    table = np.random.default_rng(0).integers(0, 2, size=pushed.n_z)
-    rule = FusionRule(table, 2, 2)
-    assert error_h(model, mapping, rule) == pytest.approx(
+    table = optimal_rule_from_pushed(pushed).table
+    assert error_h(model, mapping) == pytest.approx(
         brute_error_with_rule(pushed, table), abs=1e-14
     )
 
@@ -253,6 +263,24 @@ def test_theta_validates_inputs():
 def test_c_g_constant_mapping_is_one():
     model = random_model(np.random.default_rng(1), 2, 3, 1)
     assert compute_c_G(push_forward(model, uniform_mapping(2, 3, 2))) == pytest.approx(1.0)
+
+
+def test_c_g_matches_the_nan_sentinel_form_on_tables_with_zeros_and_ties():
+    """Bit for bit the NaN-filled form, with no float warning, p(G=0) = 0 included."""
+    rng = np.random.default_rng(7)
+    dead_reference = 0
+    for _ in range(3000):
+        n_g = int(rng.choice([2, 4]))
+        table = rng.integers(0, 4, size=(n_g, int(rng.integers(1, 7)))).astype(float)
+        if not table.any():
+            continue
+        table /= table.sum()
+        dead_reference += not table[0].any()
+        pushed = types.SimpleNamespace(p_gz=lambda t=table: t, n_g=n_g)
+        with np.errstate(all="raise"):
+            got = compute_c_G(pushed)
+        assert got == sentinel_c_G(table)
+    assert dead_reference > 100
 
 
 def test_c_g_lies_in_unit_interval():

@@ -99,9 +99,9 @@ def test_an_infinite_local_budget_solves_without_ratio_rows(solver, monkeypatch)
     lps = []
     real = channels.solve_lp
 
-    def recorded(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol=1e-9):
+    def recorded(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
         lps.append((c.size, 0 if a_ub is None else a_ub.shape[0]))
-        return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, tol=tol)
+        return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
     monkeypatch.setattr(channels, "solve_lp", recorded)
     if solver == "epic":

@@ -22,7 +22,7 @@ from privdet.model import (
 )
 from privdet.relations import random_model
 
-from _oracles import brute_push, kron_push
+from _oracles import brute_push, kron_push, moment_prior
 
 
 def hand_model():
@@ -50,13 +50,13 @@ HAND_PUSHED = {
 
 
 def test_push_forward_identity_channel_is_identity():
-    model = generate_correlated_model(seed=3, s=2, x_size=4, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=3, s=2, x_size=4, target_corr=0.2)
     pushed = push_forward(model, identity_mapping(2, 4))
     assert np.allclose(pushed.joint, model.joint_hgx(), atol=1e-15)
 
 
 def test_push_forward_constant_channel_factorizes():
-    model = generate_correlated_model(seed=3, s=2, x_size=4, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=3, s=2, x_size=4, target_corr=0.2)
     u = np.array([0.3, 0.7])
     rows = np.tile(u, (4, 1))
     mapping = NetworkMapping(tuple(SensorChannel(rows) for _ in range(2)))
@@ -114,7 +114,7 @@ def test_push_forward_preserves_hg_marginal():
 
 
 def test_push_forward_model_round_trip():
-    model = generate_correlated_model(seed=9, s=3, x_size=5, q=1, target_corr=0.3)
+    model = generate_correlated_model(seed=9, s=3, x_size=5, target_corr=0.3)
     mapping = random_mapping(4, 3, 5, 2)
     as_model = push_forward_model(model, mapping)
     assert np.allclose(
@@ -126,25 +126,25 @@ def test_push_forward_model_round_trip():
 
 
 def test_generator_zero_correlation_is_product():
-    model = generate_correlated_model(seed=1, s=2, x_size=4, q=1, target_corr=0.0)
+    model = generate_correlated_model(seed=1, s=2, x_size=4, target_corr=0.0)
     p_h = model.prior.sum(axis=1)
     p_g = model.prior.sum(axis=0)
     assert np.allclose(model.prior, np.outer(p_h, p_g), atol=1e-15)
 
 
 def test_generator_perfect_correlation_diagonal():
-    model = generate_correlated_model(seed=1, s=1, x_size=4, q=1, target_corr=1.0)
+    model = generate_correlated_model(seed=1, s=1, x_size=4, target_corr=1.0)
     assert np.allclose(model.prior, np.diag([0.5, 0.5]), atol=1e-15)
 
 
 def test_generator_correlation_point_two_table():
-    model = generate_correlated_model(seed=1, s=1, x_size=4, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=1, s=1, x_size=4, target_corr=0.2)
     assert np.allclose(model.prior, [[0.3, 0.2], [0.2, 0.3]], atol=1e-15)
 
 
 @pytest.mark.parametrize("corr", [-0.8, -0.3, 0.0, 0.17, 0.5, 0.95])
 def test_generator_hits_requested_correlation(corr):
-    model = generate_correlated_model(seed=5, s=2, x_size=6, q=1, target_corr=corr)
+    model = generate_correlated_model(seed=5, s=2, x_size=6, target_corr=corr)
     p = model.prior
     p_h1 = p[1].sum()
     p_g1 = p[:, 1].sum()
@@ -154,27 +154,29 @@ def test_generator_hits_requested_correlation(corr):
 
 
 def test_generator_is_deterministic():
-    a = generate_correlated_model(seed=7, s=3, x_size=8, q=1, target_corr=0.2)
-    b = generate_correlated_model(seed=7, s=3, x_size=8, q=1, target_corr=0.2)
+    a = generate_correlated_model(seed=7, s=3, x_size=8, target_corr=0.2)
+    b = generate_correlated_model(seed=7, s=3, x_size=8, target_corr=0.2)
     assert np.array_equal(a.prior, b.prior)
     for ca, cb in zip(a.conditionals, b.conditionals):
         assert np.array_equal(ca, cb)
 
 
-def test_generator_infeasible_correlation():
-    with pytest.raises(ValueError, match="infeasible"):
-        generate_correlated_model(
-            seed=0, s=1, x_size=4, q=1, target_corr=1.0, p_h0=0.8, p_g0=0.2
-        )
+def test_generator_prior_is_the_moment_solution_at_uniform_marginals():
+    corrs = np.concatenate([np.linspace(-1.0, 1.0, 401), [0.2, 1 / 3, -0.7, 1e-9]])
+    assert {-1.0, 0.0, 1.0} <= set(corrs.tolist())
+    for corr in corrs:
+        model = generate_correlated_model(seed=0, s=1, x_size=2, target_corr=float(corr))
+        assert np.array_equal(model.prior, moment_prior(float(corr), 0.5, 0.5))
 
 
-def test_generator_rejects_q_above_one():
-    with pytest.raises(ValueError):
-        generate_correlated_model(seed=0, s=1, x_size=4, q=2, target_corr=0.1)
+@pytest.mark.parametrize("corr", [1.0 + 1e-12, -1.5, float("nan")])
+def test_generator_rejects_a_correlation_outside_the_unit_interval(corr):
+    with pytest.raises(ValueError, match="target_corr must lie in"):
+        generate_correlated_model(seed=0, s=1, x_size=4, target_corr=corr)
 
 
 def test_sampling_matches_model_frequencies():
-    model = generate_correlated_model(seed=3, s=2, x_size=5, q=1, target_corr=0.2)
+    model = generate_correlated_model(seed=3, s=2, x_size=5, target_corr=0.2)
     h, g, x = model.sample(200_000, np.random.default_rng(0))
     assert np.mean(h) == pytest.approx(model.prior[1].sum(), abs=5e-3)
     p_x0 = np.einsum("hg,hgx->x", model.prior, model.conditionals[0])
@@ -186,7 +188,7 @@ def test_sampling_matches_model_frequencies():
 
 
 def test_save_load_round_trip(tmp_path):
-    model = generate_correlated_model(seed=11, s=2, x_size=5, q=1, target_corr=0.4)
+    model = generate_correlated_model(seed=11, s=2, x_size=5, target_corr=0.4)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -200,7 +202,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_saved_file_holds_the_cond_indep_form(tmp_path):
-    model = generate_correlated_model(seed=11, s=2, x_size=3, q=1, target_corr=0.0)
+    model = generate_correlated_model(seed=11, s=2, x_size=3, target_corr=0.0)
     path = tmp_path / "model.json"
     save_model(model, path)
     data = json.loads(path.read_text())
@@ -210,7 +212,7 @@ def test_saved_file_holds_the_cond_indep_form(tmp_path):
 
 def test_load_rejects_the_full_form(tmp_path):
     """A table over the whole vector X^s is not a model file any more."""
-    model = generate_correlated_model(seed=11, s=2, x_size=3, q=1, target_corr=0.0)
+    model = generate_correlated_model(seed=11, s=2, x_size=3, target_corr=0.0)
     data = model.to_dict()
     data["form"] = "full"
     data["conditionals"] = [(model.joint_hgx() / model.prior[:, :, None]).tolist()]
@@ -221,7 +223,7 @@ def test_load_rejects_the_full_form(tmp_path):
 
 
 def test_load_rejects_negative_entry(tmp_path):
-    model = generate_correlated_model(seed=11, s=1, x_size=3, q=1, target_corr=0.0)
+    model = generate_correlated_model(seed=11, s=1, x_size=3, target_corr=0.0)
     data = model.to_dict()
     row = data["conditionals"][0][0][0]
     row[0], row[1] = -0.1, float(row[1]) + float(row[0]) + 0.1
@@ -232,7 +234,7 @@ def test_load_rejects_negative_entry(tmp_path):
 
 
 def test_load_rejects_mass_deficit(tmp_path):
-    model = generate_correlated_model(seed=11, s=1, x_size=3, q=1, target_corr=0.0)
+    model = generate_correlated_model(seed=11, s=1, x_size=3, target_corr=0.0)
     data = model.to_dict()
     data["prior"] = [[0.25, 0.25], [0.25, 0.249]]
     path = tmp_path / "bad.json"
