@@ -90,7 +90,7 @@ SPEC_DEFAULTS = {
     "r": (0.999,),
     "corr": (0.2,),
     "seeds": (0,),
-    "design": {"z_size": 2, "y_size": None, "max_outer_iters": 60, "restarts": 3},
+    "design": {"z_size": 2, "max_outer_iters": 60, "restarts": 3},
     "epic": {"n_train": 40, "n_test": 5000, "lambda": 0.05, "max_sweeps": 12},
 }
 
@@ -390,9 +390,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_design(args) -> int:
     model = load_model(args.model)
-    settings = dict(
-        SPEC_DEFAULTS["design"], z_size=args.z_size, y_size=args.y_size, restarts=args.restarts
-    )
+    settings = dict(SPEC_DEFAULTS["design"], z_size=args.z_size, restarts=args.restarts)
     try:
         cfg = design_mod.OptimizerConfig(
             **settings, seed=args.seed, eps_i=args.eps_i, eps_ld=args.eps_ld
@@ -415,7 +413,11 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    rows, ok = relations.implication_table(args.seed, args.trials)
+    try:
+        rows, ok = relations.implication_table(args.seed, args.trials)
+    except ValueError as exc:  # a flag out of range
+        print(f"privdet relations: {exc}", file=sys.stderr)
+        return 2
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(relations.TABLE_COLUMNS)
@@ -439,23 +441,27 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_epic(args) -> int:
-    train_h, train_g, train_feats = _read_labeled_csv(args.train, args.q)
-    test_h, test_g, test_feats = _read_labeled_csv(args.test, args.q)
-    if args.bins:
-        train_x, edges = epic_mod.discretize(train_feats, args.bins)
-        test_x, _ = epic_mod.discretize(test_feats, args.bins, edges=edges)
-        x_size = args.bins
-    else:
-        train_x = train_feats.astype(np.int64)
-        test_x = test_feats.astype(np.int64)
-        x_size = int(max(train_x.max(), test_x.max())) + 1
-    train = epic_mod.Dataset(train_h, train_g, train_x, x_size, args.q)
-    test = epic_mod.Dataset(test_h, test_g, np.clip(test_x, 0, x_size - 1), x_size, args.q)
-    cfg = epic_mod.EpicConfig(max_sweeps=SPEC_DEFAULTS["epic"]["max_sweeps"])
-    if args.e_ldp:
-        sol = epic_mod.eldp_solve(train, args.eps_ld, args.lam, cfg)
-    else:
-        sol = epic_mod.epic_solve(train, args.eps_ld, args.r, args.lam, cfg)
+    try:  # a ValueError here is a flag out of range or a malformed data file
+        train_h, train_g, train_feats = _read_labeled_csv(args.train, args.q)
+        test_h, test_g, test_feats = _read_labeled_csv(args.test, args.q)
+        if args.bins:
+            train_x, edges = epic_mod.discretize(train_feats, args.bins)
+            test_x, _ = epic_mod.discretize(test_feats, args.bins, edges=edges)
+            x_size = args.bins
+        else:
+            train_x = train_feats.astype(np.int64)
+            test_x = test_feats.astype(np.int64)
+            x_size = int(max(train_x.max(), test_x.max())) + 1
+        train = epic_mod.Dataset(train_h, train_g, train_x, x_size, args.q)
+        test = epic_mod.Dataset(test_h, test_g, np.clip(test_x, 0, x_size - 1), x_size, args.q)
+        cfg = epic_mod.EpicConfig(max_sweeps=SPEC_DEFAULTS["epic"]["max_sweeps"])
+        if args.e_ldp:
+            sol = epic_mod.eldp_solve(train, args.eps_ld, args.lam, cfg)
+        else:
+            sol = epic_mod.epic_solve(train, args.eps_ld, args.r, args.lam, cfg)
+    except ValueError as exc:
+        print(f"privdet epic: {exc}", file=sys.stderr)
+        return 2
     err_h, err_g, eps_i_hat, eps_ld_hat = _holdout_and_empirical(sol, test, args.seed)
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         json.dump(sol.to_dict(), fh, indent=1)
@@ -534,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-ld", type=_parse_eps, default=first("eps_ld"))
     p.add_argument("--seed", type=int, default=first("seeds"))
     p.add_argument("--z-size", type=int, default=des["z_size"])
-    p.add_argument("--y-size", type=int, default=des["y_size"])
     p.add_argument("--restarts", type=int, default=des["restarts"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_design)

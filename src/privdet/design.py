@@ -13,10 +13,10 @@ channel at a time, sweeping sensors in order):
   block step is a linear program over mixtures of deterministic per-sensor
   quantizers.  An audited water-filling allocation competes with it.
 * ``design_ill`` / ``design_lip`` -- two-stage architectures concatenating
-  the two designs.  "ill" sanitizes for G first and then adds local noise
-  at half the budget per stage; "lip" applies the full local budget first
-  and sanitizes its output for G.  Both orders keep each composed budget
-  within its target.
+  the two designs.  "ill" sanitizes for G first and then adds local noise;
+  "lip" adds local noise first and sanitizes its output for G.  Each stage
+  runs at the full budget it enforces: composing raises neither budget
+  (post-processing; each composed row mixes the later stage's rows).
 
 Each sweep reads the fusion rule, the detection error, c_G and the min
 risks of its iterate from one push-forward.  Every design ends in
@@ -59,12 +59,12 @@ UTILITY_SWEEPS = 30
 
 @dataclasses.dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs shared by every parametric design."""
+    """Knobs shared by every parametric design, read by each stage as given:
+    every stage outputs ``z_size`` symbols and runs at its full budget."""
 
     eps_i: float = math.inf
     eps_ld: float = math.inf
     z_size: int = 2
-    y_size: int | None = None  # intermediate alphabet; defaults to z_size
     max_outer_iters: int = 100
     seed: int = 0
     restarts: int = 5
@@ -74,15 +74,10 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not value >= 0:
                 raise ValueError(f"{name!r} must be nonnegative, got {value}")
-        counts = {"z_size": self.z_size, "y_size": self.stage_y_size,
-                  "max_outer_iters": self.max_outer_iters, "restarts": self.restarts}
-        for name, value in counts.items():
+        for name in ("z_size", "max_outer_iters", "restarts"):
+            value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and value >= 1):
                 raise ValueError(f"{name!r} must be an integer of at least 1, got {value!r}")
-
-    @property
-    def stage_y_size(self) -> int:
-        return self.y_size if self.y_size is not None else self.z_size
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,16 +198,16 @@ def design_ldp(
     per sweep by construction of the block steps.
     """
     initial = warm.mapping if warm is not None else None
-    return _result(model, *_ldp_sweeps(model, config, config.z_size, initial))
+    return _result(model, *_ldp_sweeps(model, config, initial))
 
 
-def _ldp_sweeps(model, config, z_size, initial=None):
+def _ldp_sweeps(model, config, initial=None):
     """The block sweeps of ``design_ldp``: (mapping, trace, converged) of the best start.
 
     Each sweep pushes its iterate forward once; the fusion rule of the next
     sweep is read from the push that scored this one.
     """
-    eps_ld = config.eps_ld
+    eps_ld, z_size = config.eps_ld, config.z_size
     starts: list[list[SensorChannel]] = []
     for ss in np.random.SeedSequence(config.seed).spawn(config.restarts):
         rng = np.random.default_rng(ss)
@@ -260,22 +255,21 @@ class InfoStageResult:
     converged: bool
 
 
-def _deterministic_candidates(x_size: int, y_size: int, phi_cap: int, seed: int) -> np.ndarray:
-    """One-hot candidate channels (n_cand, x_size, y_size).
+def _deterministic_candidates(x_size: int, z_size: int, seed: int) -> np.ndarray:
+    """One-hot candidate channels (n_cand, x_size, z_size).
 
-    All y_size**x_size deterministic quantizers when they fit under the
-    cap, otherwise a seeded random subset that always includes every
+    All z_size**x_size deterministic quantizers when they fit under
+    ``PHI_CAP``, otherwise a seeded random subset that always includes every
     constant quantizer (they keep the risk constraints satisfiable).
     """
-    total = y_size ** x_size
-    if total <= phi_cap:
-        maps = np.array(list(itertools.product(range(y_size), repeat=x_size)), dtype=int)
+    if z_size ** x_size <= PHI_CAP:
+        maps = np.array(list(itertools.product(range(z_size), repeat=x_size)), dtype=int)
     else:
         rng = np.random.default_rng(seed)
-        maps = rng.integers(y_size, size=(phi_cap, x_size))
-        consts = np.tile(np.arange(y_size)[:, None], (1, x_size))
+        maps = rng.integers(z_size, size=(PHI_CAP, x_size))
+        consts = np.tile(np.arange(z_size)[:, None], (1, x_size))
         maps = np.unique(np.vstack([consts, maps]), axis=0)
-    cands = np.zeros((maps.shape[0], x_size, y_size))
+    cands = np.zeros((maps.shape[0], x_size, z_size))
     cands[np.arange(maps.shape[0])[:, None], np.arange(x_size)[None, :], maps] = 1.0
     return cands
 
@@ -302,8 +296,8 @@ def _stage_column_stats(model, chans, t, cands, rule):
     return err, min_risks(joint.sum(axis=1), model.prior.sum(axis=0))
 
 
-def design_info_stage(model: JointModel, eps_i: float, config: OptimizerConfig) -> InfoStageResult:
-    """Detection-error minimization under the per-g risk threshold.
+def design_info_stage(model: JointModel, config: OptimizerConfig) -> InfoStageResult:
+    """Detection-error minimization under the per-g risk threshold at ``config.eps_i``.
 
     Per sweep: refresh the fusion rule and the threshold theta (which
     depends on the current mapping through c_G), then solve one LP per
@@ -318,11 +312,11 @@ def design_info_stage(model: JointModel, eps_i: float, config: OptimizerConfig) 
     (c_G, theta) pair enforced by the last accepted sweep (or the start).
     Each iterate is pushed forward once.
     """
+    eps_i = config.eps_i
     if eps_i <= 0:
         raise ValueError("eps_i must be positive")
-    y_size = config.stage_y_size
-    cands = _deterministic_candidates(model.x_size, y_size, PHI_CAP, config.seed)
-    chans, enforced, pushed = _info_stage_start(model, eps_i, y_size)
+    cands = _deterministic_candidates(model.x_size, config.z_size, config.seed)
+    chans, enforced, pushed = _info_stage_start(model, eps_i, config.z_size)
     trace: list[float] = []
     converged = False
     for sweep in range(config.max_outer_iters):
@@ -373,33 +367,33 @@ def _risk_floor(pushed: PushedModel, eps_i) -> tuple[float, float]:
     return c_g, 0.0 if math.isinf(eps_i) else theta(eps_i, c_g)
 
 
-def _likelihood_sign_quantizers(model, y_size) -> list[SensorChannel]:
+def _likelihood_sign_quantizers(model, z_size) -> list[SensorChannel]:
     """Per-sensor quantizers sending x to 1 where p(H=1, x) > p(H=0, x), else 0."""
     chans = []
     for t in range(model.s):
         d_h = np.einsum("hg,hgx->hx", model.prior, model.conditionals[t])
         sign = (d_h[1] > d_h[0]).astype(int)
-        rows = np.zeros((model.x_size, y_size))
-        rows[np.arange(model.x_size), sign % y_size] = 1.0
+        rows = np.zeros((model.x_size, z_size))
+        rows[np.arange(model.x_size), sign % z_size] = 1.0
         chans.append(SensorChannel(rows))
     return chans
 
 
-def _info_stage_start(model, eps_i, y_size):
+def _info_stage_start(model, eps_i, z_size):
     """Lowest-error start that meets its own sweep-0 risk floor.
 
     Candidates are the constant quantizers (risk 1/2, always feasible), the
-    likelihood-sign quantizers and, when y_size >= x_size, the injective
+    likelihood-sign quantizers and, when z_size >= x_size, the injective
     quantizer x -> x, which by data processing no mapping beats once the
     floor is vacuous.  An all-constant start alone is a degenerate fixed
     point: the fusion rule is constant, so every LP column has one error.
     Returns the start channels, their (c_G, theta) pair and their push-forward.
     """
-    const = np.zeros((model.x_size, y_size))
+    const = np.zeros((model.x_size, z_size))
     const[:, 0] = 1.0
-    starts = [[SensorChannel(const)] * model.s, _likelihood_sign_quantizers(model, y_size)]
-    if y_size >= model.x_size:
-        starts.append([SensorChannel(np.eye(model.x_size, y_size))] * model.s)
+    starts = [[SensorChannel(const)] * model.s, _likelihood_sign_quantizers(model, z_size)]
+    if z_size >= model.x_size:
+        starts.append([SensorChannel(np.eye(model.x_size, z_size))] * model.s)
     best = None
     for chans in starts:
         pushed = push_forward(model, NetworkMapping(tuple(chans)))
@@ -439,22 +433,23 @@ def _min_risks(pushed: PushedModel) -> dict:
     return {g: float(r) for g, r in risks.items()}
 
 
-def _utility_stage(model, cands):
+def _utility_stage(model, z_size):
     """Detection-error minimization with no privacy constraint at all.
 
     Per sweep each sensor takes the error-minimizing deterministic
-    quantizer given the rest; used as the relaxation target below.
-    Initialized from per-sensor likelihood-sign quantizers (an all-constant
-    start is a degenerate fixed point of coordinate descent).
+    quantizer given the rest: each x goes to the output of least
+    ``block_objective_coefficients`` f(z, x), ties to the lowest z.  Used as
+    the relaxation target below.  Initialized from per-sensor likelihood-sign
+    quantizers (an all-constant start is a degenerate fixed point).
     """
-    chans = _likelihood_sign_quantizers(model, cands.shape[2])
+    chans = _likelihood_sign_quantizers(model, z_size)
     prev_obj = np.inf
     pushed = push_forward(model, NetworkMapping(tuple(chans)))
     for _ in range(UTILITY_SWEEPS):
         rule = optimal_rule_from_pushed(pushed)
         for t in range(model.s):
-            err, _ = _stage_column_stats(model, chans, t, cands, rule)
-            chans[t] = SensorChannel(cands[int(np.argmin(err))])
+            f = block_objective_coefficients(model, rule, chans, t)
+            chans[t] = SensorChannel(np.eye(z_size)[np.argmin(f, axis=0)])
         pushed = push_forward(model, NetworkMapping(tuple(chans)))
         obj = bayes_error_H_pushed(pushed)
         if obj >= prev_obj - 1e-12:
@@ -477,7 +472,7 @@ def _mix_toward_mean(model, rows, weights):
     return metrics.info_privacy_budget(pushed), mixed
 
 
-def _audited_waterfill(model, eps_i, cands):
+def _audited_waterfill(model, eps_i, z_size):
     """Direct utility-vs-budget allocation for the no-data-privacy design.
 
     Starting from input-independent channels (budget zero), each sensor is
@@ -487,7 +482,7 @@ def _audited_waterfill(model, eps_i, cands):
     no budget and gets passed through close to raw, which is exactly why a
     design without a data-privacy constraint leaks data privacy.
     """
-    util = _utility_stage(model, cands)
+    util = _utility_stage(model, z_size)
     if math.isinf(eps_i):
         return util
     target = [u.rows for u in util]
@@ -550,15 +545,14 @@ def _enforce_info_budget(model, chans, eps_i):
 def design_ill(
     model: JointModel, config: OptimizerConfig, warm: DesignResult | None = None
 ) -> DesignResult:
-    """Information stage at the full posterior budget, then a local stage
-    run at half the local budget per stage so the composition meets it.
+    """Information stage at the full posterior budget, then a local stage at
+    the full local budget; post-processing keeps the composed budgets intact.
 
     ``warm``, an ``ill`` result, offers its local stage as a start."""
-    info = design_info_stage(model, config.eps_i, config)
+    info = design_info_stage(model, config)
     y_model = push_forward_model(model, info.mapping)
-    half = dataclasses.replace(config, eps_ld=config.eps_ld / 2.0)
     initial = warm.mapping.stage2 if warm is not None else None
-    stage2, trace, converged = _ldp_sweeps(y_model, half, config.z_size, initial)
+    stage2, trace, converged = _ldp_sweeps(y_model, config, initial)
     two = TwoStageMapping(info.mapping, stage2, "ill")
     # stage 2 runs on the stage-1 image, so its per-sweep objective is the
     # final detection error of the whole pipeline
@@ -573,10 +567,9 @@ def design_lip(
 
     ``warm``, a ``lip`` result, offers its local stage as a start."""
     initial = warm.mapping.stage1 if warm is not None else None
-    stage1, _, converged = _ldp_sweeps(model, config, config.stage_y_size, initial)
+    stage1, _, converged = _ldp_sweeps(model, config, initial)
     y_model = push_forward_model(model, stage1)
-    stage2_cfg = dataclasses.replace(config, y_size=config.z_size)
-    info = design_info_stage(y_model, config.eps_i, stage2_cfg)
+    info = design_info_stage(y_model, config)
     two = TwoStageMapping(stage1, info.mapping, "lip")
     return _result(model, two, info.trace, converged and info.converged, info.profile)
 
@@ -590,10 +583,8 @@ def design_inp(model: JointModel, config: OptimizerConfig) -> DesignResult:
     When the water-filled mapping wins no risk threshold was enforced on
     it, so ``profile`` is None; otherwise it is the information stage's.
     """
-    cfg = dataclasses.replace(config, y_size=config.z_size)
-    info = design_info_stage(model, config.eps_i, cfg)
-    cands = _deterministic_candidates(model.x_size, config.z_size, PHI_CAP, cfg.seed)
-    filled = NetworkMapping(tuple(_audited_waterfill(model, config.eps_i, cands)))
+    info = design_info_stage(model, config)
+    filled = NetworkMapping(tuple(_audited_waterfill(model, config.eps_i, config.z_size)))
     err_fill = bayes_error_H_pushed(push_forward(model, filled))
     if err_fill <= info.trace[-1]:  # the stage's trace ends at its mapping's error
         return _result(model, filled, info.trace + (err_fill,), info.converged)

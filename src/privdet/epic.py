@@ -340,6 +340,8 @@ def eldp_solve(dataset: Dataset, eps_ld: float, lam: float, config: EpicConfig |
     """Local-budget-only empirical design (the risk floor dropped)."""
     if not eps_ld >= 0:
         raise ValueError(f"eps_ld must be nonnegative, got {eps_ld}")
+    if not lam > 0:
+        raise ValueError("lam must be positive")
     cfg = config or EpicConfig()
     uniform = list(uniform_mapping(dataset.s, dataset.x_size, 2).channels)
     chans = _eldp_sweeps(dataset, uniform, eps_ld, lam, cfg)
@@ -524,7 +526,7 @@ def epic_solve(
         raise ValueError(f"the floor ratio r must lie in (0, 1), got {r}")
     if not eps_ld >= 0:
         raise ValueError(f"eps_ld must be nonnegative, got {eps_ld}")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     cfg = config or EpicConfig()
     z_size = 2

@@ -136,15 +136,17 @@ def test_lip_order_preserves_local_budget():
 
 
 def test_ill_order_half_budget_per_stage():
+    """Post-processing: the composed local budget is at most stage 2's, at eps/2 or the full eps."""
     for seed in range(25):
         rng = np.random.default_rng(seed + 1000)
         eps = float(rng.uniform(0.2, 3.0))
         stage1 = random_mapping(seed, 2, 4, 3)
-        stage2 = NetworkMapping(
-            (randomized_response(3, eps / 2), randomized_response(3, eps / 2))
-        )
-        comp = TwoStageMapping(stage1, stage2, "ill").network()
-        assert metrics.ldp_budget(comp) <= eps + 1e-9
+        for stage_eps in (eps / 2, eps):
+            stage2 = NetworkMapping(
+                (randomized_response(3, stage_eps), randomized_response(3, stage_eps))
+            )
+            comp = TwoStageMapping(stage1, stage2, "ill").network()
+            assert metrics.ldp_budget(comp) <= stage_eps + 1e-9
 
 
 def test_mapping_json_round_trips(tmp_path):

@@ -203,7 +203,7 @@ def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_p
     ({"eps_ld": ["nan"]}, "nan"),
     ({"eps_i": ["-1"]}, "-1"),
     ({"design": {"max_outer_iters": 0}}, "max_outer_iters"),
-    ({"design": {"y_size": 0}}, "y_size"),
+    ({"design": {"y_size": 0}}, "design.y_size"),
     ({"eps_ld": [None]}, "eps_ld"),
     ({"seeds": [None]}, "seeds"),
     ({"r": [None]}, "r"),
@@ -232,7 +232,7 @@ def test_a_nan_or_negative_budget_flag_is_rejected(tmp_path, capsys, command, va
 
 
 @pytest.mark.parametrize("flag, field", [
-    ("--restarts", "restarts"), ("--z-size", "z_size"), ("--y-size", "y_size"),
+    ("--restarts", "restarts"), ("--z-size", "z_size"),
 ])
 def test_a_design_count_below_one_is_a_usage_error(tmp_path, capsys, flag, field):
     model, out = tmp_path / "model.json", tmp_path / "design.json"
@@ -241,6 +241,32 @@ def test_a_design_count_below_one_is_a_usage_error(tmp_path, capsys, flag, field
     assert cli.main(argv) == 2
     assert f"{field!r} must be an integer of at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("epic", ["--bins", "1"], "bins must be >= 2, got 1"),
+    ("epic", ["--lambda", "0"], "lam must be positive"),
+    ("epic", ["--lambda", "0", "--e-ldp"], "lam must be positive"),
+    ("epic", ["--lambda", "-1", "--e-ldp"], "lam must be positive"),
+    ("epic", ["--r", "1.5"], "the floor ratio r must lie in (0, 1), got 1.5"),
+    ("relations", ["--trials", "0"], "trials must be >= 1, got 0"),
+])
+def test_a_flag_out_of_range_is_a_usage_error(tmp_path, capsys, command, flags, message):
+    """Exit 2 with the library's message and no output, not a traceback."""
+    data, model = tmp_path / "data.csv", generate_correlated_model(seed=1, s=2, x_size=3)
+    _write_labeled_csv(data, dataset_from_model(model, 30, 0))
+    inputs = ["--train", str(data), "--test", str(data)] if command == "epic" else []
+    assert cli.main([command, *inputs, *flags, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"privdet {command}: {message}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_design_has_no_y_size_flag(tmp_path, capsys):
+    argv = ["design", "--arch", "ill", "--model", "m.json", "--y-size", "2", "--out", "d.json"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --y-size 2" in capsys.readouterr().err
 
 
 def test_sweep_loads_its_model_file_once_per_group(tmp_path, monkeypatch):
@@ -420,7 +446,7 @@ _ALL_DEFAULTS = {
     "r": [0.999],
     "corr": [0.2],
     "seeds": [0],
-    "design": {"z_size": 2, "y_size": None, "max_outer_iters": 60, "restarts": 3},
+    "design": {"z_size": 2, "max_outer_iters": 60, "restarts": 3},
     "epic": {"n_train": 40, "n_test": 5000, "lambda": 0.05, "max_sweeps": 12},
 }
 

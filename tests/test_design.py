@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -240,7 +242,7 @@ def test_design_info_stage_independent_g_returns_quantizer():
     cond[0, :, :] = [0.7, 0.2, 0.1]
     cond[1, :, :] = [0.1, 0.2, 0.7]
     model = JointModel(2, 3, 1, prior, (cond, cond))
-    res = design_info_stage(model, 5.0, OptimizerConfig(seed=1, y_size=2))
+    res = design_info_stage(model, OptimizerConfig(eps_i=5.0, seed=1, z_size=2))
     for g, risk in res.profile.min_risks.items():
         assert risk == pytest.approx(0.5, abs=1e-12)
     assert res.profile.theta <= 0.5
@@ -252,7 +254,7 @@ def test_design_info_stage_risk_rows_match_detector_audit():
 
     model = generate_correlated_model(seed=7, s=2, x_size=4, target_corr=0.2)
     chans = [SensorChannel(np.tile([1.0, 0.0], (4, 1))) for _ in range(2)]
-    cands = _deterministic_candidates(4, 2, 4096, 0)
+    cands = _deterministic_candidates(4, 2, 0)
     rule = rule_of(model, chans)
     err, risks = _stage_column_stats(model, chans, 0, cands, rule)
     rng = np.random.default_rng(0)
@@ -264,31 +266,56 @@ def test_design_info_stage_risk_rows_match_detector_audit():
         assert risks[1][idx] == pytest.approx(risk, abs=1e-9)
 
 
-@pytest.mark.parametrize("x_size, y_size, cap", [(6, 3, 50), (13, 2, 4096)])
-def test_deterministic_candidates_over_the_cap_are_a_seeded_subset(x_size, y_size, cap):
+@pytest.mark.parametrize("x_size, z_size, cap", [(13, 2, 4096)])
+def test_deterministic_candidates_over_the_cap_are_a_seeded_subset(x_size, z_size, cap):
     """Past the cap (13 symbols into 2 is paper scale): distinct one-hot quantizers, constants kept."""
     from privdet.design import _deterministic_candidates
 
-    assert y_size ** x_size > cap
-    cands = _deterministic_candidates(x_size, y_size, cap, 4)
-    assert cands.shape[1:] == (x_size, y_size) and y_size < cands.shape[0] <= cap + y_size
+    assert cap == design_mod.PHI_CAP and z_size ** x_size > cap
+    cands = _deterministic_candidates(x_size, z_size, 4)
+    assert cands.shape[1:] == (x_size, z_size) and z_size < cands.shape[0] <= cap + z_size
     assert set(np.unique(cands)) == {0.0, 1.0}
     assert np.array_equal(cands.sum(axis=2), np.ones(cands.shape[:2]))
     maps = {tuple(row) for row in cands.argmax(axis=2)}
     assert len(maps) == cands.shape[0]
-    assert {(y,) * x_size for y in range(y_size)} <= maps
-    assert np.array_equal(cands, _deterministic_candidates(x_size, y_size, cap, 4))
-    assert not np.array_equal(cands, _deterministic_candidates(x_size, y_size, cap, 5))
+    assert {(y,) * x_size for y in range(z_size)} <= maps
+    assert np.array_equal(cands, _deterministic_candidates(x_size, z_size, 4))
+    assert not np.array_equal(cands, _deterministic_candidates(x_size, z_size, 5))
 
 
 def test_design_info_stage_budget_audit_holds():
     model = generate_correlated_model(seed=8, s=2, x_size=4, target_corr=0.4)
     for eps_i in (0.05, 0.3, 1.0):
-        res = design_info_stage(model, eps_i, OptimizerConfig(seed=2, y_size=2))
+        res = design_info_stage(model, OptimizerConfig(eps_i=eps_i, seed=2, z_size=2))
         pushed = push_forward(model, res.mapping)
         assert metrics.info_privacy_budget(pushed) <= eps_i + 1e-9
         for g, risk in res.profile.min_risks.items():
             assert risk >= res.profile.theta - 1e-6
+
+
+@pytest.mark.parametrize("z_size", [2, 3])
+def test_utility_step_takes_the_least_error_quantizer(monkeypatch, z_size):
+    """One utility sweep: each sensor's step errs as little as the best of all z^x quantizers."""
+    monkeypatch.setattr(design_mod, "UTILITY_SWEEPS", 1)
+    rng = np.random.default_rng(40 + z_size)
+    for x_size in (2, 3, 4, 5):
+        model = random_model(rng, 2, x_size, 1)
+        start = design_mod._likelihood_sign_quantizers(model, z_size)
+        rule = rule_of(model, start)  # the one sweep's rule
+        stepped = design_mod._utility_stage(model, z_size)
+        for t in range(model.s):
+            others = stepped[:t] + start[t:]  # sensors before t already stepped
+
+            def error(rows):
+                chans = others[:t] + [SensorChannel(rows)] + others[t + 1:]
+                joint = brute_push(model, NetworkMapping(tuple(chans)))
+                return brute_error_with_rule(types.SimpleNamespace(joint=joint), rule.table)
+
+            best = min(
+                error(np.eye(z_size)[list(q)])
+                for q in itertools.product(range(z_size), repeat=x_size)
+            )
+            assert error(stepped[t].rows) == pytest.approx(best, abs=1e-12)
 
 
 def random_models_with_skewed_priors(n, seed):
@@ -310,19 +337,19 @@ def random_models_with_skewed_priors(n, seed):
 
 
 def test_design_info_stage_unbounded_budget_reaches_raw_bayes_error():
-    # with no floor and y_size >= x_size nothing beats passing X through
+    # with no floor and z_size >= x_size nothing beats passing X through
     for k, model in enumerate(random_models_with_skewed_priors(8, seed=31)):
         raw = brute_bayes_error_raw(model)
-        for y_size in (model.x_size, model.x_size + 1):
-            cfg = OptimizerConfig(seed=k, y_size=y_size, max_outer_iters=30)
-            res = design_info_stage(model, math.inf, cfg)
+        for z_size in (model.x_size, model.x_size + 1):
+            cfg = OptimizerConfig(seed=k, z_size=z_size, max_outer_iters=30)
+            res = design_info_stage(model, cfg)
             assert error_h(model, res.mapping) == pytest.approx(raw, abs=1e-9)
         # a smaller alphabet never does worse than the likelihood-sign quantizers
         sign = []
         for t in range(model.s):
             p_hx = np.einsum("hg,hgx->hx", model.prior, model.conditionals[t])
             sign.append(SensorChannel(np.eye(2)[(p_hx[1] > p_hx[0]).astype(int)]))
-        res = design_info_stage(model, math.inf, OptimizerConfig(seed=k, max_outer_iters=30))
+        res = design_info_stage(model, OptimizerConfig(seed=k, max_outer_iters=30))
         sign_err = error_h(model, NetworkMapping(tuple(sign)))
         assert error_h(model, res.mapping) <= sign_err + 1e-12
 
@@ -340,7 +367,7 @@ def test_design_profiles_meet_the_theta_they_report():
     for k, model in enumerate(random_models_with_skewed_priors(4, seed=33)):
         for eps_i in (0.1, 1.0):
             cfg = OptimizerConfig(eps_i=eps_i, eps_ld=1.0, seed=k, restarts=2, max_outer_iters=30)
-            profiles = [design_info_stage(model, eps_i, cfg).profile]
+            profiles = [design_info_stage(model, cfg).profile]
             profiles += [d(model, cfg).profile for d in (design_ill, design_lip, design_inp)]
             for profile in profiles:
                 if profile is None:
@@ -349,7 +376,7 @@ def test_design_profiles_meet_the_theta_they_report():
                 assert min(profile.min_risks.values()) >= profile.theta - 1e-6
 
 
-@pytest.mark.parametrize("field", ["restarts", "max_outer_iters", "z_size", "y_size"])
+@pytest.mark.parametrize("field", ["restarts", "max_outer_iters", "z_size"])
 def test_optimizer_config_requires_counts_of_at_least_one(field):
     with pytest.raises(ValueError, match=f"^'{field}' must be an integer of at least 1, got 0$"):
         OptimizerConfig(**{field: 0})
@@ -390,6 +417,14 @@ def test_design_lip_budget_audits():
         assert res.report.eps_info <= eps_i + 1e-9
 
 
+def test_design_ill_runs_its_local_stage_at_the_full_budget():
+    """The composed local budget is bounded by stage 2's alone, so halving it wastes budget."""
+    model = generate_correlated_model(seed=5, s=3, x_size=5)
+    res = design_ill(model, OptimizerConfig(eps_i=1.0, eps_ld=0.5))
+    assert 0.25 + 1e-9 < res.report.eps_ldp <= 0.5 + 1e-9
+    assert res.report.eps_info <= 1.0 + 1e-9
+
+
 def test_design_ill_unbounded_local_budget_keeps_info_guarantee():
     model = generate_correlated_model(seed=10, s=2, x_size=3, target_corr=0.2)
     cfg = OptimizerConfig(eps_i=0.2, eps_ld=math.inf, seed=5, restarts=2)
@@ -423,7 +458,7 @@ def test_design_inp_respects_budget_and_improves_on_theta_stage():
     cfg = OptimizerConfig(eps_i=0.2, seed=8)
     res = design_inp(model, cfg)
     assert res.report.eps_info <= 0.2 + 1e-9
-    stage = design_info_stage(model, 0.2, dataclasses.replace(cfg, y_size=2))
+    stage = design_info_stage(model, cfg)
     stage_err = error_h(model, stage.mapping)
     assert res.objective <= stage_err + 1e-12
 
@@ -436,7 +471,7 @@ def test_design_inp_trace_ends_at_the_returned_objective(eps_i):
     res = design_inp(model, cfg)
     assert (res.profile is None) == (eps_i == 0.5)
     assert res.trace[-1] == res.objective
-    stage = design_info_stage(model, eps_i, dataclasses.replace(cfg, y_size=2))
+    stage = design_info_stage(model, cfg)
     assert stage.trace[-1] == bayes_error_H_pushed(push_forward(model, stage.mapping))
 
 

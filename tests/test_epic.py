@@ -127,6 +127,15 @@ def test_solvers_reject_a_nan_or_negative_local_budget(empirical, eps):
         epic.eldp_solve(train, eps, LAM, cfg)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_solvers_reject_a_regularization_weight_that_is_not_positive(empirical, lam):
+    _, train, cfg, _ = empirical
+    with pytest.raises(ValueError, match="^lam must be positive$"):
+        epic.epic_solve(train, 1.0, R, lam, cfg)
+    with pytest.raises(ValueError, match="^lam must be positive$"):
+        epic.eldp_solve(train, 1.0, lam, cfg)
+
+
 # -- discretization ----------------------------------------------------------------
 
 
