@@ -374,8 +374,12 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    model = load_model(args.model)
-    report = metrics.full_report(model, load_mapping(args.mapping).network())
+    try:  # a missing or malformed input file, or a table over the size cap
+        model = load_model(args.model)
+        report = metrics.full_report(model, load_mapping(args.mapping).network())
+    except (OSError, ValueError) as exc:
+        print(f"privdet report: {exc}", file=sys.stderr)
+        return 2
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=1)
         fh.write("\n")
@@ -389,13 +393,13 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    model = load_model(args.model)
     settings = dict(SPEC_DEFAULTS["design"], z_size=args.z_size, restarts=args.restarts)
-    try:
+    try:  # a missing or malformed model file, or a flag out of range
+        model = load_model(args.model)
         cfg = design_mod.OptimizerConfig(
             **settings, seed=args.seed, eps_i=args.eps_i, eps_ld=args.eps_ld
         )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"privdet design: {exc}", file=sys.stderr)
         return 2
     res = design_mod.design(model, args.arch, cfg)
@@ -429,7 +433,7 @@ def _cmd_relations(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         spec = load_sweep_spec(args.spec)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"{args.spec}: {exc}", file=sys.stderr)
         return 2
     rows = run_sweep(spec, jobs=args.jobs)
@@ -441,7 +445,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_epic(args) -> int:
-    try:  # a ValueError here is a flag out of range or a malformed data file
+    try:  # a flag out of range, or a missing or malformed data file
         train_h, train_g, train_feats = _read_labeled_csv(args.train, args.q)
         test_h, test_g, test_feats = _read_labeled_csv(args.test, args.q)
         if args.bins:
@@ -459,7 +463,7 @@ def _cmd_epic(args) -> int:
             sol = epic_mod.eldp_solve(train, args.eps_ld, args.lam, cfg)
         else:
             sol = epic_mod.epic_solve(train, args.eps_ld, args.r, args.lam, cfg)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"privdet epic: {exc}", file=sys.stderr)
         return 2
     err_h, err_g, eps_i_hat, eps_ld_hat = _holdout_and_empirical(sol, test, args.seed)

@@ -16,6 +16,8 @@ The six budgets:
 * identifiability         -- max log p(x|z) / p(x'|z) over neighboring x, x'
 
 plus delta_x, the max log prior ratio over neighboring observation vectors.
+I(X; Z) and identifiability read the (X, Z) joint table, whose rows are
+computed only on the support of p(x).
 
 The empirical eps_I of a sample is the information-privacy budget of the
 empirical (G, Z) table: max_abs_log_posterior_ratio of its counts over n.
@@ -24,7 +26,6 @@ empirical (G, Z) table: max_abs_log_posterior_ratio of its counts over n.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -39,16 +40,21 @@ LOG2 = math.log(2.0)
 
 
 def mutual_information(joint: np.ndarray) -> float:
-    """I(A; B) in nats from a 2-D joint table, with the 0 log 0 = 0 convention."""
+    """I(A; B) in nats from a 2-D joint table, with the 0 log 0 = 0 convention.
+
+    Rows of zero mass hold no positive cell, so they are dropped before the
+    cells are masked: a support-only table costs its support rows.
+    """
     joint = np.asarray(joint, dtype=float)
     if joint.ndim != 2:
         raise ValueError("mutual_information expects a 2-D joint table")
-    pa = joint.sum(axis=1, keepdims=True)
-    pb = joint.sum(axis=0, keepdims=True)
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    live = pa > 0
+    joint, pa = joint[live], pa[live]
     mask = joint > 0
-    ratio = np.ones_like(joint)
-    np.divide(joint, pa * pb, out=ratio, where=mask)
-    return float(max(0.0, np.sum(joint[mask] * np.log(ratio[mask]))))
+    cells = joint[mask]
+    return float(max(0.0, np.sum(cells * np.log(cells / (pa[:, None] * pb)[mask]))))
 
 
 def max_abs_log_posterior_ratio(joint: np.ndarray) -> float:
@@ -163,7 +169,15 @@ def delta_x(model: JointModel) -> float:
 
 
 def _joint_xz(pushed: PushedModel) -> np.ndarray:
-    """p(x, z) = p(x) p(z|x) over flattened vectors (Z depends on X only)."""
+    """p(x, z) = p(x) p(z|x) over flattened vectors (Z depends on X only).
+
+    Only the rows on the support of p(x) are computed: for each such x the
+    sensors' channel rows are multiplied in from sensor 0 up, so every cell
+    is the product a Kronecker product of the channels gives, and the other
+    rows stay zero.  The table is n_x by n_z all the same.  ``full_report``
+    builds it once per consumer (mutual information, identifiability), the
+    two builds the benchmark's tracer test counts.
+    """
     model = pushed.source
     cells = model.n_x * pushed.n_z
     if cells > EXPANSION_CAP:
@@ -171,8 +185,15 @@ def _joint_xz(pushed: PushedModel) -> np.ndarray:
             f"(X, Z) joint needs {cells} cells (cap {EXPANSION_CAP}); "
             "observation-side budgets are only computed at desk scale"
         )
-    big = functools.reduce(np.kron, [ch.rows for ch in pushed.mapping.channels])
-    return model.p_x()[:, None] * big
+    p_x = model.p_x()
+    support = np.flatnonzero(p_x)
+    xs = np.unravel_index(support, (model.x_size,) * model.s)
+    rows = np.ones((support.size, 1))
+    for ch, x_t in zip(pushed.mapping.channels, xs):
+        rows = (rows[:, :, None] * ch.rows[x_t][:, None, :]).reshape(support.size, -1)
+    table = np.zeros((model.n_x, pushed.n_z))
+    table[support] = p_x[support, None] * rows
+    return table
 
 
 # -- empirical estimators -----------------------------------------------------

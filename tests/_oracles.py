@@ -42,6 +42,12 @@ def kron_push(model, mapping):
     return model.joint_hgx() @ big
 
 
+def kron_joint_xz(pushed):
+    """p(x-vector, z-vector): p(x) times the Kronecker product of the sensor channels."""
+    big = functools.reduce(np.kron, [ch.rows for ch in pushed.mapping.channels])
+    return pushed.source.p_x()[:, None] * big
+
+
 def joint_block_coefficients(model, rule, channels, t):
     """f(z, x) of sensor t's block objective from the joint table over X^s.
 

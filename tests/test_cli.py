@@ -15,6 +15,7 @@ from privdet import epic as epic_mod
 from privdet.channels import (
     NetworkMapping,
     TwoStageMapping,
+    identity_mapping,
     random_channel,
     random_mapping,
     save_mapping,
@@ -261,6 +262,50 @@ def test_a_flag_out_of_range_is_a_usage_error(tmp_path, capsys, command, flags, 
     assert not list(tmp_path.glob("out*"))
 
 
+def _bad_input(tmp_path, case):
+    """(argv, expected stderr) of a run whose input file is missing, malformed or too large."""
+    model, mapping, missing = tmp_path / "model.json", tmp_path / "mapping.json", tmp_path / "none"
+    save_model(generate_correlated_model(seed=1, s=3, x_size=3), model)
+    save_mapping(random_mapping(0, 3, 3, 2), mapping)
+    no_file = f"[Errno 2] No such file or directory: {str(missing)!r}"
+    if case == "two-channel mapping":
+        save_mapping(random_mapping(0, 2, 3, 2), mapping)
+        message = "mapping has 2 channels for a 3-sensor model"
+    elif case == "model lacks a field":
+        data = json.loads(model.read_text())
+        del data["q"]
+        model.write_text(json.dumps(data))
+        message = f"{model}: model file is missing field 'q'"
+    elif case == "table over the cap":  # (10**4 inputs) x (10**4 outputs) > EXPANSION_CAP
+        save_model(generate_correlated_model(seed=1, s=4, x_size=10), model)
+        save_mapping(identity_mapping(4, 10), mapping)
+        message = ("(X, Z) joint needs 100000000 cells (cap 50000000); "
+                   "observation-side budgets are only computed at desk scale")
+    else:
+        message = no_file
+    argv = {
+        "report --model": ["report", "--model", str(missing), "--mapping", str(mapping)],
+        "report --mapping": ["report", "--model", str(model), "--mapping", str(missing)],
+        "design --model": ["design", "--arch", "ldp", "--model", str(missing)],
+        "sweep --spec": ["sweep", "--spec", str(missing)],
+        "epic --train": ["epic", "--train", str(missing), "--test", str(missing)],
+    }.get(case, ["report", "--model", str(model), "--mapping", str(mapping)])
+    where = str(missing) if argv[0] == "sweep" else f"privdet {argv[0]}"
+    return argv + ["--out", str(tmp_path / "out")], f"{where}: {message}\n"
+
+
+@pytest.mark.parametrize("case", [
+    "two-channel mapping", "model lacks a field", "table over the cap", "report --model",
+    "report --mapping", "design --model", "sweep --spec", "epic --train",
+])
+def test_a_bad_input_file_is_a_usage_error(tmp_path, capsys, case):
+    """Exit 2 with the library's message and no output, not a traceback."""
+    argv, err = _bad_input(tmp_path, case)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_design_has_no_y_size_flag(tmp_path, capsys):
     argv = ["design", "--arch", "ill", "--model", "m.json", "--y-size", "2", "--out", "d.json"]
     with pytest.raises(SystemExit) as exc:
@@ -333,7 +378,7 @@ def test_report_on_a_saved_two_stage_mapping(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text()) == expected
 
 
-def test_report_refuses_a_bare_channel_file(tmp_path):
+def test_report_refuses_a_bare_channel_file(tmp_path, capsys):
     model_path, mapping_path = tmp_path / "model.json", tmp_path / "channel.json"
     save_model(generate_correlated_model(seed=2, s=1, x_size=3), model_path)
     channel = random_channel(0, 3, 2)
@@ -341,8 +386,10 @@ def test_report_refuses_a_bare_channel_file(tmp_path):
         save_mapping(channel, mapping_path)
     mapping_path.write_text(json.dumps(channel.to_dict()))
     argv = ["report", "--model", str(model_path), "--mapping", str(mapping_path)]
-    with pytest.raises(ValueError, match="unrecognized mapping layout"):
-        cli.main(argv + ["--out", str(tmp_path / "report")])
+    assert cli.main(argv + ["--out", str(tmp_path / "report")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"privdet report: {mapping_path}: unrecognized mapping layout\n"
+    assert not list(tmp_path.glob("report*"))
 
 
 def test_sweep_budget_columns_are_the_report_csv_fields():

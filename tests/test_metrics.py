@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,11 +27,17 @@ from privdet.metrics import (
     mutual_info_privacy_budget,
     mutual_information,
 )
-from privdet.model import JointModel, push_forward
+from privdet.model import (
+    JointModel,
+    generate_correlated_model,
+    push_forward,
+    table3_model,
+)
 from privdet.relations import example1_joint, random_model
 
 from _oracles import (
     empirical_eps_i_dict,
+    kron_joint_xz,
     mutual_information_direct,
     pairwise_inference_dp,
     pairwise_neighbor_budget,
@@ -181,12 +188,69 @@ def test_mutual_information_perfect_correlation():
 
 def test_mutual_information_symmetric_nonnegative():
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        joint = rng.dirichlet(np.ones(12)).reshape(3, 4)
+    gapped = []
+    for _ in range(20):  # one all-zero row and one all-zero column
+        joint = rng.dirichlet(np.ones(20)).reshape(4, 5)
+        joint[rng.integers(4)] = 0.0
+        joint[:, rng.integers(5)] = 0.0
+        gapped.append(joint / joint.sum())
+    full = [rng.dirichlet(np.ones(12)).reshape(3, 4) for _ in range(50)]
+    for joint in full + gapped:
         a = mutual_information(joint)
         assert a >= -1e-15
         assert a == pytest.approx(mutual_information(joint.T), abs=1e-12)
         assert a == pytest.approx(mutual_information_direct(joint), abs=1e-12)
+
+
+# -- the (X, Z) table against its Kronecker build ------------------------------------
+
+
+def _quantizer_mapping(s, x_size):
+    """Each sensor reports whether its symbol lies in the upper half: a deterministic channel."""
+    rows = np.eye(2)[(np.arange(x_size) >= x_size // 2).astype(int)]
+    return NetworkMapping((SensorChannel(rows),) * s)
+
+
+def _assert_xz_table_is_the_kron_table(model):
+    s, x_size = model.s, model.x_size
+    mappings = [random_mapping(7, s, x_size, z) for z in (2, 3)]
+    mappings += [identity_mapping(s, x_size), _quantizer_mapping(s, x_size)]
+    for mapping in mappings:
+        pushed = push_forward(model, mapping)
+        oracle = kron_joint_xz(pushed)
+        assert np.array_equal(metrics._joint_xz(pushed), oracle)
+        assert mutual_info_privacy_budget(pushed) == mutual_information(oracle)
+        shaped = oracle.reshape((x_size,) * s + (pushed.n_z,))
+        assert identifiability_budget(pushed) == metrics._max_sensor_axis_budget(shaped, s)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("x_size", [3, 5])
+def test_xz_table_matches_the_kron_table_on_generated_models(seed, s, x_size):
+    _assert_xz_table_is_the_kron_table(generate_correlated_model(seed=seed, s=s, x_size=x_size))
+
+
+def test_xz_table_matches_the_kron_table_on_a_positive_model():
+    model = random_model(np.random.default_rng(11), 3, 4, 1)
+    assert np.all(model.p_x() > 0)
+    _assert_xz_table_is_the_kron_table(model)
+
+
+@pytest.mark.parametrize("model, mapping", [
+    (generate_correlated_model(seed=0, s=6, x_size=6), random_mapping(1, 6, 6, 2)),
+    (table3_model(4), random_mapping(1, 4, 11, 3)),
+], ids=["s6-x6-z2", "table3-s4-z3"])
+def test_a_report_allocates_at_most_two_xz_tables(model, mapping):
+    """The audit's peak allocation stays under two n_x by n_z float tables."""
+    tracemalloc.start()
+    try:
+        full_report(model, mapping)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = model.n_x * push_forward(model, mapping).n_z * 8
+    assert peak <= 2 * table_bytes
 
 
 # -- identifiability and the prior gap ---------------------------------------------
