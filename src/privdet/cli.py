@@ -4,8 +4,12 @@ Subcommands: gen-model, report, design, relations, sweep, epic.  Sweeps are
 driven by a JSON or TOML spec file, whose keys and defaults are
 ``SPEC_DEFAULTS``, and write one CSV row per grid cell; re-running with the
 same spec and seeds reproduces the file byte for byte (except the trailing
-wall-time column).  The process exits nonzero if any
-cell failed or any designed mapping missed its declared budget audit.
+wall-time column).
+
+Exit codes: 0 on success; 1 when a sweep cell failed, a designed mapping
+missed its declared budget audit or the bound suite found a violated bound;
+2 for bad input (a missing or malformed file, a flag or spec value out of
+range), which ``main`` reports in one line, ``privdet <command>: <message>``.
 """
 
 from __future__ import annotations
@@ -37,9 +41,7 @@ from .model import (
 
 AUDIT_SLACK = 1e-9
 
-ARCHITECTURES = ("ldp", "ill", "lip", "inp", "e-ldp", "epic", "identity")
-
-#: grid axes that matter per architecture
+#: the architectures a sweep runs, each with the grid axes that matter to it
 _AXES = {
     "identity": (),
     "ldp": ("eps_ld",),
@@ -90,8 +92,10 @@ SPEC_DEFAULTS = {
     "r": (0.999,),
     "corr": (0.2,),
     "seeds": (0,),
-    "design": {"z_size": 2, "max_outer_iters": 60, "restarts": 3},
-    "epic": {"n_train": 40, "n_test": 5000, "lambda": 0.05, "max_sweeps": 12},
+    "design": {key: getattr(design_mod.OptimizerConfig, key)
+               for key in ("z_size", "max_outer_iters", "restarts")},
+    "epic": {"n_train": 40, "n_test": 5000, "lambda": 0.05,
+             "max_sweeps": epic_mod.EpicConfig.max_sweeps},
 }
 
 #: how each grid axis of a spec reads its values
@@ -154,7 +158,7 @@ class SweepSpec:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"sweep spec key {key!r}: {exc}") from None
         for a in grids["architectures"]:
-            if a not in ARCHITECTURES:
+            if a not in _AXES:
                 raise ValueError(f"unknown architecture {a!r}")
         if not all(grids.values()):
             raise ValueError("every sweep grid must be nonempty")
@@ -243,10 +247,8 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
     results = [None] * len(eps_ld_axis)
     try:
         cfg = dataclasses.replace(spec.design, seed=seed, eps_i=eps_i)
-        if arch in ("ldp", "ill", "lip"):
+        if arch in design_mod.ARCHITECTURES:
             results = design_mod.chain_designs(model, arch, list(eps_ld_axis), cfg)
-        elif arch == "inp":
-            results = [design_mod.design_inp(model, cfg)]
     except Exception as exc:  # per-cell failures stay in-row
         share = (time.perf_counter() - t_start) / len(eps_ld_axis)
         for eps_ld in eps_ld_axis:
@@ -264,7 +266,7 @@ def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float,
                 mapping = identity_mapping(model.s, model.x_size)
                 report = _evaluate_mapping(model, mapping, row)
                 row["converged"] = True
-            elif arch in ("ldp", "ill", "lip", "inp"):
+            elif arch in design_mod.ARCHITECTURES:
                 res = results[idx]
                 report = _evaluate_mapping(model, res.mapping.network(), row, res.report)
                 row["converged"] = res.converged
@@ -350,11 +352,22 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
 
 def write_sweep_csv(rows, path) -> None:
     cols = list(rows[0])  # every row is laid out by _blank_row, all columns in order
+    _write_csv(path, cols, [[row[c] for c in cols] for row in rows])
+
+
+def _write_csv(path, header, rows) -> None:
+    """The one CSV writer: a header line, then each row's values through ``_fmt``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c, "")) for c in cols])
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _write_json(path, payload) -> None:
+    """The one JSON writer: indented one space, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
 
 
 # -- subcommand entry points -------------------------------------------------
@@ -374,34 +387,19 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:  # a missing or malformed input file, or a table over the size cap
-        model = load_model(args.model)
-        report = metrics.full_report(model, load_mapping(args.mapping).network())
-    except (OSError, ValueError) as exc:
-        print(f"privdet report: {exc}", file=sys.stderr)
-        return 2
-    with open(args.out + ".json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
-        fh.write("\n")
+    model = load_model(args.model)
+    report = metrics.full_report(model, load_mapping(args.mapping).network())
     fields = report.csv_fields()
-    with open(args.out + ".csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(fields))
-        writer.writerow([_fmt(v) for v in fields.values()])
+    _write_json(args.out + ".json", report.to_dict())
+    _write_csv(args.out + ".csv", list(fields), [list(fields.values())])
     print(f"wrote {args.out}.json and {args.out}.csv")
     return 0
 
 
 def _cmd_design(args) -> int:
-    settings = dict(SPEC_DEFAULTS["design"], z_size=args.z_size, restarts=args.restarts)
-    try:  # a missing or malformed model file, or a flag out of range
-        model = load_model(args.model)
-        cfg = design_mod.OptimizerConfig(
-            **settings, seed=args.seed, eps_i=args.eps_i, eps_ld=args.eps_ld
-        )
-    except (OSError, ValueError) as exc:
-        print(f"privdet design: {exc}", file=sys.stderr)
-        return 2
+    model = load_model(args.model)
+    cfg = design_mod.OptimizerConfig(eps_i=args.eps_i, eps_ld=args.eps_ld, z_size=args.z_size,
+                                     seed=args.seed, restarts=args.restarts)
     res = design_mod.design(model, args.arch, cfg)
     payload = res.to_dict()
     payload["arch"] = args.arch
@@ -409,34 +407,20 @@ def _cmd_design(args) -> int:
     payload["eps_ld"] = metrics.json_float(cfg.eps_ld)
     audit_ok = _audit(res.report, args.arch, cfg.eps_i, cfg.eps_ld)
     payload["audit_ok"] = audit_ok
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    _write_json(args.out, payload)
     print(f"wrote {args.out} (objective {res.objective:.6f}, audit {'ok' if audit_ok else 'FAILED'})")
     return 0 if audit_ok else 1
 
 
 def _cmd_relations(args) -> int:
-    try:
-        rows, ok = relations.implication_table(args.seed, args.trials)
-    except ValueError as exc:  # a flag out of range
-        print(f"privdet relations: {exc}", file=sys.stderr)
-        return 2
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(relations.TABLE_COLUMNS)
-        writer.writerows(rows)
+    rows, ok = relations.implication_table(args.seed, args.trials)
+    _write_csv(args.out, relations.TABLE_COLUMNS, rows)
     print(f"wrote {args.out}; {args.trials} bound-suite trials: {'ok' if ok else 'VIOLATED'}")
     return 0 if ok else 1
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        spec = load_sweep_spec(args.spec)
-    except (OSError, ValueError) as exc:
-        print(f"{args.spec}: {exc}", file=sys.stderr)
-        return 2
-    rows = run_sweep(spec, jobs=args.jobs)
+    rows = run_sweep(load_sweep_spec(args.spec), jobs=args.jobs)
     write_sweep_csv(rows, args.out)
     n_err = sum(1 for r in rows if r.get("status") != "ok")
     n_audit = sum(1 for r in rows if r.get("status") == "ok" and not r.get("audit_ok"))
@@ -445,35 +429,26 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_epic(args) -> int:
-    try:  # a flag out of range, or a missing or malformed data file
-        train_h, train_g, train_feats = _read_labeled_csv(args.train, args.q)
-        test_h, test_g, test_feats = _read_labeled_csv(args.test, args.q)
-        if args.bins:
-            train_x, edges = epic_mod.discretize(train_feats, args.bins)
-            test_x, _ = epic_mod.discretize(test_feats, args.bins, edges=edges)
-            x_size = args.bins
-        else:
-            train_x = train_feats.astype(np.int64)
-            test_x = test_feats.astype(np.int64)
-            x_size = int(max(train_x.max(), test_x.max())) + 1
-        train = epic_mod.Dataset(train_h, train_g, train_x, x_size, args.q)
-        test = epic_mod.Dataset(test_h, test_g, np.clip(test_x, 0, x_size - 1), x_size, args.q)
-        cfg = epic_mod.EpicConfig(max_sweeps=SPEC_DEFAULTS["epic"]["max_sweeps"])
-        if args.e_ldp:
-            sol = epic_mod.eldp_solve(train, args.eps_ld, args.lam, cfg)
-        else:
-            sol = epic_mod.epic_solve(train, args.eps_ld, args.r, args.lam, cfg)
-    except (OSError, ValueError) as exc:
-        print(f"privdet epic: {exc}", file=sys.stderr)
-        return 2
+    train_h, train_g, train_feats = _read_labeled_csv(args.train, args.q)
+    test_h, test_g, test_feats = _read_labeled_csv(args.test, args.q)
+    if args.bins:
+        train_x, edges = epic_mod.discretize(train_feats, args.bins)
+        test_x, _ = epic_mod.discretize(test_feats, args.bins, edges=edges)
+        x_size = args.bins
+    else:
+        train_x = train_feats.astype(np.int64)
+        test_x = test_feats.astype(np.int64)
+        x_size = int(max(train_x.max(), test_x.max())) + 1
+    train = epic_mod.Dataset(train_h, train_g, train_x, x_size, args.q)
+    test = epic_mod.Dataset(test_h, test_g, np.clip(test_x, 0, x_size - 1), x_size, args.q)
+    if args.e_ldp:
+        sol = epic_mod.eldp_solve(train, args.eps_ld, args.lam, epic_mod.EpicConfig())
+    else:
+        sol = epic_mod.epic_solve(train, args.eps_ld, args.r, args.lam, epic_mod.EpicConfig())
     err_h, err_g, eps_i_hat, eps_ld_hat = _holdout_and_empirical(sol, test, args.seed)
-    with open(args.out + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sol.to_dict(), fh, indent=1)
-        fh.write("\n")
-    with open(args.out + ".csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["error_H", "error_G", "eps_i_hat", "eps_ld_hat"])
-        writer.writerow([_fmt(v) for v in (err_h, err_g, eps_i_hat, eps_ld_hat)])
+    _write_json(args.out + ".json", sol.to_dict())
+    _write_csv(args.out + ".csv", ["error_H", "error_G", "eps_i_hat", "eps_ld_hat"],
+               [[err_h, err_g, eps_i_hat, eps_ld_hat]])
     print(
         f"wrote {args.out}.json/.csv: error_H={err_h:.4f} error_G={err_g:.4f} "
         f"eps_i_hat={eps_i_hat:.4f} eps_ld_hat={_fmt(eps_ld_hat)}"
@@ -538,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("design", help="optimize a privacy mapping")
-    p.add_argument("--arch", choices=("ldp", "ill", "lip", "inp"), required=True)
+    p.add_argument("--arch", choices=design_mod.ARCHITECTURES, required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--eps-i", type=_parse_eps, default=first("eps_i"))
     p.add_argument("--eps-ld", type=_parse_eps, default=first("eps_ld"))
@@ -576,8 +551,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  The one place bad input, an OSError or a ValueError,
+    becomes exit 2; a sweep cell's failure stays in its row, and any other
+    exception is a program fault and propagates."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"privdet {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -49,6 +49,8 @@ from .metrics import BudgetReport, full_report
 from .model import JointModel, PushedModel, _sensor_product, push_forward, push_forward_model
 from .simplex import LP_TOL, LPInfeasible, solve_lp
 
+#: the parametric architectures: the names ``design`` takes and ``chain_designs`` chains
+ARCHITECTURES = ("ldp", "ill", "lip", "inp")
 #: L1 norm of the mapping change per sweep below which a design has converged
 CONVERGENCE_TOL = 1e-6
 #: most deterministic quantizers an information-stage LP takes as columns
@@ -65,9 +67,9 @@ class OptimizerConfig:
     eps_i: float = math.inf
     eps_ld: float = math.inf
     z_size: int = 2
-    max_outer_iters: int = 100
+    max_outer_iters: int = 60
     seed: int = 0
-    restarts: int = 5
+    restarts: int = 3
 
     def __post_init__(self):
         for name in ("eps_i", "eps_ld"):
@@ -614,10 +616,13 @@ def _result(model, mapping, trace, converged, profile=None) -> DesignResult:
 def design(
     model: JointModel, arch: str, config: OptimizerConfig, warm: DesignResult | None = None
 ) -> DesignResult:
-    """Dispatch by architecture name: ldp, ill, lip or inp.
+    """Dispatch by architecture name, one of ``ARCHITECTURES``.
 
-    ``warm`` is a result of the same architecture to start from; ``inp``
-    has no local stage to start and ignores it.
+    Each design is called through its module-level name, not through a table
+    of functions, so a wrapper bound over that name (the bench tracer, a
+    test's monkeypatch) sees the call.  ``warm`` is a result of the same
+    architecture to start from; ``inp`` has no local stage to start and
+    ignores it.
     """
     if arch == "ldp":
         return design_ldp(model, config, warm)
@@ -631,12 +636,14 @@ def design(
 
 
 def chain_designs(model: JointModel, arch: str, eps_ld_grid, config: OptimizerConfig):
-    """Designs along an ascending local-budget grid with warm starts.
+    """Designs of ``arch``, one of ``ARCHITECTURES``, along an ascending
+    local-budget grid with warm starts.
 
     A mapping feasible at a smaller local budget stays feasible at a larger
     one, so each grid point also considers the previous solution (as a warm
     start and as a fallback candidate), making the achieved detection error
-    non-increasing along the grid.
+    non-increasing along the grid.  ``inp`` has no local budget: its grid is
+    the one point eps_ld = inf.
     """
     order = sorted(range(len(eps_ld_grid)), key=lambda i: eps_ld_grid[i])
     results: dict[int, DesignResult] = {}

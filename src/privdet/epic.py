@@ -275,7 +275,7 @@ def _channel_step(chans, t, eps_ld, accept, cost, a_ub=None, b_ub=None) -> float
 
 @dataclasses.dataclass(frozen=True)
 class EpicConfig:
-    max_sweeps: int = 30
+    max_sweeps: int = 12
     risk_slack: float = 1e-4  # audited floor tolerance on returned solutions
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line entry points."""
 
+import ast
 import csv
 import dataclasses
 import json
@@ -263,10 +264,11 @@ def test_a_flag_out_of_range_is_a_usage_error(tmp_path, capsys, command, flags, 
 
 
 def _bad_input(tmp_path, case):
-    """(argv, expected stderr) of a run whose input file is missing, malformed or too large."""
+    """(argv, expected stderr) of a run whose input is missing, malformed, out of range or too large."""
     model, mapping, missing = tmp_path / "model.json", tmp_path / "mapping.json", tmp_path / "none"
     save_model(generate_correlated_model(seed=1, s=3, x_size=3), model)
     save_mapping(random_mapping(0, 3, 3, 2), mapping)
+    out = missing / "out" if case == "gen-model --out" else tmp_path / "out"
     no_file = f"[Errno 2] No such file or directory: {str(missing)!r}"
     if case == "two-channel mapping":
         save_mapping(random_mapping(0, 2, 3, 2), mapping)
@@ -281,29 +283,38 @@ def _bad_input(tmp_path, case):
         save_mapping(identity_mapping(4, 10), mapping)
         message = ("(X, Z) joint needs 100000000 cells (cap 50000000); "
                    "observation-side budgets are only computed at desk scale")
+    elif case == "design --eps-i 0":
+        message = "eps_i must be positive"
+    elif case == "gen-model --out":
+        message = f"[Errno 2] No such file or directory: {str(out)!r}"
     else:
         message = no_file
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"model": {"file": str(missing)}}))
     argv = {
         "report --model": ["report", "--model", str(missing), "--mapping", str(mapping)],
         "report --mapping": ["report", "--model", str(model), "--mapping", str(missing)],
         "design --model": ["design", "--arch", "ldp", "--model", str(missing)],
+        "design --eps-i 0": ["design", "--arch", "inp", "--model", str(model), "--eps-i", "0"],
         "sweep --spec": ["sweep", "--spec", str(missing)],
+        "sweep model.file": ["sweep", "--spec", str(spec)],
         "epic --train": ["epic", "--train", str(missing), "--test", str(missing)],
+        "gen-model --out": ["gen-model"],
     }.get(case, ["report", "--model", str(model), "--mapping", str(mapping)])
-    where = str(missing) if argv[0] == "sweep" else f"privdet {argv[0]}"
-    return argv + ["--out", str(tmp_path / "out")], f"{where}: {message}\n"
+    return argv + ["--out", str(out)], f"privdet {argv[0]}: {message}\n"
 
 
 @pytest.mark.parametrize("case", [
     "two-channel mapping", "model lacks a field", "table over the cap", "report --model",
-    "report --mapping", "design --model", "sweep --spec", "epic --train",
+    "report --mapping", "design --model", "design --eps-i 0", "sweep --spec",
+    "sweep model.file", "epic --train", "gen-model --out",
 ])
 def test_a_bad_input_file_is_a_usage_error(tmp_path, capsys, case):
     """Exit 2 with the library's message and no output, not a traceback."""
     argv, err = _bad_input(tmp_path, case)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == err
-    assert not list(tmp_path.glob("out*"))
+    assert not list(tmp_path.glob("out*")) and not (tmp_path / "none").exists()
 
 
 def test_design_has_no_y_size_flag(tmp_path, capsys):
@@ -343,9 +354,9 @@ def test_design_and_sweep_run_one_set_of_defaults(tmp_path, monkeypatch):
     configs = {}
     real_design, real_inp = design.design, design.design_inp
 
-    def record_design(model, arch, config):
+    def record_design(model, arch, config, warm=None):
         configs["design"] = config
-        return real_design(model, arch, config)
+        return real_design(model, arch, config, warm)
 
     def record_inp(model, config):
         configs["sweep"] = config
@@ -358,12 +369,40 @@ def test_design_and_sweep_run_one_set_of_defaults(tmp_path, monkeypatch):
     assert cli.main(gen) == 0
     argv = ["design", "--arch", "inp", "--model", str(model), "--eps-i", "0.5"]
     assert cli.main(argv + ["--out", str(tmp_path / "design.json")]) == 0
+    design_config = configs["design"]  # the sweep calls design() too
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "model": {"file": str(model)}, "architectures": ["inp"], "eps_i": [0.5],
     }))
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep.csv")]) == 0
-    assert configs["design"] == configs["sweep"]
+    assert design_config == configs["sweep"]
+
+
+def test_the_cli_decides_bad_input_and_each_file_format_once():
+    """One handler turns bad input into exit 2, in ``main``; one CSV and one JSON writer.
+
+    A handler that re-raises (a more precise message for the same error) does
+    not decide anything and is not counted.
+    """
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    usage = [
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)} & {"OSError", "ValueError"}
+        and not any(isinstance(n, ast.Raise) for n in ast.walk(node))
+    ]
+    assert usage == ["main"]
+
+    def calls(module, attr):
+        return sum(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == attr
+            and isinstance(n.func.value, ast.Name) and n.func.value.id == module
+            for n in ast.walk(tree)
+        )
+
+    assert (calls("csv", "writer"), calls("json", "dump")) == (1, 1)
 
 
 def test_report_on_a_saved_two_stage_mapping(tmp_path):
