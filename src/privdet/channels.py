@@ -10,6 +10,10 @@ Every block step over one sensor's channel, parametric or empirical, is one
 ``solve_channel_lp``: a linear program over the local-budget polytope
 ``ldp_polytope`` plus the caller's own rows and variables.  The polytope's
 column and row layout is known only here.
+
+Every model, mapping and spec file is read by ``read_document``, so a malformed
+one is one ``ModelFormatError`` that names it; ``write_json`` writes every
+model, mapping and result file.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ import numpy as np
 from .simplex import solve_lp
 
 ROW_ATOL = 1e-12
+
+
+class ModelFormatError(ValueError):
+    """A table, or a model, mapping or spec file (whose path leads the message), out of format."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,10 +132,6 @@ class TwoStageMapping:
                     f"sensor {t}: stage-1 output size {a.z_size} != stage-2 input {b.x_size}"
                 )
 
-    @property
-    def s(self) -> int:
-        return self.stage1.s
-
     def network(self) -> NetworkMapping:
         """The two stages collapsed into one channel per sensor."""
         chans = []
@@ -181,11 +185,11 @@ def randomized_response(x_size: int, eps: float) -> SensorChannel:
     return SensorChannel(rows)
 
 
-def random_channel(seed: int, x_size: int, z_size: int) -> SensorChannel:
+def random_channel(seed, x_size: int, z_size: int) -> SensorChannel:
     """Rows drawn uniformly from the probability simplex, reproducibly.
 
     Uses normalized exponential variates, which are exactly uniform on the
-    simplex.
+    simplex.  ``seed`` is an int or a ``SeedSequence``.
     """
     if x_size < 1 or z_size < 1:
         raise ValueError("alphabet sizes must be >= 1")
@@ -195,14 +199,9 @@ def random_channel(seed: int, x_size: int, z_size: int) -> SensorChannel:
 
 
 def random_mapping(seed: int, s: int, x_size: int, z_size: int) -> NetworkMapping:
-    """Independent random channels for every sensor, seeded as a family."""
+    """Independent ``random_channel`` draws for every sensor, seeded as a family."""
     seeds = np.random.SeedSequence(seed).spawn(s)
-    chans = []
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        raw = rng.exponential(size=(x_size, z_size))
-        chans.append(SensorChannel(raw / raw.sum(axis=1, keepdims=True)))
-    return NetworkMapping(tuple(chans))
+    return NetworkMapping(tuple(random_channel(ss, x_size, z_size) for ss in seeds))
 
 
 def ldp_polytope(x_size: int, z_size: int, eps_ld: float):
@@ -289,23 +288,49 @@ def solve_channel_lp(shape, eps_ld, cost, a_ub=None, b_ub=None, a_eq=None, b_eq=
     return repair_ratio_columns(res.x[:nv].reshape(x_size, z_size), eps_ld)
 
 
-# -- serialization helpers ---------------------------------------------------
+# -- documents ----------------------------------------------------------------
 
 
-def save_mapping(mapping, path) -> None:
-    if not isinstance(mapping, (NetworkMapping, TwoStageMapping)):
-        raise TypeError(f"cannot serialize {type(mapping).__name__}")
+def write_json(path, payload) -> None:
+    """The one JSON writer: ``payload`` indented one space, with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mapping.to_json(), fh, indent=1)
+        json.dump(payload, fh, indent=1)
         fh.write("\n")
 
 
-def load_mapping(path):
-    """Load a network mapping or two-stage mapping from JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def read_document(path, parse, decode=json.loads):
+    """``parse(decode(text))`` of the UTF-8 file at ``path``: the one document reader.
+
+    A file that does not decode, or a KeyError, TypeError or ValueError from
+    ``parse``, is one ModelFormatError led by the path; an OSError passes through.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(decode(fh.read()))
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+
+
+def _mapping_from_json(data):
+    """The mapping a mapping file's payload (``to_json``) describes."""
     if isinstance(data, list):
         return NetworkMapping.from_list(data)
     if isinstance(data, dict) and "arch" in data:
         return TwoStageMapping.from_dict(data)
-    raise ValueError(f"{path}: unrecognized mapping layout")
+    raise ValueError("unrecognized mapping layout")
+
+
+def save_mapping(mapping, path) -> None:
+    """Write a network or two-stage mapping's ``to_json`` payload with ``write_json``."""
+    if not isinstance(mapping, (NetworkMapping, TwoStageMapping)):
+        raise TypeError(f"cannot serialize {type(mapping).__name__}")
+    write_json(path, mapping.to_json())
+
+
+def load_mapping(path):
+    """The mapping in a file ``save_mapping`` wrote, read by ``read_document``."""
+    return read_document(path, _mapping_from_json)

@@ -19,7 +19,6 @@ import concurrent.futures
 import csv
 import dataclasses
 import itertools
-import json
 import math
 import sys
 import time
@@ -29,7 +28,7 @@ import numpy as np
 from . import design as design_mod
 from . import epic as epic_mod
 from . import metrics, relations
-from .channels import identity_mapping, load_mapping
+from .channels import identity_mapping, load_mapping, read_document, write_json
 from .detection import bayes_error_G_pushed, bayes_error_H_pushed
 from .model import (
     JointModel,
@@ -75,6 +74,14 @@ def _parse_eps(v) -> float:
     return eps
 
 
+def _parse_seed(v) -> int:
+    """A seed: a nonnegative integer."""
+    seed = int(v)
+    if seed < 0:
+        raise ValueError(f"a seed must be a nonnegative integer, got {v!r}")
+    return seed
+
+
 # -- sweep spec ------------------------------------------------------------
 
 #: Every key a sweep spec may set, with its default; a dict value is a table
@@ -101,7 +108,7 @@ SPEC_DEFAULTS = {
 #: how each grid axis of a spec reads its values
 _GRID_PARSERS = {
     "architectures": str, "eps_i": _parse_eps, "eps_ld": _parse_eps,
-    "r": float, "corr": float, "seeds": int,
+    "r": float, "corr": float, "seeds": _parse_seed,
 }
 
 
@@ -160,6 +167,8 @@ class SweepSpec:
         for a in grids["architectures"]:
             if a not in _AXES:
                 raise ValueError(f"unknown architecture {a!r}")
+            if "eps_i" in _AXES[a] and 0.0 in grids["eps_i"]:
+                raise ValueError(f"sweep spec key 'eps_i': {a!r} needs every eps_i positive")
         if not all(grids.values()):
             raise ValueError("every sweep grid must be nonempty")
         return cls(
@@ -172,14 +181,11 @@ class SweepSpec:
 
 
 def load_sweep_spec(path) -> SweepSpec:
-    text = open(path, "rb").read()
+    """The spec in a JSON file, or a TOML one by its ``.toml`` suffix, read by ``read_document``."""
     if str(path).endswith(".toml"):
-        import tomllib
-
-        data = tomllib.loads(text.decode("utf-8"))
-    else:
-        data = json.loads(text.decode("utf-8"))
-    return SweepSpec.from_dict(data)
+        import tomllib  # only a TOML spec pays for the import
+        return read_document(path, SweepSpec.from_dict, tomllib.loads)
+    return read_document(path, SweepSpec.from_dict)
 
 
 def _spec_model(spec: SweepSpec, corr: float) -> JointModel:
@@ -363,13 +369,6 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _write_json(path, payload) -> None:
-    """The one JSON writer: indented one space, with a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
 # -- subcommand entry points -------------------------------------------------
 
 
@@ -390,7 +389,7 @@ def _cmd_report(args) -> int:
     model = load_model(args.model)
     report = metrics.full_report(model, load_mapping(args.mapping).network())
     fields = report.csv_fields()
-    _write_json(args.out + ".json", report.to_dict())
+    write_json(args.out + ".json", report.to_dict())
     _write_csv(args.out + ".csv", list(fields), [list(fields.values())])
     print(f"wrote {args.out}.json and {args.out}.csv")
     return 0
@@ -407,7 +406,7 @@ def _cmd_design(args) -> int:
     payload["eps_ld"] = metrics.json_float(cfg.eps_ld)
     audit_ok = _audit(res.report, args.arch, cfg.eps_i, cfg.eps_ld)
     payload["audit_ok"] = audit_ok
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     print(f"wrote {args.out} (objective {res.objective:.6f}, audit {'ok' if audit_ok else 'FAILED'})")
     return 0 if audit_ok else 1
 
@@ -446,7 +445,7 @@ def _cmd_epic(args) -> int:
     else:
         sol = epic_mod.epic_solve(train, args.eps_ld, args.r, args.lam, epic_mod.EpicConfig())
     err_h, err_g, eps_i_hat, eps_ld_hat = _holdout_and_empirical(sol, test, args.seed)
-    _write_json(args.out + ".json", sol.to_dict())
+    write_json(args.out + ".json", sol.to_dict())
     _write_csv(args.out + ".csv", ["error_H", "error_G", "eps_i_hat", "eps_ld_hat"],
                [[err_h, err_g, eps_i_hat, eps_ld_hat]])
     print(
@@ -460,7 +459,8 @@ def _read_labeled_csv(path, q):
     """(h, g, features) from a CSV of rows h, the q bits of g, then the features.
 
     Blank lines and ``#`` comments are skipped.  The first other line may be
-    a header; any later line with a non-numeric field raises ValueError.
+    a header; a later line with a non-numeric field, or with another field
+    count than the first data line, raises ValueError naming the file and line.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -477,6 +477,9 @@ def _read_labeled_csv(path, q):
                         f"{path}, line {reader.line_num}: non-numeric field in {rec}"
                     ) from None
             first = False
+            if rows and len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(rec)} fields, "
+                                 f"the first data line has {len(rows[0])}")
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2 + q:
         raise ValueError(f"{path}: expected h, {q} g columns and features")
@@ -498,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         return SPEC_DEFAULTS[key][0]
 
     p = sub.add_parser("gen-model", help="generate a synthetic correlated model")
-    p.add_argument("--seed", type=int, default=gen["seed"])
+    p.add_argument("--seed", type=_parse_seed, default=gen["seed"])
     p.add_argument("--sensors", type=int, default=gen["s"])
     p.add_argument("--x-size", type=int, default=gen["x_size"])
     p.add_argument("--corr", type=float, default=first("corr"))
@@ -517,14 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--eps-i", type=_parse_eps, default=first("eps_i"))
     p.add_argument("--eps-ld", type=_parse_eps, default=first("eps_ld"))
-    p.add_argument("--seed", type=int, default=first("seeds"))
+    p.add_argument("--seed", type=_parse_seed, default=first("seeds"))
     p.add_argument("--z-size", type=int, default=des["z_size"])
     p.add_argument("--restarts", type=int, default=des["restarts"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("relations", help="metric-implication table and bound suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_relations)
@@ -544,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=first("r"))
     p.add_argument("--lambda", dest="lam", type=float, default=ep["lambda"])
     p.add_argument("--e-ldp", action="store_true", help="drop the inference-privacy floor")
-    p.add_argument("--seed", type=int, default=first("seeds"))
+    p.add_argument("--seed", type=_parse_seed, default=first("seeds"))
     p.add_argument("--out", required=True, help="output prefix (.json/.csv appended)")
     p.set_defaults(func=_cmd_epic)
     return parser

@@ -117,16 +117,6 @@ class DesignResult:
         return payload
 
 
-class InfoStageInfeasible(RuntimeError):
-    """Per-sensor LP infeasible at the current risk threshold."""
-
-    def __init__(self, g: int, theta_val: float):
-        super().__init__(
-            f"risk constraint for private value g={g} cannot reach theta={theta_val:.6g}"
-        )
-        self.blocking_g = g
-
-
 # -- single-sensor block steps for the local-budget design -------------------
 
 
@@ -305,14 +295,14 @@ def design_info_stage(model: JointModel, config: OptimizerConfig) -> InfoStageRe
     depends on the current mapping through c_G), then solve one LP per
     sensor over mixtures of deterministic quantizers plus the incumbent
     channel.  Starts from the lowest-error start that meets its own
-    threshold (see ``_info_stage_start``); if a later threshold update
-    makes a block step infeasible, the previous iterate is returned.
-    Before returning, the mapping is audited against the posterior-ratio
-    budget and, if numerically short, shrunk toward an input-independent
-    channel until the audit passes.  The shrink garbles each sensor's
-    output, so it can only raise the min risks, and the profile reports the
-    (c_G, theta) pair enforced by the last accepted sweep (or the start).
-    Each iterate is pushed forward once.
+    threshold (see ``_info_stage_start``); when a threshold update makes a
+    block step infeasible, the last accepted iterate (the start, at sweep 0)
+    is kept.  Each iterate is pushed forward once.  Before returning, the
+    mapping is audited against the posterior-ratio budget and, if
+    numerically short, shrunk toward an input-independent channel until the
+    audit passes.  The shrink garbles each sensor's output, so it can only
+    raise the min risks, and the profile reports the (c_G, theta) pair
+    enforced by the last accepted sweep (or the start).
     """
     eps_i = config.eps_i
     if eps_i <= 0:
@@ -321,31 +311,28 @@ def design_info_stage(model: JointModel, config: OptimizerConfig) -> InfoStageRe
     chans, enforced, pushed = _info_stage_start(model, eps_i, config.z_size)
     trace: list[float] = []
     converged = False
-    for sweep in range(config.max_outer_iters):
+    for _ in range(config.max_outer_iters):
         rule = optimal_rule_from_pushed(pushed)
         c_g, th = _risk_floor(pushed, eps_i)
-        prev_rows = [c.rows for c in chans]
+        new = list(chans)  # ``chans`` stays the last accepted iterate
         try:
             for t in range(model.s):
-                cols = np.concatenate([cands, chans[t].rows[None, :, :]], axis=0)
-                err, risks = _stage_column_stats(model, chans, t, cols, rule)
+                cols = np.concatenate([cands, new[t].rows[None, :, :]], axis=0)
+                err, risks = _stage_column_stats(model, new, t, cols, rule)
                 nu = _solve_mixture_lp(err, risks, th)
                 rows = np.einsum("c,cxy->xy", nu, cols)
                 rows = np.clip(rows, 0.0, None)
-                chans[t] = SensorChannel(rows / rows.sum(axis=1, keepdims=True))
-        except InfoStageInfeasible:
-            if sweep == 0:
-                raise
-            chans = [SensorChannel(r) for r in prev_rows]
+                new[t] = SensorChannel(rows / rows.sum(axis=1, keepdims=True))
+        except LPInfeasible:
             break
-        pushed = push_forward(model, NetworkMapping(tuple(chans)))
+        pushed = push_forward(model, NetworkMapping(tuple(new)))
         obj = bayes_error_H_pushed(pushed)
         if trace and obj > trace[-1] + LP_TOL:
-            chans = [SensorChannel(r) for r in prev_rows]
             break
         trace.append(obj)
         enforced = (c_g, th)
-        change = sum(float(np.abs(c.rows - p).sum()) for c, p in zip(chans, prev_rows))
+        change = sum(float(np.abs(c.rows - p.rows).sum()) for c, p in zip(new, chans))
+        chans = new
         if change < CONVERGENCE_TOL:
             converged = True
             break
@@ -409,19 +396,15 @@ def _info_stage_start(model, eps_i, z_size):
 
 
 def _solve_mixture_lp(err, risks, th):
-    """Mixture weights over the LP columns of least error with every risk at least th."""
+    """Least-error mixture weights over the LP columns with every risk >= th; else LPInfeasible."""
     rows = [-risks[g] for g in sorted(risks)]
-    try:
-        res = solve_lp(
-            err,
-            a_ub=np.array(rows) if rows else None,
-            b_ub=np.full(len(rows), -th) if rows else None,
-            a_eq=np.ones((1, err.shape[0])),
-            b_eq=np.ones(1),
-        )
-    except LPInfeasible:
-        blocking = min(risks, key=lambda g: float(np.max(risks[g]))) if risks else -1
-        raise InfoStageInfeasible(blocking, th) from None
+    res = solve_lp(
+        err,
+        a_ub=np.array(rows) if rows else None,
+        b_ub=np.full(len(rows), -th) if rows else None,
+        a_eq=np.ones((1, err.shape[0])),
+        b_eq=np.ones(1),
+    )
     nu = np.clip(res.x, 0.0, None)
     return nu / nu.sum()
 

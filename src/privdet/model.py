@@ -19,11 +19,10 @@ is a pure function of its inputs.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 
-from .channels import NetworkMapping
+from .channels import ModelFormatError, NetworkMapping, read_document, write_json
 
 # Tolerance on user-supplied tables, and after arithmetic (summation error
 # over up to ~1e6 terms).
@@ -32,10 +31,6 @@ PROB_ATOL_DERIVED = 1e-10
 
 # Refuse to materialize joint tables bigger than this many cells.
 EXPANSION_CAP = 50_000_000
-
-
-class ModelFormatError(ValueError):
-    """Raised when a model file or table violates the format invariants."""
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -145,6 +140,8 @@ class JointModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JointModel":
+        if not isinstance(data, dict):
+            raise ModelFormatError("expected a JSON object at top level")
         try:
             if data["form"] != "cond_indep":
                 raise ModelFormatError(
@@ -317,20 +314,10 @@ def table3_model(s: int = 4, target_corr: float = 0.2) -> JointModel:
 
 
 def save_model(model: JointModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=1)
-        fh.write("\n")
+    """Write ``model.to_dict()`` through ``channels.write_json``."""
+    write_json(path, model.to_dict())
 
 
 def load_model(path) -> JointModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ModelFormatError(f"{path}: expected a JSON object at top level")
-    try:
-        return JointModel.from_dict(data)
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
+    """The model in a file ``save_model`` wrote, read by ``channels.read_document``."""
+    return read_document(path, JointModel.from_dict)

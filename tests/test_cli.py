@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import pathlib
 import re
 import time
 
@@ -171,9 +172,17 @@ def test_toml_spec_writes_the_json_spec_csv(tmp_path):
     assert text[".toml"] == text[".json"]
 
 
-def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_path):
-    """inp at eps_i = 0 raises in the design; the row says so and the others stay ok."""
-    spec = _small_spec(tmp_path, architectures=["ldp", "inp"], eps_i=[0.0, 1.0])
+def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_path, monkeypatch):
+    """inp at eps_i = 0.5 raises in the design; the row says so and the others stay ok."""
+    real = design.design_inp
+
+    def fails_at_half(model, config):
+        if config.eps_i == 0.5:
+            raise ValueError("no design at eps_i 0.5")
+        return real(model, config)
+
+    monkeypatch.setattr(design, "design_inp", fails_at_half)
+    spec = _small_spec(tmp_path, architectures=["ldp", "inp"], eps_i=[0.5, 1.0])
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
     rows = _read_rows(out)
@@ -181,7 +190,7 @@ def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_p
     assert got == [
         ("ldp", "", "ok", "1", ""),
         ("ldp", "", "ok", "1", ""),
-        ("inp", "0.0", "error", "0", "ValueError: eps_i must be positive"),
+        ("inp", "0.5", "error", "0", "ValueError: no design at eps_i 0.5"),
         ("inp", "1.0", "ok", "1", ""),
     ]
     assert rows[2]["bayes_error_H"] == ""
@@ -209,6 +218,10 @@ def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_p
     ({"eps_ld": [None]}, "eps_ld"),
     ({"seeds": [None]}, "seeds"),
     ({"r": [None]}, "r"),
+    ({"architectures": ["ill"], "eps_i": [0.0]}, "eps_i"),
+    ({"architectures": ["ldp", "lip"], "eps_i": [1.0, 0.0]}, "eps_i"),
+    ({"architectures": ["inp"], "eps_i": [-0.0]}, "eps_i"),
+    ({"seeds": [0, -1]}, "seeds"),
 ])
 def test_sweep_spec_rejects_unknown_keys(tmp_path, fields, key):
     """Unknown keys and entries of the wrong kind or value are named; the sweep exits 2 before any work."""
@@ -231,6 +244,25 @@ def test_a_nan_or_negative_budget_flag_is_rejected(tmp_path, capsys, command, va
         cli.main(argv)
     assert exc.value.code == 2
     assert f"--eps-ld: invalid _parse_eps value: {value!r}" in capsys.readouterr().err
+
+
+def test_a_zero_eps_i_is_a_spec_value_only_where_no_design_reads_it():
+    data = {"architectures": ["identity", "ldp", "e-ldp", "epic"], "eps_i": [0.0]}
+    assert cli.SweepSpec.from_dict(data).eps_i == (0.0,)
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("gen-model", []),
+    ("design", ["--arch", "ldp", "--model", "m.json"]),
+    ("relations", []),
+    ("epic", ["--train", "t.csv", "--test", "t.csv"]),
+])
+def test_a_negative_seed_flag_is_rejected(tmp_path, capsys, command, inputs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *inputs, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seed: invalid _parse_seed value: '-1'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag, field", [
@@ -317,6 +349,68 @@ def test_a_bad_input_file_is_a_usage_error(tmp_path, capsys, case):
     assert not list(tmp_path.glob("out*")) and not (tmp_path / "none").exists()
 
 
+def _malformed(tmp_path, case):
+    """(argv, the malformed file) of a run whose model, mapping, spec or labeled CSV breaks its format."""
+    model, mapping, spec = tmp_path / "model.json", tmp_path / "mapping.json", tmp_path / "spec.json"
+    save_model(generate_correlated_model(seed=1, s=2, x_size=3), model)
+    save_mapping(random_mapping(0, 2, 3, 2), mapping)
+    argv, bad = ["report", "--model", str(model), "--mapping", str(mapping)], mapping
+    if case == "mapping of numbers":
+        mapping.write_text("[1, 2]")
+    elif case == "mapping of bare rows":
+        mapping.write_text("[[0.5, 0.5]]")
+    elif case == "channel lacks z_size":
+        data = json.loads(mapping.read_text())
+        del data[0]["z_size"]
+        mapping.write_text(json.dumps(data))
+    elif case == "two-stage mapping lacks its stages":
+        mapping.write_text('{"arch": "ill"}')
+    elif case == "invalid mapping JSON":
+        mapping.write_text('[{"x_size": 3,\n')
+    elif case in ("report: model conditionals", "sweep: model conditionals"):
+        data = json.loads(model.read_text())
+        data["conditionals"] = 3
+        model.write_text(json.dumps(data))
+        bad = model
+        if case.startswith("sweep"):
+            spec.write_text(json.dumps({"model": {"file": str(model)}}))
+            argv = ["sweep", "--spec", str(spec)]
+    elif case == "invalid spec JSON":
+        spec.write_text('{"architectures": ["ldp"],\n')
+        argv, bad = ["sweep", "--spec", str(spec)], spec
+    elif case == "invalid spec TOML":
+        bad = tmp_path / "spec.toml"
+        bad.write_text('architectures = ["ldp"\n')
+        argv = ["sweep", "--spec", str(bad)]
+    elif case == "labeled CSV of unequal rows":
+        bad = tmp_path / "data.csv"
+        bad.write_text("h,g,x0\n0,1,2\n\n1,0\n")
+        argv = ["epic", "--train", str(bad), "--test", str(bad)]
+    return argv + ["--out", str(tmp_path / "out")], bad
+
+
+@pytest.mark.parametrize("case, detail", [
+    ("mapping of numbers", ": "),
+    ("mapping of bare rows", ": "),
+    ("channel lacks z_size", ": missing field 'z_size'"),
+    ("two-stage mapping lacks its stages", ": missing field 'stage1'"),
+    ("invalid mapping JSON", ": invalid JSON at line 2: "),
+    ("report: model conditionals", ": "),
+    ("sweep: model conditionals", ": "),
+    ("invalid spec JSON", ": invalid JSON at line 2: "),
+    ("invalid spec TOML", ": "),
+    ("labeled CSV of unequal rows", ", line 4: 2 fields, the first data line has 3"),
+])
+def test_a_malformed_file_is_a_usage_error_that_names_it(tmp_path, capsys, case, detail):
+    """Exit 2 with one line that starts with the file's path, and no output: not a traceback."""
+    argv, bad = _malformed(tmp_path, case)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"privdet {argv[0]}: {bad}{detail}")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_design_has_no_y_size_flag(tmp_path, capsys):
     argv = ["design", "--arch", "ill", "--model", "m.json", "--y-size", "2", "--out", "d.json"]
     with pytest.raises(SystemExit) as exc:
@@ -379,12 +473,14 @@ def test_design_and_sweep_run_one_set_of_defaults(tmp_path, monkeypatch):
 
 
 def test_the_cli_decides_bad_input_and_each_file_format_once():
-    """One handler turns bad input into exit 2, in ``main``; one CSV and one JSON writer.
+    """One handler turns bad input into exit 2, in ``main``; one CSV writer; and
+    ``channels``, home of the one JSON writer and document reader, is the only
+    module of the package that imports ``json``.
 
     A handler that re-raises (a more precise message for the same error) does
     not decide anything and is not counted.
     """
-    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
     usage = [
         top.name
         for top in tree.body
@@ -395,14 +491,21 @@ def test_the_cli_decides_bad_input_and_each_file_format_once():
     ]
     assert usage == ["main"]
 
-    def calls(module, attr):
-        return sum(
-            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == attr
-            and isinstance(n.func.value, ast.Name) and n.func.value.id == module
-            for n in ast.walk(tree)
+    assert sum(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "writer"
+        and isinstance(n.func.value, ast.Name) and n.func.value.id == "csv"
+        for n in ast.walk(tree)
+    ) == 1
+
+    def imports_json(path):
+        return any(
+            isinstance(n, ast.Import) and any(a.name == "json" for a in n.names)
+            or isinstance(n, ast.ImportFrom) and n.module == "json"
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         )
 
-    assert (calls("csv", "writer"), calls("json", "dump")) == (1, 1)
+    package = pathlib.Path(cli.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py")) if imports_json(p)] == ["channels.py"]
 
 
 def test_report_on_a_saved_two_stage_mapping(tmp_path):

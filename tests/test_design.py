@@ -15,7 +15,6 @@ from privdet.channels import (
     randomized_response,
 )
 from privdet.design import (
-    InfoStageInfeasible,
     OptimizerConfig,
     _solve_mixture_lp,
     block_objective_coefficients,
@@ -38,6 +37,7 @@ from privdet.detection import (
 from privdet.metrics import full_report
 from privdet.model import JointModel, generate_correlated_model, push_forward
 from privdet.relations import random_model
+from privdet.simplex import LPInfeasible
 
 from _oracles import (
     best_detector_exhaustive,
@@ -390,12 +390,29 @@ def test_optimizer_config_rejects_a_nan_or_negative_budget(field, value):
         OptimizerConfig(**{field: value})
 
 
-def test_mixture_lp_infeasible_reports_blocking_g():
+def test_mixture_lp_infeasible_raises_lp_infeasible():
+    """No mixture meets the floor: the LP's own error reaches ``design_info_stage``."""
     err = np.array([0.1, 0.2])
     risks = {1: np.array([0.1, 0.2]), 3: np.array([0.3, 0.05])}
-    with pytest.raises(InfoStageInfeasible) as exc_info:
+    with pytest.raises(LPInfeasible):
         _solve_mixture_lp(err, risks, 0.45)
-    assert exc_info.value.blocking_g == 1
+
+
+def test_design_info_stage_keeps_its_start_when_no_sweep_step_is_feasible(monkeypatch):
+    """An infeasible block LP at sweep 0 ends the descent at the start, which meets its floor."""
+    model = generate_correlated_model(seed=5, s=2, x_size=3, target_corr=0.4)
+    cfg = OptimizerConfig(eps_i=0.5, seed=1)
+    start, enforced, _ = design_mod._info_stage_start(model, cfg.eps_i, cfg.z_size)
+
+    def infeasible(err, risks, th):
+        raise LPInfeasible("no mixture meets the floor")
+
+    monkeypatch.setattr(design_mod, "_solve_mixture_lp", infeasible)
+    res = design_info_stage(model, cfg)
+    kept = design_mod._enforce_info_budget(model, start, cfg.eps_i)
+    assert [c.rows.tolist() for c in res.mapping.channels] == [c.rows.tolist() for c in kept]
+    assert (res.profile.c_g, res.profile.theta) == enforced
+    assert len(res.trace) == 1 and not res.converged
 
 
 def test_design_ill_budget_audits():
