@@ -48,7 +48,7 @@ class SensorChannel:
         sums = rows.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > ROW_ATOL):
             bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValueError(f"channel row {bad} sums to {sums[bad]!r}")
+            raise ValueError(f"channel row {bad} sums to {float(sums[bad])!r}")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 

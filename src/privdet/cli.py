@@ -171,9 +171,14 @@ class SweepSpec:
                 raise ValueError(f"sweep spec key 'eps_i': {a!r} needs every eps_i positive")
         if not all(grids.values()):
             raise ValueError("every sweep grid must be nonempty")
+        generator = d["model"]["generator"]
+        try:
+            generator["seed"] = _parse_seed(generator["seed"])
+        except ValueError as exc:
+            raise ValueError(f"sweep spec key 'model.generator.seed': {exc}") from None
         return cls(
             model_file=d["model"]["file"],
-            generator=d["model"]["generator"],
+            generator=generator,
             epic=d["epic"],
             design=design_mod.OptimizerConfig(**d["design"]),
             **grids,
@@ -240,14 +245,14 @@ def _audit(report, arch, eps_i, eps_ld) -> bool:
     return bool(ok)
 
 
-def _run_group(spec: SweepSpec, arch: str, corr: float, seed: int, eps_i: float, r: float):
-    """One warm-start chain: all eps_ld values for fixed other axes.
+def _run_group(spec: SweepSpec, model: JointModel, arch: str, corr: float, seed: int,
+               eps_i: float, r: float):
+    """One warm-start chain on ``model``: all eps_ld values for fixed other axes.
 
     A row's ``wall_time_s`` is its own evaluation time plus an even share of
     the chain's design time, so the column sums to the group's time.
     """
     t_start = time.perf_counter()
-    model = _spec_model(spec, corr)
     rows = []
     eps_ld_axis = spec.eps_ld if "eps_ld" in _AXES[arch] else (math.inf,)
     results = [None] * len(eps_ld_axis)
@@ -345,14 +350,21 @@ def _group_keys(spec: SweepSpec):
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1):
-    """Execute every grid cell; returns rows in deterministic grid order."""
+    """Execute every grid cell; returns rows in deterministic grid order.
+
+    Each (corr, seed) unit's model is made once, before any group runs.  With
+    one job the groups of a unit share it, and so the stages it holds (see
+    ``design``); with more, each group gets a copy.  The rows are the same.
+    """
     keys = _group_keys(spec)
+    models = {unit: _spec_model(spec, unit[0]) for unit in dict.fromkeys(k[1:3] for k in keys)}
+    tasks = [(spec, models[key[1:3]], *key) for key in keys]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_group, spec, *key) for key in keys]
+            futures = [pool.submit(_run_group, *task) for task in tasks]
             groups = [fut.result() for fut in futures]
     else:
-        groups = [_run_group(spec, *key) for key in keys]
+        groups = [_run_group(*task) for task in tasks]
     return [row for rows in groups for row in rows]
 
 

@@ -24,11 +24,17 @@ risks of its iterate from one push-forward.  Every design ends in
 place a result is audited.  ``chain_designs`` warm-starts each grid point
 from the previous point's result through one ``warm`` argument; each
 design reads from it the stage it can reuse.
+
+A stage design, the local stage ``_ldp_sweeps`` or the information stage
+``design_info_stage``, is made once per model and input (``_once_per_model``):
+``lip`` reads the local stage ``ldp`` made, and ``ill`` at every eps_LD point
+and ``inp`` read one information stage.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -117,6 +123,31 @@ class DesignResult:
         return payload
 
 
+def _once_per_model(**unread):
+    """Make the decorated stage design ``fn(model, config, *warm)`` once per model and input.
+
+    The stage runs on ``config`` with the fields it does not read, ``unread``,
+    held fixed.  Its result is kept in ``model._stages``, keyed on the stage's
+    name, that config and the channel rows of each warm-start mapping (None
+    for none).  Results are immutable, so a later call may share them.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def stage(model, config, *warm):
+            config = dataclasses.replace(config, **unread)
+            starts = (None if w is None else tuple(c.rows.tobytes() for c in w.channels)
+                      for w in warm)
+            key = (fn.__name__, config, *starts)
+            if key not in model._stages:
+                model._stages[key] = fn(model, config, *warm)
+            return model._stages[key]
+
+        return stage
+
+    return decorate
+
+
 # -- single-sensor block steps for the local-budget design -------------------
 
 
@@ -193,11 +224,13 @@ def design_ldp(
     return _result(model, *_ldp_sweeps(model, config, initial))
 
 
-def _ldp_sweeps(model, config, initial=None):
+@_once_per_model(eps_i=math.inf)
+def _ldp_sweeps(model, config, initial):
     """The block sweeps of ``design_ldp``: (mapping, trace, converged) of the best start.
 
     Each sweep pushes its iterate forward once; the fusion rule of the next
-    sweep is read from the push that scored this one.
+    sweep is read from the push that scored this one.  ``initial`` is the
+    warm start's mapping, or None.
     """
     eps_ld, z_size = config.eps_ld, config.z_size
     starts: list[list[SensorChannel]] = []
@@ -288,6 +321,7 @@ def _stage_column_stats(model, chans, t, cands, rule):
     return err, min_risks(joint.sum(axis=1), model.prior.sum(axis=0))
 
 
+@_once_per_model(eps_ld=math.inf)
 def design_info_stage(model: JointModel, config: OptimizerConfig) -> InfoStageResult:
     """Detection-error minimization under the per-g risk threshold at ``config.eps_i``.
 

@@ -48,19 +48,25 @@ def _check_rows_stochastic(table: np.ndarray, what: str, atol: float = PROB_ATOL
     if np.any(bad):
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ModelFormatError(
-            f"{what} row {idx} sums to {sums[idx]!r} (deficit {1.0 - sums[idx]:.3e})"
+            f"{what} row {idx} sums to {float(sums[idx])!r} (deficit {1.0 - sums[idx]:.3e})"
         )
 
 
 @dataclasses.dataclass(frozen=True)
 class JointModel:
-    """Joint law of (H, G, X_1..X_s) with X_t independent given (H, G)."""
+    """Joint law of (H, G, X_1..X_s) with X_t independent given (H, G).
+
+    ``_stages`` holds the stage designs made on this model, so that each is
+    made once per model and input (``design._once_per_model``).  A replaced
+    or reloaded model starts it empty.
+    """
 
     s: int
     x_size: int
     q: int
     prior: np.ndarray  # (2, 2**q), p(h, g)
     conditionals: tuple  # s tables (2, 2**q, x_size), p(x_t | h, g)
+    _stages: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s < 1 or self.x_size < 1 or self.q < 1:
@@ -72,7 +78,7 @@ class JointModel:
             raise ModelFormatError("prior has a negative entry")
         mass = prior.sum()
         if abs(mass - 1.0) > PROB_ATOL_INPUT:
-            raise ModelFormatError(f"prior mass is {mass!r} (deficit {1.0 - mass:.3e})")
+            raise ModelFormatError(f"prior mass is {float(mass)!r} (deficit {1.0 - mass:.3e})")
         conds = tuple(_as_readonly(c) for c in self.conditionals)
         if len(conds) != self.s:
             raise ModelFormatError(f"expected {self.s} conditionals, got {len(conds)}")
@@ -176,7 +182,7 @@ class PushedModel:
         if np.any(joint < 0):
             raise ModelFormatError("pushed joint has a negative entry")
         if abs(joint.sum() - 1.0) > PROB_ATOL_DERIVED:
-            raise ModelFormatError(f"pushed joint mass is {joint.sum()!r}")
+            raise ModelFormatError(f"pushed joint mass is {float(joint.sum())!r}")
         drift = np.abs(joint.sum(axis=2) - self.source.prior).max()
         if drift > PROB_ATOL_DERIVED:
             raise ModelFormatError(f"(H, G) marginal drifted by {drift:.3e} under push-forward")
@@ -281,6 +287,8 @@ def generate_correlated_model(
     [-jitter, jitter] so sensors are not identical; jitter=0 reproduces the
     family verbatim.
     """
+    if x_size < 1:
+        raise ValueError(f"x_size must be >= 1, got {x_size}")
     if not -1.0 <= target_corr <= 1.0:
         raise ValueError(f"target_corr must lie in [-1, 1], got {target_corr}")
     p11 = 0.25 + target_corr * 0.25

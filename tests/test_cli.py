@@ -118,7 +118,9 @@ def test_sweep_audits_each_result_once(tmp_path, monkeypatch):
 
 
 def test_sweep_output_does_not_depend_on_jobs(tmp_path):
-    spec = _small_spec(tmp_path, architectures=["ldp", "inp", "identity"], seeds=[0, 1])
+    """One job shares the stages of a (corr, seed) unit across its groups, two jobs do not."""
+    archs = ["ldp", "ill", "lip", "inp", "identity"]
+    spec = _small_spec(tmp_path, architectures=archs, seeds=[0, 1])
     text = {}
     for jobs in (1, 2):
         out = tmp_path / f"sweep{jobs}.csv"
@@ -126,8 +128,46 @@ def test_sweep_output_does_not_depend_on_jobs(tmp_path):
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0].endswith(",wall_time_s")
         text[jobs] = [line.rsplit(",", 1)[0] for line in lines]
-    assert len(text[1]) == 1 + 2 * 4
+    assert len(text[1]) == 1 + 2 * 8
     assert text[1] == text[2]
+
+
+def _count_calls(monkeypatch, module, name):
+    """The list that grows by one on each call of ``module.name`` from now on."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _sweep(tmp_path, archs):
+    spec, out = _small_spec(tmp_path, architectures=archs), tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    return _read_rows(out)
+
+
+def test_lip_in_a_sweep_reads_the_local_stage_ldp_designed(tmp_path, monkeypatch):
+    steps = _count_calls(monkeypatch, design, "ldp_closed_form_step")
+    _sweep(tmp_path, ["ldp"])
+    ldp_steps = len(steps)
+    steps.clear()
+    _sweep(tmp_path, ["ldp", "lip"])
+    assert len(steps) == ldp_steps > 0
+
+
+def test_ill_and_inp_in_a_sweep_share_one_information_stage(tmp_path, monkeypatch):
+    lps = _count_calls(monkeypatch, design, "_solve_mixture_lp")
+    _sweep(tmp_path, ["ill", "inp"])
+    swept = len(lps)
+    lps.clear()
+    model = generate_correlated_model(seed=1, s=2, x_size=3)
+    design.design_info_stage(model, design.OptimizerConfig(eps_i=1.0, restarts=2,
+                                                           max_outer_iters=30))
+    assert swept == len(lps) > 0
 
 
 def test_sweep_with_an_audit_miss_exits_nonzero(tmp_path, monkeypatch):
@@ -222,6 +262,7 @@ def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_p
     ({"architectures": ["ldp", "lip"], "eps_i": [1.0, 0.0]}, "eps_i"),
     ({"architectures": ["inp"], "eps_i": [-0.0]}, "eps_i"),
     ({"seeds": [0, -1]}, "seeds"),
+    ({"model": {"generator": {"seed": -1}}}, "model.generator.seed"),
 ])
 def test_sweep_spec_rejects_unknown_keys(tmp_path, fields, key):
     """Unknown keys and entries of the wrong kind or value are named; the sweep exits 2 before any work."""
@@ -319,10 +360,14 @@ def _bad_input(tmp_path, case):
         message = "eps_i must be positive"
     elif case == "gen-model --out":
         message = f"[Errno 2] No such file or directory: {str(out)!r}"
+    elif case.endswith("size 0"):
+        message = "x_size must be >= 1, got 0"
     else:
         message = no_file
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"model": {"file": str(missing)}}))
+    no_symbols = tmp_path / "no-symbols.json"
+    no_symbols.write_text(json.dumps({"model": {"generator": {"x_size": 0}}}))
     argv = {
         "report --model": ["report", "--model", str(missing), "--mapping", str(mapping)],
         "report --mapping": ["report", "--model", str(model), "--mapping", str(missing)],
@@ -332,6 +377,8 @@ def _bad_input(tmp_path, case):
         "sweep model.file": ["sweep", "--spec", str(spec)],
         "epic --train": ["epic", "--train", str(missing), "--test", str(missing)],
         "gen-model --out": ["gen-model"],
+        "gen-model --x-size 0": ["gen-model", "--x-size", "0"],
+        "sweep generator x_size 0": ["sweep", "--spec", str(no_symbols)],
     }.get(case, ["report", "--model", str(model), "--mapping", str(mapping)])
     return argv + ["--out", str(out)], f"privdet {argv[0]}: {message}\n"
 
@@ -339,7 +386,8 @@ def _bad_input(tmp_path, case):
 @pytest.mark.parametrize("case", [
     "two-channel mapping", "model lacks a field", "table over the cap", "report --model",
     "report --mapping", "design --model", "design --eps-i 0", "sweep --spec",
-    "sweep model.file", "epic --train", "gen-model --out",
+    "sweep model.file", "epic --train", "gen-model --out", "gen-model --x-size 0",
+    "sweep generator x_size 0",
 ])
 def test_a_bad_input_file_is_a_usage_error(tmp_path, capsys, case):
     """Exit 2 with the library's message and no output, not a traceback."""
@@ -367,6 +415,10 @@ def _malformed(tmp_path, case):
         mapping.write_text('{"arch": "ill"}')
     elif case == "invalid mapping JSON":
         mapping.write_text('[{"x_size": 3,\n')
+    elif case == "mapping row sums to 0.9":
+        data = json.loads(mapping.read_text())
+        data[0]["rows"][0] = [0.5, 0.4]
+        mapping.write_text(json.dumps(data))
     elif case in ("report: model conditionals", "sweep: model conditionals"):
         data = json.loads(model.read_text())
         data["conditionals"] = 3
@@ -395,6 +447,7 @@ def _malformed(tmp_path, case):
     ("channel lacks z_size", ": missing field 'z_size'"),
     ("two-stage mapping lacks its stages", ": missing field 'stage1'"),
     ("invalid mapping JSON", ": invalid JSON at line 2: "),
+    ("mapping row sums to 0.9", ": channel row 0 sums to 0.9\n"),
     ("report: model conditionals", ": "),
     ("sweep: model conditionals", ": "),
     ("invalid spec JSON", ": invalid JSON at line 2: "),

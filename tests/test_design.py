@@ -541,3 +541,68 @@ def test_design_results_serialize(tmp_path):
     text = json.dumps(payload)
     assert "stage1" in payload["mapping"]
     assert json.loads(text)["converged"] in (True, False)
+
+
+def _count_calls(monkeypatch, name):
+    """The list that grows by one on each call of ``design.<name>`` from now on."""
+    calls, real = [], getattr(design_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(design_mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("change, shared", [
+    ({}, True),
+    ({"eps_i": 0.5}, True),  # the local stage reads no eps_i
+    ({"seed": 1}, False),
+    ({"eps_ld": 2.0}, False),
+    ({"z_size": 3}, False),
+    ({"restarts": 2}, False),
+])
+def test_a_local_stage_is_designed_once_per_model_and_input(monkeypatch, change, shared):
+    model = generate_correlated_model(seed=4, s=2, x_size=3)
+    cfg = OptimizerConfig(eps_ld=1.0, restarts=1, max_outer_iters=10)
+    first = design_ldp(model, cfg)
+    steps = _count_calls(monkeypatch, "block_objective_coefficients")  # in either block step
+    second = design_ldp(model, dataclasses.replace(cfg, **change))
+    assert (not steps) == shared
+    assert (second.mapping is first.mapping) == shared
+
+
+def test_a_warm_start_or_a_replaced_model_designs_the_local_stage_afresh(monkeypatch):
+    model = generate_correlated_model(seed=4, s=2, x_size=3)
+    cfg = OptimizerConfig(eps_ld=1.0, restarts=1, max_outer_iters=10)
+    first = design_ldp(model, cfg)
+    assert design_lip(model, cfg).mapping.stage1 is first.mapping
+    steps = _count_calls(monkeypatch, "ldp_closed_form_step")
+    warm = design_ldp(model, cfg, warm=first)
+    assert steps and warm.mapping is not first.mapping
+    steps.clear()
+    again = design_ldp(dataclasses.replace(model), cfg)
+    assert steps and again.mapping is not first.mapping
+    assert [c.rows.tolist() for c in again.mapping.channels] == [
+        c.rows.tolist() for c in first.mapping.channels
+    ]
+
+
+@pytest.mark.parametrize("change, shared", [
+    ({"eps_ld": 2.0}, True),  # the information stage reads no eps_ld
+    ({"eps_i": 0.5}, False),
+    ({"seed": 1}, False),
+    ({"z_size": 3}, False),
+])
+def test_an_information_stage_is_designed_once_per_model_and_input(monkeypatch, change, shared):
+    model = generate_correlated_model(seed=4, s=2, x_size=3)
+    cfg = OptimizerConfig(eps_i=1.0, eps_ld=1.0, max_outer_iters=10)
+    first = design_info_stage(model, cfg)
+    lps = _count_calls(monkeypatch, "_solve_mixture_lp")
+    second = design_info_stage(model, dataclasses.replace(cfg, **change))
+    assert (not lps) == shared
+    assert (second is first) == shared
+    lps.clear()
+    assert design_info_stage(dataclasses.replace(model), cfg) is not first
+    assert lps

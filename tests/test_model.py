@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from privdet.channels import (
 from privdet.model import (
     JointModel,
     ModelFormatError,
+    PushedModel,
     generate_correlated_model,
     load_model,
     push_forward,
@@ -254,3 +256,19 @@ def test_immutability():
     model = hand_model()
     with pytest.raises(ValueError):
         model.prior[0, 0] = 0.9
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda m: SensorChannel([[0.5, 0.4], [0.5, 0.5]]), "channel row 0 sums to 0.9"),
+    (lambda m: JointModel(1, 2, 1, m.prior, (np.full((2, 2, 2), [0.5, 0.4]),)),
+     "conditional table 0 row (0, 0) sums to 0.9 ("),
+    (lambda m: JointModel(1, 2, 1, [[0.2, 0.2], [0.25, 0.25]], m.conditionals),
+     "prior mass is 0.9 ("),
+    (lambda m: PushedModel(np.full((2, 2, 2), 0.1125), m, identity_mapping(1, 2)),
+     "pushed joint mass is 0.9"),
+])
+def test_a_mass_off_one_is_reported_as_a_plain_float(make, message):
+    """A message shows the sum as 0.9, not as a numpy scalar's repr."""
+    model = generate_correlated_model(seed=11, s=1, x_size=2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(model)
