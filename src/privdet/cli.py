@@ -50,6 +50,8 @@ _AXES = {
     "e-ldp": ("eps_ld",),
     "epic": ("eps_ld", "r"),
 }
+#: the architectures whose mapping is learned from samples, through ``_empirical_solve``
+_EMPIRICAL = ("e-ldp", "epic")
 
 
 def _fmt(v) -> str:
@@ -80,6 +82,14 @@ def _parse_seed(v) -> int:
     if seed < 0:
         raise ValueError(f"a seed must be a nonnegative integer, got {v!r}")
     return seed
+
+
+def _parse_count(v) -> int:
+    """A count: a positive integer."""
+    count = int(v)
+    if count < 1:
+        raise ValueError(f"a count must be a positive integer, got {v!r}")
+    return count
 
 
 # -- sweep spec ------------------------------------------------------------
@@ -152,7 +162,8 @@ class SweepSpec:
     r: tuple
     corr: tuple
     seeds: tuple
-    epic: dict
+    epic: dict  # n_train, n_test and lambda of every empirical cell
+    epic_config: epic_mod.EpicConfig
     design: design_mod.OptimizerConfig  # each cell sets its own seed and budgets
 
     @classmethod
@@ -169,6 +180,12 @@ class SweepSpec:
                 raise ValueError(f"unknown architecture {a!r}")
             if "eps_i" in _AXES[a] and 0.0 in grids["eps_i"]:
                 raise ValueError(f"sweep spec key 'eps_i': {a!r} needs every eps_i positive")
+            if "r" in _AXES[a] and not all(0.0 < r < 1.0 for r in grids["r"]):
+                raise ValueError(f"sweep spec key 'r': {a!r} needs every r in (0, 1)")
+            for key in ("n_train", "n_test", "lambda") if a in _EMPIRICAL else ():
+                if not d["epic"][key] > 0:
+                    raise ValueError(f"sweep spec key 'epic.{key}': {a!r} needs it positive, "
+                                     f"got {d['epic'][key]!r}")
         if not all(grids.values()):
             raise ValueError("every sweep grid must be nonempty")
         generator = d["model"]["generator"]
@@ -180,6 +197,7 @@ class SweepSpec:
             model_file=d["model"]["file"],
             generator=generator,
             epic=d["epic"],
+            epic_config=epic_mod.EpicConfig(max_sweeps=d["epic"].pop("max_sweeps")),
             design=design_mod.OptimizerConfig(**d["design"]),
             **grids,
         )
@@ -281,7 +299,7 @@ def _run_group(spec: SweepSpec, model: JointModel, arch: str, corr: float, seed:
                 res = results[idx]
                 report = _evaluate_mapping(model, res.mapping.network(), row, res.report)
                 row["converged"] = res.converged
-            else:  # epic / e-ldp
+            else:  # one of _EMPIRICAL
                 report = _run_epic_cell(spec, arch, model, seed, eps_ld, r, row)
             row["audit_ok"] = _audit(report, arch, eps_i, eps_ld)
             row["status"] = "ok"
@@ -292,15 +310,18 @@ def _run_group(spec: SweepSpec, model: JointModel, arch: str, corr: float, seed:
     return rows
 
 
+def _empirical_solve(arch, train, eps_ld, r, lam, config):
+    """The one empirical solve, of sweep cells and ``privdet epic``: ``e-ldp`` reads no r."""
+    if arch == "epic":
+        return epic_mod.epic_solve(train, eps_ld, r, lam, config)
+    return epic_mod.eldp_solve(train, eps_ld, lam, config)
+
+
 def _run_epic_cell(spec, arch, model, seed, eps_ld, r, row):
     ep = spec.epic
-    cfg = epic_mod.EpicConfig(max_sweeps=ep["max_sweeps"])
     train = epic_mod.dataset_from_model(model, ep["n_train"], seed)
     test = epic_mod.dataset_from_model(model, ep["n_test"], seed + 1_000_000)
-    if arch == "epic":
-        sol = epic_mod.epic_solve(train, eps_ld, r, ep["lambda"], cfg)
-    else:
-        sol = epic_mod.eldp_solve(train, eps_ld, ep["lambda"], cfg)
+    sol = _empirical_solve(arch, train, eps_ld, r, ep["lambda"], spec.epic_config)
     report = _evaluate_mapping(model, sol.mapping, row)
     fields = ("holdout_error_H", "holdout_error_G", "eps_i_hat", "eps_ld_hat")
     row.update(zip(fields, _holdout_and_empirical(sol, test, seed)))
@@ -440,22 +461,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_epic(args) -> int:
-    train_h, train_g, train_feats = _read_labeled_csv(args.train, args.q)
-    test_h, test_g, test_feats = _read_labeled_csv(args.test, args.q)
-    if args.bins:
-        train_x, edges = epic_mod.discretize(train_feats, args.bins)
-        test_x, _ = epic_mod.discretize(test_feats, args.bins, edges=edges)
-        x_size = args.bins
-    else:
+    symbols = args.bins is None
+    train_h, train_g, train_feats = _read_labeled_csv(args.train, args.q, symbols)
+    test_h, test_g, test_feats = _read_labeled_csv(args.test, args.q, symbols)
+    if symbols:
         train_x = train_feats.astype(np.int64)
         test_x = test_feats.astype(np.int64)
         x_size = int(max(train_x.max(), test_x.max())) + 1
-    train = epic_mod.Dataset(train_h, train_g, train_x, x_size, args.q)
-    test = epic_mod.Dataset(test_h, test_g, np.clip(test_x, 0, x_size - 1), x_size, args.q)
-    if args.e_ldp:
-        sol = epic_mod.eldp_solve(train, args.eps_ld, args.lam, epic_mod.EpicConfig())
     else:
-        sol = epic_mod.epic_solve(train, args.eps_ld, args.r, args.lam, epic_mod.EpicConfig())
+        train_x, edges = epic_mod.discretize(train_feats, args.bins)
+        test_x, _ = epic_mod.discretize(test_feats, args.bins, edges=edges)
+        x_size = args.bins
+    train = epic_mod.Dataset(train_h, train_g, train_x, x_size, args.q)
+    test = epic_mod.Dataset(test_h, test_g, test_x, x_size, args.q)
+    arch = "e-ldp" if args.e_ldp else "epic"
+    sol = _empirical_solve(arch, train, args.eps_ld, args.r, args.lam, epic_mod.EpicConfig())
     err_h, err_g, eps_i_hat, eps_ld_hat = _holdout_and_empirical(sol, test, args.seed)
     write_json(args.out + ".json", sol.to_dict())
     _write_csv(args.out + ".csv", ["error_H", "error_G", "eps_i_hat", "eps_ld_hat"],
@@ -467,12 +487,13 @@ def _cmd_epic(args) -> int:
     return 0
 
 
-def _read_labeled_csv(path, q):
+def _read_labeled_csv(path, q, symbols=False):
     """(h, g, features) from a CSV of rows h, the q bits of g, then the features.
 
     Blank lines and ``#`` comments are skipped.  The first other line may be
-    a header; a later line with a non-numeric field, or with another field
-    count than the first data line, raises ValueError naming the file and line.
+    a header; a later line with a non-numeric field, with another field count
+    than the first data line, or with ``symbols`` a feature that is not a
+    nonnegative integer, raises ValueError naming the file and line.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -481,17 +502,23 @@ def _read_labeled_csv(path, q):
         for rec in reader:
             if not rec or rec[0].strip().startswith("#"):
                 continue
+            may_be_header, first = first, False
             try:
-                rows.append([float(v) for v in rec])
+                row = [float(v) for v in rec]
             except ValueError:
-                if not first:
-                    raise ValueError(
-                        f"{path}, line {reader.line_num}: non-numeric field in {rec}"
-                    ) from None
-            first = False
-            if rows and len(rows[-1]) != len(rows[0]):
+                if may_be_header:
+                    continue
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: non-numeric field in {rec}"
+                ) from None
+            if rows and len(row) != len(rows[0]):
                 raise ValueError(f"{path}, line {reader.line_num}: {len(rec)} fields, "
                                  f"the first data line has {len(rows[0])}")
+            bad = [v for v in row[1 + q:] if not (v >= 0 and v.is_integer())] if symbols else []
+            if bad:
+                raise ValueError(f"{path}, line {reader.line_num}: feature {bad[0]!r} is not a "
+                                 "nonnegative integer symbol; --bins bins real values")
+            rows.append(row)
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2 + q:
         raise ValueError(f"{path}: expected h, {q} g columns and features")
@@ -547,13 +574,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a configuration-driven experiment sweep")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_parse_count, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("epic", help="empirical design from labeled CSV data")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--q", type=int, default=1)
+    p.add_argument("--q", type=_parse_count, default=1)
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--eps-ld", type=_parse_eps, default=first("eps_ld"))
     p.add_argument("--r", type=float, default=first("r"))

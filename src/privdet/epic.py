@@ -1,17 +1,18 @@
 """Empirical privacy-constrained channel and classifier optimization.
 
 For unknown observation distributions, the privacy mapping is learned from
-labeled samples alone.  Sample i enters through its pushed-forward feature
-phi_i = (P_1[x_1^i], ..., P_s[x_s^i]), the expected one-hot encoding of its
-sanitized vector, and every classifier is linear in it: its score is
-sum_t P_t[x_t^i] . w_t for per-sensor weights w of shape (s, z).  The fusion
-rule minimizes the mean logistic loss of H plus (lam/2) |w|^2.  This is the
-count-kernel representer problem written in the primal (w = Phi^T a, so the
-Gram matrix is Phi Phi^T and a^T K a = |w|^2), an s*z-dimensional strongly
-convex fit solved by damped Newton.  The inference-privacy constraint is an
-empirical detection-risk floor against the best such adversary per private
-value, and the data-privacy constraint is the usual per-sensor
-likelihood-ratio polytope.
+labeled samples alone.  The solver designs binary channels: each sensor
+sends one of ``Z_SIZE`` = 2 outputs.  Sample i enters through its
+pushed-forward feature phi_i = (P_1[x_1^i], ..., P_s[x_s^i]), the expected
+one-hot encoding of its sanitized vector, and every classifier is linear in
+it: its score is sum_t P_t[x_t^i] . w_t for per-sensor weights w of shape
+(s, z).  The fusion rule minimizes the mean logistic loss of H plus
+(lam/2) |w|^2.  This is the count-kernel representer problem written in the
+primal (w = Phi^T a, so the Gram matrix is Phi Phi^T and a^T K a = |w|^2),
+an s*z-dimensional strongly convex fit solved by damped Newton.  The
+inference-privacy constraint is an empirical detection-risk floor against
+the best such adversary per private value, and the data-privacy constraint
+is the usual per-sensor likelihood-ratio polytope.
 
 The solver runs in two steps: (i) estimate the highest risk floor
 ``theta_star`` attainable by local-budget-feasible channels that still
@@ -45,6 +46,9 @@ from .model import JointModel
 from .simplex import LPInfeasible
 
 LOG2 = math.log(2.0)
+
+#: the output alphabet of every channel the solvers learn
+Z_SIZE = 2
 
 #: a Newton fit stops at this gradient norm, or once a full step could lower
 #: its objective by no more than the objective's rounding error
@@ -278,6 +282,11 @@ class EpicConfig:
     max_sweeps: int = 12
     risk_slack: float = 1e-4  # audited floor tolerance on returned solutions
 
+    def __post_init__(self):
+        n = self.max_sweeps
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValueError(f"'max_sweeps' must be an integer of at least 1, got {n!r}")
+
 
 @dataclasses.dataclass(frozen=True)
 class EpicSolution:
@@ -321,8 +330,15 @@ def _solution(dataset, chans, lam, eps_ld, theta_star=math.nan, r=0.0) -> EpicSo
 # -- solvers ---------------------------------------------------------------------
 
 
-def _eldp_sweeps(dataset, chans, eps_ld, lam, cfg):
-    """Minimize the empirical public risk over local-budget channels."""
+def _eldp_start(dataset, eps_ld, lam, config):
+    """(config, channels) of E-LDP, which EPIC starts from: the checked inputs, and the
+    block descent of the public risk over local-budget channels from uniform rows."""
+    if not eps_ld >= 0:
+        raise ValueError(f"eps_ld must be nonnegative, got {eps_ld}")
+    if not lam > 0:
+        raise ValueError("lam must be positive")
+    cfg = config or EpicConfig()
+    chans = list(uniform_mapping(dataset.s, dataset.x_size, Z_SIZE).channels)
     for _ in range(cfg.max_sweeps):
         coeffs, _ = _fit(dataset, chans, lam)
         change = 0.0
@@ -333,19 +349,12 @@ def _eldp_sweeps(dataset, chans, eps_ld, lam, cfg):
             )
         if change < CONVERGENCE_TOL:
             break
-    return chans
+    return cfg, chans
 
 
 def eldp_solve(dataset: Dataset, eps_ld: float, lam: float, config: EpicConfig | None = None) -> EpicSolution:
     """Local-budget-only empirical design (the risk floor dropped)."""
-    if not eps_ld >= 0:
-        raise ValueError(f"eps_ld must be nonnegative, got {eps_ld}")
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    cfg = config or EpicConfig()
-    uniform = list(uniform_mapping(dataset.s, dataset.x_size, 2).channels)
-    chans = _eldp_sweeps(dataset, uniform, eps_ld, lam, cfg)
-    return _solution(dataset, chans, lam, eps_ld)
+    return _solution(dataset, _eldp_start(dataset, eps_ld, lam, config)[1], lam, eps_ld)
 
 
 def _blend(chans_a, chans_b, beta):
@@ -353,16 +362,15 @@ def _blend(chans_a, chans_b, beta):
 
     Output relabeling is free (it changes neither risks nor budgets), but
     blending channels of opposite polarity cancels their signal, so each
-    b-channel is first column-permuted to whichever labeling is closest to
-    its a-counterpart.
+    binary b-channel is first flipped when that brings it closer to its
+    a-counterpart.
     """
     out = []
     for a, b in zip(chans_a, chans_b):
         rows_b = b.rows
-        if a.z_size == b.z_size and a.z_size == 2:
-            flipped = rows_b[:, ::-1]
-            if np.abs(a.rows - flipped).sum() < np.abs(a.rows - rows_b).sum():
-                rows_b = flipped
+        flipped = rows_b[:, ::-1]
+        if np.abs(a.rows - flipped).sum() < np.abs(a.rows - rows_b).sum():
+            rows_b = flipped
         out.append(SensorChannel((1.0 - beta) * a.rows + beta * rows_b))
     return out
 
@@ -404,9 +412,8 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
     loss-linearized risks under the same cap; adversaries and the
     classifier are refreshed every sweep.
     """
-    z_size = start_chans[0].z_size
     f_cap = f_eldp + UTILITY_SLACK * (LOG2 - f_eldp)
-    uniform = list(uniform_mapping(dataset.s, dataset.x_size, z_size).channels)
+    uniform = list(uniform_mapping(dataset.s, dataset.x_size, Z_SIZE).channels)
     starts = [
         _capped_path_point(dataset, uniform, start_chans, f_cap, lam),
         _capped_path_point(dataset, nulled, start_chans, f_cap, lam),
@@ -414,7 +421,7 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
     floors = [_fit_adversaries(dataset, st, lam)[1] for st in starts]
     chans = starts[int(np.argmax(floors))]
     # variables: channel entries, then tau; maximize tau
-    c = np.zeros(dataset.x_size * z_size + 1)
+    c = np.zeros(dataset.x_size * Z_SIZE + 1)
     c[-1] = -1.0
     for _ in range(cfg.max_sweeps):
         sol = _solution(dataset, chans, lam, eps_ld)
@@ -438,7 +445,7 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
     return chans, _fit_adversaries(dataset, chans, lam)[1]
 
 
-def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int):
+def _moment_nulled_channels(dataset: Dataset, eps_ld: float):
     """Channels matching per-g empirical feature means while separating H.
 
     The adversary gradient at zero weights is the per-sensor class-mean
@@ -446,10 +453,12 @@ def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int):
     adversary at zero (risk exactly log 2) regardless of the floor.  One LP
     per sensor maximizes the empirical H mean separation under the matching
     constraints and the ratio polytope; uniform rows are always feasible
-    for it.
+    for it.  With binary outputs, matching the means of output 1 matches
+    those of output 0 too.
     """
     xs = dataset.x_size
-    nv = xs * z_size
+    nv = xs * Z_SIZE
+    gs = dataset.present_g_values()
 
     def emp_cond(col, mask):
         c = np.bincount(col[mask], minlength=xs).astype(float)
@@ -460,21 +469,14 @@ def _moment_nulled_channels(dataset: Dataset, eps_ld: float, z_size: int):
         col = dataset.x[:, t]
         d_h = emp_cond(col, dataset.h == 1) - emp_cond(col, dataset.h == 0)
         c = np.zeros(nv)
-        c[0::z_size], c[1::z_size] = d_h, -d_h
-        null_rows = []
-        for g in dataset.present_g_values():
-            d_g = emp_cond(col, dataset.g == g) - emp_cond(col, dataset.g == 0)
-            for z in range(1, z_size):
-                row = np.zeros(nv)
-                row[z::z_size] = d_g
-                null_rows.append(row)
+        c[0::Z_SIZE], c[1::Z_SIZE] = d_h, -d_h
+        null_rows = np.zeros((len(gs), nv))
+        for k, g in enumerate(gs):
+            null_rows[k, 1::Z_SIZE] = emp_cond(col, dataset.g == g) - emp_cond(col, dataset.g == 0)
         try:
-            rows = solve_channel_lp(
-                (xs, z_size), eps_ld, c,
-                a_eq=np.reshape(null_rows, (-1, nv)), b_eq=np.zeros(len(null_rows)),
-            )
+            rows = solve_channel_lp((xs, Z_SIZE), eps_ld, c, a_eq=null_rows, b_eq=np.zeros(len(gs)))
         except LPInfeasible:
-            rows = np.full((xs, z_size), 1.0 / z_size)
+            rows = np.full((xs, Z_SIZE), 1.0 / Z_SIZE)
         chans.append(SensorChannel(rows))
     return chans
 
@@ -524,21 +526,12 @@ def epic_solve(
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"the floor ratio r must lie in (0, 1), got {r}")
-    if not eps_ld >= 0:
-        raise ValueError(f"eps_ld must be nonnegative, got {eps_ld}")
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    cfg = config or EpicConfig()
-    z_size = 2
-
-    # E-LDP warm start and utility reference
-    uniform = list(uniform_mapping(dataset.s, dataset.x_size, z_size).channels)
-    eldp_chans = _eldp_sweeps(dataset, uniform, eps_ld, lam, cfg)
+    cfg, eldp_chans = _eldp_start(dataset, eps_ld, lam, config)  # warm start and utility reference
     if not dataset.present_g_values():
         return _solution(dataset, eldp_chans, lam, eps_ld, math.inf, r)
 
     f_eldp = _fit(dataset, eldp_chans, lam)[1]
-    nulled = _moment_nulled_channels(dataset, eps_ld, z_size)
+    nulled = _moment_nulled_channels(dataset, eps_ld)
     chans_i, theta_star = _risk_floor_search(dataset, eldp_chans, nulled, f_eldp, eps_ld, lam, cfg)
     floor = r * theta_star - cfg.risk_slack
 

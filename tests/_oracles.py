@@ -118,6 +118,19 @@ def mutual_information_direct(joint):
     return total
 
 
+def posterior_ratio_budget_direct(joint):
+    """max |log p(a, b) / (p(a) p(b))| over the cells with p(a, b) > 0, cell by cell."""
+    joint = np.asarray(joint, dtype=float)
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    best = 0.0
+    for i in range(joint.shape[0]):
+        for j in range(joint.shape[1]):
+            if joint[i, j] > 0:
+                best = max(best, abs(math.log(joint[i, j] / (pa[i] * pb[j]))))
+    return best
+
+
 def empirical_eps_i_dict(g, z):
     """max |log p(g, z) / (p(g) p(z))| over the observed pairs, counted per sample in dicts."""
     n = len(g)

@@ -25,6 +25,13 @@ from privdet.channels import (
 from privdet.epic import dataset_from_model
 from privdet.model import generate_correlated_model, load_model, save_model
 
+from _oracles import (
+    brute_push,
+    mutual_information_direct,
+    pairwise_neighbor_budget,
+    posterior_ratio_budget_direct,
+)
+
 
 def test_design_inp_audit_ignores_the_local_budget(tmp_path):
     """inp has no local budget, so --eps-ld must not fail its audit."""
@@ -263,6 +270,12 @@ def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_p
     ({"architectures": ["inp"], "eps_i": [-0.0]}, "eps_i"),
     ({"seeds": [0, -1]}, "seeds"),
     ({"model": {"generator": {"seed": -1}}}, "model.generator.seed"),
+    ({"architectures": ["epic"], "epic": {"lambda": 0}}, "epic.lambda"),
+    ({"architectures": ["e-ldp"], "epic": {"n_train": 0}}, "epic.n_train"),
+    ({"architectures": ["ldp", "e-ldp"], "epic": {"n_test": 0}}, "epic.n_test"),
+    ({"architectures": ["ldp", "epic"], "r": [0.9, 1.5]}, "r"),
+    ({"architectures": ["epic"], "r": [0.0]}, "r"),
+    ({"epic": {"max_sweeps": 0}}, "max_sweeps"),
 ])
 def test_sweep_spec_rejects_unknown_keys(tmp_path, fields, key):
     """Unknown keys and entries of the wrong kind or value are named; the sweep exits 2 before any work."""
@@ -290,6 +303,30 @@ def test_a_nan_or_negative_budget_flag_is_rejected(tmp_path, capsys, command, va
 def test_a_zero_eps_i_is_a_spec_value_only_where_no_design_reads_it():
     data = {"architectures": ["identity", "ldp", "e-ldp", "epic"], "eps_i": [0.0]}
     assert cli.SweepSpec.from_dict(data).eps_i == (0.0,)
+
+
+def test_the_empirical_spec_values_are_checked_only_where_an_empirical_cell_reads_them():
+    epic = {"n_train": 0, "n_test": 0, "lambda": 0.0}
+    spec = cli.SweepSpec.from_dict({"architectures": ["ldp", "inp"], "r": [1.5], "epic": epic})
+    assert (spec.r, spec.epic) == ((1.5,), epic)
+    assert cli.SweepSpec.from_dict({"architectures": ["e-ldp"], "r": [1.5]}).r == (1.5,)
+
+
+@pytest.mark.parametrize("command, flag", [("sweep", "--jobs"), ("epic", "--q")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_a_count_flag_below_one_is_rejected(tmp_path, capsys, command, flag, value):
+    """Exit 2 naming the flag, and no output, on inputs that run with a valid count."""
+    data = tmp_path / "data.csv"
+    _write_labeled_csv(data, dataset_from_model(generate_correlated_model(seed=1, s=2, x_size=3), 30, 0))
+    inputs = {
+        "sweep": ["--spec", str(_small_spec(tmp_path, architectures=["identity"]))],
+        "epic": ["--train", str(data), "--test", str(data)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *inputs, flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"{flag}: invalid _parse_count value: {value!r}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize("command, inputs", [
@@ -325,6 +362,7 @@ def test_a_design_count_below_one_is_a_usage_error(tmp_path, capsys, flag, field
     ("epic", ["--lambda", "-1", "--e-ldp"], "lam must be positive"),
     ("epic", ["--r", "1.5"], "the floor ratio r must lie in (0, 1), got 1.5"),
     ("relations", ["--trials", "0"], "trials must be >= 1, got 0"),
+    ("epic", ["--bins", "0"], "bins must be >= 2, got 0"),
 ])
 def test_a_flag_out_of_range_is_a_usage_error(tmp_path, capsys, command, flags, message):
     """Exit 2 with the library's message and no output, not a traceback."""
@@ -561,6 +599,78 @@ def test_the_cli_decides_bad_input_and_each_file_format_once():
     assert [p.name for p in sorted(package.glob("*.py")) if imports_json(p)] == ["channels.py"]
 
 
+def test_the_cli_makes_each_empirical_solve_at_one_site():
+    """``_empirical_solve`` is the one caller of each empirical solver, and a
+    sweep builds its ``EpicConfig`` where the spec loads, not per cell."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    sites = sorted(
+        (node.func.attr, top.name)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("epic_solve", "eldp_solve", "EpicConfig")
+    )
+    assert sites == [("EpicConfig", "SweepSpec"), ("EpicConfig", "_cmd_epic"),
+                     ("eldp_solve", "_empirical_solve"), ("epic_solve", "_empirical_solve")]
+
+
+def test_a_sweep_builds_its_epic_config_once(tmp_path, monkeypatch):
+    built = []
+    real = epic_mod.EpicConfig.__post_init__
+
+    def counted(config):
+        built.append(config)
+        real(config)
+
+    monkeypatch.setattr(epic_mod.EpicConfig, "__post_init__", counted)
+    spec, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    spec.write_text(json.dumps({
+        "model": {"generator": {"seed": 1, "s": 2, "x_size": 3}},
+        "architectures": ["e-ldp", "epic"],
+        "eps_ld": [0.5, 1.0],
+        "epic": {"n_train": 30, "n_test": 100, "max_sweeps": 2},
+    }))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    assert [r["status"] for r in _read_rows(out)] == ["ok"] * 4
+    assert len(built) == 1 and built[0].max_sweeps == 2
+
+
+def test_sweep_rows_match_the_brute_force_oracles(tmp_path, monkeypatch):
+    """Each ok row's H error, I(H; Z), eps_ldp and eps_info, recomputed by full
+    enumeration over X^s and Z^s from the model and the mapping the row reports on."""
+    made = {}  # (arch, the row's eps_ld field) -> (model, mapping)
+    real = design.chain_designs
+
+    def captured(model, arch, eps_ld_grid, config):
+        results = real(model, arch, eps_ld_grid, config)
+        for eps_ld, res in zip(eps_ld_grid, results):
+            made[arch, repr(float(eps_ld))] = model, res.mapping.network()
+        return results
+
+    monkeypatch.setattr(design, "chain_designs", captured)
+    out = tmp_path / "sweep.csv"
+    spec = _small_spec(tmp_path, architectures=["ldp", "lip", "identity"])
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    model = made["ldp", "0.5"][0]
+    assert (model.s, model.x_size) == (2, 3)
+    made["identity", ""] = model, identity_mapping(model.s, model.x_size)
+    assert [r["status"] for r in rows] == ["ok"] * 5
+    for row in rows:
+        model, mapping = made[row["arch"], row["eps_ld"]]
+        p_hgz = brute_push(model, mapping)
+        p_hz, p_gz = p_hgz.sum(axis=1), p_hgz.sum(axis=0)
+        want = {
+            "bayes_error_H": sum(min(p_hz[:, z]) for z in range(p_hz.shape[1])),
+            "mi_H_Z": mutual_information_direct(p_hz),
+            "eps_ldp_nats": max(pairwise_neighbor_budget(ch.rows) for ch in mapping.channels),
+            "eps_info_nats": posterior_ratio_budget_direct(p_gz),
+        }
+        for column, value in want.items():
+            got = float(row[column])
+            assert got == value or abs(got - value) <= 1e-12, (row["arch"], row["eps_ld"], column)
+
+
 def test_report_on_a_saved_two_stage_mapping(tmp_path):
     model_path, mapping_path = tmp_path / "model.json", tmp_path / "mapping.json"
     save_model(generate_correlated_model(seed=2, s=2, x_size=3), model_path)
@@ -722,6 +832,33 @@ def test_sweep_requires_an_output_path(tmp_path, capsys):
         cli.main(["sweep", "--spec", str(spec)])
     assert exc.value.code == 2
     assert "--out" in capsys.readouterr().err
+
+
+def _with_symbol(path, line, value):
+    """The labeled CSV at ``path`` with its last feature on ``line`` (1-based) set to ``value``."""
+    lines = path.read_text().splitlines()
+    lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + "," + value
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("split, value", [("train", "1.7"), ("test", "-1"), ("train", "-1")])
+def test_epic_without_bins_reads_only_nonnegative_integer_symbols(tmp_path, capsys, split, value):
+    """Without --bins a feature is a symbol: anything else is exit 2 naming the file
+    and line, and no output.  With --bins the same files run."""
+    model = generate_correlated_model(seed=1, s=2, x_size=3)
+    paths = {"train": tmp_path / "train.csv", "test": tmp_path / "test.csv"}
+    _write_labeled_csv(paths["train"], dataset_from_model(model, 30, 0))
+    _write_labeled_csv(paths["test"], dataset_from_model(model, 100, 1))
+    _with_symbol(paths[split], 4, value)
+    argv = ["epic", "--train", str(paths["train"]), "--test", str(paths["test"]),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"privdet epic: {paths[split]}, line 4: feature {float(value)!r} is not a "
+        "nonnegative integer symbol; --bins bins real values\n"
+    )
+    assert not list(tmp_path.glob("out*"))
+    assert cli.main(argv + ["--bins", "2"]) == 0
 
 
 @pytest.mark.parametrize("command", ["gen-model", "report", "design", "relations", "sweep", "epic"])

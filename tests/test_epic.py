@@ -1,7 +1,9 @@
 """Tests of the empirical solver (EPIC and E-LDP) against independent oracles."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +118,43 @@ def test_an_infinite_local_budget_solves_without_ratio_rows(solver, monkeypatch)
     for rows in _rows(sol.mapping):
         assert rows.min() >= 0.0 and np.allclose(rows.sum(axis=1), 1.0)
     assert sol.eps_ld == math.inf
+
+
+def test_eldp_and_epic_share_one_eldp_start(empirical, monkeypatch):
+    """E-LDP's channels are the start EPIC descends from, made once per solve by one helper."""
+    _, train, cfg, _ = empirical
+    starts = []
+    real = epic._eldp_start
+
+    def recorded(*args):
+        out = real(*args)
+        starts.append([ch.rows.copy() for ch in out[1]])
+        return out
+
+    monkeypatch.setattr(epic, "_eldp_start", recorded)
+    sol = epic.eldp_solve(train, 1.0, LAM, cfg)
+    epic.epic_solve(train, 1.0, R, LAM, cfg)
+    assert len(starts) == 2
+    for start, rows, again in zip(starts[0], _rows(sol.mapping), starts[1]):
+        assert np.array_equal(start, rows) and np.array_equal(start, again)
+
+
+def test_the_empirical_solvers_read_no_output_size():
+    """Every learned channel is binary by the one constant ``Z_SIZE``: no function
+    of the module takes an output size or reads one from a channel."""
+    tree = ast.parse(Path(epic.__file__).read_text(encoding="utf-8"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.arg for n in ast.walk(tree) if isinstance(n, ast.arguments) for a in n.args}
+    assert "z_size" not in names
+    assert epic.Z_SIZE == 2
+
+
+@pytest.mark.parametrize("max_sweeps", [0, -1, 1.5])
+def test_epic_config_needs_at_least_one_sweep(max_sweeps):
+    with pytest.raises(ValueError, match="'max_sweeps' must be an integer of at least 1"):
+        epic.EpicConfig(max_sweeps=max_sweeps)
+    assert epic.EpicConfig(max_sweeps=np.int64(1)).max_sweeps == 1
 
 
 @pytest.mark.parametrize("eps", [math.nan, -0.5])
