@@ -316,7 +316,10 @@ def read_document(path, parse, decode=json.loads):
 
 
 def _mapping_from_json(data):
-    """The mapping a mapping file's payload (``to_json``) describes."""
+    """The mapping a mapping file's payload (``to_json``) describes, or the
+    ``mapping`` entry of a result document (``privdet design`` or ``epic``)."""
+    if isinstance(data, dict) and "mapping" in data:
+        data = data["mapping"]
     if isinstance(data, list):
         return NetworkMapping.from_list(data)
     if isinstance(data, dict) and "arch" in data:
@@ -332,5 +335,6 @@ def save_mapping(mapping, path) -> None:
 
 
 def load_mapping(path):
-    """The mapping in a file ``save_mapping`` wrote, read by ``read_document``."""
+    """The mapping in a file ``save_mapping``, ``privdet design`` or ``privdet epic`` wrote,
+    read by ``read_document``."""
     return read_document(path, _mapping_from_json)

@@ -76,9 +76,16 @@ def _parse_eps(v) -> float:
     return eps
 
 
+def _parse_int(v) -> int:
+    """An integer: an integral number, or a string of one; a fraction is refused, not cut off."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 def _parse_seed(v) -> int:
     """A seed: a nonnegative integer."""
-    seed = int(v)
+    seed = _parse_int(v)
     if seed < 0:
         raise ValueError(f"a seed must be a nonnegative integer, got {v!r}")
     return seed
@@ -86,10 +93,17 @@ def _parse_seed(v) -> int:
 
 def _parse_count(v) -> int:
     """A count: a positive integer."""
-    count = int(v)
+    count = _parse_int(v)
     if count < 1:
         raise ValueError(f"a count must be a positive integer, got {v!r}")
     return count
+
+
+def _parse_arch(v) -> str:
+    """An architecture a sweep runs: a key of ``_AXES``."""
+    if v not in _AXES:
+        raise ValueError(f"unknown architecture {v!r}")
+    return v
 
 
 # -- sweep spec ------------------------------------------------------------
@@ -115,20 +129,22 @@ SPEC_DEFAULTS = {
              "max_sweeps": epic_mod.EpicConfig.max_sweeps},
 }
 
-#: how each grid axis of a spec reads its values
-_GRID_PARSERS = {
-    "architectures": str, "eps_i": _parse_eps, "eps_ld": _parse_eps,
-    "r": float, "corr": float, "seeds": _parse_seed,
+#: how a spec key reads its value, or each entry of its grid, by the key's name;
+#: a key not named here reads as its default's number type, or as given
+_PARSERS = {
+    "architectures": _parse_arch, "eps_i": _parse_eps, "eps_ld": _parse_eps,
+    "seeds": _parse_seed, "seed": _parse_seed,
 }
+_NUMBER_PARSERS = {int: _parse_int, float: float}
 
 
 def _resolve(data, defaults, where=""):
-    """``data`` checked against ``defaults`` and completed from it, table by table.
+    """``data`` checked against ``defaults``, completed from it and parsed, table by table.
 
-    A value whose default is a number is converted to the default's type.
+    The one place a spec value is parsed, by its key's parser (``_PARSERS``).
     Raises ValueError naming the first key ``defaults`` does not declare, or
-    an entry that is not a table, list or number where its default is one;
-    a table is checked before the tables inside it.
+    the key of an entry that is not a table or list where its default is one,
+    or that its parser refuses; a table is checked before the tables inside it.
     """
     if not isinstance(data, dict):
         raise ValueError(f"sweep spec entry {where or 'top level'!r} must be a table")
@@ -140,15 +156,16 @@ def _resolve(data, defaults, where=""):
     for key, default in defaults.items():
         value, name = data.get(key, default), prefix + key
         if isinstance(default, dict):
-            value = _resolve(value, default, name)
-        elif isinstance(default, (int, float)):
-            try:
-                value = type(default)(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"sweep spec key {name!r} must be a number") from None
-        elif isinstance(default, tuple) and not isinstance(value, (list, tuple)):
+            out[key] = _resolve(value, default, name)
+            continue
+        grid = isinstance(default, tuple)
+        if grid and not isinstance(value, (list, tuple)):
             raise ValueError(f"sweep spec key {name!r} must be a list")
-        out[key] = value
+        parse = _PARSERS.get(key) or _NUMBER_PARSERS.get(type(default[0] if grid else default))
+        try:
+            out[key] = tuple(map(parse, value)) if grid else parse(value) if parse else value
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"sweep spec key {name!r}: {exc}") from None
     return out
 
 
@@ -168,37 +185,26 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        d = _resolve(data, SPEC_DEFAULTS)
-        grids = {}
-        for key, parse in _GRID_PARSERS.items():
-            try:
-                grids[key] = tuple(map(parse, d[key]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"sweep spec key {key!r}: {exc}") from None
+        """The spec ``_resolve`` reads from ``data``, with the checks that read more than one key."""
+        grids = _resolve(data, SPEC_DEFAULTS)
+        model, design, epic = grids.pop("model"), grids.pop("design"), grids.pop("epic")
         for a in grids["architectures"]:
-            if a not in _AXES:
-                raise ValueError(f"unknown architecture {a!r}")
             if "eps_i" in _AXES[a] and 0.0 in grids["eps_i"]:
                 raise ValueError(f"sweep spec key 'eps_i': {a!r} needs every eps_i positive")
             if "r" in _AXES[a] and not all(0.0 < r < 1.0 for r in grids["r"]):
                 raise ValueError(f"sweep spec key 'r': {a!r} needs every r in (0, 1)")
             for key in ("n_train", "n_test", "lambda") if a in _EMPIRICAL else ():
-                if not d["epic"][key] > 0:
+                if not epic[key] > 0:
                     raise ValueError(f"sweep spec key 'epic.{key}': {a!r} needs it positive, "
-                                     f"got {d['epic'][key]!r}")
+                                     f"got {epic[key]!r}")
         if not all(grids.values()):
             raise ValueError("every sweep grid must be nonempty")
-        generator = d["model"]["generator"]
-        try:
-            generator["seed"] = _parse_seed(generator["seed"])
-        except ValueError as exc:
-            raise ValueError(f"sweep spec key 'model.generator.seed': {exc}") from None
         return cls(
-            model_file=d["model"]["file"],
-            generator=generator,
-            epic=d["epic"],
-            epic_config=epic_mod.EpicConfig(max_sweeps=d["epic"].pop("max_sweeps")),
-            design=design_mod.OptimizerConfig(**d["design"]),
+            model_file=model["file"],
+            generator=model["generator"],
+            epic=epic,
+            epic_config=epic_mod.EpicConfig(max_sweeps=epic.pop("max_sweeps")),
+            design=design_mod.OptimizerConfig(**design),
             **grids,
         )
 
@@ -271,39 +277,35 @@ def _run_group(spec: SweepSpec, model: JointModel, arch: str, corr: float, seed:
     the chain's design time, so the column sums to the group's time.
     """
     t_start = time.perf_counter()
-    rows = []
     eps_ld_axis = spec.eps_ld if "eps_ld" in _AXES[arch] else (math.inf,)
-    results = [None] * len(eps_ld_axis)
+    chain = None  # the designed results of the eps_ld axis, or the exception that ended them
     try:
-        cfg = dataclasses.replace(spec.design, seed=seed, eps_i=eps_i)
         if arch in design_mod.ARCHITECTURES:
-            results = design_mod.chain_designs(model, arch, list(eps_ld_axis), cfg)
-    except Exception as exc:  # per-cell failures stay in-row
-        share = (time.perf_counter() - t_start) / len(eps_ld_axis)
-        for eps_ld in eps_ld_axis:
-            row = _blank_row(spec, model.s, arch, corr, seed, eps_i, eps_ld, r)
-            _fail_row(row, exc)
-            row["wall_time_s"] = share
-            rows.append(row)
-        return rows
+            cfg = dataclasses.replace(spec.design, seed=seed, eps_i=eps_i)
+            chain = design_mod.chain_designs(model, arch, list(eps_ld_axis), cfg)
+    except Exception as exc:  # it fails each cell of the chain, in the row loop
+        chain = exc
     design_share = (time.perf_counter() - t_start) / len(eps_ld_axis)
+    rows = []
     for idx, eps_ld in enumerate(eps_ld_axis):
         t0 = time.perf_counter()
         row = _blank_row(spec, model.s, arch, corr, seed, eps_i, eps_ld, r)
         try:
+            if isinstance(chain, Exception):
+                raise chain
             if arch == "identity":
                 mapping = identity_mapping(model.s, model.x_size)
                 report = _evaluate_mapping(model, mapping, row)
                 row["converged"] = True
             elif arch in design_mod.ARCHITECTURES:
-                res = results[idx]
+                res = chain[idx]
                 report = _evaluate_mapping(model, res.mapping.network(), row, res.report)
                 row["converged"] = res.converged
             else:  # one of _EMPIRICAL
                 report = _run_epic_cell(spec, arch, model, seed, eps_ld, r, row)
             row["audit_ok"] = _audit(report, arch, eps_i, eps_ld)
             row["status"] = "ok"
-        except Exception as exc:
+        except Exception as exc:  # per-cell failures stay in-row
             _fail_row(row, exc)
         row["wall_time_s"] = design_share + time.perf_counter() - t0
         rows.append(row)
@@ -389,11 +391,6 @@ def run_sweep(spec: SweepSpec, jobs: int = 1):
     return [row for rows in groups for row in rows]
 
 
-def write_sweep_csv(rows, path) -> None:
-    cols = list(rows[0])  # every row is laid out by _blank_row, all columns in order
-    _write_csv(path, cols, [[row[c] for c in cols] for row in rows])
-
-
 def _write_csv(path, header, rows) -> None:
     """The one CSV writer: a header line, then each row's values through ``_fmt``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -453,7 +450,8 @@ def _cmd_relations(args) -> int:
 
 def _cmd_sweep(args) -> int:
     rows = run_sweep(load_sweep_spec(args.spec), jobs=args.jobs)
-    write_sweep_csv(rows, args.out)
+    cols = list(rows[0])  # every row is laid out by _blank_row, all columns in order
+    _write_csv(args.out, cols, [[row[c] for c in cols] for row in rows])
     n_err = sum(1 for r in rows if r.get("status") != "ok")
     n_audit = sum(1 for r in rows if r.get("status") == "ok" and not r.get("audit_ok"))
     print(f"wrote {args.out}: {len(rows)} rows, {n_err} failures, {n_audit} audit misses")
@@ -492,8 +490,9 @@ def _read_labeled_csv(path, q, symbols=False):
 
     Blank lines and ``#`` comments are skipped.  The first other line may be
     a header; a later line with a non-numeric field, with another field count
-    than the first data line, or with ``symbols`` a feature that is not a
-    nonnegative integer, raises ValueError naming the file and line.
+    than the first data line, with h or a g bit other than 0 or 1, or with
+    ``symbols`` a feature that is not a nonnegative integer, raises
+    ValueError naming the file and line.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -514,6 +513,10 @@ def _read_labeled_csv(path, q, symbols=False):
             if rows and len(row) != len(rows[0]):
                 raise ValueError(f"{path}, line {reader.line_num}: {len(rec)} fields, "
                                  f"the first data line has {len(rows[0])}")
+            bad = [v for v in row[:1 + q] if v not in (0.0, 1.0)]
+            if bad:
+                raise ValueError(f"{path}, line {reader.line_num}: label {bad[0]!r} is not 0 or 1; "
+                                 "h and each g bit are binary")
             bad = [v for v in row[1 + q:] if not (v >= 0 and v.is_integer())] if symbols else []
             if bad:
                 raise ValueError(f"{path}, line {reader.line_num}: feature {bad[0]!r} is not a "
@@ -530,8 +533,34 @@ def _read_labeled_csv(path, q, symbols=False):
     return h, g, data[:, 1 + q:]
 
 
+class _ParsedFlag(argparse.Action):
+    """A flag whose ``type`` reads its value here, once argparse has matched it.
+
+    A value the ``type`` refuses is then a ValueError naming the flag, which
+    ``main`` reports in its one line, not argparse's usage message.
+    """
+
+    def __init__(self, option_strings, dest, type=None, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.parse = type or str
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        try:
+            setattr(namespace, self.dest, self.parse(value))
+        except ValueError as exc:
+            raise ValueError(f"{option_string}: {exc}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with every stored flag a ``_ParsedFlag``, in each subcommand too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _ParsedFlag)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="privdet", description=__doc__)
+    parser = _Parser(prog="privdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     gen, des, ep = (SPEC_DEFAULTS["model"]["generator"], SPEC_DEFAULTS["design"],
                     SPEC_DEFAULTS["epic"])
@@ -595,9 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand.  The one place bad input, an OSError or a ValueError,
     becomes exit 2; a sweep cell's failure stays in its row, and any other
-    exception is a program fault and propagates."""
-    args = build_parser().parse_args(argv)
+    exception is a program fault and propagates.  A flag value its parser
+    refuses is bad input too: the subcommand is named in ``args`` before its
+    flags are read."""
+    args = argparse.Namespace()
     try:
+        build_parser().parse_args(argv, args)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"privdet {args.command}: {exc}", file=sys.stderr)

@@ -50,8 +50,8 @@ LOG2 = math.log(2.0)
 #: the output alphabet of every channel the solvers learn
 Z_SIZE = 2
 
-#: a Newton fit stops at this gradient norm, or once a full step could lower
-#: its objective by no more than the objective's rounding error
+#: a Newton fit stops at this gradient norm, or once no step can lower its
+#: objective by more than the objective's rounding error
 FIT_TOL = 1e-12
 FIT_MAX_ITER = 100
 #: L1 norm of the mapping change per sweep below which a solve has converged
@@ -159,11 +159,12 @@ def _newton_fit(phi, signs, weights, lam, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
     """min over w of sum_i c_i log(1 + exp(-y_i phi_i . w)) + (lam/2) |w|^2.
 
     Damped Newton from w = 0; the objective is strongly convex and the
-    Hessian is only (s*z) x (s*z).  Stops at gradient norm <= tol, or when
-    the Newton decrement grad . step (twice the decrease a full step
-    predicts) is within the objective's rounding error: past that point the
-    gradient's own rounding keeps it above a small tol while no step can
-    lower the objective.  Returns (w, objective).
+    Hessian is only (s*z) x (s*z).  The objective sums n = len(phi) terms,
+    so n * eps * obj bounds its rounding error, and no change smaller than
+    that can be measured.  Stops at gradient norm <= tol; when the Newton
+    decrement grad . step (twice the decrease a full step predicts) is
+    within that bound; or when no step of the halving line search lowers
+    the objective by more than it.  Returns (w, objective).
     """
 
     def objective(w):
@@ -178,15 +179,15 @@ def _newton_fit(phi, signs, weights, lam, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
             break
         hess = (phi.T * (weights * p * (1.0 - p))) @ phi + lam * np.eye(w.size)
         step = np.linalg.solve(hess, grad)
-        if float(grad @ step) <= np.finfo(float).eps * obj:
+        noise = phi.shape[0] * np.finfo(float).eps * obj
+        if float(grad @ step) <= noise:
             break
         eta = 1.0
-        while eta > 1e-12 and objective(w - eta * step) > obj:
+        while eta > 1e-12 and obj - (trial := objective(w - eta * step)) <= noise:
             eta *= 0.5
         if eta <= 1e-12:
             break
-        w = w - eta * step
-        obj = objective(w)
+        w, obj = w - eta * step, trial
     return w, obj
 
 

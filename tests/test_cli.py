@@ -27,6 +27,7 @@ from privdet.model import generate_correlated_model, load_model, save_model
 
 from _oracles import (
     brute_push,
+    empirical_eps_i_dict,
     mutual_information_direct,
     pairwise_neighbor_budget,
     posterior_ratio_budget_direct,
@@ -276,6 +277,11 @@ def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_p
     ({"architectures": ["ldp", "epic"], "r": [0.9, 1.5]}, "r"),
     ({"architectures": ["epic"], "r": [0.0]}, "r"),
     ({"epic": {"max_sweeps": 0}}, "max_sweeps"),
+    ({"epic": {"max_sweeps": 2.5}}, "epic.max_sweeps"),
+    ({"architectures": ["epic"], "epic": {"n_train": 30.7}}, "epic.n_train"),
+    ({"design": {"restarts": 1.9}}, "design.restarts"),
+    ({"seeds": [1.5]}, "seeds"),
+    ({"model": {"generator": {"seed": 1.5}}}, "model.generator.seed"),
 ])
 def test_sweep_spec_rejects_unknown_keys(tmp_path, fields, key):
     """Unknown keys and entries of the wrong kind or value are named; the sweep exits 2 before any work."""
@@ -294,10 +300,11 @@ def test_sweep_spec_rejects_unknown_keys(tmp_path, fields, key):
 def test_a_nan_or_negative_budget_flag_is_rejected(tmp_path, capsys, command, value):
     inputs = ["--arch", "ldp", "--model"] if command == "design" else ["--train", "t.csv", "--test"]
     argv = [command, *inputs, "m.csv", "--eps-ld", value, "--out", str(tmp_path / "out")]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert f"--eps-ld: invalid _parse_eps value: {value!r}" in capsys.readouterr().err
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"privdet {command}: --eps-ld: a privacy budget must be a nonnegative number, got {value!r}\n"
+    )
+    assert not list(tmp_path.iterdir())
 
 
 def test_a_zero_eps_i_is_a_spec_value_only_where_no_design_reads_it():
@@ -322,10 +329,10 @@ def test_a_count_flag_below_one_is_rejected(tmp_path, capsys, command, flag, val
         "sweep": ["--spec", str(_small_spec(tmp_path, architectures=["identity"]))],
         "epic": ["--train", str(data), "--test", str(data)],
     }[command]
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, *inputs, flag, value, "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert f"{flag}: invalid _parse_count value: {value!r}" in capsys.readouterr().err
+    assert cli.main([command, *inputs, flag, value, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"privdet {command}: {flag}: a count must be a positive integer, got {value!r}\n"
+    )
     assert not list(tmp_path.glob("out*"))
 
 
@@ -336,10 +343,10 @@ def test_a_count_flag_below_one_is_rejected(tmp_path, capsys, command, flag, val
     ("epic", ["--train", "t.csv", "--test", "t.csv"]),
 ])
 def test_a_negative_seed_flag_is_rejected(tmp_path, capsys, command, inputs):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, *inputs, "--seed", "-1", "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert "--seed: invalid _parse_seed value: '-1'" in capsys.readouterr().err
+    assert cli.main([command, *inputs, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"privdet {command}: --seed: a seed must be a nonnegative integer, got '-1'\n"
+    )
     assert not list(tmp_path.iterdir())
 
 
@@ -919,3 +926,157 @@ def test_labeled_csv_rejects_a_non_numeric_row(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}:")):
         cli._read_labeled_csv(path, 1)
+
+
+def test_a_spec_integer_may_be_written_as_an_integral_float():
+    data = {"seeds": [2.0], "design": {"restarts": 3.0}, "epic": {"max_sweeps": 4.0}}
+    spec = cli.SweepSpec.from_dict(data)
+    assert (spec.seeds, spec.design.restarts, spec.epic_config.max_sweeps) == ((2,), 3, 4)
+    assert all(type(v) is int for v in (spec.seeds[0], spec.design.restarts))
+
+
+def test_the_sweep_parses_each_spec_value_once_and_makes_each_row_on_one_path():
+    """``_resolve`` is the one walk that parses a spec: ``SweepSpec.from_dict``
+    calls no value parser.  ``_run_group`` lays out rows in one loop, with
+    one ``_blank_row`` call, failed chains included."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    top = {node.name: node for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    parsers = {name for name in top if name.startswith("_parse")}
+    parsers |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)
+                and target.id.endswith("PARSERS")}
+    (from_dict,) = [node for node in top["SweepSpec"].body
+                    if isinstance(node, ast.FunctionDef) and node.name == "from_dict"]
+    used = {n.id for n in ast.walk(from_dict) if isinstance(n, ast.Name)}
+    assert parsers and not used & (parsers | {"int", "float", "str"})
+
+    run_group = top["_run_group"]
+    calls = [n for n in ast.walk(run_group) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id == "_blank_row"]
+    assert len(calls) == 1
+    assert sum(isinstance(n, ast.For) for n in ast.walk(run_group)) == 1
+
+
+@pytest.mark.parametrize("column, value", [(0, "0.6"), (1, "0.5"), (0, "2"), (1, "-1")])
+def test_epic_reads_only_binary_labels(tmp_path, capsys, column, value):
+    """An h or g bit that is not 0 or 1 is exit 2 naming the file and line, not truncated."""
+    model = generate_correlated_model(seed=1, s=2, x_size=3)
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    _write_labeled_csv(train, dataset_from_model(model, 30, 0))
+    _write_labeled_csv(test, dataset_from_model(model, 100, 1))
+    lines = train.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = value
+    lines[2] = ",".join(fields)
+    train.write_text("\n".join(lines) + "\n")
+    argv = ["epic", "--train", str(train), "--test", str(test), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"privdet epic: {train}, line 3: label {float(value)!r} is not 0 or 1; "
+        "h and each g bit are binary\n"
+    )
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("arch", ["ldp", "lip"])
+def test_report_reads_the_mapping_a_design_file_holds(tmp_path, arch):
+    model, designed, out = tmp_path / "model.json", tmp_path / "design.json", tmp_path / "report"
+    save_model(generate_correlated_model(seed=3, s=2, x_size=3), model)
+    argv = ["design", "--arch", arch, "--model", str(model), "--eps-i", "1.0", "--eps-ld", "1.0"]
+    assert cli.main(argv + ["--restarts", "2", "--out", str(designed)]) == 0
+    argv = ["report", "--model", str(model), "--mapping", str(designed), "--out", str(out)]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report == json.loads(designed.read_text())["report"]
+
+
+def test_report_reads_the_mapping_an_epic_file_holds(tmp_path):
+    model = generate_correlated_model(seed=1, s=2, x_size=3)
+    model_path, train, test = tmp_path / "model.json", tmp_path / "train.csv", tmp_path / "test.csv"
+    save_model(model, model_path)
+    _write_labeled_csv(train, dataset_from_model(model, 30, 0))
+    _write_labeled_csv(test, dataset_from_model(model, 300, 1))
+    argv = ["epic", "--train", str(train), "--test", str(test), "--eps-ld", "1.0"]
+    assert cli.main(argv + ["--out", str(tmp_path / "epic")]) == 0
+    argv = ["report", "--model", str(model_path), "--mapping", str(tmp_path / "epic.json")]
+    assert cli.main(argv + ["--out", str(tmp_path / "report")]) == 0
+    mapping = NetworkMapping.from_list(json.loads((tmp_path / "epic.json").read_text())["mapping"])
+    expected = metrics.full_report(model, mapping).to_dict()
+    assert json.loads((tmp_path / "report.json").read_text()) == expected
+
+
+def _inverse_cdf_outputs(rows_by_sensor, x, seed):
+    """Sanitized outputs of the rows x, drawn sensor by sensor from one generator at ``seed``:
+    the first output whose cumulative probability reaches the uniform draw."""
+    rng = np.random.default_rng(seed)
+    z = [[0] * len(rows_by_sensor) for _ in range(len(x))]
+    for t, rows in enumerate(rows_by_sensor):
+        draws = rng.random(len(x))
+        for i, u in enumerate(draws.tolist()):
+            k, cdf = 0, float(rows[x[i][t]][0])
+            while k < len(rows[0]) - 1 and u > cdf:
+                k += 1
+                cdf += float(rows[x[i][t]][k])
+            z[i][t] = k
+    return z
+
+
+def _score(weights, zvec):
+    return sum(float(weights[t][zt]) for t, zt in enumerate(zvec))
+
+
+def test_sweep_empirical_rows_match_the_oracles(tmp_path, monkeypatch):
+    """Each ok e-ldp and epic row's holdout errors and empirical budgets, recomputed from
+    the solution the row reports on: the test set redrawn, the outputs drawn by an
+    inverse-CDF loop, decisions from explicit score sums and the budgets by pair loops."""
+    solved = {}  # (arch, the row's eps_ld field) -> solution
+
+    def captured(name, arch):
+        real = getattr(epic_mod, name)
+
+        def solve(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            solved[arch, repr(float(sol.eps_ld))] = sol
+            return sol
+
+        monkeypatch.setattr(epic_mod, name, solve)
+
+    captured("eldp_solve", "e-ldp")
+    captured("epic_solve", "epic")
+    model, model_path = generate_correlated_model(seed=2, s=2, x_size=3), tmp_path / "model.json"
+    save_model(model, model_path)
+    seed, n_test = 3, 400
+    spec, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    spec.write_text(json.dumps({
+        "model": {"file": str(model_path)}, "architectures": ["e-ldp", "epic"],
+        "eps_ld": [0.5, 1.0], "r": [0.9], "seeds": [seed],
+        "epic": {"n_train": 30, "n_test": n_test, "max_sweeps": 2},
+    }))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert [r["status"] for r in rows] == ["ok"] * 4 and len(solved) == 4
+
+    h, g, x = model.sample(n_test, np.random.default_rng(seed + 1_000_000))
+    h, g, x = h.tolist(), g.tolist(), x.tolist()
+    for row in rows:
+        sol = solved[row["arch"], row["eps_ld"]]
+        rows_by_sensor = [ch.rows.tolist() for ch in sol.mapping.channels]
+        z = _inverse_cdf_outputs(rows_by_sensor, x, seed + 2_000_000)
+        wrong_h = sum(int(_score(sol.coeffs, zi) > 0) != hi for zi, hi in zip(z, h))
+        error_g = math.inf
+        for g_value, weights in sol.adversaries.items():
+            pairs = [(gi, zi) for gi, zi in zip(g, z) if gi in (0, g_value)]
+            if pairs:
+                wrong = sum((g_value if _score(weights, zi) > 0 else 0) != gi for gi, zi in pairs)
+                error_g = min(error_g, wrong / len(pairs))
+        z_budget = _inverse_cdf_outputs(rows_by_sensor, x, seed + 3_000_000)
+        want = {
+            "holdout_error_H": wrong_h / n_test,
+            "holdout_error_G": error_g,
+            "eps_i_hat": empirical_eps_i_dict(g, z_budget),
+            "eps_ld_hat": max(pairwise_neighbor_budget(ch.rows) for ch in sol.mapping.channels),
+        }
+        for column, value in want.items():
+            got = float(row[column])
+            assert got == value or abs(got - value) <= 1e-12, (row["arch"], row["eps_ld"], column)

@@ -207,3 +207,33 @@ def test_discretize_constant_column_is_one_symbol():
     assert np.array_equal(sym[:, 0], np.zeros(6))
     test_sym, _ = epic.discretize(np.array([[-1.0, 0.0], [9.0, 5.0]]), 3, edges=edges)
     assert np.array_equal(test_sym[:, 0], [0, 0])
+
+
+#: Newton steps a fit may take on the case below: every fit there has
+#: stopped within 3 steps since the stop tests read the objective's rounding
+#: error, where one fit in eight ran all FIT_MAX_ITER steps before.
+MAX_NEWTON_STEPS = 6
+
+
+def test_no_newton_fit_steps_below_the_objectives_rounding_error(monkeypatch):
+    """At n_train 4000 the objective sums 4000 terms, and a fit that stops only at
+    gradient norm FIT_TOL takes steps whose decrease its rounding error hides."""
+    steps, evaluations = [], [0]
+    real_sigmoid, real_fit = epic._sigmoid, epic._newton_fit
+
+    def sigmoid(u):  # a fit evaluates its gradient once per step, and once more to stop
+        evaluations[0] += 1
+        return real_sigmoid(u)
+
+    def fit(*args, **kwargs):
+        evaluations[0] = 0
+        out = real_fit(*args, **kwargs)
+        steps.append(evaluations[0] - 1)
+        return out
+
+    monkeypatch.setattr(epic, "_sigmoid", sigmoid)
+    monkeypatch.setattr(epic, "_newton_fit", fit)
+    model = generate_correlated_model(seed=0, s=4, x_size=8)
+    epic.epic_solve(epic.dataset_from_model(model, 4000, 0), 0.5, R, LAM)
+    assert len(steps) > 50
+    assert max(steps) <= MAX_NEWTON_STEPS
