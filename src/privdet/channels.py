@@ -8,8 +8,8 @@ way around ("lip").
 
 Every block step over one sensor's channel, parametric or empirical, is one
 ``solve_channel_lp``: a linear program over the local-budget polytope
-``ldp_polytope`` plus the caller's own rows and variables.  The polytope's
-column and row layout is known only here.
+``ldp_polytope`` plus the caller's own rows over the channel entries.  The
+polytope's column and row layout is known only here.
 
 Every model, mapping and spec file is read by ``read_document``, so a malformed
 one is one ``ModelFormatError`` that names it; ``write_json`` writes every
@@ -256,36 +256,33 @@ def repair_ratio_columns(rows: np.ndarray, eps_ld: float) -> np.ndarray:
 
 
 def solve_channel_lp(shape, eps_ld, cost, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-    """Minimize cost . v over the channels of ``shape`` with local budget at most eps_ld.
+    """Minimize cost . p over the channels p of ``shape`` with local budget at most eps_ld.
 
-    v is the channel p(z | x) flattened as x * z_size + z, then any variables
-    of the caller's own; ``a_ub``/``a_eq`` are extra rows over v.  The LP puts
-    the polytope's envelope columns right after the channel entries and its
-    rows above the extra ones.  Returns the optimal rows repaired by
-    ``repair_ratio_columns``; raises LPInfeasible when no channel meets the rows.
+    p is the channel p(z | x) flattened as x * z_size + z; ``a_ub``/``a_eq``
+    are extra rows over p.  The LP puts the polytope's envelope columns
+    after the channel entries and its rows above the extra ones.  Returns
+    the optimal rows repaired by ``repair_ratio_columns``; raises
+    LPInfeasible when no channel meets the rows.
     """
     x_size, z_size = shape
-    nv = x_size * z_size
     poly_eq, poly_beq, poly_ub, poly_bub = ldp_polytope(x_size, z_size, eps_ld)
-    n_cols = poly_eq.shape[1] + np.size(cost) - nv
+    n_env = poly_eq.shape[1] - x_size * z_size
 
-    def widen(a, front):  # a's first ``front`` columns in front, the rest last, zeros between
+    def widen(a):  # zero envelope columns after the channel entries
         a = np.asarray(a, dtype=float)
-        zeros = np.zeros(a.shape[:-1] + (n_cols - a.shape[-1],))
-        return np.concatenate([a[..., :front], zeros, a[..., front:]], axis=-1)
+        return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, n_env)])
 
     def stack(poly, poly_b, extra, extra_b):
-        blocks = [] if poly is None else [(widen(poly, poly.shape[1]), poly_b)]
-        if extra is not None:
-            blocks.append((widen(extra, nv), extra_b))
-        if not blocks:
-            return None, None
-        return np.vstack([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
+        if extra is None:
+            return poly, poly_b
+        if poly is None:
+            return widen(extra), extra_b
+        return np.vstack([poly, widen(extra)]), np.concatenate([poly_b, extra_b])
 
     a_ub, b_ub = stack(poly_ub, poly_bub, a_ub, b_ub)
     a_eq, b_eq = stack(poly_eq, poly_beq, a_eq, b_eq)
-    res = solve_lp(widen(cost, nv), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-    return repair_ratio_columns(res.x[:nv].reshape(x_size, z_size), eps_ld)
+    res = solve_lp(widen(cost), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    return repair_ratio_columns(res.x[:x_size * z_size].reshape(x_size, z_size), eps_ld)
 
 
 # -- documents ----------------------------------------------------------------

@@ -99,6 +99,13 @@ def _parse_count(v) -> int:
     return count
 
 
+def _parse_path(v) -> str | None:
+    """A file path: a nonempty string, or null for none."""
+    if v is not None and not (isinstance(v, str) and v):
+        raise ValueError(f"a file path must be a nonempty string or null, got {v!r}")
+    return v
+
+
 def _parse_arch(v) -> str:
     """An architecture a sweep runs: a key of ``_AXES``."""
     if v not in _AXES:
@@ -130,10 +137,10 @@ SPEC_DEFAULTS = {
 }
 
 #: how a spec key reads its value, or each entry of its grid, by the key's name;
-#: a key not named here reads as its default's number type, or as given
+#: a key not named here reads as its default's number type
 _PARSERS = {
     "architectures": _parse_arch, "eps_i": _parse_eps, "eps_ld": _parse_eps,
-    "seeds": _parse_seed, "seed": _parse_seed,
+    "seeds": _parse_seed, "seed": _parse_seed, "file": _parse_path,
 }
 _NUMBER_PARSERS = {int: _parse_int, float: float}
 
@@ -163,7 +170,7 @@ def _resolve(data, defaults, where=""):
             raise ValueError(f"sweep spec key {name!r} must be a list")
         parse = _PARSERS.get(key) or _NUMBER_PARSERS.get(type(default[0] if grid else default))
         try:
-            out[key] = tuple(map(parse, value)) if grid else parse(value) if parse else value
+            out[key] = tuple(map(parse, value)) if grid else parse(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"sweep spec key {name!r}: {exc}") from None
     return out

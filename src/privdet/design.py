@@ -180,10 +180,14 @@ def block_objective_coefficients(
 def ldp_closed_form_step(
     model: JointModel, rule: FusionRule, channels, t: int, eps_ld: float
 ) -> SensorChannel:
-    """Exact binary-output block minimizer: two-level rows at ratio e^eps.
+    """Binary-output block minimizer over the two-level rows at ratio e^eps.
 
     Rows take the low value 1/(1+e^eps) on the first output exactly when
-    f(0, x) >= f(1, x) (equality included), the high value otherwise.
+    f(0, x) >= f(1, x) (equality included), the high value otherwise.  With
+    P and N the summed positive and negative parts of f(0, x) - f(1, x), this
+    is also the block LP's minimizer exactly when N e^-eps <= P <= N e^eps;
+    outside that band a deterministic constant row (every x sent to one
+    output) is lower, and ``ldp_lp_step`` takes it.
     """
     if rule.z_size != 2:
         raise ValueError("the closed-form step requires a binary output alphabet")

@@ -16,14 +16,14 @@ is the usual per-sensor likelihood-ratio polytope.
 
 The solver runs in two steps: (i) estimate the highest risk floor
 ``theta_star`` attainable by local-budget-feasible channels that still
-leave the public hypothesis learnable, then (ii) minimize the empirical
-public risk subject to the floor ``r * theta_star`` and the local-budget
-constraints, by block coordinate descent over (classifier, per-sensor
-channels, adversaries).  With the weights held fixed, each score is linear
-in one sensor's channel and the regularizer is constant, so channel blocks
-are linear programs on the linearized risks with a backtracking damping
-step on the exact ones.  Each is one ``channels.solve_channel_lp`` over the
-channel entries (and, in the risk-floor search, the floor variable tau).
+leave the public hypothesis learnable, as the better audited of two
+utility-capped starts, then (ii) minimize the empirical public risk subject
+to the floor ``r * theta_star`` and the local-budget constraints, by block
+coordinate descent over (classifier, per-sensor channels, adversaries).
+With the weights held fixed, each score is linear in one sensor's channel
+and the regularizer is constant, so channel blocks are linear programs on
+the linearized risks with a backtracking damping step on the exact ones.
+Each is one ``channels.solve_channel_lp`` over the channel entries.
 """
 
 from __future__ import annotations
@@ -402,16 +402,14 @@ def _capped_path_point(dataset, from_chans, to_chans, f_cap, lam):
     return f_at(hi)[1]
 
 
-def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
-    """Step (i): raise the worst-g adversary risk over the budget polytope.
+def _risk_floor_search(dataset, start_chans, nulled, f_eldp, lam):
+    """Step (i): the better of two capped starts, and its audited worst-g adversary risk.
 
-    Candidate starts are the most-sanitized points meeting the utility cap
+    The starts are the most-sanitized points meeting the utility cap
     f_eldp + UTILITY_SLACK * (log 2 - f_eldp) along two paths from the
     utility-only solution: toward input-independent rows, and toward the
-    per-sensor moment-matched channels ``nulled``.  The better start (by
-    audited worst-g risk) seeds per-sensor maximin linear programs on the
-    loss-linearized risks under the same cap; adversaries and the
-    classifier are refreshed every sweep.
+    per-sensor moment-matched channels ``nulled``.  Returns the one whose
+    best adversaries have the higher lowest risk, and that risk.
     """
     f_cap = f_eldp + UTILITY_SLACK * (LOG2 - f_eldp)
     uniform = list(uniform_mapping(dataset.s, dataset.x_size, Z_SIZE).channels)
@@ -420,30 +418,8 @@ def _risk_floor_search(dataset, start_chans, nulled, f_eldp, eps_ld, lam, cfg):
         _capped_path_point(dataset, nulled, start_chans, f_cap, lam),
     ]
     floors = [_fit_adversaries(dataset, st, lam)[1] for st in starts]
-    chans = starts[int(np.argmax(floors))]
-    # variables: channel entries, then tau; maximize tau
-    c = np.zeros(dataset.x_size * Z_SIZE + 1)
-    c[-1] = -1.0
-    for _ in range(cfg.max_sweeps):
-        sol = _solution(dataset, chans, lam, eps_ld)
-        change = 0.0
-        for t in range(dataset.s):
-            p0 = chans[t].rows
-            h_grad, f_cur, f = _block(dataset, chans, t, sol.coeffs, lam)
-            g_rows, g_offsets, worst = _adversary_block(dataset, chans, t, sol.adversaries, lam)
-            # tau <= each linearized adversary risk; linearized public risk <= f_cap
-            extra = np.pad(np.vstack([-g_rows, h_grad.reshape(-1)]), [(0, 0), (0, 1)])
-            extra[:-1, -1] = 1.0
-            rhs = np.append(g_offsets, f_cap - f_cur + float((h_grad * p0).sum()))
-            cur_min = worst(p0)
-            change += _channel_step(
-                chans, t, eps_ld,
-                lambda p: worst(p) >= cur_min - 1e-12 and f(p) <= f_cap + 1e-9,
-                c, extra, rhs,
-            )
-        if change < CONVERGENCE_TOL:
-            break
-    return chans, _fit_adversaries(dataset, chans, lam)[1]
+    k = int(np.argmax(floors))
+    return starts[k], floors[k]
 
 
 def _moment_nulled_channels(dataset: Dataset, eps_ld: float):
@@ -533,7 +509,7 @@ def epic_solve(
 
     f_eldp = _fit(dataset, eldp_chans, lam)[1]
     nulled = _moment_nulled_channels(dataset, eps_ld)
-    chans_i, theta_star = _risk_floor_search(dataset, eldp_chans, nulled, f_eldp, eps_ld, lam, cfg)
+    chans_i, theta_star = _risk_floor_search(dataset, eldp_chans, nulled, f_eldp, lam)
     floor = r * theta_star - cfg.risk_slack
 
     best = _constrained_sweeps(dataset, list(chans_i), theta_star, r, eps_ld, lam, cfg, None)

@@ -283,14 +283,16 @@ def generate_correlated_model(
     p(1, 1) = p(0, 0) = (1 + target_corr) / 4.  Per-sensor conditionals come
     from a shifted-noise family (mean offset -3/-1/+1/+3 per (h, g) cell
     plus uniform noise over five steps), rescaled onto {0, ..., x_size - 1}.
-    ``jitter`` perturbs each sensor's offsets by a seeded uniform amount in
-    [-jitter, jitter] so sensors are not identical; jitter=0 reproduces the
-    family verbatim.
+    ``jitter``, finite and nonnegative, perturbs each sensor's offsets by a
+    seeded uniform amount in [-jitter, jitter] so sensors are not identical;
+    jitter=0 reproduces the family verbatim.
     """
     if x_size < 1:
         raise ValueError(f"x_size must be >= 1, got {x_size}")
     if not -1.0 <= target_corr <= 1.0:
         raise ValueError(f"target_corr must lie in [-1, 1], got {target_corr}")
+    if not 0.0 <= jitter < np.inf:
+        raise ValueError(f"jitter must be a finite nonnegative number, got {jitter}")
     p11 = 0.25 + target_corr * 0.25
     prior = np.array([[p11, 0.5 - p11], [0.5 - p11, p11]])
     prior /= prior.sum()

@@ -302,36 +302,26 @@ def padded_channel_lp(shape, eps_ld, cost, a_ub=None, b_ub=None, a_eq=None, b_eq
     """(c, a_ub, b_ub, a_eq, b_eq) of one channel's block LP, assembled by zero padding.
 
     Arguments as ``privdet.channels.solve_channel_lp``: the caller's arrays
-    run over the channel entries, then its own variables.  Each is padded
-    with zero columns to the width of ``ldp_polytope`` plus the own
-    variables, which are moved after the envelope columns (as a risk
-    floor's tau is), and the polytope's rows go above the extra rows: the
-    block LPs as the design and EPIC steps assembled them by hand.
+    run over the channel entries.  Each is padded with zero columns to the
+    width of ``ldp_polytope``, and the polytope's rows go above the extra
+    rows: the block LPs as the design and EPIC steps assembled them by hand.
     """
     x_size, z_size = shape
-    nv = x_size * z_size
     p_eq, p_beq, p_ub, p_bub = ldp_polytope(x_size, z_size, eps_ld)
-    n_own = len(cost) - nv
-    n_cols = p_eq.shape[1] + n_own
+    n_cols = p_eq.shape[1]
 
     def pad(a):  # zero columns appended up to n_cols
-        return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, n_cols - a.shape[-1])])
-
-    def place(a):  # the channel entries in front, the own variables last
         a = np.asarray(a, dtype=float)
-        out = pad(a[..., :nv])
-        if n_own:
-            out[..., -n_own:] = a[..., nv:]
-        return out
+        return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, n_cols - a.shape[-1])])
 
     def with_polytope_rows(rows, rhs, poly, poly_rhs):
         if rows is None:
-            return (None, None) if poly is None else (pad(poly), poly_rhs)
+            return poly, poly_rhs
         if poly is None:
-            return place(rows), rhs
-        return np.vstack([pad(poly), place(rows)]), np.concatenate([poly_rhs, rhs])
+            return pad(rows), rhs
+        return np.vstack([poly, pad(rows)]), np.concatenate([poly_rhs, rhs])
 
-    return (place(cost), *with_polytope_rows(a_ub, b_ub, p_ub, p_bub),
+    return (pad(cost), *with_polytope_rows(a_ub, b_ub, p_ub, p_bub),
             *with_polytope_rows(a_eq, b_eq, p_eq, p_beq))
 
 

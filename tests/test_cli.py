@@ -282,6 +282,9 @@ def test_sweep_with_a_failing_group_writes_its_error_row_and_exits_nonzero(tmp_p
     ({"design": {"restarts": 1.9}}, "design.restarts"),
     ({"seeds": [1.5]}, "seeds"),
     ({"model": {"generator": {"seed": 1.5}}}, "model.generator.seed"),
+    ({"model": {"file": 0}}, "model.file"),
+    ({"model": {"file": ""}}, "model.file"),
+    ({"model": {"file": 7}}, "model.file"),
 ])
 def test_sweep_spec_rejects_unknown_keys(tmp_path, fields, key):
     """Unknown keys and entries of the wrong kind or value are named; the sweep exits 2 before any work."""
@@ -407,12 +410,16 @@ def _bad_input(tmp_path, case):
         message = f"[Errno 2] No such file or directory: {str(out)!r}"
     elif case.endswith("size 0"):
         message = "x_size must be >= 1, got 0"
+    elif "jitter" in case:
+        message = f"jitter must be a finite nonnegative number, got {case.split()[-1]}"
     else:
         message = no_file
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"model": {"file": str(missing)}}))
     no_symbols = tmp_path / "no-symbols.json"
     no_symbols.write_text(json.dumps({"model": {"generator": {"x_size": 0}}}))
+    negative_jitter = tmp_path / "negative-jitter.json"
+    negative_jitter.write_text(json.dumps({"model": {"generator": {"jitter": -1}}}))
     argv = {
         "report --model": ["report", "--model", str(missing), "--mapping", str(mapping)],
         "report --mapping": ["report", "--model", str(model), "--mapping", str(missing)],
@@ -424,6 +431,8 @@ def _bad_input(tmp_path, case):
         "gen-model --out": ["gen-model"],
         "gen-model --x-size 0": ["gen-model", "--x-size", "0"],
         "sweep generator x_size 0": ["sweep", "--spec", str(no_symbols)],
+        "gen-model --jitter nan": ["gen-model", "--jitter", "nan"],
+        "sweep generator jitter -1.0": ["sweep", "--spec", str(negative_jitter)],
     }.get(case, ["report", "--model", str(model), "--mapping", str(mapping)])
     return argv + ["--out", str(out)], f"privdet {argv[0]}: {message}\n"
 
@@ -432,7 +441,7 @@ def _bad_input(tmp_path, case):
     "two-channel mapping", "model lacks a field", "table over the cap", "report --model",
     "report --mapping", "design --model", "design --eps-i 0", "sweep --spec",
     "sweep model.file", "epic --train", "gen-model --out", "gen-model --x-size 0",
-    "sweep generator x_size 0",
+    "sweep generator x_size 0", "gen-model --jitter nan", "sweep generator jitter -1.0",
 ])
 def test_a_bad_input_file_is_a_usage_error(tmp_path, capsys, case):
     """Exit 2 with the library's message and no output, not a traceback."""

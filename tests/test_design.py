@@ -206,6 +206,36 @@ def test_closed_form_matches_lp_at_converged_states():
         assert abs(diff) <= 1e-8
 
 
+def test_closed_form_is_the_block_lp_optimum_only_inside_its_band():
+    """With P and N the summed positive and negative parts of f(0, x) - f(1, x), the
+    two-level rows are the block LP's optimum when N e^-eps <= P <= N e^eps; outside
+    that band the LP's optimum is the lower deterministic constant row."""
+    rng = np.random.default_rng(0)
+    regimes = {True: 0, False: 0}
+    for k in range(40):  # 40 draws give 303 blocks, 9 of them outside the band
+        s, x_size = int(rng.integers(2, 4)), int(rng.integers(2, 6))
+        model = random_model(rng, s, x_size, 1)
+        chans = list(random_mapping(k, s, x_size, 2).channels)
+        rule = rule_of(model, chans)
+        for eps, t in itertools.product((0.5, 1.0, 2.0), range(s)):
+            f = block_objective_coefficients(model, rule, chans, t)
+            d = f[0] - f[1]
+            pos, neg = d[d > 0].sum(), -d[d < 0].sum()
+            cf = block_value(f, ldp_closed_form_step(model, rule, chans, t, eps))
+            lp_step = ldp_lp_step(model, rule, chans, t, eps)
+            lp = block_value(f, lp_step)
+            inside = neg * math.exp(-eps) <= pos <= neg * math.exp(eps)
+            regimes[inside] += 1
+            if inside:
+                assert cf == pytest.approx(lp, abs=1e-9)
+            else:
+                first = lp_step.rows[:, 0]
+                assert np.isin(first, (0.0, 1.0)).all() and (first == first[0]).all()
+                assert lp == pytest.approx(f[1].sum() + min(0.0, pos - neg), abs=1e-12)
+                assert lp < cf - 1e-6
+    assert regimes == {True: 294, False: 9}
+
+
 # -- full designs -----------------------------------------------------------------
 
 

@@ -112,9 +112,8 @@ def test_an_infinite_local_budget_solves_without_ratio_rows(solver, monkeypatch)
         assert sol.theta_achieved == pytest.approx(_worst_adversary_risk(sol, data), abs=1e-8)
     else:
         sol = epic.eldp_solve(data, math.inf, LAM, cfg)
-    n_entries = data.x_size * 2
-    n_extra = len(data.present_g_values()) + 1  # adversary rows and the utility cap
-    assert lps and all(n in (n_entries, n_entries + 1) and rows <= n_extra for n, rows in lps)
+    n_entries, n_extra = data.x_size * 2, len(data.present_g_values())  # one row per adversary
+    assert lps and all(n == n_entries and rows <= n_extra for n, rows in lps)
     for rows in _rows(sol.mapping):
         assert rows.min() >= 0.0 and np.allclose(rows.sum(axis=1), 1.0)
     assert sol.eps_ld == math.inf
@@ -148,6 +147,35 @@ def test_the_empirical_solvers_read_no_output_size():
     names |= {a.arg for n in ast.walk(tree) if isinstance(n, ast.arguments) for a in n.args}
     assert "z_size" not in names
     assert epic.Z_SIZE == 2
+
+
+def test_theta_star_is_the_better_audited_capped_start():
+    """Step (i) returns the higher audited floor of its two capped starts, here log 2:
+    the better start leaves no adversary better than a coin."""
+    model = generate_correlated_model(seed=4, s=4, x_size=8)
+    data = epic.dataset_from_model(model, 40, 0)
+    eps_ld = 3.0
+    sol = epic.epic_solve(data, eps_ld, R, LAM)
+    _, eldp_chans = epic._eldp_start(data, eps_ld, LAM, None)
+    f_eldp = epic._fit(data, eldp_chans, LAM)[1]
+    f_cap = f_eldp + epic.UTILITY_SLACK * (epic.LOG2 - f_eldp)
+    uniform = list(channels.uniform_mapping(data.s, data.x_size, epic.Z_SIZE).channels)
+    floors = [
+        epic._fit_adversaries(data, epic._capped_path_point(data, src, eldp_chans, f_cap, LAM), LAM)[1]
+        for src in (uniform, epic._moment_nulled_channels(data, eps_ld))
+    ]
+    assert sol.theta_star == max(floors)
+    assert max(floors) == pytest.approx(math.log(2), abs=1e-9)
+
+
+def test_the_risk_floor_search_solves_no_lp():
+    """Step (i) audits its capped starts; it takes no block step and refits no solution."""
+    tree = ast.parse(Path(epic.__file__).read_text(encoding="utf-8"))
+    (search,) = [n for n in tree.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_risk_floor_search"]
+    called = {n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+              for n in ast.walk(search) if isinstance(n, ast.Call)}
+    assert not called & {"_channel_step", "solve_channel_lp", "_solution"}
 
 
 @pytest.mark.parametrize("max_sweeps", [0, -1, 1.5])

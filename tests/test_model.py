@@ -177,6 +177,12 @@ def test_generator_rejects_a_correlation_outside_the_unit_interval(corr):
         generate_correlated_model(seed=0, s=1, x_size=4, target_corr=corr)
 
 
+@pytest.mark.parametrize("jitter", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_generator_rejects_a_negative_or_non_finite_jitter(jitter):
+    with pytest.raises(ValueError, match="jitter must be a finite nonnegative number"):
+        generate_correlated_model(seed=0, s=2, x_size=3, jitter=jitter)
+
+
 def test_sampling_matches_model_frequencies():
     model = generate_correlated_model(seed=3, s=2, x_size=5, target_corr=0.2)
     h, g, x = model.sample(200_000, np.random.default_rng(0))
