@@ -481,16 +481,22 @@ def _utility_stage(model, z_size):
     return chans
 
 
-def _mix_toward_mean(model, rows, weights):
+def _mix_toward_mean(model, rows, weights, memo=None):
     """Blend each sensor toward its column-mean row, keeping ``weights[t]`` on its rows.
 
     Weight 0 makes every sensor input-independent (budget zero), weight 1
     leaves it as it is.  Returns (audited posterior-ratio budget, channels).
+    ``memo``, a dict shared by calls on the same ``rows``, keeps each mixed
+    channel by (sensor, weight), so a call builds only the sensors whose
+    weight it has not seen; the channels are the ones a fresh call builds.
     """
-    mixed = [
-        SensorChannel((1 - w) * np.tile(r.mean(axis=0), (r.shape[0], 1)) + w * r)
-        for w, r in zip(weights, rows)
-    ]
+    memo = {} if memo is None else memo
+    mixed = []
+    for t, (w, r) in enumerate(zip(weights, rows)):
+        key = (t, float(w))
+        if key not in memo:
+            memo[key] = SensorChannel((1 - w) * np.tile(r.mean(axis=0), (r.shape[0], 1)) + w * r)
+        mixed.append(memo[key])
     pushed = push_forward(model, NetworkMapping(tuple(mixed)))
     return metrics.info_privacy_budget(pushed), mixed
 
@@ -509,10 +515,11 @@ def _audited_waterfill(model, eps_i, z_size):
     if math.isinf(eps_i):
         return util
     target = [u.rows for u in util]
+    memo = {}  # each trial moves one sensor's weight: the others' channels are kept
     # Incremental water-filling: repeatedly grant the cheapest affordable
     # marginal step until the budget binds everywhere.
     gammas = np.zeros(model.s)
-    cur_b, _ = _mix_toward_mean(model, target, gammas)
+    cur_b, _ = _mix_toward_mean(model, target, gammas, memo)
     for step in (0.1, 0.02):
         while True:
             candidates = []
@@ -521,14 +528,14 @@ def _audited_waterfill(model, eps_i, z_size):
                     continue
                 trial = gammas.copy()
                 trial[t] = min(1.0, gammas[t] + step)
-                b, _ = _mix_toward_mean(model, target, trial)
+                b, _ = _mix_toward_mean(model, target, trial, memo)
                 if b <= eps_i:
                     candidates.append((b - cur_b, t, trial[t], b))
             if not candidates:
                 break
             _, t, g, cur_b = min(candidates)
             gammas[t] = g
-    return _mix_toward_mean(model, target, gammas)[1]
+    return _mix_toward_mean(model, target, gammas, memo)[1]
 
 
 def _enforce_info_budget(model, chans, eps_i):

@@ -17,7 +17,12 @@ The six budgets:
 
 plus delta_x, the max log prior ratio over neighboring observation vectors.
 I(X; Z) and identifiability read the (X, Z) joint table, whose rows are
-computed only on the support of p(x).
+computed only on the support of p(x), and both read only those rows.
+Identifiability and delta_x are decided from supports where they can be:
+changing one sensor at a time connects all of X^s (a Hamming graph), so
+when the live observation vectors are a proper, nonempty subset, some
+neighboring pair joins a live vector to a dead one and the budget is inf.
+Only where p(x) > 0 everywhere is a table scanned sensor by sensor.
 
 The empirical eps_I of a sample is the information-privacy budget of the
 empirical (G, Z) table: max_abs_log_posterior_ratio of its counts over n.
@@ -152,31 +157,67 @@ def avg_info_leakage(pushed: PushedModel) -> float:
 
 
 def mutual_info_privacy_budget(pushed: PushedModel) -> float:
-    """I(X; Z) in nats; materializes the (X, Z) joint (capped)."""
-    return mutual_information(_joint_xz(pushed))
+    """I(X; Z) in nats, from the rows of the (X, Z) joint on the support of p(x).
+
+    The rows off the support are zero, and numpy's axis-0 sum adds a zero
+    row exactly, so p(z) and the value are the whole table's bit for bit.
+    """
+    return mutual_information(_xz_support_rows(pushed))
 
 
 def identifiability_budget(pushed: PushedModel) -> float:
-    """max log p(x|z)/p(x'|z) over observation vectors differing in one sensor."""
+    """max log p(x|z)/p(x'|z) over observation vectors differing in one sensor.
+
+    A live x is one with a positive cell p(x, z).  When p(x) has zeros, the
+    live x lie among the support rows and the rest are dead; X^s is
+    connected by one-sensor changes, so a live x has a dead neighbor x',
+    and at an output z with p(x, z) > 0 = p(x', z) the ratio is inf.  Only
+    a table with p(x) > 0 everywhere is scanned sensor by sensor.
+    """
     model = pushed.source
-    shaped = _joint_xz(pushed).reshape((model.x_size,) * model.s + (pushed.n_z,))
+    rows = _xz_support_rows(pushed)
+    if rows.shape[0] < model.n_x:
+        return math.inf if rows.any() else 0.0
+    shaped = rows.reshape((model.x_size,) * model.s + (pushed.n_z,))
     return _max_sensor_axis_budget(shaped, model.s)
 
 
 def delta_x(model: JointModel) -> float:
-    """max log p(x)/p(x') over neighboring observation vectors."""
-    return _max_sensor_axis_budget(model.p_x().reshape((model.x_size,) * model.s), model.s)
+    """max log p(x)/p(x') over neighboring observation vectors.
+
+    X^s is connected by one-sensor changes (a Hamming graph), so when p(x)
+    is zero somewhere some x with p(x) > 0 (there is one: p(x) sums to one)
+    has a neighbor x' with p(x') = 0, and the value is inf.  Only a strictly
+    positive p(x) is scanned sensor by sensor.
+    """
+    p_x = model.p_x()
+    if np.count_nonzero(p_x) < p_x.size:
+        return math.inf
+    return _max_sensor_axis_budget(p_x.reshape((model.x_size,) * model.s), model.s)
+
+
+def _xz_support_rows(pushed: PushedModel) -> np.ndarray:
+    """The rows of ``_joint_xz`` on the support of p(x), in order: the whole
+    table when p(x) is positive everywhere."""
+    table = _joint_xz(pushed)
+    support = np.flatnonzero(pushed.source.p_x())
+    return table if support.size == table.shape[0] else table[support]
 
 
 def _joint_xz(pushed: PushedModel) -> np.ndarray:
     """p(x, z) = p(x) p(z|x) over flattened vectors (Z depends on X only).
 
     Only the rows on the support of p(x) are computed: for each such x the
-    sensors' channel rows are multiplied in from sensor 0 up, so every cell
-    is the product a Kronecker product of the channels gives, and the other
-    rows stay zero.  The table is n_x by n_z all the same.  ``full_report``
-    builds it once per consumer (mutual information, identifiability), the
-    two builds the benchmark's tracer test counts.
+    sensors' channel rows are multiplied in from sensor 0 up, one output
+    column of the new sensor at a time, so every cell is the product a
+    Kronecker product of the channels gives, and the other rows stay zero.
+    The table is n_x by n_z all the same, and its consumers (mutual
+    information, identifiability) read it on its support rows.
+    ``full_report`` builds one table per consumer, the two builds the
+    benchmark's tracer test counts.  The cap is on n_x * n_z, not on the
+    support, so no table grows past that size: a support-only cap would let
+    the identity mapping on ``table3_model(4)`` build a 2,257 by 14,641
+    table.
     """
     model = pushed.source
     cells = model.n_x * pushed.n_z
@@ -190,7 +231,11 @@ def _joint_xz(pushed: PushedModel) -> np.ndarray:
     xs = np.unravel_index(support, (model.x_size,) * model.s)
     rows = np.ones((support.size, 1))
     for ch, x_t in zip(pushed.mapping.channels, xs):
-        rows = (rows[:, :, None] * ch.rows[x_t][:, None, :]).reshape(support.size, -1)
+        g = ch.rows[x_t]
+        out = np.empty((support.size, rows.shape[1], g.shape[1]))
+        for j in range(g.shape[1]):
+            np.multiply(rows, g[:, j:j + 1], out=out[:, :, j])
+        rows = out.reshape(support.size, -1)
     table = np.zeros((model.n_x, pushed.n_z))
     table[support] = p_x[support, None] * rows
     return table

@@ -57,8 +57,9 @@ class JointModel:
     """Joint law of (H, G, X_1..X_s) with X_t independent given (H, G).
 
     ``_stages`` holds the stage designs made on this model, so that each is
-    made once per model and input (``design._once_per_model``).  A replaced
-    or reloaded model starts it empty.
+    made once per model and input (``design._once_per_model``), and ``_p_x``
+    the marginal ``p_x`` computed once.  A replaced or reloaded model starts
+    both empty.
     """
 
     s: int
@@ -67,6 +68,7 @@ class JointModel:
     prior: np.ndarray  # (2, 2**q), p(h, g)
     conditionals: tuple  # s tables (2, 2**q, x_size), p(x_t | h, g)
     _stages: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+    _p_x: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s < 1 or self.x_size < 1 or self.q < 1:
@@ -112,9 +114,16 @@ class JointModel:
         return _sensor_product(self.prior[:, :, None], self.conditionals)
 
     def p_x(self) -> np.ndarray:
-        """Marginal over the flattened observation vector."""
-        joint = self.joint_hgx()
-        return joint.sum(axis=(0, 1))
+        """Marginal over the flattened observation vector, read-only.
+
+        Computed from ``joint_hgx`` on the first call and kept: later calls
+        return the same array, so one budget report builds the joint once.
+        """
+        if self._p_x is None:
+            p_x = self.joint_hgx().sum(axis=(0, 1))
+            p_x.setflags(write=False)
+            object.__setattr__(self, "_p_x", p_x)
+        return self._p_x
 
     # -- sampling ---------------------------------------------------------
 

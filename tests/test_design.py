@@ -522,6 +522,22 @@ def test_design_inp_trace_ends_at_the_returned_objective(eps_i):
     assert stage.trace[-1] == bayes_error_H_pushed(push_forward(model, stage.mapping))
 
 
+def test_mix_toward_mean_with_a_shared_memo_matches_a_fresh_call():
+    """Water-fill trials share a memo of mixed channels; each result is a fresh call's."""
+    model = generate_correlated_model(seed=2, s=4, x_size=5)
+    rows = [ch.rows for ch in random_mapping(3, 4, 5, 3).channels]
+    memo, seen = {}, set()
+    weights = np.zeros(4)
+    for t, w in [(0, 0.1), (2, 0.1), (0, 0.2), (3, 0.02), (2, 0.12), (0, 0.1)]:
+        weights[t] = w
+        seen |= set(enumerate(weights.tolist()))
+        shared = design_mod._mix_toward_mean(model, rows, weights, memo)
+        fresh = design_mod._mix_toward_mean(model, rows, weights)
+        assert shared[0] == fresh[0]
+        assert all(a.rows.tobytes() == b.rows.tobytes() for a, b in zip(shared[1], fresh[1]))
+    assert set(memo) == seen  # one channel per (sensor, weight) ever asked for
+
+
 def test_chain_designs_monotone_objective():
     model = generate_correlated_model(seed=14, s=2, x_size=4, target_corr=0.2)
     grid = [0.5, 1.0, 2.0, math.inf]

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from privdet import metrics
+from privdet import metrics, relations
 from privdet.channels import (
     NetworkMapping,
     SensorChannel,
@@ -235,6 +235,69 @@ def test_xz_table_matches_the_kron_table_on_a_positive_model():
     model = random_model(np.random.default_rng(11), 3, 4, 1)
     assert np.all(model.p_x() > 0)
     _assert_xz_table_is_the_kron_table(model)
+
+
+# -- the support rules against the full-table scan ----------------------------------
+
+
+def _box_support_model(rng, s, x_size, q):
+    """A strictly positive random model whose sensor 0 never emits symbol 0."""
+    model = random_model(rng, s, x_size, q)
+    first = model.conditionals[0].copy()
+    first[:, :, 0] = 0.0
+    first /= first.sum(axis=-1, keepdims=True)
+    return JointModel(s, x_size, q, model.prior, (first,) + model.conditionals[1:])
+
+
+def _support_rule_cases():
+    """(model, mapping) pairs from the four families the support rules must match."""
+    rng = np.random.default_rng(24)
+    models = [generate_correlated_model(seed=seed, s=s, x_size=x_size)
+              for seed in range(4) for s in (1, 2, 3, 4) for x_size in (3, 5, 6)]
+    models += [random_model(rng, s, x_size, q)
+               for q in (1, 2) for s in (1, 2, 3) for x_size in (2, 3, 4)]
+    models += [_box_support_model(rng, s, x_size, q)
+               for q in (1, 2) for s in (1, 2, 3) for x_size in (2, 3, 4)]
+    for model in models:
+        s, x_size = model.s, model.x_size
+        mappings = [random_mapping(5, s, x_size, z) for z in (2, 3)]
+        mappings += [relations._random_mapping(rng, 0, s, x_size, z) for z in (2, 3)]
+        mappings.append(identity_mapping(s, x_size))
+        for mapping in mappings:
+            yield model, mapping
+
+
+def test_support_rules_equal_the_full_table_scan():
+    """Each budget is the scan of the whole Kronecker-built table, bit for bit."""
+    verdicts = set()
+    cases = 0
+    for model, mapping in _support_rule_cases():
+        pushed = push_forward(model, mapping)
+        oracle = kron_joint_xz(pushed)
+        shape = (model.x_size,) * model.s
+        eps_id = identifiability_budget(pushed)
+        assert eps_id == metrics._max_sensor_axis_budget(oracle.reshape(shape + (-1,)), model.s)
+        assert mutual_info_privacy_budget(pushed) == mutual_information(oracle)
+        gap = delta_x(model)
+        assert gap == metrics._max_sensor_axis_budget(model.p_x().reshape(shape), model.s)
+        verdicts |= {("id", math.isinf(eps_id)), ("dx", math.isinf(gap))}
+        cases += 1
+    assert cases >= 400
+    assert verdicts == {(k, v) for k in ("id", "dx") for v in (False, True)}
+
+
+def test_a_report_on_a_fresh_model_builds_the_joint_once(monkeypatch):
+    calls = []
+    build = JointModel.joint_hgx
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(JointModel, "joint_hgx", counted)
+    model = generate_correlated_model(seed=2, s=3, x_size=4)
+    full_report(model, random_mapping(1, 3, 4, 2))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("model, mapping", [

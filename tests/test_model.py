@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -262,6 +263,27 @@ def test_immutability():
     model = hand_model()
     with pytest.raises(ValueError):
         model.prior[0, 0] = 0.9
+
+
+def test_p_x_is_computed_once_and_read_only():
+    model = generate_correlated_model(seed=4, s=3, x_size=4)
+    p_x = model.p_x()
+    assert model.p_x() is p_x
+    assert np.array_equal(p_x, model.joint_hgx().sum(axis=(0, 1)))
+    with pytest.raises(ValueError):
+        p_x[0] = 0.5
+
+
+def test_a_replaced_or_reloaded_model_computes_p_x_again(tmp_path):
+    model = generate_correlated_model(seed=4, s=3, x_size=4)
+    p_x = model.p_x()
+    save_model(model, tmp_path / "m.json")
+    for other in (dataclasses.replace(model), load_model(tmp_path / "m.json")):
+        assert other.p_x() is not p_x
+        assert np.array_equal(other.p_x(), p_x)
+    shifted = dataclasses.replace(model, prior=model.prior[::-1])
+    assert np.array_equal(shifted.p_x(), shifted.joint_hgx().sum(axis=(0, 1)))
+    assert not np.array_equal(shifted.p_x(), p_x)
 
 
 @pytest.mark.parametrize("make, message", [
