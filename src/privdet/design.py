@@ -1,8 +1,8 @@
 """Parametric privacy-mapping optimizers.
 
-Four architectures are designed, all from the same block coordinate
-descent skeleton (alternate between the fusion rule and one sensor's
-channel at a time, sweeping sensors in order):
+Four architectures are designed, all from one Gauss-Seidel skeleton,
+``_descend``: alternate between the fusion rule and one sensor's channel at
+a time, sweeping sensors in order, under one set of stop rules.
 
 * ``design_ldp`` -- detection error minimization under a per-sensor local
   ratio budget only.  Binary outputs use an exact closed-form block step;
@@ -61,8 +61,6 @@ ARCHITECTURES = ("ldp", "ill", "lip", "inp")
 CONVERGENCE_TOL = 1e-6
 #: most deterministic quantizers an information-stage LP takes as columns
 PHI_CAP = 4096
-#: most sweeps of the unconstrained utility stage behind the water-filled ``inp`` mapping
-UTILITY_SWEEPS = 30
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,6 +209,43 @@ def ldp_lp_step(
     return SensorChannel(solve_channel_lp(f.shape, eps_ld, f.reshape(-1)))
 
 
+# -- the block descent ----------------------------------------------------------
+
+
+def _descend(model: JointModel, chans, sweeps: int, prepare, block):
+    """The one sweep loop of every parametric stage: (channels, trace, converged, prepared).
+
+    Each sweep reads ``prepare(pushed)`` from the push of the current
+    iterate, sets each sensor t in order to ``block(prepared, channels, t)``,
+    then pushes the new iterate once and scores its detection error.  A
+    sweep whose block step raises ``LPInfeasible``, or whose error rises by
+    more than ``LP_TOL``, is rejected: the descent ends at the last accepted
+    iterate (the start, at sweep 0), whose prepared value it returns (None
+    for the start).  An L1 move below ``CONVERGENCE_TOL`` ends it converged.
+    """
+    pushed = push_forward(model, NetworkMapping(tuple(chans)))
+    trace, kept = [], None
+    for _ in range(sweeps):
+        prepared = prepare(pushed)
+        new = list(chans)  # ``chans`` stays the last accepted iterate
+        try:
+            for t in range(model.s):
+                new[t] = block(prepared, new, t)
+        except LPInfeasible:
+            break
+        pushed = push_forward(model, NetworkMapping(tuple(new)))
+        obj = bayes_error_H_pushed(pushed)
+        if trace and obj > trace[-1] + LP_TOL:
+            break
+        trace.append(obj)
+        kept = prepared
+        change = sum(float(np.abs(c.rows - p.rows).sum()) for c, p in zip(new, chans))
+        chans = new
+        if change < CONVERGENCE_TOL:
+            return chans, trace, True, kept
+    return chans, trace, False, kept
+
+
 # -- local-differential-privacy design ---------------------------------------
 
 
@@ -222,7 +257,7 @@ def design_ldp(
     Runs ``config.restarts`` seeded random starts (plus the mapping of
     ``warm``, an ``ldp`` result, if given) and keeps the best final
     objective.  The objective trace of the winning start is non-increasing
-    per sweep by construction of the block steps.
+    per sweep: ``_descend`` rejects a sweep whose error rises.
     """
     initial = warm.mapping if warm is not None else None
     return _result(model, *_ldp_sweeps(model, config, initial))
@@ -232,9 +267,7 @@ def design_ldp(
 def _ldp_sweeps(model, config, initial):
     """The block sweeps of ``design_ldp``: (mapping, trace, converged) of the best start.
 
-    Each sweep pushes its iterate forward once; the fusion rule of the next
-    sweep is read from the push that scored this one.  ``initial`` is the
-    warm start's mapping, or None.
+    One ``_descend`` per start; ``initial`` is the warm start's mapping, or None.
     """
     eps_ld, z_size = config.eps_ld, config.z_size
     starts: list[list[SensorChannel]] = []
@@ -244,33 +277,19 @@ def _ldp_sweeps(model, config, initial):
         starts.append([SensorChannel(r / r.sum(axis=1, keepdims=True)) for r in raw])
     if initial is not None:
         starts.append(list(initial.channels))
+    step = ldp_closed_form_step if z_size == 2 else ldp_lp_step
+
+    def block(rule, chans, t):
+        return step(model, rule, chans, t, eps_ld)
+
     best = None
-    for chans in starts:
-        chans = list(chans)
-        trace = []
-        converged = False
-        pushed = push_forward(model, NetworkMapping(tuple(chans)))
-        for _ in range(config.max_outer_iters):
-            rule = optimal_rule_from_pushed(pushed)
-            prev_rows = [c.rows for c in chans]
-            for t in range(model.s):
-                if z_size == 2:
-                    chans[t] = ldp_closed_form_step(model, rule, chans, t, eps_ld)
-                else:
-                    chans[t] = ldp_lp_step(model, rule, chans, t, eps_ld)
-            pushed = push_forward(model, NetworkMapping(tuple(chans)))
-            trace.append(bayes_error_H_pushed(pushed))
-            change = sum(
-                float(np.abs(c.rows - p).sum()) for c, p in zip(chans, prev_rows)
-            )
-            if change < CONVERGENCE_TOL:
-                converged = True
-                break
-        candidate = (trace[-1], tuple(chans), tuple(trace), converged)
-        if best is None or candidate[0] < best[0] - 1e-15:
-            best = candidate
-    _, chans, trace, converged = best
-    return NetworkMapping(chans), trace, converged
+    for start in starts:
+        chans, trace, converged, _ = _descend(
+            model, start, config.max_outer_iters, optimal_rule_from_pushed, block
+        )
+        if best is None or trace[-1] < best[1][-1] - 1e-15:
+            best = (NetworkMapping(tuple(chans)), tuple(trace), converged)
+    return best
 
 
 # -- information-privacy stage ------------------------------------------------
@@ -329,51 +348,34 @@ def _stage_column_stats(model, chans, t, cands, rule):
 def design_info_stage(model: JointModel, config: OptimizerConfig) -> InfoStageResult:
     """Detection-error minimization under the per-g risk threshold at ``config.eps_i``.
 
-    Per sweep: refresh the fusion rule and the threshold theta (which
-    depends on the current mapping through c_G), then solve one LP per
-    sensor over mixtures of deterministic quantizers plus the incumbent
-    channel.  Starts from the lowest-error start that meets its own
-    threshold (see ``_info_stage_start``); when a threshold update makes a
-    block step infeasible, the last accepted iterate (the start, at sweep 0)
-    is kept.  Each iterate is pushed forward once.  Before returning, the
-    mapping is audited against the posterior-ratio budget and, if
-    numerically short, shrunk toward an input-independent channel until the
-    audit passes.  The shrink garbles each sensor's output, so it can only
-    raise the min risks, and the profile reports the (c_G, theta) pair
-    enforced by the last accepted sweep (or the start).
+    A ``_descend`` from ``_info_stage_start``: per sweep, refresh the fusion
+    rule and the threshold theta (which depends on the current mapping
+    through c_G), then solve one LP per sensor over mixtures of
+    deterministic quantizers plus the incumbent channel.  The mapping is
+    then audited against the posterior-ratio budget and, if numerically
+    short, shrunk toward an input-independent channel until the audit
+    passes.  The shrink garbles each sensor's output, so it can only raise
+    the min risks, and the profile reports the (c_G, theta) pair enforced by
+    the last accepted sweep (or the start).
     """
     eps_i = config.eps_i
     if eps_i <= 0:
         raise ValueError("eps_i must be positive")
     cands = _deterministic_candidates(model.x_size, config.z_size, config.seed)
-    chans, enforced, pushed = _info_stage_start(model, eps_i, config.z_size)
-    trace: list[float] = []
-    converged = False
-    for _ in range(config.max_outer_iters):
-        rule = optimal_rule_from_pushed(pushed)
-        c_g, th = _risk_floor(pushed, eps_i)
-        new = list(chans)  # ``chans`` stays the last accepted iterate
-        try:
-            for t in range(model.s):
-                cols = np.concatenate([cands, new[t].rows[None, :, :]], axis=0)
-                err, risks = _stage_column_stats(model, new, t, cols, rule)
-                nu = _solve_mixture_lp(err, risks, th)
-                rows = np.einsum("c,cxy->xy", nu, cols)
-                rows = np.clip(rows, 0.0, None)
-                new[t] = SensorChannel(rows / rows.sum(axis=1, keepdims=True))
-        except LPInfeasible:
-            break
-        pushed = push_forward(model, NetworkMapping(tuple(new)))
-        obj = bayes_error_H_pushed(pushed)
-        if trace and obj > trace[-1] + LP_TOL:
-            break
-        trace.append(obj)
-        enforced = (c_g, th)
-        change = sum(float(np.abs(c.rows - p.rows).sum()) for c, p in zip(new, chans))
-        chans = new
-        if change < CONVERGENCE_TOL:
-            converged = True
-            break
+    start, floor = _info_stage_start(model, eps_i, config.z_size)
+
+    def prepare(pushed):
+        return optimal_rule_from_pushed(pushed), _risk_floor(pushed, eps_i)
+
+    def block(prepared, chans, t):
+        rule, (_, th) = prepared
+        cols = np.concatenate([cands, chans[t].rows[None, :, :]], axis=0)
+        err, risks = _stage_column_stats(model, chans, t, cols, rule)
+        rows = np.clip(np.einsum("c,cxy->xy", _solve_mixture_lp(err, risks, th), cols), 0.0, None)
+        return SensorChannel(rows / rows.sum(axis=1, keepdims=True))
+
+    chans, trace, converged, kept = _descend(model, start, config.max_outer_iters, prepare, block)
+    enforced = floor if kept is None else kept[1]
     chans = _enforce_info_budget(model, chans, eps_i)
     mapping = NetworkMapping(tuple(chans))
     pushed = push_forward(model, mapping)
@@ -409,12 +411,13 @@ def _likelihood_sign_quantizers(model, z_size) -> list[SensorChannel]:
 def _info_stage_start(model, eps_i, z_size):
     """Lowest-error start that meets its own sweep-0 risk floor.
 
-    Candidates are the constant quantizers (risk 1/2, always feasible), the
+    Candidates are the constant quantizers (risk exactly 1/2 >= theta, so
+    taken untested: their push may round below a theta of 1/2), the
     likelihood-sign quantizers and, when z_size >= x_size, the injective
     quantizer x -> x, which by data processing no mapping beats once the
     floor is vacuous.  An all-constant start alone is a degenerate fixed
     point: the fusion rule is constant, so every LP column has one error.
-    Returns the start channels, their (c_G, theta) pair and their push-forward.
+    Returns the start channels and their (c_G, theta) pair.
     """
     const = np.zeros((model.x_size, z_size))
     const[:, 0] = 1.0
@@ -425,12 +428,12 @@ def _info_stage_start(model, eps_i, z_size):
     for chans in starts:
         pushed = push_forward(model, NetworkMapping(tuple(chans)))
         c_g, th = _risk_floor(pushed, eps_i)
-        if any(r < th for r in _min_risks(pushed).values()):
+        if best is not None and any(r < th for r in _min_risks(pushed).values()):
             continue
         err = bayes_error_H_pushed(pushed)
         if best is None or err < best[0]:
-            best = (err, chans, (c_g, th), pushed)
-    return list(best[1]), best[2], best[3]
+            best = (err, chans, (c_g, th))
+    return list(best[1]), best[2]
 
 
 def _solve_mixture_lp(err, risks, th):
@@ -456,29 +459,24 @@ def _min_risks(pushed: PushedModel) -> dict:
     return {g: float(r) for g, r in risks.items()}
 
 
-def _utility_stage(model, z_size):
+def _utility_stage(model, config):
     """Detection-error minimization with no privacy constraint at all.
 
-    Per sweep each sensor takes the error-minimizing deterministic
-    quantizer given the rest: each x goes to the output of least
-    ``block_objective_coefficients`` f(z, x), ties to the lowest z.  Used as
-    the relaxation target below.  Initialized from per-sensor likelihood-sign
-    quantizers (an all-constant start is a degenerate fixed point).
+    A ``_descend`` in which each sensor takes the error-minimizing
+    deterministic quantizer given the rest: each x goes to the output of
+    least ``block_objective_coefficients`` f(z, x), ties to the lowest z.
+    Used as the relaxation target below.  Initialized from per-sensor
+    likelihood-sign quantizers (an all-constant start is a degenerate fixed
+    point).
     """
-    chans = _likelihood_sign_quantizers(model, z_size)
-    prev_obj = np.inf
-    pushed = push_forward(model, NetworkMapping(tuple(chans)))
-    for _ in range(UTILITY_SWEEPS):
-        rule = optimal_rule_from_pushed(pushed)
-        for t in range(model.s):
-            f = block_objective_coefficients(model, rule, chans, t)
-            chans[t] = SensorChannel(np.eye(z_size)[np.argmin(f, axis=0)])
-        pushed = push_forward(model, NetworkMapping(tuple(chans)))
-        obj = bayes_error_H_pushed(pushed)
-        if obj >= prev_obj - 1e-12:
-            break
-        prev_obj = obj
-    return chans
+    eye = np.eye(config.z_size)
+
+    def block(rule, chans, t):
+        f = block_objective_coefficients(model, rule, chans, t)
+        return SensorChannel(eye[np.argmin(f, axis=0)])
+
+    start = _likelihood_sign_quantizers(model, config.z_size)
+    return _descend(model, start, config.max_outer_iters, optimal_rule_from_pushed, block)[0]
 
 
 def _mix_toward_mean(model, rows, weights, memo=None):
@@ -501,7 +499,7 @@ def _mix_toward_mean(model, rows, weights, memo=None):
     return metrics.info_privacy_budget(pushed), mixed
 
 
-def _audited_waterfill(model, eps_i, z_size):
+def _audited_waterfill(model, config):
     """Direct utility-vs-budget allocation for the no-data-privacy design.
 
     Starting from input-independent channels (budget zero), each sensor is
@@ -511,7 +509,7 @@ def _audited_waterfill(model, eps_i, z_size):
     no budget and gets passed through close to raw, which is exactly why a
     design without a data-privacy constraint leaks data privacy.
     """
-    util = _utility_stage(model, z_size)
+    eps_i, util = config.eps_i, _utility_stage(model, config)
     if math.isinf(eps_i):
         return util
     target = [u.rows for u in util]
@@ -595,9 +593,15 @@ def design_lip(
     """Local stage at the full local budget, then an information stage on
     its output; post-processing keeps the composed local budget intact.
 
-    ``warm``, a ``lip`` result, offers its local stage as a start."""
+    A stage 2 garbles stage 1's output, so by data processing none errs less
+    than the identity: when stage 1's audited posterior-ratio budget already
+    meets eps_I, stage 2 is the identity, with stage 1's trace and no risk
+    profile.  ``warm``, a ``lip`` result, offers its local stage as a start."""
     initial = warm.mapping.stage1 if warm is not None else None
-    stage1, _, converged = _ldp_sweeps(model, config, initial)
+    stage1, trace, converged = _ldp_sweeps(model, config, initial)
+    if metrics.info_privacy_budget(push_forward(model, stage1)) <= config.eps_i:
+        identity = NetworkMapping((SensorChannel(np.eye(config.z_size)),) * model.s)
+        return _result(model, TwoStageMapping(stage1, identity, "lip"), trace, converged)
     y_model = push_forward_model(model, stage1)
     info = design_info_stage(y_model, config)
     two = TwoStageMapping(stage1, info.mapping, "lip")
@@ -614,7 +618,7 @@ def design_inp(model: JointModel, config: OptimizerConfig) -> DesignResult:
     it, so ``profile`` is None; otherwise it is the information stage's.
     """
     info = design_info_stage(model, config)
-    filled = NetworkMapping(tuple(_audited_waterfill(model, config.eps_i, config.z_size)))
+    filled = NetworkMapping(tuple(_audited_waterfill(model, config)))
     err_fill = bayes_error_H_pushed(push_forward(model, filled))
     if err_fill <= info.trace[-1]:  # the stage's trace ends at its mapping's error
         return _result(model, filled, info.trace + (err_fill,), info.converged)

@@ -499,7 +499,7 @@ def epic_solve(
     r * theta_star, running the block descent from the step-(i) mapping
     and from a per-sensor moment-matched start, then polishing along the
     blend toward the utility-only mapping; the best audited-feasible
-    iterate wins.
+    iterate wins (the step-(i) start qualifies: its audit is theta_star).
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"the floor ratio r must lie in (0, 1), got {r}")
@@ -517,15 +517,11 @@ def epic_solve(
 
     # One-dimensional polish: audited-feasible blends toward the
     # utility-only mapping often dominate the block iterates.
-    anchor = list(best.mapping.channels) if best is not None else chans_i
+    anchor = list(best.mapping.channels)
     for beta in np.linspace(0.1, 0.9, 9):
         blend = _blend(anchor, eldp_chans, beta)
         trial = [SensorChannel(repair_ratio_columns(c.rows, eps_ld)) for c in blend]
         best = _better(best, _solution(dataset, trial, lam, eps_ld, theta_star, r), floor)
-    if best is None:
-        # The step-(i) mapping satisfies the floor by construction; fall
-        # back to it outright (reported as a solver defect upstream).
-        best = _solution(dataset, chans_i, lam, eps_ld, theta_star, r)
     return best
 
 

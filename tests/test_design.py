@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import itertools
 import math
+import pathlib
 import types
 
 import numpy as np
@@ -324,15 +326,15 @@ def test_design_info_stage_budget_audit_holds():
 
 
 @pytest.mark.parametrize("z_size", [2, 3])
-def test_utility_step_takes_the_least_error_quantizer(monkeypatch, z_size):
+def test_utility_step_takes_the_least_error_quantizer(z_size):
     """One utility sweep: each sensor's step errs as little as the best of all z^x quantizers."""
-    monkeypatch.setattr(design_mod, "UTILITY_SWEEPS", 1)
+    cfg = OptimizerConfig(z_size=z_size, max_outer_iters=1)
     rng = np.random.default_rng(40 + z_size)
     for x_size in (2, 3, 4, 5):
         model = random_model(rng, 2, x_size, 1)
         start = design_mod._likelihood_sign_quantizers(model, z_size)
         rule = rule_of(model, start)  # the one sweep's rule
-        stepped = design_mod._utility_stage(model, z_size)
+        stepped = design_mod._utility_stage(model, cfg)
         for t in range(model.s):
             others = stepped[:t] + start[t:]  # sensors before t already stepped
 
@@ -432,7 +434,7 @@ def test_design_info_stage_keeps_its_start_when_no_sweep_step_is_feasible(monkey
     """An infeasible block LP at sweep 0 ends the descent at the start, which meets its floor."""
     model = generate_correlated_model(seed=5, s=2, x_size=3, target_corr=0.4)
     cfg = OptimizerConfig(eps_i=0.5, seed=1)
-    start, enforced, _ = design_mod._info_stage_start(model, cfg.eps_i, cfg.z_size)
+    start, enforced = design_mod._info_stage_start(model, cfg.eps_i, cfg.z_size)
 
     def infeasible(err, risks, th):
         raise LPInfeasible("no mixture meets the floor")
@@ -444,6 +446,77 @@ def test_design_info_stage_keeps_its_start_when_no_sweep_step_is_feasible(monkey
     assert (res.profile.c_g, res.profile.theta) == enforced
     assert len(res.trace) == 1 and not res.converged
 
+
+
+@pytest.mark.parametrize("eps_i", [1e-20, 1e-16])
+def test_info_stage_starts_where_theta_rounds_to_one_half(eps_i):
+    """At a vanishing budget theta is 1/2; the constant start, of risk exactly 1/2, still starts."""
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        model = random_model(rng, int(rng.integers(1, 4)), int(rng.integers(2, 6)), 1)
+        res = design_info_stage(model, OptimizerConfig(eps_i=eps_i, max_outer_iters=5))
+        assert metrics.info_privacy_budget(push_forward(model, res.mapping)) <= 1e-15
+
+
+def _descent_model():
+    model = generate_correlated_model(seed=1, s=2, x_size=3)
+    sign = design_mod._likelihood_sign_quantizers(model, 2)
+    return model, list(random_mapping(3, model.s, model.x_size, 2).channels), sign
+
+
+def test_descend_rejects_a_sweep_whose_error_rises():
+    """Sweep 0 moves to the sign quantizers; sweep 1 blinds every sensor and is rejected."""
+    model, start, sign = _descent_model()
+    blind = SensorChannel(np.array([[1.0, 0.0]] * model.x_size))
+    sign_err = error_h(model, NetworkMapping(tuple(sign)))
+    assert sign_err < min(model.prior.sum(axis=1)) - 1e-3  # the blind sweep's error is higher
+    sweeps = []
+
+    def prepare(pushed):
+        sweeps.append(pushed)
+        return len(sweeps) - 1
+
+    def block(k, chans, t):
+        return sign[t] if k == 0 else blind
+
+    chans, trace, converged, kept = design_mod._descend(model, start, 10, prepare, block)
+    assert chans == sign and trace == [sign_err] and not converged and kept == 0
+    assert len(sweeps) == 2
+
+
+def test_descend_keeps_its_start_when_sweep_zero_is_infeasible():
+    model, start, _ = _descent_model()
+
+    def block(prepared, chans, t):
+        raise LPInfeasible("no step")
+
+    assert design_mod._descend(model, start, 10, lambda p: "rule", block) == (start, [], False, None)
+
+
+def test_descend_ends_converged_on_an_unchanged_sweep():
+    model, start, _ = _descent_model()
+    chans, trace, converged, kept = design_mod._descend(
+        model, start, 10, lambda p: "rule", lambda prepared, chans, t: chans[t]
+    )
+    assert chans == start and converged and kept == "rule"
+    assert trace == [error_h(model, NetworkMapping(tuple(start)))]
+
+
+def test_only_the_descent_holds_the_stop_rules():
+    """No function of ``design`` but ``_descend`` reads CONVERGENCE_TOL or catches LPInfeasible."""
+    tree = ast.parse(pathlib.Path(design_mod.__file__).read_text(encoding="utf-8"))
+    holders = set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id == "CONVERGENCE_TOL":
+                holders.add((fn.name, "CONVERGENCE_TOL"))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and "LPInfeasible" in {
+                n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)
+            }:
+                holders.add((fn.name, "LPInfeasible"))
+    assert holders == {("_descend", "CONVERGENCE_TOL"), ("_descend", "LPInfeasible")}
 
 def test_design_ill_budget_audits():
     model = generate_correlated_model(seed=9, s=2, x_size=3, target_corr=0.2)
@@ -463,6 +536,36 @@ def test_design_lip_budget_audits():
         assert res.report.eps_ldp <= eps_ld + 1e-9
         assert res.report.eps_info <= eps_i + 1e-9
 
+
+
+def test_design_lip_keeps_a_local_stage_that_meets_eps_i_on_the_s6_bench_cell():
+    """The bench's s=6 local stage at eps_LD 0.5 audits at eps_info 0.608 <= 1, so lip is ldp."""
+    model = generate_correlated_model(seed=0, s=6, x_size=6)
+    cfg = OptimizerConfig(eps_i=1.0, seed=1)
+    lip, ldp = (chain_designs(model, arch, [0.5, 1.0], cfg)[0] for arch in ("lip", "ldp"))
+    assert ldp.report.eps_info <= 1.0
+    assert lip.objective == pytest.approx(0.33110503965176696, abs=1e-12)
+    assert lip.objective == pytest.approx(ldp.objective, abs=1e-12)
+    assert lip.profile is None and lip.converged == ldp.converged
+    for ch in lip.mapping.stage2.channels:
+        assert np.array_equal(ch.rows, np.eye(2))
+
+
+def test_design_lip_objective_is_its_local_stage_error_when_that_meets_eps_i():
+    rng = np.random.default_rng(7)
+    met = 0
+    for k in range(12):
+        model = random_model(rng, int(rng.integers(1, 4)), int(rng.integers(2, 6)), 1)
+        for eps_i in (0.3, 1.0):
+            cfg = OptimizerConfig(eps_i=eps_i, eps_ld=1.0, seed=k, restarts=2, max_outer_iters=30)
+            ldp = design_ldp(model, cfg)
+            lip = design_lip(model, cfg)
+            assert lip.objective <= ldp.objective + 1e-12 or ldp.report.eps_info > eps_i
+            if ldp.report.eps_info <= eps_i:
+                met += 1
+                assert lip.objective == pytest.approx(ldp.objective, abs=1e-12)
+                assert lip.trace == ldp.trace
+    assert met >= 6
 
 def test_design_ill_runs_its_local_stage_at_the_full_budget():
     """The composed local budget is bounded by stage 2's alone, so halving it wastes budget."""

@@ -168,6 +168,21 @@ def test_theta_star_is_the_better_audited_capped_start():
     assert max(floors) == pytest.approx(math.log(2), abs=1e-9)
 
 
+
+@pytest.mark.parametrize("data_seed", [0, 1, 2])
+def test_step_ii_audits_the_step_i_start_at_theta_star_exactly(data_seed):
+    """Step (ii)'s first audit of the step-(i) start fits the adversaries step (i) fitted, so
+    it reads theta_star bit for bit and clears every floor r * theta_star - risk_slack, r < 1."""
+    model = generate_correlated_model(seed=0, s=4, x_size=8)
+    data = epic.dataset_from_model(model, 40, data_seed)
+    for eps_ld in (0.5, 1.0):
+        _, eldp_chans = epic._eldp_start(data, eps_ld, LAM, None)
+        f_eldp = epic._fit(data, eldp_chans, LAM)[1]
+        nulled = epic._moment_nulled_channels(data, eps_ld)
+        chans_i, theta_star = epic._risk_floor_search(data, eldp_chans, nulled, f_eldp, LAM)
+        sol = epic._solution(data, list(chans_i), LAM, eps_ld, theta_star, R)
+        assert sol.theta_achieved == theta_star
+
 def test_the_risk_floor_search_solves_no_lp():
     """Step (i) audits its capped starts; it takes no block step and refits no solution."""
     tree = ast.parse(Path(epic.__file__).read_text(encoding="utf-8"))
