@@ -9,7 +9,9 @@ way around ("lip").
 Every block step over one sensor's channel, parametric or empirical, is one
 ``solve_channel_lp``: a linear program over the local-budget polytope
 ``ldp_polytope`` plus the caller's own rows over the channel entries.  The
-polytope's column and row layout is known only here.
+polytope is a per-output floor plus an excess, one ratio row per entry, and
+has no ratio rows once e^-eps_ld is below ``LP_TOL`` (the ratio repair then
+enforces the budget).  Its column and row layout is known only here.
 
 Every model, mapping and spec file is read by ``read_document``, so a malformed
 one is one ``ModelFormatError`` that names it; ``write_json`` writes every
@@ -24,9 +26,11 @@ import math
 
 import numpy as np
 
-from .simplex import solve_lp
+from .simplex import LP_TOL, solve_lp
 
 ROW_ATOL = 1e-12
+#: the largest finite local budget: e^eps_ld is a float up to it
+MAX_EPS_LD = math.log(np.finfo(float).max)
 
 
 class ModelFormatError(ValueError):
@@ -171,11 +175,10 @@ def uniform_mapping(s: int, x_size: int, z_size: int) -> NetworkMapping:
 def randomized_response(x_size: int, eps: float) -> SensorChannel:
     """Symmetric response channel: keep the symbol w.p. e^eps/(e^eps+k-1).
 
-    Satisfies the local ratio bound with budget exactly ``eps``.
+    Satisfies the local ratio bound with budget exactly ``eps``, which
+    ``check_eps_ld`` must accept.
     """
-    if eps < 0:
-        raise ValueError(f"privacy budget must be nonnegative, got {eps}")
-    if np.isinf(eps):
+    if np.isinf(check_eps_ld(eps)):
         return SensorChannel(np.eye(x_size))
     e = np.exp(eps)
     keep = e / (e + x_size - 1)
@@ -204,36 +207,50 @@ def random_mapping(seed: int, s: int, x_size: int, z_size: int) -> NetworkMappin
     return NetworkMapping(tuple(random_channel(ss, x_size, z_size) for ss in seeds))
 
 
+def check_eps_ld(eps_ld: float) -> float:
+    """``eps_ld`` if it is nonnegative, and inf or at most ``MAX_EPS_LD``; else a ValueError.
+
+    Beyond ``MAX_EPS_LD`` neither e^eps_ld nor a channel's ratio is a float,
+    so no step or audit could tell the budget from inf.
+    """
+    if not eps_ld >= 0:
+        raise ValueError(f"eps_ld must be nonnegative, got {eps_ld}")
+    if math.isfinite(eps_ld) and eps_ld > MAX_EPS_LD:
+        raise ValueError(f"eps_ld must be inf or at most {MAX_EPS_LD:.6f} (where e^eps_ld "
+                         f"is a float), got {eps_ld}")
+    return eps_ld
+
+
 def ldp_polytope(x_size: int, z_size: int, eps_ld: float):
     """Linear constraints of the channels whose local budget is at most eps_ld.
 
-    The ratio bound max_x p(z|x) <= e^eps min_x p(z|x) is lifted: one
-    envelope variable m_z >= 0 per output z and, for every x, the rows
-    m_z - p(z|x) <= 0 and p(z|x) - e^eps m_z <= 0 (2 x z rows, not the
-    x (x - 1) z pairwise ones).  Exact, since m_z = min_x p(z|x) satisfies the
-    rows whenever the bound holds: every LP over it has the same optimum.
+    Each entry of a column within the budget lies between a floor m_z and
+    e^eps m_z (Kairouz, Oh & Viswanath 2016), so p(z|x) = m_z + s(z|x) with
+    s, m >= 0, rows sum_z s(z|x) + sum_z m_z = 1 per x, and one ratio row
+    s(z|x) - (e^eps - 1) m_z <= 0 per entry.  (s, m) -> (p, m) is a bijection
+    onto {m_z <= p(z|x) <= e^eps m_z}, which m_z = min_x p(z|x) meets
+    whenever the bound holds: every LP over it has the same optimum.
 
-    Variables are p(z | x) flattened as x * z_size + z, then m_0 .. m_{z-1}.
-    Returns (a_eq, b_eq, a_ub, b_ub): rows summing to one, then the envelope
-    rows in (z, x) order, lower before upper.  When eps_ld is infinite or
-    x_size < 2 there are no ratio rows (None) and no envelope columns.
+    Variables are s(z | x) flattened as x * z_size + z, then m_0 .. m_{z-1};
+    returns (a_eq, b_eq, a_ub, b_ub), the ratio rows in entry order.  With
+    eps_ld infinite, x_size < 2 or e^-eps_ld below ``LP_TOL`` (the finest
+    ratio the solver resolves) there are no ratio rows (None) and no floor
+    columns: the variables are p, and ``repair_ratio_columns`` meets the budget.
     """
     nv = x_size * z_size
-    lifted = math.isfinite(eps_ld) and x_size >= 2
-    n_cols = nv + z_size if lifted else nv
+    shifted = x_size >= 2 and math.exp(-eps_ld) >= LP_TOL
+    n_cols = nv + z_size if shifted else nv
     a_eq = np.zeros((x_size, n_cols))
     for x in range(x_size):
         a_eq[x, x * z_size:(x + 1) * z_size] = 1.0
+    a_eq[:, nv:] = 1.0
     b_eq = np.ones(x_size)
-    if not lifted:
+    if not shifted:
         return a_eq, b_eq, None, None
-    a_ub = np.zeros((2 * nv, n_cols))
-    k = 2 * np.arange(nv)
-    entry = (np.arange(x_size)[None, :] * z_size + np.arange(z_size)[:, None]).reshape(-1)
-    env = nv + np.repeat(np.arange(z_size), x_size)
-    a_ub[k, env], a_ub[k, entry] = 1.0, -1.0
-    a_ub[k + 1, entry], a_ub[k + 1, env] = 1.0, -math.exp(eps_ld)
-    return a_eq, b_eq, a_ub, np.zeros(2 * nv)
+    a_ub = np.zeros((nv, n_cols))
+    k = np.arange(nv)
+    a_ub[k, k], a_ub[k, nv + k % z_size] = 1.0, -math.expm1(eps_ld)
+    return a_eq, b_eq, a_ub, np.zeros(nv)
 
 
 def repair_ratio_columns(rows: np.ndarray, eps_ld: float) -> np.ndarray:
@@ -258,31 +275,33 @@ def repair_ratio_columns(rows: np.ndarray, eps_ld: float) -> np.ndarray:
 def solve_channel_lp(shape, eps_ld, cost, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
     """Minimize cost . p over the channels p of ``shape`` with local budget at most eps_ld.
 
-    p is the channel p(z | x) flattened as x * z_size + z; ``a_ub``/``a_eq``
-    are extra rows over p.  The LP puts the polytope's envelope columns
-    after the channel entries and its rows above the extra ones.  Returns
-    the optimal rows repaired by ``repair_ratio_columns``; raises
-    LPInfeasible when no channel meets the rows.
+    p is the channel p(z | x) flattened as x * z_size + z; ``cost`` and the
+    extra rows ``a_ub``/``a_eq`` run over p, and go below the polytope's
+    rows.  Returns the optimal rows repaired by ``repair_ratio_columns``;
+    raises LPInfeasible when no channel meets the rows.
     """
     x_size, z_size = shape
+    nv = x_size * z_size
     poly_eq, poly_beq, poly_ub, poly_bub = ldp_polytope(x_size, z_size, eps_ld)
-    n_env = poly_eq.shape[1] - x_size * z_size
+    n_floor = poly_eq.shape[1] - nv
 
-    def widen(a):  # zero envelope columns after the channel entries
+    def over_floor(a):  # over (s, m) with p = s + m: m_z's coefficient sums p(z|x)'s over x
         a = np.asarray(a, dtype=float)
-        return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, n_env)])
+        floor = a.reshape(a.shape[:-1] + (x_size, z_size)).sum(axis=-2)
+        return np.concatenate([a, floor[..., :n_floor]], axis=-1)
 
     def stack(poly, poly_b, extra, extra_b):
         if extra is None:
             return poly, poly_b
         if poly is None:
-            return widen(extra), extra_b
-        return np.vstack([poly, widen(extra)]), np.concatenate([poly_b, extra_b])
+            return over_floor(extra), extra_b
+        return np.vstack([poly, over_floor(extra)]), np.concatenate([poly_b, extra_b])
 
     a_ub, b_ub = stack(poly_ub, poly_bub, a_ub, b_ub)
     a_eq, b_eq = stack(poly_eq, poly_beq, a_eq, b_eq)
-    res = solve_lp(widen(cost), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-    return repair_ratio_columns(res.x[:x_size * z_size].reshape(x_size, z_size), eps_ld)
+    x = solve_lp(over_floor(cost), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq).x
+    rows = x[:nv].reshape(x_size, z_size)
+    return repair_ratio_columns(rows + x[nv:] if n_floor else rows, eps_ld)
 
 
 # -- documents ----------------------------------------------------------------

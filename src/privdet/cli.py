@@ -28,7 +28,7 @@ import numpy as np
 from . import design as design_mod
 from . import epic as epic_mod
 from . import metrics, relations
-from .channels import identity_mapping, load_mapping, read_document, write_json
+from .channels import check_eps_ld, identity_mapping, load_mapping, read_document, write_json
 from .detection import bayes_error_G_pushed, bayes_error_H_pushed
 from .model import (
     JointModel,
@@ -74,6 +74,11 @@ def _parse_eps(v) -> float:
     if not eps >= 0:
         raise ValueError(f"a privacy budget must be a nonnegative number, got {v!r}")
     return eps
+
+
+def _parse_eps_ld(v) -> float:
+    """A local budget: a privacy budget that ``check_eps_ld`` accepts."""
+    return check_eps_ld(_parse_eps(v))
 
 
 def _parse_int(v) -> int:
@@ -139,7 +144,7 @@ SPEC_DEFAULTS = {
 #: how a spec key reads its value, or each entry of its grid, by the key's name;
 #: a key not named here reads as its default's number type
 _PARSERS = {
-    "architectures": _parse_arch, "eps_i": _parse_eps, "eps_ld": _parse_eps,
+    "architectures": _parse_arch, "eps_i": _parse_eps, "eps_ld": _parse_eps_ld,
     "seeds": _parse_seed, "seed": _parse_seed, "file": _parse_path,
 }
 _NUMBER_PARSERS = {int: _parse_int, float: float}
@@ -594,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=design_mod.ARCHITECTURES, required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--eps-i", type=_parse_eps, default=first("eps_i"))
-    p.add_argument("--eps-ld", type=_parse_eps, default=first("eps_ld"))
+    p.add_argument("--eps-ld", type=_parse_eps_ld, default=first("eps_ld"))
     p.add_argument("--seed", type=_parse_seed, default=first("seeds"))
     p.add_argument("--z-size", type=int, default=des["z_size"])
     p.add_argument("--restarts", type=int, default=des["restarts"])
@@ -618,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--q", type=_parse_count, default=1)
     p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--eps-ld", type=_parse_eps, default=first("eps_ld"))
+    p.add_argument("--eps-ld", type=_parse_eps_ld, default=first("eps_ld"))
     p.add_argument("--r", type=float, default=first("r"))
     p.add_argument("--lambda", dest="lam", type=float, default=ep["lambda"])
     p.add_argument("--e-ldp", action="store_true", help="drop the inference-privacy floor")

@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from . import metrics
-from .channels import NetworkMapping, SensorChannel, TwoStageMapping, solve_channel_lp
+from .channels import NetworkMapping, SensorChannel, TwoStageMapping, check_eps_ld, solve_channel_lp
 from .detection import (
     FusionRule,
     PrivacyRiskProfile,
@@ -80,6 +80,7 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not value >= 0:
                 raise ValueError(f"{name!r} must be nonnegative, got {value}")
+        check_eps_ld(self.eps_ld)
         for name in ("z_size", "max_outer_iters", "restarts"):
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and value >= 1):
@@ -195,18 +196,16 @@ def ldp_closed_form_step(
     else:
         e = math.exp(eps_ld)
         lo, hi = 1.0 / (1.0 + e), e / (1.0 + e)
-    first = np.where(f[0] >= f[1], lo, hi)
-    return SensorChannel(np.stack([first, 1.0 - first], axis=1))
+    low_first = (f[0] >= f[1])[:, None]
+    return SensorChannel(np.where(low_first, [lo, hi], [hi, lo]))
 
 
 def ldp_lp_step(
     model: JointModel, rule: FusionRule, channels, t: int, eps_ld: float
 ) -> SensorChannel:
     """Block linear program over one sensor's channel for any output size."""
-    if not eps_ld >= 0:
-        raise ValueError(f"eps_ld must be nonnegative, got {eps_ld}")
     f = block_objective_coefficients(model, rule, channels, t).T
-    return SensorChannel(solve_channel_lp(f.shape, eps_ld, f.reshape(-1)))
+    return SensorChannel(solve_channel_lp(f.shape, check_eps_ld(eps_ld), f.reshape(-1)))
 
 
 # -- the block descent ----------------------------------------------------------

@@ -37,6 +37,7 @@ import numpy as np
 from .channels import (
     NetworkMapping,
     SensorChannel,
+    check_eps_ld,
     repair_ratio_columns,
     solve_channel_lp,
     uniform_mapping,
@@ -334,8 +335,7 @@ def _solution(dataset, chans, lam, eps_ld, theta_star=math.nan, r=0.0) -> EpicSo
 def _eldp_start(dataset, eps_ld, lam, config):
     """(config, channels) of E-LDP, which EPIC starts from: the checked inputs, and the
     block descent of the public risk over local-budget channels from uniform rows."""
-    if not eps_ld >= 0:
-        raise ValueError(f"eps_ld must be nonnegative, got {eps_ld}")
+    check_eps_ld(eps_ld)
     if not lam > 0:
         raise ValueError("lam must be positive")
     cfg = config or EpicConfig()

@@ -14,6 +14,9 @@ keeps the feasible start of the last phase 1, read-only, and a repeat
 solve of the same constraints runs phase 2 from a copy of it.  The result
 is bit for bit what a cold solve gives.  Keep phase 1 independent of ``c``:
 the kept start is only correct while it is.
+
+The cost row is the tableau's last row, and a pivot is one rank-one update
+of the whole tableau: the update of the cold solver in the tests.
 """
 
 from __future__ import annotations
@@ -104,15 +107,15 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LPResult:
         _kept = (key, start)
     if isinstance(start, str):
         raise LPInfeasible(start)
-    tableau, basis = start[0].copy(), start[1].copy()
+    rows, basis = start[0], start[1].copy()
 
     # Phase 2 on structural + slack columns only.
     cost2 = np.concatenate([c, np.zeros(m_ub)])
-    cost_row = _canonical_cost(cost2, tableau, basis)
-    _, phase2 = _iterate(tableau, basis, cost_row, n + m_ub)
+    tableau = np.vstack([rows, _canonical_cost(cost2, rows, basis)])
+    _, phase2 = _iterate(tableau, basis, n + m_ub)
 
     x = np.zeros(n + m_ub)
-    x[basis] = tableau[:, -1]
+    x[basis] = tableau[:-1, -1]
     x = x[:n]
     return LPResult(x, float(c @ x), pivots + phase2)
 
@@ -121,7 +124,7 @@ def _phase_one(a, b, neg, n, m_ub):
     """Feasible start of the normalized constraints: (tableau, basis, pivots).
 
     The tableau holds the structural and slack columns and the right-hand
-    side, with the rows whose artificial stayed basic dropped.
+    side (no cost row), with the rows whose artificial stayed basic dropped.
     """
     m = a.shape[0]
     basis = np.empty(m, dtype=int)
@@ -144,8 +147,8 @@ def _phase_one(a, b, neg, n, m_ub):
     if n_art:
         cost1 = np.zeros(total)
         cost1[n + m_ub:] = 1.0
-        cost_row = _canonical_cost(cost1, tableau, basis)
-        obj1, pivots = _iterate(tableau, basis, cost_row, total)
+        tableau = np.vstack([tableau, _canonical_cost(cost1, tableau, basis)])
+        obj1, pivots = _iterate(tableau, basis, total)
         if obj1 > FEAS_TOL:
             raise LPInfeasible(f"phase-1 optimum {obj1:.3e} > 0")
         pivots += _drive_out_artificials(tableau, basis, n + m_ub)
@@ -163,8 +166,9 @@ def _canonical_cost(cost: np.ndarray, tableau: np.ndarray, basis: np.ndarray) ->
     return row
 
 
-def _iterate(tableau, basis, cost_row, n_cols):
-    """Run Bland-rule pivots until optimal; returns (objective, pivots).
+def _iterate(tableau, basis, n_cols):
+    """Run Bland-rule pivots on a tableau whose last row is the cost row
+    until optimal; returns (objective, pivots).
 
     Entering: lowest-index column with a negative reduced cost.  Leaving:
     among the minimum-ratio rows, the one holding the lowest-index basis
@@ -172,54 +176,46 @@ def _iterate(tableau, basis, cost_row, n_cols):
     degenerate programs produced by the ratio-budget polytopes (whose
     right-hand sides are mostly zero).
     """
-    max_pivots = 50000 + 200 * (tableau.shape[0] + n_cols)
+    cost_row = tableau[-1]
+    max_pivots = 50000 + 200 * (tableau.shape[0] - 1 + n_cols)
     for pivots in range(max_pivots):
         improving = cost_row[:n_cols] < -LP_TOL
         entering = int(np.argmax(improving))
         if not improving[entering]:
             return -cost_row[-1], pivots
-        col = tableau[:, entering]
+        col = tableau[:-1, entering]
         rows = np.flatnonzero(col > PIVOT_EPS)
         if rows.size == 0:
             raise LPUnbounded(f"column {entering} is unbounded")
         ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
         ties = rows[ratios <= ratios.min() + 1e-12]
         leaving = int(ties[np.argmin(basis[ties])])
-        _pivot(tableau, cost_row, leaving, entering)
+        _pivot(tableau, leaving, entering)
         basis[leaving] = entering
     raise LPError("pivot limit exceeded")
 
 
-def _pivot(tableau, cost_row, row, col):
-    """Gauss-Jordan step on the rows with a nonzero entry in ``col``.
-
-    Skipping the other rows changes no finite value: subtracting zero times
-    the pivot row could only flip the sign of a zero, and no pivot choice
-    reads that sign.  The pivot row still subtracts zero times itself, which
-    turns its -0.0 entries into +0.0, so the right-hand side, and the
-    solution read from it, keep every bit of the full update.
-    """
-    pivot_row = tableau[row]
-    pivot_row /= pivot_row[col]
-    pivot_row -= 0.0 * pivot_row
-    rows = np.flatnonzero(tableau[:, col])
-    rows = rows[rows != row]
-    tableau[rows] -= tableau[rows, col][:, None] * pivot_row
-    cost_row -= cost_row[col] * pivot_row
+def _pivot(tableau, row, col):
+    """Gauss-Jordan step as one rank-one update; the pivot row subtracts zero
+    times itself, which turns its -0.0 entries into +0.0."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= factors[:, None] * tableau[row]
 
 
 def _drive_out_artificials(tableau, basis, n_real):
     """Pivot basic artificials onto real columns; returns the pivots made.
 
     Redundant rows stay put (they are dropped by the caller when still
-    artificial-basic).
+    artificial-basic), and so is the phase-1 cost row, the last.
     """
     pivots = 0
-    for i in range(tableau.shape[0]):
+    for i in range(tableau.shape[0] - 1):
         if basis[i] >= n_real:
             for j in range(n_real):
                 if abs(tableau[i, j]) > LP_TOL:
-                    _pivot(tableau, np.zeros(tableau.shape[1]), i, j)
+                    _pivot(tableau, i, j)
                     basis[i] = j
                     pivots += 1
                     break

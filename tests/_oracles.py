@@ -298,21 +298,61 @@ def pairwise_ldp_polytope(x_size, z_size, eps_ld):
     return a_eq, b_eq, np.array(rows), np.zeros(len(rows))
 
 
+def lifted_ldp_polytope(x_size, z_size, eps_ld):
+    """The local-budget polytope over p itself, lifted by one envelope variable per output.
+
+    Variables are p(z | x) flattened as x * z_size + z, then m_0 .. m_{z-1};
+    for every z and x the rows m_z - p(z|x) <= 0 and p(z|x) - e^eps m_z <= 0,
+    in (z, x) order, lower before upper.  Returns (a_eq, b_eq, a_ub, b_ub)
+    (a_ub is None, with no envelope columns, when eps_ld is infinite or
+    x_size < 2).
+    """
+    nv = x_size * z_size
+    lifted = math.isfinite(eps_ld) and x_size >= 2
+    n_cols = nv + z_size if lifted else nv
+    a_eq = np.zeros((x_size, n_cols))
+    for x in range(x_size):
+        a_eq[x, x * z_size:(x + 1) * z_size] = 1.0
+    b_eq = np.ones(x_size)
+    if not lifted:
+        return a_eq, b_eq, None, None
+    a_ub = np.zeros((2 * nv, n_cols))
+    k = 0
+    for z in range(z_size):
+        for x in range(x_size):
+            a_ub[k, nv + z], a_ub[k, x * z_size + z] = 1.0, -1.0
+            a_ub[k + 1, x * z_size + z], a_ub[k + 1, nv + z] = 1.0, -math.exp(eps_ld)
+            k += 2
+    return a_eq, b_eq, a_ub, np.zeros(2 * nv)
+
+
+def floor_coefficients(a, x_size, z_size):
+    """An array over p(z | x) (flattened as x * z_size + z) written over the
+    floor-plus-excess variables of ``ldp_polytope``: its own entries on the
+    excess, then for each floor m_z the sum of its entries p(z | x) over x."""
+    a = np.asarray(a, dtype=float)
+    floor = np.zeros(a.shape[:-1] + (z_size,))
+    for z in range(z_size):
+        for x in range(x_size):
+            floor[..., z] += a[..., x * z_size + z]
+    return np.concatenate([a, floor], axis=-1)
+
+
 def padded_channel_lp(shape, eps_ld, cost, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-    """(c, a_ub, b_ub, a_eq, b_eq) of one channel's block LP, assembled by zero padding.
+    """(c, a_ub, b_ub, a_eq, b_eq) of one channel's block LP over ``ldp_polytope``.
 
     Arguments as ``privdet.channels.solve_channel_lp``: the caller's arrays
-    run over the channel entries.  Each is padded with zero columns to the
-    width of ``ldp_polytope``, and the polytope's rows go above the extra
-    rows: the block LPs as the design and EPIC steps assembled them by hand.
+    run over the channel entries.  Where the polytope has floor columns each
+    array is written over them by ``floor_coefficients``, and the polytope's
+    rows go above the extra rows.
     """
     x_size, z_size = shape
     p_eq, p_beq, p_ub, p_bub = ldp_polytope(x_size, z_size, eps_ld)
-    n_cols = p_eq.shape[1]
+    shifted = p_eq.shape[1] > x_size * z_size
 
-    def pad(a):  # zero columns appended up to n_cols
+    def pad(a):
         a = np.asarray(a, dtype=float)
-        return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, n_cols - a.shape[-1])])
+        return floor_coefficients(a, x_size, z_size) if shifted else a
 
     def with_polytope_rows(rows, rhs, poly, poly_rhs):
         if rows is None:

@@ -28,9 +28,15 @@ from privdet.design import ldp_lp_step
 from privdet.detection import optimal_rule_from_pushed
 from privdet.model import push_forward
 from privdet.relations import random_model
-from privdet.simplex import LPInfeasible, solve_lp
+from privdet.simplex import LP_TOL, LPInfeasible, solve_lp
 
-from _oracles import cold_solve_lp, padded_channel_lp, pairwise_ldp_polytope
+from _oracles import (
+    cold_solve_lp,
+    floor_coefficients,
+    lifted_ldp_polytope,
+    padded_channel_lp,
+    pairwise_ldp_polytope,
+)
 
 
 def test_channel_validation():
@@ -105,6 +111,13 @@ def test_randomized_response_rejects_negative():
         randomized_response(2, -0.5)
 
 
+@pytest.mark.parametrize("eps", [math.nan, 710.0])
+def test_randomized_response_refuses_a_budget_without_a_float_ratio(eps):
+    """Both once gave rows of NaN that passed the channel's own checks."""
+    with pytest.raises(ValueError, match="eps_ld must be"):
+        randomized_response(3, eps)
+
+
 def test_random_channel_deterministic():
     a = random_channel(123, 4, 3)
     b = random_channel(123, 4, 3)
@@ -168,11 +181,12 @@ def test_mapping_json_round_trips(tmp_path):
 
 
 def _lifted_optimum(c, x_size, z_size, eps):
-    """solve_lp over ldp_polytope with objective c on the channel entries."""
+    """(objective, p) of solve_lp over ldp_polytope with objective c on the channel
+    entries p = s + m, written over the floor-plus-excess variables (s, m)."""
     a_eq, b_eq, a_ub, b_ub = ldp_polytope(x_size, z_size, eps)
-    cost = np.zeros(a_eq.shape[1])
-    cost[:c.size] = c
-    return solve_lp(cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    res = solve_lp(floor_coefficients(c, x_size, z_size), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    nv = x_size * z_size
+    return res.objective, (res.x[:nv].reshape(x_size, z_size) + res.x[nv:]).reshape(-1)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0, 3.0])
@@ -184,9 +198,8 @@ def test_lifted_polytope_reaches_the_pairwise_optimum(x_size, z_size, eps):
     for _ in range(3):
         c = rng.normal(size=x_size * z_size)
         ref = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-        res = _lifted_optimum(c, x_size, z_size, eps)
-        assert res.objective == pytest.approx(ref.objective, abs=1e-9)
-        p = res.x[:c.size]
+        objective, p = _lifted_optimum(c, x_size, z_size, eps)
+        assert objective == pytest.approx(ref.objective, abs=1e-9)
         assert float(c @ p) == pytest.approx(ref.objective, abs=1e-9)
         assert np.all(a_ub @ p <= 1e-9)
         assert np.abs(a_eq @ p - b_eq).max() <= 1e-9
@@ -198,10 +211,12 @@ def test_lifted_polytope_matches_scipy_at_x16_z4():
     c = np.random.default_rng(16).normal(size=x_size * z_size)
     ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
     assert ref.status == 0
-    assert _lifted_optimum(c, x_size, z_size, eps).objective == pytest.approx(ref.fun, abs=1e-8)
+    assert _lifted_optimum(c, x_size, z_size, eps)[0] == pytest.approx(ref.fun, abs=1e-8)
 
 
-@pytest.mark.parametrize("x_size, eps", [(1, 1.0), (1, 0.0), (4, math.inf), (1, math.inf)])
+@pytest.mark.parametrize(
+    "x_size, eps", [(1, 1.0), (1, 0.0), (4, math.inf), (1, math.inf), (4, -math.log(LP_TOL) + 1e-6)]
+)
 def test_polytope_without_ratio_rows_has_no_envelope_columns(x_size, eps):
     a_eq, b_eq, a_ub, b_ub = ldp_polytope(x_size, 3, eps)
     assert a_eq.shape == (x_size, 3 * x_size)
@@ -211,14 +226,18 @@ def test_polytope_without_ratio_rows_has_no_envelope_columns(x_size, eps):
 
 def test_polytope_layout_is_channel_entries_then_envelope():
     a_eq, _, a_ub, b_ub = ldp_polytope(3, 2, 1.0)
-    assert a_eq.shape == (3, 8) and a_ub.shape == (12, 8)
-    assert np.array_equal(a_eq[:, 6:], np.zeros((3, 2)))
-    assert np.array_equal(b_ub, np.zeros(12))
-    # rows for (z=1, x=2): m_1 - p(1|2) <= 0 and p(1|2) - e m_1 <= 0
-    k = 2 * (1 * 3 + 2)
-    assert a_ub[k, 7] == 1.0 and a_ub[k, 2 * 2 + 1] == -1.0
-    assert a_ub[k + 1, 2 * 2 + 1] == 1.0 and a_ub[k + 1, 7] == -math.exp(1.0)
-    assert np.count_nonzero(a_ub) == 2 * 12
+    assert a_eq.shape == (3, 8) and a_ub.shape == (6, 8)
+    # every row of the channel sums its excess and all the floors
+    assert np.array_equal(a_eq[:, 6:], np.ones((3, 2)))
+    assert np.array_equal(b_ub, np.zeros(6))
+    # the row of entry (x=2, z=1): s(1|2) - (e - 1) m_1 <= 0
+    k = 2 * 2 + 1
+    assert a_ub[k, k] == 1.0 and a_ub[k, 7] == -math.expm1(1.0)
+    assert np.count_nonzero(a_ub) == 2 * 6
+
+
+def test_polytope_keeps_its_ratio_rows_down_to_lp_tol():
+    assert ldp_polytope(4, 3, -math.log(LP_TOL) - 1e-6)[2].shape == (12, 15)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0, 3.0])
@@ -274,9 +293,56 @@ def test_channel_lp_solves_the_padded_assembly(x_size, z_size, eps, case, monkey
     program = padded_channel_lp((x_size, z_size), eps, cost, **extra)
     (args,) = calls
     assert all(_same_bytes(a, b) for a, b in zip(args, program))
-    ref = cold_solve_lp(*program).x[:x_size * z_size].reshape(x_size, z_size)
+    x, nv = cold_solve_lp(*program).x, x_size * z_size
+    ref = x[:nv].reshape(x_size, z_size)
+    if x.size > nv:  # p = s + m
+        ref = ref + x[nv:]
     assert np.array_equal(rows, repair_ratio_columns(ref, eps))
     assert metrics.ldp_budget(NetworkMapping((SensorChannel(rows),))) <= eps + 1e-12
+
+
+def _lifted_rows(shape, eps, cost, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    """The repaired optimum of the block LP over ``lifted_ldp_polytope``, extra rows zero-padded."""
+    x_size, z_size = shape
+    p_eq, p_beq, p_ub, p_bub = lifted_ldp_polytope(x_size, z_size, eps)
+    width = p_eq.shape[1]
+
+    def pad(a):
+        return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, width - a.shape[-1])])
+
+    if a_ub is not None:
+        p_ub, p_bub = np.vstack([p_ub, pad(a_ub)]), np.concatenate([p_bub, b_ub])
+    if a_eq is not None:
+        p_eq, p_beq = np.vstack([p_eq, pad(a_eq)]), np.concatenate([p_beq, b_eq])
+    x = cold_solve_lp(pad(cost), p_ub, p_bub, p_eq, p_beq).x
+    return repair_ratio_columns(x[:x_size * z_size].reshape(x_size, z_size), eps)
+
+
+@pytest.mark.parametrize("case", ["none", "ub", "eq"])
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("z_size", [2, 3, 4])
+def test_channel_lp_rows_are_the_lifted_lps_repaired_rows(z_size, eps, case):
+    """The floor-plus-excess LP and the envelope-lifted LP pick the same channel."""
+    for x_size in range(2, 12):
+        rng = np.random.default_rng(100 * x_size + 10 * z_size + len(case))
+        cost, extra = _channel_lp_case(case, x_size, z_size, rng)
+        rows = solve_channel_lp((x_size, z_size), eps, cost, **extra)
+        ref = _lifted_rows((x_size, z_size), eps, cost, **extra)
+        assert np.abs(rows - ref).max() <= 1e-12, x_size
+
+
+@pytest.mark.parametrize("eps", [-math.log(LP_TOL) + 1e-6, 25.0, 36.0, 100.0, 700.0])
+@pytest.mark.parametrize("z_size", [2, 3, 4])
+def test_channel_lp_past_its_ratio_rows_is_the_repaired_stochastic_optimum(z_size, eps):
+    """Without ratio rows the repaired optimum meets the budget, within the repair's
+    lift of the row-wise minimum over stochastic rows, a lower bound on the block LP."""
+    for x_size in range(2, 12):
+        cost = np.random.default_rng(10 * x_size + z_size).normal(size=(x_size, z_size))
+        rows = solve_channel_lp((x_size, z_size), eps, cost.reshape(-1))
+        assert metrics.ldp_budget(NetworkMapping((SensorChannel(rows),))) <= eps + 1e-9
+        lift = 2.0 * z_size * np.abs(cost).max() * math.exp(-eps)
+        gap = float((cost * rows).sum()) - cost.min(axis=1).sum()
+        assert -1e-12 <= gap <= x_size * lift + 1e-12
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.7, math.inf])

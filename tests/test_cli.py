@@ -353,6 +353,39 @@ def test_a_negative_seed_flag_is_rejected(tmp_path, capsys, command, inputs):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("z_size", ["2", "3"])
+def test_a_design_at_a_large_budget_meets_it(tmp_path, z_size):
+    model, out = tmp_path / "model.json", tmp_path / "design.json"
+    save_model(generate_correlated_model(seed=1, s=2, x_size=4), model)
+    argv = ["design", "--arch", "ldp", "--model", str(model), "--z-size", z_size, "--eps-ld", "20"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["audit_ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--arch", "ldp", "--z-size", "2", "--model", "m.json"],
+    ["design", "--arch", "lip", "--z-size", "3", "--model", "m.json"],
+    ["epic", "--train", "t.csv", "--test", "t.csv"],
+])
+def test_a_finite_budget_without_a_float_ratio_is_a_usage_error(tmp_path, capsys, argv):
+    """e^eps_ld overflows a float past 709.78: one line and exit 2, before any input is read."""
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--eps-ld", "710", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"privdet {argv[0]}: --eps-ld: eps_ld must be inf or at most 709.782713 "
+        "(where e^eps_ld is a float), got 710.0\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_sweep_with_a_finite_budget_without_a_float_ratio_exits_before_any_work(tmp_path, capsys):
+    spec, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    spec.write_text(json.dumps({"architectures": ["ldp"], "eps_ld": [1.0, 800.0]}))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "sweep spec key 'eps_ld': eps_ld must be inf or at most" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, field", [
     ("--restarts", "restarts"), ("--z-size", "z_size"),
 ])

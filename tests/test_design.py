@@ -11,6 +11,7 @@ import pytest
 from privdet import design as design_mod
 from privdet import metrics
 from privdet.channels import (
+    MAX_EPS_LD,
     NetworkMapping,
     SensorChannel,
     random_mapping,
@@ -206,6 +207,28 @@ def test_closed_form_matches_lp_at_converged_states():
         lp = ldp_lp_step(model, rule, chans, t, eps)
         diff = block_value(f, cf) - block_value(f, lp)
         assert abs(diff) <= 1e-8
+
+
+#: budgets up to the largest finite one; the closed form's second column once
+#: cancelled from about 20 on, and the ratio rows' LP was unbounded from 37 on
+LARGE_EPS_LD = (0.5, 1, 2, 5, 10, 15, 18, 20, 25, 30, 36, 37, 40, 60, 100, 300, 700, MAX_EPS_LD)
+
+
+@pytest.mark.parametrize("z_size", [2, 3])
+def test_ldp_design_meets_every_finite_budget(z_size):
+    """The closed form (z = 2) and the block LP (z = 3) audit within their budget at any eps_LD."""
+    for seed in range(6):
+        model = generate_correlated_model(seed, s=2 + seed % 2, x_size=3 + seed % 3)
+        for eps in LARGE_EPS_LD:
+            res = design_ldp(model, OptimizerConfig(eps_ld=eps, z_size=z_size, restarts=1))
+            assert res.report.eps_ldp <= eps + 1e-9, (seed, eps)
+
+
+@pytest.mark.parametrize("eps", [np.nextafter(MAX_EPS_LD, np.inf), 800.0, 1e300])
+def test_a_budget_past_the_largest_finite_one_is_refused(eps):
+    with pytest.raises(ValueError, match=r"^eps_ld must be inf or at most 709\.78"):
+        OptimizerConfig(eps_ld=eps)
+    assert OptimizerConfig(eps_ld=math.inf).eps_ld == math.inf
 
 
 def test_closed_form_is_the_block_lp_optimum_only_inside_its_band():
