@@ -47,8 +47,8 @@ class SensorChannel:
         rows = np.array(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise ValueError(f"channel matrix must be 2-D and non-empty, got {rows.shape}")
-        if np.any(rows < 0):
-            raise ValueError("channel has a negative entry")
+        if not np.all(rows >= 0):
+            raise ValueError("channel has a negative or NaN entry")
         sums = rows.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > ROW_ATOL):
             bad = int(np.argmax(np.abs(sums - 1.0)))

@@ -542,9 +542,10 @@ def _enforce_info_budget(model, chans, eps_i):
     c_G measured on the evolving mapping, so the final mapping is audited
     directly.  ``_mix_toward_mean`` with one common weight w on every
     sensor's rows reaches budget zero at w = 0, and the largest adequate w
-    is located by bisection.  Its lower end passed the audit, unless it is
-    still 0 and eps_i lies below the rounding error of an input-independent
-    channel's budget; that mixture is returned either way.
+    is located by bisection, which stops once the midpoint rounds to an end
+    (no later step can move either).  The mixture of the last passing audit
+    is returned; w = 0 is audited only if none passed, when eps_i lies below
+    the rounding error of an input-independent channel's budget.
     """
     if math.isinf(eps_i):
         return chans
@@ -556,14 +557,17 @@ def _enforce_info_budget(model, chans, eps_i):
     val, mixed = audit(1.0)
     if val <= eps_i:
         return mixed
-    lo, hi = 0.0, 1.0  # the audit fails at hi, and passes at lo once lo > 0
+    lo, hi, passed = 0.0, 1.0, None  # the audit fails at hi, and passes at lo once lo > 0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if audit(mid)[0] <= eps_i:
-            lo = mid
+        if mid in (lo, hi):
+            break
+        val, mixed = audit(mid)
+        if val <= eps_i:
+            lo, passed = mid, mixed
         else:
             hi = mid
-    return audit(lo)[1]
+    return audit(lo)[1] if passed is None else passed
 
 
 # -- two-stage architectures ---------------------------------------------------

@@ -40,9 +40,9 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_rows_stochastic(table: np.ndarray, what: str, atol: float = PROB_ATOL_INPUT) -> None:
-    if np.any(table < 0):
-        idx = tuple(int(i) for i in np.argwhere(table < 0)[0])
-        raise ModelFormatError(f"{what} has negative entry {table[idx]:.3e} at {idx}")
+    if not np.all(table >= 0):
+        idx = tuple(int(i) for i in np.argwhere(~(table >= 0))[0])
+        raise ModelFormatError(f"{what} has entry {float(table[idx])!r} at {idx}, negative or NaN")
     sums = table.sum(axis=-1)
     bad = np.abs(sums - 1.0) > atol
     if np.any(bad):
@@ -76,8 +76,8 @@ class JointModel:
         prior = _as_readonly(self.prior)
         if prior.shape != (2, self.n_g):
             raise ModelFormatError(f"prior shape {prior.shape} != (2, {self.n_g})")
-        if np.any(prior < 0):
-            raise ModelFormatError("prior has a negative entry")
+        if not np.all(prior >= 0):
+            raise ModelFormatError("prior has a negative or NaN entry")
         mass = prior.sum()
         if abs(mass - 1.0) > PROB_ATOL_INPUT:
             raise ModelFormatError(f"prior mass is {float(mass)!r} (deficit {1.0 - mass:.3e})")

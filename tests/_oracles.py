@@ -410,6 +410,36 @@ def pairwise_inference_dp(p_gz, q):
     return best
 
 
+def oracle_report(pushed):
+    """(neighbor budgets, information terms) of ``pushed``, as dicts keyed by
+    ``BudgetReport`` field, from the pair and cell loops above.
+
+    The neighbor budgets compare entries pair by pair: inference DP on the
+    pushed (G, Z) table, the local budget on each channel, identifiability
+    and delta_x along each sensor axis of the Kronecker-built (X, Z) table
+    and of p(x).  The information terms sum or scan cell by cell.
+    """
+    model = pushed.source
+    shape = (model.x_size,) * model.s
+    xz = kron_joint_xz(pushed)
+
+    def sensor_axes(table):
+        return max(pairwise_neighbor_budget(np.moveaxis(table, t, 0)) for t in range(model.s))
+
+    neighbors = {
+        "eps_inference_dp": pairwise_inference_dp(pushed.p_gz(), model.q),
+        "eps_ldp": max(pairwise_neighbor_budget(ch.rows) for ch in pushed.mapping.channels),
+        "eps_identifiability": sensor_axes(xz.reshape(shape + (-1,))),
+        "delta_x": sensor_axes(model.p_x().reshape(shape)),
+    }
+    information = {
+        "eps_info": posterior_ratio_budget_direct(pushed.p_gz()),
+        "eps_avg_leakage": mutual_information_direct(pushed.p_gz()),
+        "eps_mutual_info": mutual_information_direct(xz),
+    }
+    return neighbors, information
+
+
 # -- cold two-phase simplex --------------------------------------------------
 
 ColdResult = collections.namedtuple("ColdResult", "x objective")

@@ -506,6 +506,15 @@ def _malformed(tmp_path, case):
         data = json.loads(mapping.read_text())
         data[0]["rows"][0] = [0.5, 0.4]
         mapping.write_text(json.dumps(data))
+    elif case == "mapping row holds NaN":
+        data = json.loads(mapping.read_text())
+        data[0]["rows"][0] = [math.nan, 0.5]
+        mapping.write_text(json.dumps(data))
+    elif case == "model prior holds NaN":
+        data = json.loads(model.read_text())
+        data["prior"][0][0] = math.nan
+        model.write_text(json.dumps(data))
+        bad = model
     elif case in ("report: model conditionals", "sweep: model conditionals"):
         data = json.loads(model.read_text())
         data["conditionals"] = 3
@@ -535,6 +544,8 @@ def _malformed(tmp_path, case):
     ("two-stage mapping lacks its stages", ": missing field 'stage1'"),
     ("invalid mapping JSON", ": invalid JSON at line 2: "),
     ("mapping row sums to 0.9", ": channel row 0 sums to 0.9\n"),
+    ("mapping row holds NaN", ": channel has a negative or NaN entry\n"),
+    ("model prior holds NaN", ": prior has a negative or NaN entry\n"),
     ("report: model conditionals", ": "),
     ("sweep: model conditionals", ": "),
     ("invalid spec JSON", ": invalid JSON at line 2: "),

@@ -664,6 +664,44 @@ def test_mix_toward_mean_with_a_shared_memo_matches_a_fresh_call():
     assert set(memo) == seen  # one channel per (sensor, weight) ever asked for
 
 
+def _sixty_step_bisection(model, chans, eps_i):
+    """``_enforce_info_budget``'s bisection run all 60 steps, then ``audit(lo)``:
+    (channels, the number of steps whose midpoint differs from both ends, lo)."""
+    rows = [c.rows for c in chans]
+    lo, hi, fresh = 0.0, 1.0, 0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fresh += mid not in (lo, hi)
+        if design_mod._mix_toward_mean(model, rows, np.full(model.s, mid))[0] <= eps_i:
+            lo = mid
+        else:
+            hi = mid
+    return design_mod._mix_toward_mean(model, rows, np.full(model.s, lo))[1], fresh, lo
+
+
+def test_enforce_info_budget_audits_each_midpoint_once(monkeypatch):
+    """The same channels as the 60-step loop; one audit at w = 1, one per fresh
+    midpoint, and one at w = 0 only where no midpoint passed."""
+    mix = design_mod._mix_toward_mean
+    calls = []
+    monkeypatch.setattr(design_mod, "_mix_toward_mean", lambda *a: calls.append(a) or mix(*a))
+    rng = np.random.default_rng(41)
+    rounded = False
+    for i in range(24):
+        s = int(rng.integers(1, 4))
+        model = random_model(rng, s, int(rng.integers(2, 5)), 1)
+        chans = list(random_mapping(i, s, model.x_size, 2).channels)
+        full = metrics.info_privacy_budget(push_forward(model, NetworkMapping(tuple(chans))))
+        eps_i = (0.5 * full, 0.05 * full, 0.0)[i % 3]
+        want, fresh, lo = _sixty_step_bisection(model, chans, eps_i)
+        calls.clear()
+        got = design_mod._enforce_info_budget(model, chans, eps_i)
+        assert [c.rows.tolist() for c in got] == [c.rows.tolist() for c in want]
+        assert len(calls) == 1 + fresh + (lo == 0.0)
+        rounded |= fresh < 60
+    assert rounded
+
+
 def test_chain_designs_monotone_objective():
     model = generate_correlated_model(seed=14, s=2, x_size=4, target_corr=0.2)
     grid = [0.5, 1.0, 2.0, math.inf]

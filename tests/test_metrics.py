@@ -39,6 +39,7 @@ from _oracles import (
     empirical_eps_i_dict,
     kron_joint_xz,
     mutual_information_direct,
+    oracle_report,
     pairwise_inference_dp,
     pairwise_neighbor_budget,
 )
@@ -83,12 +84,19 @@ def test_ldp_budget_randomized_response_exact():
 
 
 def test_neighbor_axis_budget_matches_the_pair_loop_exactly():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        k = int(rng.integers(1, 6))
-        shape = (k,) + tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(1, 3)))
-        table = rng.random(shape) * (rng.random(shape) > 0.3)
-        assert metrics._neighbor_axis_budget(table) == pairwise_neighbor_budget(table)
+    """Tables of 1 to 4 axes with zeros, all-zero fibers and -0.0, over a random set of axes."""
+    rng = np.random.default_rng(17)
+    kinds = set()
+    for _ in range(400):
+        shape = tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(1, 5)))
+        table = rng.random(shape) * (rng.random(shape) > rng.choice([0.0, 0.3, 0.7]))
+        table[(table == 0) & (rng.random(shape) < 0.5)] = -0.0
+        axes = tuple(int(t) for t in np.flatnonzero(rng.random(len(shape)) < 0.6)) or (0,)
+        oracle = max(pairwise_neighbor_budget(np.moveaxis(table, t, 0)) for t in axes)
+        assert metrics._neighbor_axis_budget(table, axes) == oracle
+        kinds.add(math.isinf(oracle) or oracle > 0)
+        kinds.add("dead fiber" if (table.max(axes[0]) == 0).any() else "live")
+    assert kinds == {False, True, "dead fiber", "live"}
 
 
 @pytest.mark.parametrize(
@@ -221,7 +229,7 @@ def _assert_xz_table_is_the_kron_table(model):
         assert np.array_equal(metrics._joint_xz(pushed), oracle)
         assert mutual_info_privacy_budget(pushed) == mutual_information(oracle)
         shaped = oracle.reshape((x_size,) * s + (pushed.n_z,))
-        assert identifiability_budget(pushed) == metrics._max_sensor_axis_budget(shaped, s)
+        assert identifiability_budget(pushed) == metrics._neighbor_axis_budget(shaped, range(s))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -232,9 +240,30 @@ def test_xz_table_matches_the_kron_table_on_generated_models(seed, s, x_size):
 
 
 def test_xz_table_matches_the_kron_table_on_a_positive_model():
-    model = random_model(np.random.default_rng(11), 3, 4, 1)
-    assert np.all(model.p_x() > 0)
-    _assert_xz_table_is_the_kron_table(model)
+    """Strictly positive bound-suite draws of 1 to 3 sensors take the Kronecker build."""
+    rng = np.random.default_rng(11)
+    for s, x_size, q in [(3, 4, 1), (1, 2, 1), (2, 5, 2), (3, 3, 2), (2, 2, 1)]:
+        model = random_model(rng, s, x_size, q)
+        assert np.all(model.p_x() > 0)
+        _assert_xz_table_is_the_kron_table(model)
+
+
+def test_full_report_matches_the_oracle_report_on_bound_suite_draws():
+    """Neighbor budgets bit for bit, information terms to 1e-12, on 500 draws of each mapping kind."""
+    rng = np.random.default_rng(31)
+    infinite = set()
+    for i in range(1500):
+        s, x_size = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        model = random_model(rng, s, x_size, int(rng.integers(1, 3)))
+        mapping = relations._random_mapping(rng, i % 3, s, x_size, int(rng.integers(2, 4)))
+        report = full_report(model, mapping)
+        neighbors, information = oracle_report(push_forward(model, mapping))
+        for field, value in neighbors.items():
+            assert getattr(report, field) == value, field
+            infinite.add((field, math.isinf(value)))
+        for field, value in information.items():
+            assert getattr(report, field) == pytest.approx(value, abs=1e-12), field
+    assert ("eps_ldp", True) in infinite and ("eps_identifiability", False) in infinite
 
 
 # -- the support rules against the full-table scan ----------------------------------
@@ -276,10 +305,10 @@ def test_support_rules_equal_the_full_table_scan():
         oracle = kron_joint_xz(pushed)
         shape = (model.x_size,) * model.s
         eps_id = identifiability_budget(pushed)
-        assert eps_id == metrics._max_sensor_axis_budget(oracle.reshape(shape + (-1,)), model.s)
+        assert eps_id == metrics._neighbor_axis_budget(oracle.reshape(shape + (-1,)), range(model.s))
         assert mutual_info_privacy_budget(pushed) == mutual_information(oracle)
         gap = delta_x(model)
-        assert gap == metrics._max_sensor_axis_budget(model.p_x().reshape(shape), model.s)
+        assert gap == metrics._neighbor_axis_budget(model.p_x().reshape(shape), range(model.s))
         verdicts |= {("id", math.isinf(eps_id)), ("dx", math.isinf(gap))}
         cases += 1
     assert cases >= 400

@@ -300,3 +300,19 @@ def test_a_mass_off_one_is_reported_as_a_plain_float(make, message):
     model = generate_correlated_model(seed=11, s=1, x_size=2)
     with pytest.raises(ValueError, match=re.escape(message)):
         make(model)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda m: SensorChannel([[np.nan, 0.5], [0.5, 0.5]]), "channel has a negative or NaN entry"),
+    (lambda m: JointModel(1, 2, 1, [[np.nan, 0.5], [0.25, 0.25]], m.conditionals),
+     "prior has a negative or NaN entry"),
+    (lambda m: JointModel(1, 2, 1, m.prior, (np.full((2, 2, 2), [np.nan, 0.5]),)),
+     "conditional table 0 has entry nan at (0, 0, 0), negative or NaN"),
+    (lambda m: JointModel(1, 2, 1, m.prior, (np.full((2, 2, 2), [-0.5, 1.5]),)),
+     "conditional table 0 has entry -0.5 at (0, 0, 0), negative or NaN"),
+])
+def test_a_nan_or_negative_entry_is_refused(make, message):
+    """A NaN passes both a `< 0` test and a sum test, so each sign test asks for `>= 0`."""
+    model = generate_correlated_model(seed=11, s=1, x_size=2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(model)
