@@ -456,7 +456,7 @@ def _cmd_design(args) -> int:
 def _cmd_relations(args) -> int:
     rows, ok = relations.implication_table(args.seed, args.trials)
     _write_csv(args.out, relations.TABLE_COLUMNS, rows)
-    print(f"wrote {args.out}; {args.trials} bound-suite trials: {'ok' if ok else 'VIOLATED'}")
+    print(f"wrote {args.out}; {args.trials} bound-suite trials: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
 
 

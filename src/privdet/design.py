@@ -211,18 +211,21 @@ def ldp_lp_step(
 # -- the block descent ----------------------------------------------------------
 
 
-def _descend(model: JointModel, chans, sweeps: int, prepare, block):
+def _descend(model: JointModel, chans, sweeps: int, prepare, block, pushed=None):
     """The one sweep loop of every parametric stage: (channels, trace, converged, prepared).
 
-    Each sweep reads ``prepare(pushed)`` from the push of the current
-    iterate, sets each sensor t in order to ``block(prepared, channels, t)``,
-    then pushes the new iterate once and scores its detection error.  A
+    ``pushed`` is the push of the start ``chans`` when the caller has made
+    it already.  Each sweep reads ``prepare(pushed)`` from the push of the
+    current iterate, sets each sensor t in order to ``block(prepared,
+    channels, t)``, then pushes the new iterate once and scores its
+    detection error.  A
     sweep whose block step raises ``LPInfeasible``, or whose error rises by
     more than ``LP_TOL``, is rejected: the descent ends at the last accepted
     iterate (the start, at sweep 0), whose prepared value it returns (None
     for the start).  An L1 move below ``CONVERGENCE_TOL`` ends it converged.
     """
-    pushed = push_forward(model, NetworkMapping(tuple(chans)))
+    if pushed is None:
+        pushed = push_forward(model, NetworkMapping(tuple(chans)))
     trace, kept = [], None
     for _ in range(sweeps):
         prepared = prepare(pushed)
@@ -361,7 +364,7 @@ def design_info_stage(model: JointModel, config: OptimizerConfig) -> InfoStageRe
     if eps_i <= 0:
         raise ValueError("eps_i must be positive")
     cands = _deterministic_candidates(model.x_size, config.z_size, config.seed)
-    start, floor = _info_stage_start(model, eps_i, config.z_size)
+    start, floor, start_push = _info_stage_start(model, eps_i, config.z_size)
 
     def prepare(pushed):
         return optimal_rule_from_pushed(pushed), _risk_floor(pushed, eps_i)
@@ -373,7 +376,9 @@ def design_info_stage(model: JointModel, config: OptimizerConfig) -> InfoStageRe
         rows = np.clip(np.einsum("c,cxy->xy", _solve_mixture_lp(err, risks, th), cols), 0.0, None)
         return SensorChannel(rows / rows.sum(axis=1, keepdims=True))
 
-    chans, trace, converged, kept = _descend(model, start, config.max_outer_iters, prepare, block)
+    chans, trace, converged, kept = _descend(
+        model, start, config.max_outer_iters, prepare, block, start_push
+    )
     enforced = floor if kept is None else kept[1]
     chans = _enforce_info_budget(model, chans, eps_i)
     mapping = NetworkMapping(tuple(chans))
@@ -416,7 +421,7 @@ def _info_stage_start(model, eps_i, z_size):
     quantizer x -> x, which by data processing no mapping beats once the
     floor is vacuous.  An all-constant start alone is a degenerate fixed
     point: the fusion rule is constant, so every LP column has one error.
-    Returns the start channels and their (c_G, theta) pair.
+    Returns the start channels, their (c_G, theta) pair and their push.
     """
     const = np.zeros((model.x_size, z_size))
     const[:, 0] = 1.0
@@ -431,8 +436,8 @@ def _info_stage_start(model, eps_i, z_size):
             continue
         err = bayes_error_H_pushed(pushed)
         if best is None or err < best[0]:
-            best = (err, chans, (c_g, th))
-    return list(best[1]), best[2]
+            best = (err, chans, (c_g, th), pushed)
+    return list(best[1]), best[2], best[3]
 
 
 def _solve_mixture_lp(err, risks, th):

@@ -16,16 +16,34 @@ The six budgets:
 * identifiability         -- max log p(x|z) / p(x'|z) over neighboring x, x'
 
 plus delta_x, the max log prior ratio over neighboring observation vectors.
-I(X; Z) and identifiability read the (X, Z) joint table, whose rows are
-computed only on the support of p(x), and both read only those rows; a
-p(x) > 0 everywhere gets the table as p(x) times the channels' Kronecker
-product, with no zero fill.  Every neighbor budget is one max and one min
-per compared axis.
+Every neighbor budget is one max and one min per compared axis.
 Identifiability and delta_x are decided from supports where they can be:
 changing one sensor at a time connects all of X^s (a Hamming graph), so
 when the live observation vectors are a proper, nonempty subset, some
 neighboring pair joins a live vector to a dead one and the budget is inf.
 Only where p(x) > 0 everywhere is a table scanned sensor by sensor.
+
+Stacks.  The table reductions (``mutual_information``,
+``max_abs_log_posterior_ratio``, ``_neighbor_axis_budget`` and the pair
+stacking of ``_inference_dp``) take optional leading axes that stack
+tables of one shape, and return an array of values for a stack, a float
+for one table.  ``_report`` composes all seven budgets from tables, once:
+``full_report`` is its one-pair case with no stack axis, and
+``report_stack`` its case for a stack of (model, mapping) pairs of one
+shape, as the bound suite in ``relations`` audits them.  Each entry of a
+stacked field is the one-pair value bit for bit: elementwise arithmetic,
+max and min do not depend on where a table sits in a stack, and each
+table's I(A; B) terms are summed as one run of its own (``_table_sums``).
+
+The one-pair path reads the (X, Z) joint table only on the support of
+p(x), and builds it once for each of its two consumers, I(X; Z) and
+identifiability.  On a generated model p(x) is often mostly zero (6% of
+X^s at s = 6, x = 6), and building only the support rows is about ten
+times faster than the whole table; each build is dropped before the next,
+so one report holds at most one such table (and the benchmark's tracer
+test counts both builds).  A p(x) > 0 everywhere gets
+the table as p(x) times the channels' Kronecker product, with no zero
+fill; a stack's tables are always whole, and callers cap a stack's size.
 
 The empirical eps_I of a sample is the information-privacy budget of the
 empirical (G, Z) table: max_abs_log_posterior_ratio of its counts over n.
@@ -40,7 +58,7 @@ import math
 import numpy as np
 
 from .channels import NetworkMapping
-from .model import EXPANSION_CAP, JointModel, PushedModel, push_forward
+from .model import EXPANSION_CAP, JointModel, PushedModel, _sensor_product, push_forward
 
 LOG2 = math.log(2.0)
 
@@ -48,64 +66,177 @@ LOG2 = math.log(2.0)
 # -- table-level primitives --------------------------------------------------
 
 
-def mutual_information(joint: np.ndarray) -> float:
+def _value(values):
+    """A float for one table, the array of values for a stack of tables."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def mutual_information(joint: np.ndarray):
     """I(A; B) in nats from a 2-D joint table, with the 0 log 0 = 0 convention.
 
-    Rows of zero mass hold no positive cell, so they are dropped before the
-    cells are masked: a support-only table costs its support rows.
+    Leading axes stack tables of one shape.
     """
     joint = np.asarray(joint, dtype=float)
-    if joint.ndim != 2:
+    if joint.ndim < 2:
         raise ValueError("mutual_information expects a 2-D joint table")
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    live = pa > 0
-    if not live.all():
-        joint, pa = joint[live], pa[live]
+    pa = joint.sum(axis=-1)
+    pb = joint.sum(axis=-2)
     mask = joint > 0
     cells = joint[mask]
-    return float(max(0.0, np.sum(cells * np.log(cells / (pa[:, None] * pb)[mask]))))
+    terms = cells * np.log(cells / (pa[..., :, None] * pb[..., None, :])[mask])
+    return _value(np.maximum(0.0, _table_sums(terms, mask)))
 
 
-def max_abs_log_posterior_ratio(joint: np.ndarray) -> float:
+def max_abs_log_posterior_ratio(joint: np.ndarray):
     """max over the joint support of |log p(a|b) / p(a)|.
 
     Rows index the protected variable, columns the observed one.  The
     maximum runs over cells with p(a, b) > 0: outputs of probability zero
     can never be observed, and a protected value with zero posterior mass
     at an observed output is treated the same way (the support-restricted
-    reading of the posterior-ratio budget).
+    reading of the posterior-ratio budget).  A table with no positive cell
+    gives 0.  Leading axes stack tables of one shape.
     """
     joint = np.asarray(joint, dtype=float)
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
+    pa = joint.sum(axis=-1)
+    pb = joint.sum(axis=-2)
     mask = joint > 0
-    if not mask.any():
-        return 0.0
-    denom = pa[:, None] * pb[None, :]
-    return float(np.abs(np.log(joint[mask] / denom[mask])).max())
+    ratios = np.abs(np.log(joint[mask] / (pa[..., :, None] * pb[..., None, :])[mask]))
+    return _value(_table_maxima(ratios, mask))
 
 
-def _neighbor_axis_budget(table: np.ndarray, axes=(0,)) -> float:
+def _table_sums(terms: np.ndarray, mask: np.ndarray):
+    """Each table's sum of its terms, one term per True cell of ``mask``, in order.
+
+    ``mask`` is (..., rows, cols).  numpy sums pairwise, in groups that
+    depend on the number of terms, so each table's terms are summed as a
+    run of their own, exactly as ``np.sum`` sums them for that table alone:
+    the tables with one number of terms are summed as the rows of one
+    array.  One sum over a whole stack's terms, or over zero-padded runs,
+    would group them differently and move the last bits.
+    """
+    if mask.ndim == 2:
+        return np.sum(terms)
+    counts = mask.sum(axis=(-2, -1))
+    flat = counts.ravel()
+    lengths = set(flat.tolist())
+    if len(lengths) == 1:  # the runs are the rows of one array, with no gather
+        return terms.reshape(counts.shape + tuple(lengths)).sum(axis=-1)
+    starts = np.cumsum(flat) - flat
+    sums = np.empty(flat.shape)
+    for n in lengths:
+        runs = flat == n
+        sums[runs] = terms[starts[runs][:, None] + np.arange(n)].sum(axis=1)
+    return sums.reshape(counts.shape)
+
+
+def _table_maxima(values: np.ndarray, mask: np.ndarray):
+    """Each table's largest value, one value (>= 0) per True cell of ``mask``; 0 with none."""
+    if mask.ndim == 2:
+        return values.max(initial=0.0)
+    tables = np.zeros(mask.shape)
+    tables[mask] = values
+    return tables.max(axis=(-2, -1))
+
+
+def _neighbor_axis_budget(table: np.ndarray, axes=(0,), lead: int = 0):
     """max log ratio between entries differing in one index along one of ``axes``.
 
-    The entries are probabilities (>= 0).  Along each axis every fiber is
-    reduced to its max ``hi`` and min ``lo``, both exact, so the largest
-    ratio of two of its entries is log(hi / lo): a fiber with hi > 0 = lo
-    gives inf, and an all-zero fiber (hi == 0) is skipped.
+    The first ``lead`` axes of ``table`` stack tables of one shape, and
+    ``axes`` counts each table's own axes from 0.  The entries are
+    probabilities (>= 0).  Along each axis every fiber is reduced to its
+    max ``hi`` and min ``lo``, both exact, so the largest ratio of two of
+    its entries is log(hi / lo): a fiber with hi > 0 = lo gives inf, and an
+    all-zero fiber (hi == 0) is skipped.
     """
-    best = 0.0
+    best = np.zeros(table.shape[:lead])
     for axis in axes:
-        hi, lo = table.max(axis), table.min(axis)
-        if not lo.all():
-            live = hi > 0
-            if np.any(live & (lo == 0)):
-                return math.inf
-            hi, lo = hi[live], lo[live]
-            if not hi.size:
-                continue
-        best = max(best, float(np.log(hi / lo).max()))
-    return best
+        hi, lo = table.max(lead + axis), table.min(lead + axis)
+        ratio = np.divide(hi, lo, out=np.ones(hi.shape), where=lo > 0)
+        ratio[(hi > 0) & (lo == 0)] = math.inf
+        best = np.maximum(best, np.log(ratio).max(axis=tuple(range(lead, ratio.ndim))))
+    return _value(best)
+
+
+def _inference_dp(p_gz: np.ndarray):
+    """max log p(z|g)/p(z|g') over g, g' differing in one component, from a (G, Z) table.
+
+    The conditional rows of every pair (g, g with one bit set) are
+    stacked, over all bits at once, into one (2, pairs, n_z) table, so
+    ``_neighbor_axis_budget`` compares each pair in both directions in one
+    pass.  A pair holding a value of g with p(g) = 0 takes no part: both
+    its rows are zeroed, so its fibers are skipped.  Leading axes stack
+    tables of one shape.
+    """
+    p_g = p_gz.sum(axis=-1)
+    live = p_g > 0
+    cond = np.divide(p_gz, p_g[..., None], out=np.zeros(p_gz.shape), where=live[..., None])
+    pairs = _bit_pairs(p_gz.shape[-2].bit_length() - 1)
+    both = live[..., pairs].all(axis=-2)
+    table = np.where(both[..., None, :, None], cond[..., pairs, :], 0.0)
+    return _neighbor_axis_budget(table, lead=p_gz.ndim - 2)
+
+
+@functools.cache
+def _bit_pairs(q: int) -> np.ndarray:
+    """(2, q 2**(q-1)) read-only array: each g with one bit clear, over g with that bit set."""
+    g, bits = np.arange(2 ** q)[:, None], 1 << np.arange(q)
+    clear = (g & bits) == 0
+    pairs = np.stack([np.broadcast_to(g, clear.shape)[clear], (g | bits)[clear]])
+    pairs.setflags(write=False)
+    return pairs
+
+
+def _identifiability(rows: np.ndarray, s: int, x_size: int):
+    """max log p(x|z)/p(x'|z) over neighbors x, x', from the (X, Z) rows on the support of p(x).
+
+    A live x is one with a positive cell p(x, z).  When p(x) has zeros
+    (fewer rows than n_x), the live x lie among the support rows and the
+    rest are dead; X^s is connected by one-sensor changes, so a live x has
+    a dead neighbor x', and at an output z with p(x, z) > 0 = p(x', z) the
+    ratio is inf.  Only a whole table is scanned sensor by sensor.  Leading
+    axes stack whole tables of one shape.
+    """
+    if rows.shape[-2] < x_size ** s:
+        return math.inf if rows.any() else 0.0
+    shaped = rows.reshape(rows.shape[:-2] + (x_size,) * s + rows.shape[-1:])
+    return _neighbor_axis_budget(shaped, range(s), rows.ndim - 2)
+
+
+def _delta_x(p_x: np.ndarray, s: int, x_size: int):
+    """max log p(x)/p(x') over neighboring observation vectors, from p(x).
+
+    X^s is connected by one-sensor changes (a Hamming graph), so when p(x)
+    is zero somewhere some x with p(x) > 0 (there is one: p(x) sums to one)
+    has a neighbor x' with p(x') = 0, and the value is inf.  Only a
+    strictly positive p(x) needs the scan sensor by sensor; in a stack
+    holding one, every p(x) is scanned.  Leading axes stack p(x) vectors.
+    """
+    positive = p_x.all(axis=-1)
+    if not positive.any():
+        return _value(np.full(positive.shape, math.inf))
+    scan = _neighbor_axis_budget(p_x.reshape(p_x.shape[:-1] + (x_size,) * s), range(s), p_x.ndim - 1)
+    return _value(np.where(positive, scan, math.inf))
+
+
+def _kron_xz(p_x: np.ndarray, chans: np.ndarray) -> np.ndarray:
+    """p(x) times the channels' Kronecker product: the whole (X, Z) table.
+
+    ``chans`` holds the channel rows (..., s, x_size, z_size) and ``p_x``
+    (..., n_x), with leading axes that stack pairs of one shape.  Every cell
+    is the channels' entries multiplied in from sensor 0 up, then times
+    p(x).  Sensor t's rows fold in with their input on an axis of its own,
+    so one ``_sensor_product`` builds the output axis in Kronecker order
+    while the input axes broadcast, and they flatten row-major into X^s.
+    """
+    *stack, s, x_size, z_size = chans.shape
+    factors = []
+    for t in range(s):
+        digits = [1] * s
+        digits[t] = x_size
+        factors.append(chans[..., t, :, :].reshape(*stack, *digits, z_size))
+    rows = _sensor_product(np.ones((1,) * (s + 1)), factors)
+    return p_x[..., None] * rows.reshape(*stack, x_size ** s, -1)
 
 
 # -- per-metric operations ----------------------------------------------------
@@ -121,31 +252,8 @@ def info_privacy_budget(pushed: PushedModel) -> float:
 
 
 def inference_dp_budget(pushed: PushedModel) -> float:
-    """max log p(z|g)/p(z|g') over g, g' differing in one component.
-
-    The conditional rows of every pair (g, g with one bit set) whose values
-    both have positive probability are stacked, over all bits at once, into
-    one (2, pairs, n_z) table, so ``_neighbor_axis_budget`` compares each
-    pair in both directions in one pass.
-    """
-    p_gz = pushed.p_gz()
-    p_g = p_gz.sum(axis=1)
-    pairs = _bit_pairs(pushed.q)
-    if not p_g.all():
-        pairs = pairs[:, (p_g[pairs] > 0).all(axis=0)]
-        if not pairs.size:
-            return 0.0
-    return _neighbor_axis_budget(p_gz[pairs] / p_g[pairs, None])
-
-
-@functools.cache
-def _bit_pairs(q: int) -> np.ndarray:
-    """(2, q 2**(q-1)) read-only array: each g with one bit clear, over g with that bit set."""
-    g, bits = np.arange(2 ** q)[:, None], 1 << np.arange(q)
-    clear = (g & bits) == 0
-    pairs = np.stack([np.broadcast_to(g, clear.shape)[clear], (g | bits)[clear]])
-    pairs.setflags(write=False)
-    return pairs
+    """max log p(z|g)/p(z|g') over g, g' differing in one component (``_inference_dp``)."""
+    return _inference_dp(pushed.p_gz())
 
 
 def avg_info_leakage(pushed: PushedModel) -> float:
@@ -162,34 +270,14 @@ def mutual_info_privacy_budget(pushed: PushedModel) -> float:
 
 
 def identifiability_budget(pushed: PushedModel) -> float:
-    """max log p(x|z)/p(x'|z) over observation vectors differing in one sensor.
-
-    A live x is one with a positive cell p(x, z).  When p(x) has zeros, the
-    live x lie among the support rows and the rest are dead; X^s is
-    connected by one-sensor changes, so a live x has a dead neighbor x',
-    and at an output z with p(x, z) > 0 = p(x', z) the ratio is inf.  Only
-    a table with p(x) > 0 everywhere is scanned sensor by sensor.
-    """
+    """max log p(x|z)/p(x'|z) over observation vectors differing in one sensor (``_identifiability``)."""
     model = pushed.source
-    rows = _xz_support_rows(pushed)
-    if rows.shape[0] < model.n_x:
-        return math.inf if rows.any() else 0.0
-    shaped = rows.reshape((model.x_size,) * model.s + (pushed.n_z,))
-    return _neighbor_axis_budget(shaped, range(model.s))
+    return _identifiability(_xz_support_rows(pushed), model.s, model.x_size)
 
 
 def delta_x(model: JointModel) -> float:
-    """max log p(x)/p(x') over neighboring observation vectors.
-
-    X^s is connected by one-sensor changes (a Hamming graph), so when p(x)
-    is zero somewhere some x with p(x) > 0 (there is one: p(x) sums to one)
-    has a neighbor x' with p(x') = 0, and the value is inf.  Only a strictly
-    positive p(x) is scanned sensor by sensor.
-    """
-    p_x = model.p_x()
-    if np.count_nonzero(p_x) < p_x.size:
-        return math.inf
-    return _neighbor_axis_budget(p_x.reshape((model.x_size,) * model.s), range(model.s))
+    """max log p(x)/p(x') over neighboring observation vectors (``_delta_x``)."""
+    return _delta_x(model.p_x(), model.s, model.x_size)
 
 
 def _xz_support_rows(pushed: PushedModel) -> np.ndarray:
@@ -205,17 +293,15 @@ def _joint_xz(pushed: PushedModel) -> np.ndarray:
 
     Every cell is the channels' entries multiplied in from sensor 0 up, then
     times p(x): the cell of the channels' Kronecker product.  When p(x) > 0
-    everywhere the table is built whole in Kronecker order.  Otherwise only
+    everywhere the table is ``_kron_xz``, built whole.  Otherwise only
     the rows on the support of p(x) are computed, one output column of each
     new sensor at a time, and the other rows stay zero: on the s = 6, x = 6
     generated model (p(x) > 0 on 6% of X^s) the whole build is about ten
     times slower.  The table is n_x by n_z all the same, and its consumers
-    (mutual information, identifiability) read it on its support rows.
-    ``full_report`` builds one table per consumer, the two builds the
-    benchmark's tracer test counts.  The cap is on n_x * n_z, not on the
-    support, so no table grows past that size: a support-only cap would let
-    the identity mapping on ``table3_model(4)`` build a 2,257 by 14,641
-    table.
+    (mutual information, identifiability) read it on its support rows.  The
+    cap is on n_x * n_z, not on the support, so no table grows past that
+    size: a support-only cap would let the identity mapping on
+    ``table3_model(4)`` build a 2,257 by 14,641 table.
     """
     model = pushed.source
     cells = model.n_x * pushed.n_z
@@ -226,10 +312,7 @@ def _joint_xz(pushed: PushedModel) -> np.ndarray:
         )
     p_x = model.p_x()
     if p_x.all():
-        rows = np.ones((1, 1))
-        for g in (ch.rows for ch in pushed.mapping.channels):
-            rows = (rows[:, None, :, None] * g[:, None, :]).reshape(rows.shape[0] * g.shape[0], -1)
-        return p_x[:, None] * rows
+        return _kron_xz(p_x, np.stack([ch.rows for ch in pushed.mapping.channels]))
     support = np.flatnonzero(p_x)
     xs = np.unravel_index(support, (model.x_size,) * model.s)
     rows = np.ones((support.size, 1))
@@ -270,7 +353,10 @@ def empirical_budgets(g: np.ndarray, z: np.ndarray, mapping: NetworkMapping):
 
 @dataclasses.dataclass(frozen=True)
 class BudgetReport:
-    """All seven quantities for one (model, mapping) pair, in nats."""
+    """All seven quantities for one (model, mapping) pair, in nats.
+
+    ``report_stack`` fills each field with an array, one value per pair.
+    """
 
     eps_info: float
     eps_inference_dp: float
@@ -298,16 +384,49 @@ def json_float(v: float):
 
 
 def full_report(model: JointModel, mapping: NetworkMapping) -> BudgetReport:
-    """Compute every budget for one (model, mapping) pair."""
+    """Compute every budget for one (model, mapping) pair: ``_report`` with no stack axis."""
     pushed = push_forward(model, mapping)
+    chans = np.stack([ch.rows for ch in mapping.channels])
+    return _report(pushed.p_gz(), chans, model.p_x(), lambda: _xz_support_rows(pushed))
+
+
+def report_stack(prior: np.ndarray, conditionals: np.ndarray, channels: np.ndarray) -> BudgetReport:
+    """Every budget of a stack of (model, mapping) pairs of one shape, each field an array.
+
+    ``prior`` is (n, 2, n_g), ``conditionals`` (n, s, 2, n_g, x_size) and
+    ``channels`` (n, s, x_size, z_size): the tables of n models and
+    mappings that their constructors have validated.  Entry i of each field
+    is ``full_report``'s value for pair i, bit for bit: the stack is pushed
+    forward, marginalized to p(x) and Kronecker-multiplied by the same
+    ``_sensor_product`` folds, and reduced by the same rules.  The (X, Z)
+    tables are whole, n of n_x by n_z cells built once, so the caller
+    caps n.
+    """
+    conds = [conditionals[:, t] for t in range(channels.shape[1])]
+    pushed = [c @ channels[:, t, None] for t, c in enumerate(conds)]
+    p_gz = _sensor_product(prior[..., None], pushed).sum(axis=-3)
+    p_x = _sensor_product(prior[..., None], conds).sum(axis=(-3, -2))
+    xz = _kron_xz(p_x, channels)
+    return _report(p_gz, channels, p_x, lambda: xz)
+
+
+def _report(p_gz, chans, p_x, xz_rows) -> BudgetReport:
+    """The seven budgets from the tables of one pair, or of a stack of pairs of one shape.
+
+    ``p_gz`` is the (G, Z) joint (..., n_g, n_z), ``chans`` the channel
+    rows (..., s, x_size, z_size), ``p_x`` (..., n_x), and ``xz_rows()``
+    returns the (X, Z) rows on the support of p(x), (..., rows, n_z); it is
+    called once by each of its two consumers.
+    """
+    s, x_size = chans.shape[-3:-1]
     return BudgetReport(
-        eps_info=info_privacy_budget(pushed),
-        eps_inference_dp=inference_dp_budget(pushed),
-        eps_avg_leakage=avg_info_leakage(pushed),
-        eps_ldp=ldp_budget(mapping),
-        eps_mutual_info=mutual_info_privacy_budget(pushed),
-        eps_identifiability=identifiability_budget(pushed),
-        delta_x=delta_x(model),
+        eps_info=max_abs_log_posterior_ratio(p_gz),
+        eps_inference_dp=_inference_dp(p_gz),
+        eps_avg_leakage=mutual_information(p_gz),
+        eps_ldp=_neighbor_axis_budget(chans, (1,), chans.ndim - 3),
+        eps_mutual_info=mutual_information(xz_rows()),
+        eps_identifiability=_identifiability(xz_rows(), s, x_size),
+        delta_x=_delta_x(p_x, s, x_size),
     )
 
 

@@ -249,15 +249,16 @@ def push_forward_model(model: JointModel, mapping: NetworkMapping) -> JointModel
 
 
 def _sensor_product(table: np.ndarray, factors) -> np.ndarray:
-    """Fold per-sensor (2, n_g, k) factors into the flattened last axis of table.
+    """Fold per-sensor (..., k) factors into the flattened last axis of table.
 
     Each factor multiplies in as a new least significant digit, so the
     result's last axis is row-major over (table's axis, factor 1, ...).
+    The other axes broadcast: (2, n_g, k) factors fold into a (2, n_g, 1)
+    table, and with a stack axis in front one call folds a table per entry.
     """
     for f in factors:
-        table = (table[:, :, :, None] * f[:, :, None, :]).reshape(
-            table.shape[0], table.shape[1], -1
-        )
+        prod = table[..., :, None] * f[..., None, :]
+        table = prod.reshape(prod.shape[:-2] + (-1,))
     return table
 
 

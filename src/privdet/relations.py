@@ -20,12 +20,7 @@ import numpy as np
 
 from . import metrics
 from .channels import NetworkMapping, SensorChannel, identity_mapping
-from .metrics import (
-    BudgetReport,
-    full_report,
-    max_abs_log_posterior_ratio,
-    mutual_information,
-)
+from .metrics import BudgetReport, max_abs_log_posterior_ratio, mutual_information
 from .model import JointModel, push_forward
 
 #: Default parameter sequence for the witness families.  Spans enough
@@ -35,6 +30,7 @@ DEFAULT_ALPHAS = tuple(10.0 ** -k for k in range(1, 9))
 
 VERDICT_NON_GUARANTEE = "non-guarantee-witnessed"
 VERDICT_BOUND_HOLDS = "implies-bound-holds"
+VERDICT_NO_COMPARISON = "no-finite-comparison"
 
 
 def example1_joint(alpha: float, n_u: int = 2, n_v: int = 2) -> np.ndarray:
@@ -213,17 +209,25 @@ BOUND_SPECS = (
 
 BOUND_TOL = 1e-9
 
+#: Most (X, Z) cells audited in one stack of ``check_bound_suite``: a
+#: stack's tables and their temporaries stay under a megabyte, however many
+#: trials share a shape.
+STACK_CELLS = 16_384
 
-def _bound_holds(violation: float) -> bool:
-    return violation <= BOUND_TOL
+
+def _bound_verdict(violation: float) -> str:
+    """A bound's verdict from its worst violation; -inf means no finite comparison was made."""
+    if violation == -math.inf:
+        return VERDICT_NO_COMPARISON
+    return VERDICT_BOUND_HOLDS if violation <= BOUND_TOL else f"violated ({violation:.3e})"
 
 
 @dataclasses.dataclass(frozen=True)
 class BoundSuiteReport:
     trials: int
-    max_violation: dict  # bound key -> worst lhs - rhs over finite comparisons
+    max_violation: dict  # bound key -> worst lhs - rhs over finite comparisons (-inf: none)
     vacuous: dict  # bound key -> number of trials with an infinite right side
-    ok: bool
+    ok: bool  # every bound got a finite comparison, and none was violated
 
 
 def random_model(rng: np.random.Generator, s: int, x_size: int, q: int) -> JointModel:
@@ -254,12 +258,17 @@ def _random_mapping(rng: np.random.Generator, kind: int, s, x_size, z_size) -> N
 
 
 def bound_violations(report: BudgetReport, s: int, q: int) -> dict:
-    """Per-bound (lhs - rhs); -inf marks a vacuous (infinite rhs) comparison."""
+    """Per-bound (lhs - rhs); -inf marks a vacuous (infinite rhs) comparison.
+
+    The fields of a stacked report (``metrics.report_stack``) give an array
+    of violations per bound, one per pair.
+    """
     out = {}
     for key, lhs_field, rhs_fn, _ in BOUND_SPECS:
-        lhs = getattr(report, lhs_field)
         rhs = rhs_fn(report, s, q)
-        out[key] = -math.inf if math.isinf(rhs) else lhs - rhs
+        vacuous = np.isinf(rhs)
+        finite = getattr(report, lhs_field) - np.where(vacuous, 0.0, rhs)
+        out[key] = np.where(vacuous, -math.inf, finite)
     return out
 
 
@@ -268,14 +277,21 @@ def check_bound_suite(seed: int, trials: int) -> BoundSuiteReport:
 
     Each trial draws a small strictly positive model (s <= 3, x_size <= 5,
     z_size <= 3, q <= 2) and one of three mapping flavors (generic random,
-    deterministic quantizer, input-independent).  Fails (ok=False) if any
-    finite comparison is violated by more than 1e-9.
+    deterministic quantizer, input-independent), from one rng stream in
+    trial order; ``random_model`` and ``_random_mapping`` build, and so
+    validate, each of them.  Only their tables are kept, packed as bytes
+    one trial after another in a buffer per shape (s, x_size, z_size, q),
+    and each shape is audited by ``metrics.report_stack`` in stacks of at
+    most ``STACK_CELLS`` (X, Z) cells, whose values are ``full_report``'s
+    bit for bit.  The worst violation and the vacuous count of each bound
+    fold over the trials in any order.  Fails (ok=False) if any finite
+    comparison is violated by more than 1e-9, or if a bound got no finite
+    comparison at all.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    worst = {key: -math.inf for key, *_ in BOUND_SPECS}
-    vacuous = {key: 0 for key, *_ in BOUND_SPECS}
+    shapes = {}  # (s, x_size, z_size, q) -> its trials' tables, packed in draw order
     for i in range(trials):
         s = int(rng.integers(1, 4))
         x_size = int(rng.integers(2, 6))
@@ -283,13 +299,26 @@ def check_bound_suite(seed: int, trials: int) -> BoundSuiteReport:
         q = int(rng.integers(1, 3))
         model = random_model(rng, s, x_size, q)
         mapping = _random_mapping(rng, i % 4 if i % 4 < 2 else 2, s, x_size, z_size)
-        report = full_report(model, mapping)
-        for key, viol in bound_violations(report, s, q).items():
-            if viol == -math.inf:
-                vacuous[key] += 1
-            else:
-                worst[key] = max(worst[key], viol)
-    return BoundSuiteReport(trials, worst, vacuous, all(map(_bound_holds, worst.values())))
+        packed = shapes.setdefault((s, x_size, z_size, q), bytearray())
+        for table in (model.prior, *model.conditionals, *(ch.rows for ch in mapping.channels)):
+            packed += table.tobytes()
+    worst = {key: -math.inf for key, *_ in BOUND_SPECS}
+    vacuous = {key: 0 for key, *_ in BOUND_SPECS}
+    for (s, x_size, z_size, q), packed in shapes.items():
+        layout = ((2, 2 ** q), (s, 2, 2 ** q, x_size), (s, x_size, z_size))
+        ends = np.cumsum([math.prod(shape) for shape in layout])
+        rows = np.frombuffer(packed).reshape(-1, ends[-1])
+        size = max(1, STACK_CELLS // (x_size * z_size) ** s)
+        for lo in range(0, len(rows), size):
+            tables = np.split(rows[lo:lo + size], ends[:-1], axis=1)
+            report = metrics.report_stack(
+                *(np.ascontiguousarray(t).reshape(-1, *shape) for t, shape in zip(tables, layout))
+            )
+            for key, viol in bound_violations(report, s, q).items():
+                vacuous[key] += int(np.count_nonzero(viol == -math.inf))
+                worst[key] = max(worst[key], float(viol.max()))
+    ok = all(_bound_verdict(v) == VERDICT_BOUND_HOLDS for v in worst.values())
+    return BoundSuiteReport(trials, worst, vacuous, ok)
 
 
 def all_witnesses() -> list:
@@ -316,16 +345,17 @@ def implication_table(seed: int, trials: int) -> tuple:
     """(rows, ok): the metric-implication table, one tuple of ``TABLE_COLUMNS`` a row.
 
     One "implies" row per bound of ``BOUND_SPECS``, judged on
-    ``check_bound_suite(seed, trials)`` (its worst violation when it fails),
+    ``check_bound_suite(seed, trials)`` (its worst violation when it fails,
+    ``VERDICT_NO_COMPARISON`` when every trial's right side was infinite),
     one "does-not-guarantee" row per witness of ``all_witnesses`` with the
     parameters of its points, then the unverified non-guarantees.  ``ok``
-    says every bound held and every witness witnessed its non-guarantee.
+    says every bound was compared and held, and every witness witnessed its
+    non-guarantee.
     """
     suite = check_bound_suite(seed, trials)
     rows = []
     for key, _, _, constant in BOUND_SPECS:
-        viol = suite.max_violation[key]
-        verdict = VERDICT_BOUND_HOLDS if _bound_holds(viol) else f"violated ({viol:.3e})"
+        verdict = _bound_verdict(suite.max_violation[key])
         rows.append((*key.split("->"), "implies", constant, verdict, ""))
     witnesses = all_witnesses()
     for w in witnesses:

@@ -2,7 +2,7 @@
 
 Everything here enumerates explicitly (pure Python loops over full product
 spaces) so the fast implementations are checked against a path they share
-no code with.
+no code with; the one exception, ``bound_suite_loop``, says what it shares.
 """
 
 import collections
@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
+from privdet import relations
 from privdet.channels import ldp_polytope
+from privdet.metrics import full_report
 from privdet.simplex import FEAS_TOL, PIVOT_EPS, LPError, LPInfeasible, LPUnbounded
 
 
@@ -438,6 +440,35 @@ def oracle_report(pushed):
         "eps_mutual_info": mutual_information_direct(xz),
     }
     return neighbors, information
+
+
+def bound_suite_loop(seed, trials):
+    """``relations.check_bound_suite`` as a loop of one ``full_report`` per trial.
+
+    The same draws from the same rng stream, each trial's bounds compared
+    on its own report as Python floats.  It shares the drawing and
+    ``full_report`` with the program, so it checks the stacked audit, the
+    grouping by shape and the fold, not the budgets themselves.
+    """
+    rng = np.random.default_rng(seed)
+    worst = {key: -math.inf for key, *_ in relations.BOUND_SPECS}
+    vacuous = {key: 0 for key, *_ in relations.BOUND_SPECS}
+    for i in range(trials):
+        s = int(rng.integers(1, 4))
+        x_size = int(rng.integers(2, 6))
+        z_size = int(rng.integers(2, 4))
+        q = int(rng.integers(1, 3))
+        model = relations.random_model(rng, s, x_size, q)
+        mapping = relations._random_mapping(rng, i % 4 if i % 4 < 2 else 2, s, x_size, z_size)
+        report = full_report(model, mapping)
+        for key, lhs_field, rhs_fn, _ in relations.BOUND_SPECS:
+            rhs = rhs_fn(report, s, q)
+            if math.isinf(rhs):
+                vacuous[key] += 1
+            else:
+                worst[key] = max(worst[key], getattr(report, lhs_field) - rhs)
+    ok = all(-math.inf < v <= relations.BOUND_TOL for v in worst.values())
+    return relations.BoundSuiteReport(trials, worst, vacuous, ok)
 
 
 # -- cold two-phase simplex --------------------------------------------------

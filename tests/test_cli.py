@@ -942,6 +942,15 @@ def test_relations_writes_the_table_and_exits_zero(tmp_path):
     assert {r["verdict"] for r in rows[n_bounds:-2]} == {relations.VERDICT_NON_GUARANTEE}
 
 
+def test_relations_exits_nonzero_when_a_bound_gets_no_finite_comparison(tmp_path):
+    """One trial, a deterministic quantizer: the local budget is inf, so four bounds are vacuous."""
+    out = tmp_path / "relations.csv"
+    assert cli.main(["relations", "--seed", "3", "--trials", "1", "--out", str(out)]) == 1
+    verdicts = [r["verdict"] for r in _read_rows(out) if r["kind"] == "implies"]
+    assert verdicts.count(relations.VERDICT_NO_COMPARISON) == 4
+    assert set(verdicts) == {relations.VERDICT_BOUND_HOLDS, relations.VERDICT_NO_COMPARISON}
+
+
 def test_relations_names_a_violated_bound_and_exits_nonzero(tmp_path, monkeypatch):
     """A bound tightened to zero leakage fails on the first random mapping that leaks."""
     key = "mutual_info->avg_leakage"

@@ -457,7 +457,7 @@ def test_design_info_stage_keeps_its_start_when_no_sweep_step_is_feasible(monkey
     """An infeasible block LP at sweep 0 ends the descent at the start, which meets its floor."""
     model = generate_correlated_model(seed=5, s=2, x_size=3, target_corr=0.4)
     cfg = OptimizerConfig(eps_i=0.5, seed=1)
-    start, enforced = design_mod._info_stage_start(model, cfg.eps_i, cfg.z_size)
+    start, enforced, _ = design_mod._info_stage_start(model, cfg.eps_i, cfg.z_size)
 
     def infeasible(err, risks, th):
         raise LPInfeasible("no mixture meets the floor")
@@ -469,6 +469,30 @@ def test_design_info_stage_keeps_its_start_when_no_sweep_step_is_feasible(monkey
     assert (res.profile.c_g, res.profile.theta) == enforced
     assert len(res.trace) == 1 and not res.converged
 
+
+
+def test_the_information_stage_pushes_its_start_once(monkeypatch):
+    """``_descend`` reads sweep 0 from the push ``_info_stage_start`` made, and pushes no start of its own."""
+    model = generate_correlated_model(seed=5, s=2, x_size=3, target_corr=0.4)
+    descents = []
+    descend = design_mod._descend
+
+    def recorded(*args):
+        descents.append(args)
+        return descend(*args)
+
+    monkeypatch.setattr(design_mod, "_descend", recorded)
+    design_info_stage(model, OptimizerConfig(eps_i=0.5, seed=1))
+    ((_, start, *_, pushed),) = descents
+    assert pushed.mapping.channels == tuple(start)
+
+    def infeasible(prepared, chans, t):
+        raise LPInfeasible("no step")
+
+    pushes, prepared = [], []
+    monkeypatch.setattr(design_mod, "push_forward", lambda *args: pushes.append(args))
+    assert descend(model, start, 10, prepared.append, infeasible, pushed) == (start, [], False, None)
+    assert prepared == [pushed] and pushes == []
 
 
 @pytest.mark.parametrize("eps_i", [1e-20, 1e-16])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -83,20 +84,45 @@ def test_ldp_budget_randomized_response_exact():
     assert ldp_budget(mapping) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_neighbor_axis_budget_matches_the_pair_loop_exactly():
-    """Tables of 1 to 4 axes with zeros, all-zero fibers and -0.0, over a random set of axes."""
+def _seeded_tables():
+    """400 (table, axes): 1 to 4 axes with zeros, all-zero fibers and -0.0, over a random set of axes."""
     rng = np.random.default_rng(17)
-    kinds = set()
     for _ in range(400):
         shape = tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(1, 5)))
         table = rng.random(shape) * (rng.random(shape) > rng.choice([0.0, 0.3, 0.7]))
         table[(table == 0) & (rng.random(shape) < 0.5)] = -0.0
         axes = tuple(int(t) for t in np.flatnonzero(rng.random(len(shape)) < 0.6)) or (0,)
+        yield table, axes
+
+
+def test_neighbor_axis_budget_matches_the_pair_loop_exactly():
+    kinds = set()
+    for table, axes in _seeded_tables():
         oracle = max(pairwise_neighbor_budget(np.moveaxis(table, t, 0)) for t in axes)
         assert metrics._neighbor_axis_budget(table, axes) == oracle
         kinds.add(math.isinf(oracle) or oracle > 0)
         kinds.add("dead fiber" if (table.max(axes[0]) == 0).any() else "live")
     assert kinds == {False, True, "dead fiber", "live"}
+
+
+def test_the_reductions_over_a_stack_equal_a_loop_of_unstacked_calls():
+    """Each seeded table, stacked with the others of its shape on one and on two leading axes."""
+    seeded = list(_seeded_tables())
+    by_shape = {}
+    for table, _ in seeded:
+        by_shape.setdefault(table.shape, []).append(table)
+    assert {len(group) for group in by_shape.values()} >= {1, 2, 3}
+    for table, axes in seeded:
+        group = by_shape[table.shape]
+        stack = np.stack(group)
+        loop = [metrics._neighbor_axis_budget(t, axes) for t in group]
+        assert metrics._neighbor_axis_budget(stack, axes, lead=1).tolist() == loop
+        assert metrics._neighbor_axis_budget(np.stack([stack] * 2), axes, lead=2).tolist() == [loop] * 2
+        flat = [t.reshape(t.shape[0], -1) for t in group]
+        for reduce in (mutual_information, max_abs_log_posterior_ratio):
+            loop = [reduce(t) for t in flat]
+            assert reduce(np.stack(flat)).tolist() == loop
+            assert reduce(np.stack([np.stack(flat)] * 2)).tolist() == [loop] * 2
 
 
 @pytest.mark.parametrize(
@@ -264,6 +290,43 @@ def test_full_report_matches_the_oracle_report_on_bound_suite_draws():
         for field, value in information.items():
             assert getattr(report, field) == pytest.approx(value, abs=1e-12), field
     assert ("eps_ldp", True) in infinite and ("eps_identifiability", False) in infinite
+
+
+def _dead_g_model(rng, s, x_size):
+    """A q = 2 bound-suite model whose prior has a zero column: g = 2 never occurs."""
+    model = random_model(rng, s, x_size, 2)
+    prior = model.prior.copy()
+    prior[:, 2] = 0.0
+    return JointModel(s, x_size, 2, prior / prior.sum(), model.conditionals)
+
+
+def test_a_report_stack_equals_full_report_on_every_pair():
+    """Suite-style draws of all three mapping kinds, stacked by shape and one at a time, with dead-g priors."""
+    rng = np.random.default_rng(41)
+    groups = {}
+    for i in range(720):
+        s, x_size, z_size = int(rng.integers(1, 4)), int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        q = int(rng.integers(1, 3))
+        model = _dead_g_model(rng, s, x_size) if i % 10 == 9 else random_model(rng, s, x_size, q)
+        mapping = relations._random_mapping(rng, i % 3, s, x_size, z_size)
+        groups.setdefault((s, x_size, z_size, model.q), []).append((model, mapping))
+    sizes, seen = set(), set()
+    for pairs in [stack for group in groups.values() for stack in (group, group[:1])]:
+        report = metrics.report_stack(
+            np.stack([m.prior for m, _ in pairs]),
+            np.stack([np.stack(m.conditionals) for m, _ in pairs]),
+            np.stack([np.stack([ch.rows for ch in mp.channels]) for _, mp in pairs]),
+        )
+        sizes.add(len(pairs))
+        for i, (model, mapping) in enumerate(pairs):
+            one = full_report(model, mapping)
+            for field in dataclasses.fields(BudgetReport):
+                value = getattr(one, field.name)
+                assert getattr(report, field.name)[i] == value, field.name
+                seen.add((field.name, math.isinf(value)))
+            seen.add(("dead g", not model.prior.sum(axis=0).all()))
+    assert 1 in sizes and max(sizes) > 20
+    assert {("eps_ldp", True), ("eps_identifiability", True), ("dead g", True)} <= seen
 
 
 # -- the support rules against the full-table scan ----------------------------------

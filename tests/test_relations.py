@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from privdet import metrics, relations
 from privdet.metrics import mutual_information
 from privdet.relations import (
     BOUND_SPECS,
     BOUND_TOL,
     DEFAULT_ALPHAS,
+    STACK_CELLS,
+    VERDICT_BOUND_HOLDS,
+    VERDICT_NO_COMPARISON,
     VERDICT_NON_GUARANTEE,
     all_witnesses,
     check_bound_suite,
@@ -17,6 +21,8 @@ from privdet.relations import (
     witness_info_not_ldp,
     witness_mi_not_info,
 )
+
+from _oracles import bound_suite_loop
 
 LOG2 = math.log(2.0)
 
@@ -147,6 +153,48 @@ def test_bound_suite_covers_every_bound():
     assert set(report.max_violation) == {key for key, *_ in BOUND_SPECS}
     # the deterministic-quantizer trials must have exercised vacuous cases
     assert report.vacuous["ldp->info"] > 0
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 200])
+@pytest.mark.parametrize("seed", range(6))
+def test_bound_suite_equals_the_per_trial_loop(seed, trials):
+    assert check_bound_suite(seed, trials) == bound_suite_loop(seed, trials)
+
+
+def test_bound_suite_equals_the_per_trial_loop_over_stacks_of_one_and_split_shapes(monkeypatch):
+    """7 trials audit stacks of one; at 1,000 the cell cap splits the largest shapes."""
+    stacks = []
+    audit = metrics.report_stack
+
+    def recorded(prior, conditionals, channels):
+        stacks[-1].append(channels.shape[:1] + (prior.shape[1],) + channels.shape[1:])
+        return audit(prior, conditionals, channels)
+
+    monkeypatch.setattr(metrics, "report_stack", recorded)
+    for seed, trials in ((0, 7), (1, 1000)):
+        stacks.append([])
+        assert check_bound_suite(seed, trials) == bound_suite_loop(seed, trials)
+        assert sum(n for n, *_ in stacks[-1]) == trials
+    small, large = stacks
+    assert 1 in {n for n, *_ in small}
+    shapes = [tuple(shape) for _, *shape in large]
+    for n, n_g, s, x_size, z_size in large:
+        assert n <= STACK_CELLS // (x_size * z_size) ** s
+    assert len(set(shapes)) < len(shapes)  # some shape audited in more than one stack
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_bound_with_no_finite_comparison_does_not_hold(seed):
+    """Trial 0 is a deterministic quantizer: eps_LDP = inf, so four bounds compare nothing."""
+    untested = {"ldp->info", "ldp->mutual_info", "ldp->identifiability", "identifiability->ldp"}
+    suite = check_bound_suite(seed, 1)
+    assert {k for k, v in suite.max_violation.items() if v == -math.inf} == untested
+    assert not suite.ok
+    rows, ok = relations.implication_table(seed, 1)
+    verdicts = {f"{r[0]}->{r[1]}": r[4] for r in rows if r[2] == "implies"}
+    assert {k for k, v in verdicts.items() if v == VERDICT_NO_COMPARISON} == untested
+    assert {v for k, v in verdicts.items() if k not in untested} == {VERDICT_BOUND_HOLDS}
+    assert not ok
 
 
 def test_default_alpha_sequence_reaches_below_tolerance():
