@@ -29,6 +29,8 @@ import numpy as np
 from .simplex import LP_TOL, solve_lp
 
 ROW_ATOL = 1e-12
+#: L1 move of a mapping per sweep below which a block descent (design or epic) has converged
+CONVERGENCE_TOL = 1e-6
 #: the largest finite local budget: e^eps_ld is a float up to it
 MAX_EPS_LD = math.log(np.finfo(float).max)
 

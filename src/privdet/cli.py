@@ -474,6 +474,9 @@ def _cmd_epic(args) -> int:
     symbols = args.bins is None
     train_h, train_g, train_feats = _read_labeled_csv(args.train, args.q, symbols)
     test_h, test_g, test_feats = _read_labeled_csv(args.test, args.q, symbols)
+    if train_feats.shape[1] != test_feats.shape[1]:
+        raise ValueError(f"{args.train} has {train_feats.shape[1]} feature columns and {args.test} "
+                         f"has {test_feats.shape[1]}; both need the same features")
     if symbols:
         train_x = train_feats.astype(np.int64)
         test_x = test_feats.astype(np.int64)
@@ -502,9 +505,10 @@ def _read_labeled_csv(path, q, symbols=False):
 
     Blank lines and ``#`` comments are skipped.  The first other line may be
     a header; a later line with a non-numeric field, with another field count
-    than the first data line, with h or a g bit other than 0 or 1, or with
-    ``symbols`` a feature that is not a nonnegative integer, raises
-    ValueError naming the file and line.
+    than the first data line, with h or a g bit other than 0 or 1, with a NaN
+    feature, or with ``symbols`` a feature that is not a nonnegative integer,
+    raises ValueError naming the file and line.  An infinite real feature
+    stays: it bins into an end bin.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -529,6 +533,9 @@ def _read_labeled_csv(path, q, symbols=False):
             if bad:
                 raise ValueError(f"{path}, line {reader.line_num}: label {bad[0]!r} is not 0 or 1; "
                                  "h and each g bit are binary")
+            if any(math.isnan(v) for v in row[1 + q:]):
+                raise ValueError(f"{path}, line {reader.line_num}: a feature is nan; "
+                                 "every feature needs a value")
             bad = [v for v in row[1 + q:] if not (v >= 0 and v.is_integer())] if symbols else []
             if bad:
                 raise ValueError(f"{path}, line {reader.line_num}: feature {bad[0]!r} is not a "

@@ -41,7 +41,9 @@ import math
 import numpy as np
 
 from . import metrics
-from .channels import NetworkMapping, SensorChannel, TwoStageMapping, check_eps_ld, solve_channel_lp
+from .channels import (
+    CONVERGENCE_TOL, NetworkMapping, SensorChannel, TwoStageMapping, check_eps_ld, solve_channel_lp,
+)
 from .detection import (
     FusionRule,
     PrivacyRiskProfile,
@@ -57,8 +59,6 @@ from .simplex import LP_TOL, LPInfeasible, solve_lp
 
 #: the parametric architectures: the names ``design`` takes and ``chain_designs`` chains
 ARCHITECTURES = ("ldp", "ill", "lip", "inp")
-#: L1 norm of the mapping change per sweep below which a design has converged
-CONVERGENCE_TOL = 1e-6
 #: most deterministic quantizers an information-stage LP takes as columns
 PHI_CAP = 4096
 

@@ -24,6 +24,9 @@ With the weights held fixed, each score is linear in one sensor's channel
 and the regularizer is constant, so channel blocks are linear programs on
 the linearized risks with a backtracking damping step on the exact ones.
 Each is one ``channels.solve_channel_lp`` over the channel entries.
+``_descend`` is the one sweep loop: E-LDP, the utility-only design step (i)
+starts from, is that descent with no adversary (every private label set to
+0), so its linear programs carry only the local-budget polytope.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import warnings
 import numpy as np
 
 from .channels import (
+    CONVERGENCE_TOL,
     NetworkMapping,
     SensorChannel,
     check_eps_ld,
@@ -42,11 +46,9 @@ from .channels import (
     solve_channel_lp,
     uniform_mapping,
 )
-from .metrics import json_float
+from .metrics import LOG2, json_float
 from .model import JointModel
 from .simplex import LPInfeasible
-
-LOG2 = math.log(2.0)
 
 #: the output alphabet of every channel the solvers learn
 Z_SIZE = 2
@@ -55,8 +57,6 @@ Z_SIZE = 2
 #: objective by more than the objective's rounding error
 FIT_TOL = 1e-12
 FIT_MAX_ITER = 100
-#: L1 norm of the mapping change per sweep below which a solve has converged
-CONVERGENCE_TOL = 1e-6
 #: step halvings a block step tries toward its LP optimum before it gives up
 DAMPING_STEPS = 6
 #: share of the gap between the utility-only public risk and log 2 that the
@@ -246,12 +246,13 @@ def _adversary_block(dataset, chans, t, advs, lam):
     Returns (rows, offsets, worst): the first-order risk of adversary k about
     the current channel is offsets[k] + rows[k] . vec(P), and worst(P) is the
     exact lowest risk over the adversaries with their weights held fixed.
+    With no adversary there are no rows and worst is inf.
     """
     p0 = chans[t].rows
     parts = [_block(dataset, chans, t, w, lam, g) for g, w in advs.items()]
-    rows = np.array([grad.reshape(-1) for grad, _, _ in parts])
+    rows = np.array([grad.reshape(-1) for grad, _, _ in parts]).reshape(len(parts), p0.size)
     offsets = np.array([cur - float((grad * p0).sum()) for grad, cur, _ in parts])
-    return rows, offsets, lambda p_rows: min(risk(p_rows) for _, _, risk in parts)
+    return rows, offsets, lambda p_rows: min((risk(p_rows) for _, _, risk in parts), default=math.inf)
 
 
 def _channel_step(chans, t, eps_ld, accept, cost, a_ub=None, b_ub=None) -> float:
@@ -332,30 +333,49 @@ def _solution(dataset, chans, lam, eps_ld, theta_star=math.nan, r=0.0) -> EpicSo
 # -- solvers ---------------------------------------------------------------------
 
 
+def _descend(dataset, chans, eps_ld, lam, sweeps, th, floor, theta_star=math.nan, r=0.0):
+    """The one empirical block descent: yields the ``_solution`` of the start, then one per sweep.
+
+    Each sweep takes one ``_channel_step`` per sensor under the last solution's fits: the public
+    risk may not rise, linearized adversary risks stay >= th and exact ones >= floor.  Ends after
+    ``sweeps`` sweeps or after one whose L1 move is below ``CONVERGENCE_TOL``.
+    """
+    chans = list(chans)
+    sol = _solution(dataset, chans, lam, eps_ld, theta_star, r)
+    yield sol
+    for _ in range(sweeps):
+        change = 0.0
+        for t in range(dataset.s):
+            h_grad, f_cur, f = _block(dataset, chans, t, sol.coeffs, lam)
+            g_rows, g_offsets, worst = _adversary_block(dataset, chans, t, sol.adversaries, lam)
+            change += _channel_step(
+                chans, t, eps_ld, lambda p: f(p) <= f_cur + 1e-12 and worst(p) >= floor,
+                h_grad.reshape(-1), -g_rows, g_offsets - th,
+            )
+        sol = _solution(dataset, chans, lam, eps_ld, theta_star, r)
+        yield sol
+        if change < CONVERGENCE_TOL:
+            return
+
+
 def _eldp_start(dataset, eps_ld, lam, config):
-    """(config, channels) of E-LDP, which EPIC starts from: the checked inputs, and the
-    block descent of the public risk over local-budget channels from uniform rows."""
+    """E-LDP's last iterate: the descent from uniform rows with no adversary (every g set to 0)."""
     check_eps_ld(eps_ld)
     if not lam > 0:
         raise ValueError("lam must be positive")
-    cfg = config or EpicConfig()
-    chans = list(uniform_mapping(dataset.s, dataset.x_size, Z_SIZE).channels)
-    for _ in range(cfg.max_sweeps):
-        coeffs, _ = _fit(dataset, chans, lam)
-        change = 0.0
-        for t in range(dataset.s):
-            grad, f_cur, f = _block(dataset, chans, t, coeffs, lam)
-            change += _channel_step(
-                chans, t, eps_ld, lambda p: f(p) <= f_cur + 1e-12, grad.reshape(-1)
-            )
-        if change < CONVERGENCE_TOL:
-            break
-    return cfg, chans
+    no_adversary = dataclasses.replace(dataset, g=np.zeros_like(dataset.g))
+    uniform = uniform_mapping(dataset.s, dataset.x_size, Z_SIZE).channels
+    *_, last = _descend(no_adversary, uniform, eps_ld, lam, config.max_sweeps, -math.inf, -math.inf)
+    return last
 
 
-def eldp_solve(dataset: Dataset, eps_ld: float, lam: float, config: EpicConfig | None = None) -> EpicSolution:
-    """Local-budget-only empirical design (the risk floor dropped)."""
-    return _solution(dataset, _eldp_start(dataset, eps_ld, lam, config)[1], lam, eps_ld)
+def eldp_solve(
+    dataset: Dataset, eps_ld: float, lam: float, config: EpicConfig = EpicConfig()
+) -> EpicSolution:
+    """Local-budget-only empirical design (the risk floor dropped), audited on every present g."""
+    last = _eldp_start(dataset, eps_ld, lam, config)
+    advs, worst = _fit_adversaries(dataset, last.mapping.channels, lam)
+    return dataclasses.replace(last, adversaries=advs, theta_achieved=worst)
 
 
 def _blend(chans_a, chans_b, beta):
@@ -465,32 +485,8 @@ def _better(best, sol, floor):
     return best
 
 
-def _constrained_sweeps(dataset, chans, theta_star, r, eps_ld, lam, cfg, best):
-    """Step-(ii) block descent from one start; returns the audited best so far."""
-    th = r * theta_star
-    floor = th - cfg.risk_slack
-    sol = _solution(dataset, chans, lam, eps_ld, theta_star, r)
-    best = _better(best, sol, floor)
-    for _ in range(cfg.max_sweeps):
-        change = 0.0
-        for t in range(dataset.s):
-            h_grad, f_cur, f = _block(dataset, chans, t, sol.coeffs, lam)
-            g_rows, g_offsets, worst = _adversary_block(dataset, chans, t, sol.adversaries, lam)
-            # every linearized adversary risk stays at or above th
-            change += _channel_step(
-                chans, t, eps_ld,
-                lambda p: f(p) <= f_cur + 1e-12 and worst(p) >= floor,
-                h_grad.reshape(-1), -g_rows, g_offsets - th,
-            )
-        sol = _solution(dataset, chans, lam, eps_ld, theta_star, r)
-        best = _better(best, sol, floor)
-        if change < CONVERGENCE_TOL:
-            break
-    return best
-
-
 def epic_solve(
-    dataset: Dataset, eps_ld: float, r: float, lam: float, config: EpicConfig | None = None
+    dataset: Dataset, eps_ld: float, r: float, lam: float, config: EpicConfig = EpicConfig()
 ) -> EpicSolution:
     """Two-step empirical design under both privacy constraints.
 
@@ -503,17 +499,20 @@ def epic_solve(
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"the floor ratio r must lie in (0, 1), got {r}")
-    cfg, eldp_chans = _eldp_start(dataset, eps_ld, lam, config)  # warm start and utility reference
+    eldp = _eldp_start(dataset, eps_ld, lam, config)  # warm start and utility reference
     if not dataset.present_g_values():
-        return _solution(dataset, eldp_chans, lam, eps_ld, math.inf, r)
+        return dataclasses.replace(eldp, theta_star=math.inf, r=r)
 
-    f_eldp = _fit(dataset, eldp_chans, lam)[1]
+    eldp_chans = eldp.mapping.channels
     nulled = _moment_nulled_channels(dataset, eps_ld)
-    chans_i, theta_star = _risk_floor_search(dataset, eldp_chans, nulled, f_eldp, lam)
-    floor = r * theta_star - cfg.risk_slack
+    chans_i, theta_star = _risk_floor_search(dataset, eldp_chans, nulled, eldp.objective, lam)
+    th = r * theta_star
+    floor = th - config.risk_slack
 
-    best = _constrained_sweeps(dataset, list(chans_i), theta_star, r, eps_ld, lam, cfg, None)
-    best = _constrained_sweeps(dataset, list(nulled), theta_star, r, eps_ld, lam, cfg, best)
+    best = None
+    for start in (chans_i, nulled):
+        for sol in _descend(dataset, start, eps_ld, lam, config.max_sweeps, th, floor, theta_star, r):
+            best = _better(best, sol, floor)
 
     # One-dimensional polish: audited-feasible blends toward the
     # utility-only mapping often dominate the block iterates.

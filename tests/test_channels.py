@@ -301,6 +301,14 @@ def test_channel_lp_solves_the_padded_assembly(x_size, z_size, eps, case, monkey
     assert metrics.ldp_budget(NetworkMapping((SensorChannel(rows),))) <= eps + 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.7, math.inf])
+def test_channel_lp_with_zero_extra_rows_is_the_lp_without_them(eps):
+    """E-LDP passes the empty block of its no adversaries: the optimum is bit for bit the same."""
+    cost = np.random.default_rng(7).normal(size=10)
+    rows = solve_channel_lp((5, 2), eps, cost)
+    assert np.array_equal(rows, solve_channel_lp((5, 2), eps, cost, np.zeros((0, 10)), np.zeros(0)))
+
+
 def _lifted_rows(shape, eps, cost, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
     """The repaired optimum of the block LP over ``lifted_ldp_polytope``, extra rows zero-padded."""
     x_size, z_size = shape

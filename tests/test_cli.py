@@ -530,6 +530,10 @@ def _malformed(tmp_path, case):
         bad = tmp_path / "spec.toml"
         bad.write_text('architectures = ["ldp"\n')
         argv = ["sweep", "--spec", str(bad)]
+    elif case == "binned labeled CSV holds a NaN feature":
+        bad = tmp_path / "data.csv"
+        bad.write_text("h,g,x0,x1\n0,1,0.5,2.5\n1,0,nan,1.5\n")
+        argv = ["epic", "--train", str(bad), "--test", str(bad), "--bins", "3"]
     elif case == "labeled CSV of unequal rows":
         bad = tmp_path / "data.csv"
         bad.write_text("h,g,x0\n0,1,2\n\n1,0\n")
@@ -551,6 +555,7 @@ def _malformed(tmp_path, case):
     ("invalid spec JSON", ": invalid JSON at line 2: "),
     ("invalid spec TOML", ": "),
     ("labeled CSV of unequal rows", ", line 4: 2 fields, the first data line has 3"),
+    ("binned labeled CSV holds a NaN feature", ", line 3: a feature is nan; every feature needs a value\n"),
 ])
 def test_a_malformed_file_is_a_usage_error_that_names_it(tmp_path, capsys, case, detail):
     """Exit 2 with one line that starts with the file's path, and no output: not a traceback."""
@@ -821,6 +826,40 @@ def test_epic_bins_equals_a_run_on_binned_symbols(tmp_path):
         assert cli.main(argv + ["--bins", "3"] * (name == "binned")) == 0
     for ext in (".json", ".csv"):
         assert (tmp_path / f"binned{ext}").read_text() == (tmp_path / f"by_hand{ext}").read_text()
+
+
+def test_an_infinite_feature_is_kept_under_bins(tmp_path):
+    """A NaN feature is refused, but +-inf is a value: it bins into an end bin."""
+    model = generate_correlated_model(seed=1, s=2, x_size=3)
+    paths = [tmp_path / "train.csv", tmp_path / "test.csv"]
+    rng = np.random.default_rng(5)
+    for path, n, inf in zip(paths, (60, 100), (math.inf, -math.inf)):
+        data = dataset_from_model(model, n, n)
+        raw = data.x + rng.random(data.x.shape)
+        raw[6, 1] = inf
+        _write_labeled_csv(path, data, raw)
+    argv = ["epic", "--train", str(paths[0]), "--test", str(paths[1]), "--bins", "3",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("bins", [[], ["--bins", "3"]])
+def test_train_and_test_csvs_of_unequal_feature_counts_are_refused(tmp_path, capsys, bins):
+    """The pair is refused before the solve with one line naming both files, not an IndexError."""
+    model = generate_correlated_model(seed=1, s=2, x_size=3)
+    wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+    _write_labeled_csv(wide, dataset_from_model(model, 30, 0))
+    data = dataset_from_model(model, 100, 1)
+    _write_labeled_csv(narrow, data, data.x[:, :1])
+    for (train, n_train), (test, n_test) in (((wide, 2), (narrow, 1)), ((narrow, 1), (wide, 2))):
+        argv = ["epic", "--train", str(train), "--test", str(test), *bins,
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"privdet epic: {train} has {n_train} feature columns and {test} has {n_test}; "
+            "both need the same features\n"
+        )
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_epic_and_a_sweep_epic_cell_run_one_set_of_defaults(tmp_path, monkeypatch):

@@ -92,12 +92,8 @@ def test_solution_is_deterministic():
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("solver", ["epic", "e-ldp"])
-def test_an_infinite_local_budget_solves_without_ratio_rows(solver, monkeypatch):
-    """At eps_ld = inf the LPs carry no envelope columns and no ratio rows, only the extra rows."""
-    model = generate_correlated_model(seed=3, s=2, x_size=4)
-    data = epic.dataset_from_model(model, 30, 1)
-    cfg = epic.EpicConfig(max_sweeps=2)
+def _recorded_lps(monkeypatch):
+    """The list that gets (variables, inequality rows) of every LP solved from now on."""
     lps = []
     real = channels.solve_lp
 
@@ -106,6 +102,16 @@ def test_an_infinite_local_budget_solves_without_ratio_rows(solver, monkeypatch)
         return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
     monkeypatch.setattr(channels, "solve_lp", recorded)
+    return lps
+
+
+@pytest.mark.parametrize("solver", ["epic", "e-ldp"])
+def test_an_infinite_local_budget_solves_without_ratio_rows(solver, monkeypatch):
+    """At eps_ld = inf the LPs carry no envelope columns and no ratio rows, only the extra rows."""
+    model = generate_correlated_model(seed=3, s=2, x_size=4)
+    data = epic.dataset_from_model(model, 30, 1)
+    cfg = epic.EpicConfig(max_sweeps=2)
+    lps = _recorded_lps(monkeypatch)
     if solver == "epic":
         sol = epic.epic_solve(data, math.inf, R, LAM, cfg)
         assert _worst_adversary_risk(sol, data) >= R * sol.theta_star - cfg.risk_slack - 1e-9
@@ -127,7 +133,7 @@ def test_eldp_and_epic_share_one_eldp_start(empirical, monkeypatch):
 
     def recorded(*args):
         out = real(*args)
-        starts.append([ch.rows.copy() for ch in out[1]])
+        starts.append([ch.rows.copy() for ch in out.mapping.channels])
         return out
 
     monkeypatch.setattr(epic, "_eldp_start", recorded)
@@ -136,6 +142,70 @@ def test_eldp_and_epic_share_one_eldp_start(empirical, monkeypatch):
     assert len(starts) == 2
     for start, rows, again in zip(starts[0], _rows(sol.mapping), starts[1]):
         assert np.array_equal(start, rows) and np.array_equal(start, again)
+
+
+def test_only_the_descent_holds_the_empirical_sweep_loop():
+    """No function of ``epic`` but ``_descend`` reads CONVERGENCE_TOL or takes a block step."""
+    tree = ast.parse(Path(epic.__file__).read_text(encoding="utf-8"))
+    holders = set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id == "CONVERGENCE_TOL":
+                holders.add((fn.name, "CONVERGENCE_TOL"))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_channel_step":
+                holders.add((fn.name, "_channel_step"))
+    assert holders == {("_descend", "CONVERGENCE_TOL"), ("_descend", "_channel_step")}
+
+
+@pytest.mark.parametrize("move, sweeps, n_yields", [(0.0, 5, 2), (1.0, 3, 4)])
+def test_descend_yields_the_start_then_one_solution_per_sweep(monkeypatch, move, sweeps, n_yields):
+    """A sweep that moves nothing ends the descent; otherwise it runs to the sweep cap."""
+    model = generate_correlated_model(seed=2, s=3, x_size=4)
+    data = epic.dataset_from_model(model, 24, 5)
+    start = list(random_mapping(3, data.s, data.x_size, epic.Z_SIZE).channels)
+    steps = []
+
+    def step(chans, t, *args):
+        steps.append(t)
+        return move
+
+    monkeypatch.setattr(epic, "_channel_step", step)
+    sols = list(epic._descend(data, start, 1.0, LAM, sweeps, -math.inf, -math.inf, 0.7, R))
+    assert len(sols) == n_yields
+    assert steps == list(range(data.s)) * (n_yields - 1)
+    want = epic._solution(data, start, LAM, 1.0, 0.7, R)
+    assert json.dumps(sols[0].to_dict()) == json.dumps(want.to_dict())
+
+
+def test_eldp_linear_programs_carry_only_the_ratio_rows(monkeypatch):
+    """At a finite eps_ld E-LDP has no adversary: its LPs hold the local-budget polytope alone,
+    one ratio row per channel entry over the entries and the per-output floors."""
+    model = generate_correlated_model(seed=3, s=2, x_size=4)
+    data = epic.dataset_from_model(model, 30, 1)
+    lps = _recorded_lps(monkeypatch)
+    epic.eldp_solve(data, 1.0, LAM, epic.EpicConfig(max_sweeps=2))
+    n_entries = data.x_size * epic.Z_SIZE
+    assert lps and set(lps) == {(n_entries + epic.Z_SIZE, n_entries)}
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 2, 5])
+def test_eldp_fits_the_classifier_once_per_iterate_and_each_adversary_once(monkeypatch, max_sweeps):
+    model = generate_correlated_model(seed=0, s=4, x_size=8)
+    data = epic.dataset_from_model(model, 40, 0)
+    fitted = []
+    real = epic._fit
+
+    def recorded(dataset, chans, lam, g=None, *args):
+        fitted.append(g)
+        return real(dataset, chans, lam, g, *args)
+
+    monkeypatch.setattr(epic, "_fit", recorded)
+    epic.eldp_solve(data, 1.0, LAM, epic.EpicConfig(max_sweeps=max_sweeps))
+    assert 2 <= fitted.count(None) <= max_sweeps + 1
+    assert data.present_g_values()
+    assert [g for g in fitted if g is not None] == data.present_g_values()
 
 
 def test_the_empirical_solvers_read_no_output_size():
@@ -156,7 +226,7 @@ def test_theta_star_is_the_better_audited_capped_start():
     data = epic.dataset_from_model(model, 40, 0)
     eps_ld = 3.0
     sol = epic.epic_solve(data, eps_ld, R, LAM)
-    _, eldp_chans = epic._eldp_start(data, eps_ld, LAM, None)
+    eldp_chans = epic._eldp_start(data, eps_ld, LAM, epic.EpicConfig()).mapping.channels
     f_eldp = epic._fit(data, eldp_chans, LAM)[1]
     f_cap = f_eldp + epic.UTILITY_SLACK * (epic.LOG2 - f_eldp)
     uniform = list(channels.uniform_mapping(data.s, data.x_size, epic.Z_SIZE).channels)
@@ -176,7 +246,7 @@ def test_step_ii_audits_the_step_i_start_at_theta_star_exactly(data_seed):
     model = generate_correlated_model(seed=0, s=4, x_size=8)
     data = epic.dataset_from_model(model, 40, data_seed)
     for eps_ld in (0.5, 1.0):
-        _, eldp_chans = epic._eldp_start(data, eps_ld, LAM, None)
+        eldp_chans = epic._eldp_start(data, eps_ld, LAM, epic.EpicConfig()).mapping.channels
         f_eldp = epic._fit(data, eldp_chans, LAM)[1]
         nulled = epic._moment_nulled_channels(data, eps_ld)
         chans_i, theta_star = epic._risk_floor_search(data, eldp_chans, nulled, f_eldp, LAM)
