@@ -534,6 +534,8 @@ def discretize(raw: np.ndarray, bins: int, edges=None):
     on the given table unless ``edges`` is supplied (pass the training
     edges when transforming a test split).  Returns (symbols, edges).
     A constant column collapses to the single symbol 0 with a warning.
+    +-inf interpolate as the column's finite extremes, and an edge whose lower
+    order statistic is -inf is -inf: no edge is NaN, +-inf take the end bins.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
@@ -549,7 +551,11 @@ def discretize(raw: np.ndarray, bins: int, edges=None):
                 warnings.warn(f"feature column {j} is constant; using a single symbol")
                 edges.append(np.zeros(0))
                 continue
-            edges.append(np.quantile(col, np.arange(1, bins) / bins))
+            qs, finite = np.arange(1, bins) / bins, col[np.isfinite(col)]
+            ends = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
+            col_edges = np.quantile(np.clip(col, *ends), qs)
+            col_edges[np.quantile(col, qs, method="lower") == -np.inf] = -np.inf
+            edges.append(col_edges)
     symbols = np.empty((n, d), dtype=np.int64)
     for j in range(d):  # no edges (a constant column) puts every value at symbol 0
         symbols[:, j] = np.searchsorted(edges[j], raw[:, j], side="left")

@@ -19,9 +19,9 @@ import math
 import numpy as np
 
 from . import metrics
-from .channels import NetworkMapping, SensorChannel, identity_mapping
+from .channels import ROW_ATOL, NetworkMapping, SensorChannel, identity_mapping
 from .metrics import BudgetReport, max_abs_log_posterior_ratio, mutual_information
-from .model import JointModel, push_forward
+from .model import JointModel, _check_rows_stochastic, push_forward
 
 #: Default parameter sequence for the witness families.  Spans enough
 #: decades for the leakage side to drop below 1e-6 while staying clear of
@@ -230,31 +230,26 @@ class BoundSuiteReport:
     ok: bool  # every bound got a finite comparison, and none was violated
 
 
-def random_model(rng: np.random.Generator, s: int, x_size: int, q: int) -> JointModel:
-    """Strictly positive random model with Dirichlet(1) prior and rows."""
-    n_g = 2 ** q
-    prior = rng.dirichlet(np.ones(2 * n_g)).reshape(2, n_g)
-    conds = tuple(rng.dirichlet(np.ones(x_size), size=(2, n_g)) for _ in range(s))
-    return JointModel(s, x_size, q, prior, conds)
+def _draw_trial(rng: np.random.Generator, i: int) -> tuple:
+    """Trial i's shape key (s, x_size, z_size, q) and its tables, one rng call each.
 
-
-def _random_mapping(rng: np.random.Generator, kind: int, s, x_size, z_size) -> NetworkMapping:
-    if kind == 0:  # deterministic quantizer: exercises the infinite budgets
-        chans = []
-        for _ in range(s):
-            rows = np.zeros((x_size, z_size))
-            rows[np.arange(x_size), rng.integers(z_size, size=x_size)] = 1.0
-            chans.append(SensorChannel(rows))
-        return NetworkMapping(tuple(chans))
-    if kind == 1:  # input-independent rows: every budget collapses to zero
-        row = rng.dirichlet(np.ones(z_size))
-        rows = np.tile(row, (x_size, 1))
-        return NetworkMapping(tuple(SensorChannel(rows) for _ in range(s)))
-    chans = []
-    for _ in range(s):
-        rows = rng.dirichlet(np.ones(z_size), size=x_size)
-        chans.append(SensorChannel(rows))
-    return NetworkMapping(tuple(chans))
+    The prior (2, n_g), the conditionals (s, 2, n_g, x_size) and, by i % 4,
+    the channels (s, x_size, z_size) of a deterministic quantizer (0),
+    input-independent rows (1) or generic rows (2, 3); every row Dirichlet(1).
+    """
+    s = int(rng.integers(1, 4))
+    x_size = int(rng.integers(2, 6))
+    z_size = int(rng.integers(2, 4))
+    q = int(rng.integers(1, 3))
+    prior = rng.dirichlet(np.ones(2 * 2 ** q)).reshape(2, -1)
+    conds = rng.dirichlet(np.ones(x_size), size=(s, 2, 2 ** q))
+    if i % 4 == 0:
+        chans = np.eye(z_size)[rng.integers(z_size, size=(s, x_size))]
+    elif i % 4 == 1:
+        chans = np.broadcast_to(rng.dirichlet(np.ones(z_size)), (s, x_size, z_size))
+    else:
+        chans = rng.dirichlet(np.ones(z_size), size=(s, x_size))
+    return (s, x_size, z_size, q), (prior, conds, chans)
 
 
 def bound_violations(report: BudgetReport, s: int, q: int) -> dict:
@@ -275,32 +270,27 @@ def bound_violations(report: BudgetReport, s: int, q: int) -> dict:
 def check_bound_suite(seed: int, trials: int) -> BoundSuiteReport:
     """Evaluate every quantitative bound on seeded random instances.
 
-    Each trial draws a small strictly positive model (s <= 3, x_size <= 5,
-    z_size <= 3, q <= 2) and one of three mapping flavors (generic random,
-    deterministic quantizer, input-independent), from one rng stream in
-    trial order; ``random_model`` and ``_random_mapping`` build, and so
-    validate, each of them.  Only their tables are kept, packed as bytes
-    one trial after another in a buffer per shape (s, x_size, z_size, q),
-    and each shape is audited by ``metrics.report_stack`` in stacks of at
-    most ``STACK_CELLS`` (X, Z) cells, whose values are ``full_report``'s
-    bit for bit.  The worst violation and the vacuous count of each bound
-    fold over the trials in any order.  Fails (ok=False) if any finite
-    comparison is violated by more than 1e-9, or if a bound got no finite
-    comparison at all.
+    Each trial draws with ``_draw_trial``, from one rng stream in trial
+    order, the tables of a small strictly positive model (s <= 3, x_size <=
+    5, z_size <= 3, q <= 2) and of one of three mapping flavors; no model or
+    mapping object is built.  The tables are packed as bytes one trial after
+    another in a buffer per shape (s, x_size, z_size, q).  Each shape is
+    audited by ``metrics.report_stack`` in stacks of at most ``STACK_CELLS``
+    (X, Z) cells, whose values are ``full_report``'s bit for bit, after one
+    check of the stack by the constructors' rule (no negative or NaN entry,
+    each prior and row summing to 1 within 1e-12: ``ModelFormatError``).
+    The worst violation and the vacuous count of each bound fold over the
+    trials in any order.  Fails (ok=False) if any finite comparison is
+    violated by more than 1e-9, or if a bound got no finite comparison.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     shapes = {}  # (s, x_size, z_size, q) -> its trials' tables, packed in draw order
     for i in range(trials):
-        s = int(rng.integers(1, 4))
-        x_size = int(rng.integers(2, 6))
-        z_size = int(rng.integers(2, 4))
-        q = int(rng.integers(1, 3))
-        model = random_model(rng, s, x_size, q)
-        mapping = _random_mapping(rng, i % 4 if i % 4 < 2 else 2, s, x_size, z_size)
-        packed = shapes.setdefault((s, x_size, z_size, q), bytearray())
-        for table in (model.prior, *model.conditionals, *(ch.rows for ch in mapping.channels)):
+        key, tables = _draw_trial(rng, i)
+        packed = shapes.setdefault(key, bytearray())
+        for table in tables:
             packed += table.tobytes()
     worst = {key: -math.inf for key, *_ in BOUND_SPECS}
     vacuous = {key: 0 for key, *_ in BOUND_SPECS}
@@ -311,9 +301,13 @@ def check_bound_suite(seed: int, trials: int) -> BoundSuiteReport:
         size = max(1, STACK_CELLS // (x_size * z_size) ** s)
         for lo in range(0, len(rows), size):
             tables = np.split(rows[lo:lo + size], ends[:-1], axis=1)
-            report = metrics.report_stack(
-                *(np.ascontiguousarray(t).reshape(-1, *shape) for t, shape in zip(tables, layout))
+            prior, conds, chans = (
+                np.ascontiguousarray(t).reshape(-1, *shape) for t, shape in zip(tables, layout)
             )
+            _check_rows_stochastic(tables[0], "bound-suite prior")
+            _check_rows_stochastic(conds, "bound-suite conditional table")
+            _check_rows_stochastic(chans, "bound-suite channel", ROW_ATOL)
+            report = metrics.report_stack(prior, conds, chans)
             for key, viol in bound_violations(report, s, q).items():
                 vacuous[key] += int(np.count_nonzero(viol == -math.inf))
                 worst[key] = max(worst[key], float(viol.max()))

@@ -3,6 +3,8 @@
 Everything here enumerates explicitly (pure Python loops over full product
 spaces) so the fast implementations are checked against a path they share
 no code with; the one exception, ``bound_suite_loop``, says what it shares.
+``random_model`` and ``random_suite_mapping`` draw the random models and
+mappings of the tests as validated objects, one rng call per sensor table.
 """
 
 import collections
@@ -13,8 +15,9 @@ import math
 import numpy as np
 
 from privdet import relations
-from privdet.channels import ldp_polytope
+from privdet.channels import NetworkMapping, SensorChannel, ldp_polytope
 from privdet.metrics import full_report
+from privdet.model import JointModel
 from privdet.simplex import FEAS_TOL, PIVOT_EPS, LPError, LPInfeasible, LPUnbounded
 
 
@@ -442,12 +445,42 @@ def oracle_report(pushed):
     return neighbors, information
 
 
+def random_model(rng, s, x_size, q):
+    """Strictly positive random model with Dirichlet(1) prior and rows."""
+    n_g = 2 ** q
+    prior = rng.dirichlet(np.ones(2 * n_g)).reshape(2, n_g)
+    conds = tuple(rng.dirichlet(np.ones(x_size), size=(2, n_g)) for _ in range(s))
+    return JointModel(s, x_size, q, prior, conds)
+
+
+def random_suite_mapping(rng, kind, s, x_size, z_size):
+    """A mapping of the bound suite's kind 0, 1 or 2, drawn sensor by sensor."""
+    if kind == 0:  # deterministic quantizer: exercises the infinite budgets
+        chans = []
+        for _ in range(s):
+            rows = np.zeros((x_size, z_size))
+            rows[np.arange(x_size), rng.integers(z_size, size=x_size)] = 1.0
+            chans.append(SensorChannel(rows))
+        return NetworkMapping(tuple(chans))
+    if kind == 1:  # input-independent rows: every budget collapses to zero
+        row = rng.dirichlet(np.ones(z_size))
+        rows = np.tile(row, (x_size, 1))
+        return NetworkMapping(tuple(SensorChannel(rows) for _ in range(s)))
+    chans = []
+    for _ in range(s):
+        rows = rng.dirichlet(np.ones(z_size), size=x_size)
+        chans.append(SensorChannel(rows))
+    return NetworkMapping(tuple(chans))
+
+
 def bound_suite_loop(seed, trials):
     """``relations.check_bound_suite`` as a loop of one ``full_report`` per trial.
 
-    The same draws from the same rng stream, each trial's bounds compared
-    on its own report as Python floats.  It shares the drawing and
-    ``full_report`` with the program, so it checks the stacked audit, the
+    Each trial's model and mapping are drawn object by object, one rng call
+    per sensor table, by ``random_model`` and ``random_suite_mapping``, so
+    their constructors validate them; each trial's bounds are compared on
+    its own report as Python floats.  It shares only ``full_report`` with
+    the program, so it checks the table drawing, the stacked audit, the
     grouping by shape and the fold, not the budgets themselves.
     """
     rng = np.random.default_rng(seed)
@@ -458,8 +491,8 @@ def bound_suite_loop(seed, trials):
         x_size = int(rng.integers(2, 6))
         z_size = int(rng.integers(2, 4))
         q = int(rng.integers(1, 3))
-        model = relations.random_model(rng, s, x_size, q)
-        mapping = relations._random_mapping(rng, i % 4 if i % 4 < 2 else 2, s, x_size, z_size)
+        model = random_model(rng, s, x_size, q)
+        mapping = random_suite_mapping(rng, i % 4 if i % 4 < 2 else 2, s, x_size, z_size)
         report = full_report(model, mapping)
         for key, lhs_field, rhs_fn, _ in relations.BOUND_SPECS:
             rhs = rhs_fn(report, s, q)

@@ -27,7 +27,6 @@ from privdet.channels import (
 from privdet.design import ldp_lp_step
 from privdet.detection import optimal_rule_from_pushed
 from privdet.model import push_forward
-from privdet.relations import random_model
 from privdet.simplex import LP_TOL, LPInfeasible, solve_lp
 
 from _oracles import (
@@ -36,6 +35,7 @@ from _oracles import (
     lifted_ldp_polytope,
     padded_channel_lp,
     pairwise_ldp_polytope,
+    random_model,
 )
 
 

@@ -39,7 +39,6 @@ from privdet.detection import (
 )
 from privdet.metrics import full_report
 from privdet.model import JointModel, generate_correlated_model, push_forward
-from privdet.relations import random_model
 from privdet.simplex import LPInfeasible
 
 from _oracles import (
@@ -48,6 +47,7 @@ from _oracles import (
     brute_error_with_rule,
     brute_push,
     joint_block_coefficients,
+    random_model,
 )
 
 

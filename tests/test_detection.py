@@ -22,12 +22,12 @@ from privdet.detection import (
     theta,
 )
 from privdet.model import JointModel, push_forward
-from privdet.relations import random_model
 
 from _oracles import (
     best_detector_exhaustive,
     best_rule_exhaustive,
     brute_error_with_rule,
+    random_model,
     sentinel_c_G,
 )
 

@@ -322,6 +322,22 @@ def test_discretize_constant_column_is_one_symbol():
     assert np.array_equal(test_sym[:, 0], [0, 0])
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_discretize_bins_an_infinite_block_apart(sign):
+    """25 of 60 values at +inf (or -inf) fill a quantile: they take the end bin, alone."""
+    rng = np.random.default_rng(7)
+    col = rng.permutation(np.concatenate([rng.normal(size=35), np.full(25, math.inf)])) * sign
+    sym, (edges,) = epic.discretize(col[:, None], 3)
+    assert not np.isnan(edges).any()
+    assert np.array_equal(sym, _symbols_loop([edges], col[:, None]))
+    end = 2 if sign > 0 else 0
+    assert np.array_equal(sym[:, 0] == end, np.isinf(col))
+    assert np.array_equal(np.bincount(sym[:, 0], minlength=3), [20, 15, 25][::int(sign)])
+    finite = col[np.isfinite(col)]
+    inner = np.quantile(col, 1 / 3 if sign > 0 else 2 / 3)  # between two finite values
+    assert edges.tolist() == ([inner, finite.max()] if sign > 0 else [-math.inf, inner])
+
+
 #: Newton steps a fit may take on the case below: every fit there has
 #: stopped within 3 steps since the stop tests read the objective's rounding
 #: error, where one fit in eight ran all FIT_MAX_ITER steps before.

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from privdet import metrics, relations
+from privdet import metrics
 from privdet.channels import (
     NetworkMapping,
     SensorChannel,
@@ -34,7 +34,7 @@ from privdet.model import (
     push_forward,
     table3_model,
 )
-from privdet.relations import example1_joint, random_model
+from privdet.relations import example1_joint
 
 from _oracles import (
     empirical_eps_i_dict,
@@ -43,6 +43,8 @@ from _oracles import (
     oracle_report,
     pairwise_inference_dp,
     pairwise_neighbor_budget,
+    random_model,
+    random_suite_mapping,
 )
 
 LOG2 = math.log(2.0)
@@ -281,7 +283,7 @@ def test_full_report_matches_the_oracle_report_on_bound_suite_draws():
     for i in range(1500):
         s, x_size = int(rng.integers(1, 4)), int(rng.integers(2, 6))
         model = random_model(rng, s, x_size, int(rng.integers(1, 3)))
-        mapping = relations._random_mapping(rng, i % 3, s, x_size, int(rng.integers(2, 4)))
+        mapping = random_suite_mapping(rng, i % 3, s, x_size, int(rng.integers(2, 4)))
         report = full_report(model, mapping)
         neighbors, information = oracle_report(push_forward(model, mapping))
         for field, value in neighbors.items():
@@ -308,7 +310,7 @@ def test_a_report_stack_equals_full_report_on_every_pair():
         s, x_size, z_size = int(rng.integers(1, 4)), int(rng.integers(2, 6)), int(rng.integers(2, 4))
         q = int(rng.integers(1, 3))
         model = _dead_g_model(rng, s, x_size) if i % 10 == 9 else random_model(rng, s, x_size, q)
-        mapping = relations._random_mapping(rng, i % 3, s, x_size, z_size)
+        mapping = random_suite_mapping(rng, i % 3, s, x_size, z_size)
         groups.setdefault((s, x_size, z_size, model.q), []).append((model, mapping))
     sizes, seen = set(), set()
     for pairs in [stack for group in groups.values() for stack in (group, group[:1])]:
@@ -353,7 +355,7 @@ def _support_rule_cases():
     for model in models:
         s, x_size = model.s, model.x_size
         mappings = [random_mapping(5, s, x_size, z) for z in (2, 3)]
-        mappings += [relations._random_mapping(rng, 0, s, x_size, z) for z in (2, 3)]
+        mappings += [random_suite_mapping(rng, 0, s, x_size, z) for z in (2, 3)]
         mappings.append(identity_mapping(s, x_size))
         for mapping in mappings:
             yield model, mapping

@@ -23,9 +23,8 @@ from privdet.model import (
     push_forward_model,
     save_model,
 )
-from privdet.relations import random_model
 
-from _oracles import brute_push, kron_push, moment_prior
+from _oracles import brute_push, kron_push, moment_prior, random_model
 
 
 def hand_model():

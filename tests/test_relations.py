@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from privdet import metrics, relations
+from privdet.channels import ModelFormatError
 from privdet.metrics import mutual_information
 from privdet.relations import (
     BOUND_SPECS,
@@ -22,7 +25,7 @@ from privdet.relations import (
     witness_mi_not_info,
 )
 
-from _oracles import bound_suite_loop
+from _oracles import bound_suite_loop, random_model, random_suite_mapping
 
 LOG2 = math.log(2.0)
 
@@ -195,6 +198,79 @@ def test_a_bound_with_no_finite_comparison_does_not_hold(seed):
     assert {k for k, v in verdicts.items() if v == VERDICT_NO_COMPARISON} == untested
     assert {v for k, v in verdicts.items() if k not in untested} == {VERDICT_BOUND_HOLDS}
     assert not ok
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_bound_suite_equals_the_per_trial_loop_at_a_thousand_trials(seed):
+    assert check_bound_suite(seed, 1000) == bound_suite_loop(seed, 1000)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_drawn_trial_is_the_objects_tables_bit_for_bit(seed):
+    """Each table is one rng call that draws what the per-sensor calls drew, and no more."""
+    batched, per_sensor = np.random.default_rng(seed), np.random.default_rng(seed)
+    for i in range(200):
+        key, tables = relations._draw_trial(batched, i)
+        bounds = ((1, 4), (2, 6), (2, 4), (1, 3))
+        s, x_size, z_size, q = (int(per_sensor.integers(lo, hi)) for lo, hi in bounds)
+        model = random_model(per_sensor, s, x_size, q)
+        mapping = random_suite_mapping(per_sensor, min(i % 4, 2), s, x_size, z_size)
+        assert key == (s, x_size, z_size, q)
+        chans = [ch.rows for ch in mapping.channels]
+        want = (model.prior, np.stack(model.conditionals), np.stack(chans))
+        for got, table in zip(tables, want):
+            assert got.shape == table.shape and got.tobytes() == table.tobytes()
+        assert batched.bit_generator.state == per_sensor.bit_generator.state
+
+
+def _faulted(which, fault):
+    """``_draw_trial`` with one entry of trial 2's table ``which`` broken.
+
+    ``which`` is 0 for the prior, 1 for the conditionals, 2 for the channels.
+    """
+    draw = relations._draw_trial
+
+    def faulted(rng, i):
+        key, tables = draw(rng, i)
+        if i == 2:  # generic Dirichlet rows: every entry positive
+            tables = [np.array(t) for t in tables]
+            row = tables[which].reshape(-1, tables[which].shape[-1])[0]  # a view of the first row
+            if fault == "nan":
+                row[0] = math.nan
+            elif fault == "negative":  # the row still sums to 1
+                row[0], row[1] = row[0] - 1.0, row[1] + 1.0
+            else:
+                row[0] += 1e-9
+        return key, tables
+
+    return faulted
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("nan", "has entry nan"), ("negative", "has entry -"), ("off", "sums to")])
+@pytest.mark.parametrize("which, name", [(0, "prior"), (1, "conditional"), (2, "channel")])
+def test_the_suite_refuses_a_stack_with_one_bad_entry(monkeypatch, which, name, fault, message):
+    monkeypatch.setattr(relations, "_draw_trial", _faulted(which, fault))
+    with pytest.raises(ModelFormatError, match=f"bound-suite {name}.*{message}"):
+        check_bound_suite(0, 40)
+
+
+def test_the_suite_draws_no_model_or_mapping_object():
+    """``check_bound_suite`` and every function of ``relations`` it calls handle tables only."""
+    tree = ast.parse(Path(relations.__file__).read_text(encoding="utf-8"))
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    reached, todo, built = set(), ["check_bound_suite"], set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in {"JointModel", "SensorChannel", "NetworkMapping"}:
+                    built.add((name, node.func.id))
+                elif node.func.id in functions and node.func.id not in reached:
+                    todo.append(node.func.id)
+    assert "_draw_trial" in reached
+    assert built == set()
 
 
 def test_default_alpha_sequence_reaches_below_tolerance():
