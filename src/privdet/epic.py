@@ -26,7 +26,14 @@ the linearized risks with a backtracking damping step on the exact ones.
 Each is one ``channels.solve_channel_lp`` over the channel entries.
 ``_descend`` is the one sweep loop: E-LDP, the utility-only design step (i)
 starts from, is that descent with no adversary (every private label set to
-0), so its linear programs carry only the local-budget polytope.
+0), so its linear programs carry only the local-budget polytope.  Step
+(ii)'s programs are that polytope plus one row per adversary, so the
+simplex starts them from the polytope's kept phase-1 start.
+
+Each exact computation is made once: ``dataset_from_model`` draws each
+(model, n, seed) data set once and keeps it on the model, and E-LDP runs
+once per training set and input (``_eldp_start`` keeps it on the data
+set), so the e-ldp and epic cells of one local budget share one descent.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import numpy as np
 
 from .channels import (
     CONVERGENCE_TOL,
+    ROW_ATOL,
     NetworkMapping,
     SensorChannel,
     check_eps_ld,
@@ -47,7 +55,7 @@ from .channels import (
     uniform_mapping,
 )
 from .metrics import LOG2, json_float
-from .model import JointModel
+from .model import JointModel, _check_rows_stochastic
 from .simplex import LPInfeasible
 
 #: the output alphabet of every channel the solvers learn
@@ -69,13 +77,19 @@ UTILITY_SLACK = 0.3
 
 @dataclasses.dataclass(frozen=True)
 class Dataset:
-    """Labeled samples (h, g, x): one row per observation vector."""
+    """Labeled samples (h, g, x): one row per observation vector.
+
+    ``_stages`` holds the E-LDP descents made on this training set
+    (``_eldp_start``), so that the e-ldp and epic cells of one local budget
+    share one.  A replaced data set starts it empty.
+    """
 
     h: np.ndarray  # (n,) in {0, 1}
     g: np.ndarray  # (n,) private-value index in [0, 2**q)
     x: np.ndarray  # (n, s) symbols in [0, x_size)
     x_size: int
     q: int
+    _stages: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.int64)
@@ -116,8 +130,16 @@ class Dataset:
 
 
 def dataset_from_model(model: JointModel, n: int, seed: int) -> Dataset:
-    h, g, x = model.sample(n, np.random.default_rng(seed))
-    return Dataset(h, g, x, model.x_size, model.q)
+    """n samples of ``model`` drawn from ``seed``: drawn once per model, n and seed.
+
+    The data set is kept in ``model._stages``; it is immutable, so the
+    cells of a sweep that ask for it again share it.
+    """
+    key = ("dataset_from_model", n, seed)
+    if key not in model._stages:
+        h, g, x = model.sample(n, np.random.default_rng(seed))
+        model._stages[key] = Dataset(h, g, x, model.x_size, model.q)
+    return model._stages[key]
 
 
 # -- losses and primal fits ----------------------------------------------------
@@ -359,14 +381,22 @@ def _descend(dataset, chans, eps_ld, lam, sweeps, th, floor, theta_star=math.nan
 
 
 def _eldp_start(dataset, eps_ld, lam, config):
-    """E-LDP's last iterate: the descent from uniform rows with no adversary (every g set to 0)."""
+    """E-LDP's last iterate: the descent from uniform rows with no adversary (every g set to 0).
+
+    Made once per training set and input: kept in ``dataset._stages``, keyed
+    on eps_ld (its hex tells -0.0 from 0.0), lam and ``max_sweeps``, the one
+    config field the descent reads.
+    """
     check_eps_ld(eps_ld)
     if not lam > 0:
         raise ValueError("lam must be positive")
-    no_adversary = dataclasses.replace(dataset, g=np.zeros_like(dataset.g))
-    uniform = uniform_mapping(dataset.s, dataset.x_size, Z_SIZE).channels
-    *_, last = _descend(no_adversary, uniform, eps_ld, lam, config.max_sweeps, -math.inf, -math.inf)
-    return last
+    key = ("_eldp_start", float(eps_ld).hex(), lam, config.max_sweeps)
+    if key not in dataset._stages:
+        no_adversary = dataclasses.replace(dataset, g=np.zeros_like(dataset.g))
+        uniform = uniform_mapping(dataset.s, dataset.x_size, Z_SIZE).channels
+        *_, last = _descend(no_adversary, uniform, eps_ld, lam, config.max_sweeps, -math.inf, -math.inf)
+        dataset._stages[key] = last
+    return dataset._stages[key]
 
 
 def eldp_solve(
@@ -378,48 +408,57 @@ def eldp_solve(
     return dataclasses.replace(last, adversaries=advs, theta_achieved=worst)
 
 
-def _blend(chans_a, chans_b, beta):
-    """Per-sensor convex combination, with b's output labels aligned to a.
+def _aligned(rows_a, rows_b):
+    """Binary channel rows_b, its outputs flipped when that brings it closer to rows_a.
 
     Output relabeling is free (it changes neither risks nor budgets), but
-    blending channels of opposite polarity cancels their signal, so each
-    binary b-channel is first flipped when that brings it closer to its
-    a-counterpart.
+    blending channels of opposite polarity cancels their signal.
     """
-    out = []
-    for a, b in zip(chans_a, chans_b):
-        rows_b = b.rows
-        flipped = rows_b[:, ::-1]
-        if np.abs(a.rows - flipped).sum() < np.abs(a.rows - rows_b).sum():
-            rows_b = flipped
-        out.append(SensorChannel((1.0 - beta) * a.rows + beta * rows_b))
-    return out
+    flipped = rows_b[:, ::-1]
+    return flipped if np.abs(rows_a - flipped).sum() < np.abs(rows_a - rows_b).sum() else rows_b
+
+
+def _blend(chans_a, chans_b, beta):
+    """Per-sensor convex combination, with b's output labels aligned to a (``_aligned``)."""
+    return [SensorChannel((1.0 - beta) * a.rows + beta * _aligned(a.rows, b.rows))
+            for a, b in zip(chans_a, chans_b)]
 
 
 def _capped_path_point(dataset, from_chans, to_chans, f_cap, lam):
     """Most-sanitized point on the blend path meeting the utility cap.
 
     The path runs from ``from_chans`` (more sanitized) to ``to_chans``
-    (better public risk); returns the endpoint closest to ``from_chans``
-    whose refit public risk is at most f_cap, located by bisection.
+    (better public risk), as ``_blend`` runs it; returns the endpoint
+    closest to ``from_chans`` whose refit public risk is at most f_cap,
+    located by bisection.  Each point is one blend of the stacked
+    (s, x_size, 2) rows, the row check of the ``SensorChannel``
+    constructor, and one gather into the fit's features; channels are made
+    for the returned point alone.
     """
+    start = np.stack([a.rows for a in from_chans])
+    end = np.stack([_aligned(a.rows, b.rows) for a, b in zip(from_chans, to_chans)])
+    weights, signs = _risk_terms(dataset)
+    sensors = np.arange(dataset.s)
 
-    def f_at(beta):
-        chans = _blend(from_chans, to_chans, beta)
-        return _fit(dataset, chans, lam)[1], chans
+    def point(beta):
+        rows = (1.0 - beta) * start + beta * end
+        _check_rows_stochastic(rows, "blended channel", ROW_ATOL)
+        return rows
 
-    obj0, chans0 = f_at(0.0)
-    if obj0 <= f_cap:
-        return chans0
-    lo, hi = 0.0, 1.0  # f(hi) <= cap by construction of to_chans
-    for _ in range(25):
-        mid = 0.5 * (lo + hi)
-        obj_mid, _ = f_at(mid)
-        if obj_mid <= f_cap:
-            hi = mid
-        else:
-            lo = mid
-    return f_at(hi)[1]
+    def capped(rows):
+        phi = rows[sensors, dataset.x].reshape(dataset.n, -1)
+        return _newton_fit(phi, signs, weights, lam)[1] <= f_cap
+
+    hi = 0.0
+    if not capped(point(hi)):
+        lo, hi = 0.0, 1.0  # f(hi) <= cap by construction of to_chans
+        for _ in range(25):
+            mid = 0.5 * (lo + hi)
+            if capped(point(mid)):
+                hi = mid
+            else:
+                lo = mid
+    return [SensorChannel(rows) for rows in point(hi)]
 
 
 def _risk_floor_search(dataset, start_chans, nulled, f_eldp, lam):

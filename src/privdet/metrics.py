@@ -395,7 +395,9 @@ def report_stack(prior: np.ndarray, conditionals: np.ndarray, channels: np.ndarr
 
     ``prior`` is (n, 2, n_g), ``conditionals`` (n, s, 2, n_g, x_size) and
     ``channels`` (n, s, x_size, z_size): the tables of n models and
-    mappings that their constructors have validated.  Entry i of each field
+    mappings, which no constructor sees.  The caller checks each stack at
+    the constructors' tolerances, as ``relations.check_bound_suite`` does
+    with ``model._check_rows_stochastic``.  Entry i of each field
     is ``full_report``'s value for pair i, bit for bit: the stack is pushed
     forward, marginalized to p(x) and Kronecker-multiplied by the same
     ``_sensor_product`` folds, and reduced by the same rules.  The (X, Z)

@@ -57,9 +57,10 @@ class JointModel:
     """Joint law of (H, G, X_1..X_s) with X_t independent given (H, G).
 
     ``_stages`` holds the stage designs made on this model, so that each is
-    made once per model and input (``design._once_per_model``), and ``_p_x``
-    the marginal ``p_x`` computed once.  A replaced or reloaded model starts
-    both empty.
+    made once per model and input (``design._once_per_model``), and the
+    data sets drawn from it, each once per (n, seed)
+    (``epic.dataset_from_model``); ``_p_x`` holds the marginal ``p_x``
+    computed once.  A replaced or reloaded model starts both empty.
     """
 
     s: int

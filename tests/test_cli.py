@@ -23,7 +23,7 @@ from privdet.channels import (
     save_mapping,
 )
 from privdet.epic import dataset_from_model
-from privdet.model import generate_correlated_model, load_model, save_model
+from privdet.model import JointModel, generate_correlated_model, load_model, save_model
 
 from _oracles import (
     brute_push,
@@ -698,6 +698,36 @@ def test_a_sweep_builds_its_epic_config_once(tmp_path, monkeypatch):
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
     assert [r["status"] for r in _read_rows(out)] == ["ok"] * 4
     assert len(built) == 1 and built[0].max_sweeps == 2
+
+
+def test_a_sweep_draws_each_data_set_once_and_shares_each_eldp_descent(tmp_path, monkeypatch):
+    """e-ldp and epic cells at two local budgets: the 4 cells draw their training and test
+    sets 2 times, not 8, and run the no-adversary descent once per budget, not once per cell."""
+    draws, descents = [], []
+    real_sample, real_descend = JointModel.sample, epic_mod._descend
+
+    def sample(model, n, rng):
+        draws.append(n)
+        return real_sample(model, n, rng)
+
+    def descend(dataset, chans, eps_ld, *args):
+        if not dataset.g.any():
+            descents.append(eps_ld)
+        return real_descend(dataset, chans, eps_ld, *args)
+
+    monkeypatch.setattr(JointModel, "sample", sample)
+    monkeypatch.setattr(epic_mod, "_descend", descend)
+    spec, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    spec.write_text(json.dumps({
+        "model": {"generator": {"seed": 1, "s": 2, "x_size": 3}},
+        "architectures": ["e-ldp", "epic"],
+        "eps_ld": [0.5, 1.0], "r": [0.9], "seeds": [3],
+        "epic": {"n_train": 30, "n_test": 100, "max_sweeps": 2},
+    }))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    assert [r["status"] for r in _read_rows(out)] == ["ok"] * 4
+    assert sorted(draws) == [30, 100]
+    assert descents == [0.5, 1.0]
 
 
 def test_sweep_rows_match_the_brute_force_oracles(tmp_path, monkeypatch):

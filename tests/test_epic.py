@@ -253,6 +253,42 @@ def test_step_ii_audits_the_step_i_start_at_theta_star_exactly(data_seed):
         sol = epic._solution(data, list(chans_i), LAM, eps_ld, theta_star, R)
         assert sol.theta_achieved == theta_star
 
+def _capped_path_point_loop(dataset, from_chans, to_chans, f_cap, lam):
+    """The capped-path bisection over channel objects: each point made by ``_blend``
+    and refit by ``_fit``, and the returned point refit once more."""
+
+    def f_at(beta):
+        chans = epic._blend(from_chans, to_chans, beta)
+        return epic._fit(dataset, chans, lam)[1], chans
+
+    obj0, chans0 = f_at(0.0)
+    if obj0 <= f_cap:
+        return chans0
+    lo, hi = 0.0, 1.0
+    for _ in range(25):
+        mid = 0.5 * (lo + hi)
+        if f_at(mid)[0] <= f_cap:
+            hi = mid
+        else:
+            lo = mid
+    return f_at(hi)[1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_capped_path_point_is_the_channel_object_loop_bit_for_bit(seed):
+    """At the cap of the path's start (no bisection), and at caps that bisect toward its end."""
+    model = generate_correlated_model(seed=seed, s=3, x_size=5)
+    data = epic.dataset_from_model(model, 60, seed)
+    ends = [list(random_mapping(seed + k, data.s, data.x_size, epic.Z_SIZE).channels) for k in (10, 20)]
+    ends.sort(key=lambda chans: -epic._fit(data, chans, LAM)[1])  # the path starts at the worse
+    f_start, f_end = (epic._fit(data, chans, LAM)[1] for chans in ends)
+    assert f_start > f_end
+    for cap in (f_start, f_end, 0.5 * (f_start + f_end), 0.9 * f_start + 0.1 * f_end):
+        got = epic._capped_path_point(data, *ends, cap, LAM)
+        want = _capped_path_point_loop(data, *ends, cap, LAM)
+        assert [ch.rows.tobytes() for ch in got] == [ch.rows.tobytes() for ch in want]
+
+
 def test_the_risk_floor_search_solves_no_lp():
     """Step (i) audits its capped starts; it takes no block step and refits no solution."""
     tree = ast.parse(Path(epic.__file__).read_text(encoding="utf-8"))

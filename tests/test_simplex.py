@@ -207,3 +207,133 @@ def test_kept_tableau_is_read_only():
         tableau[0, 0] = 1.0
     with pytest.raises(ValueError):
         basis[0] = 0
+
+
+# -- programs that extend the kept start ----------------------------------------
+
+
+def _spy_extensions(monkeypatch):
+    """The list that gets True (served) or False (fell back) for every extension tried.
+
+    A served start must be, byte for byte, the start a cold phase 1 of the
+    whole program keeps.
+    """
+    tried = []
+    real = simplex._extended
+
+    def spied(a_add, b_add):
+        start = real(a_add, b_add)
+        tried.append(start is not None)
+        if start is not None:
+            kept = simplex._kept
+            a_ub, b_ub, a_eq, b_eq = kept[0]
+            simplex._keep_phase_one(np.vstack([a_ub, a_add]), np.concatenate([b_ub, b_add]), a_eq, b_eq)
+            cold, simplex._kept = simplex._kept[1], kept
+            assert all(_same_bytes(a, b) for a, b in zip(start, cold))
+        return start
+
+    monkeypatch.setattr(simplex, "_extended", spied)
+    return tried
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _with_rows(program, a_add, b_add):
+    """``program`` with <= rows added after its own."""
+    c, a_ub, b_ub, a_eq, b_eq = program
+    return c, np.vstack([a_ub, a_add]), np.concatenate([b_ub, b_add]), a_eq, b_eq
+
+
+def _added_rows(rng, k, n, scale=0.1):
+    """k <= rows with b > 0, random over n variables: like EPIC's adversary rows, they
+    seldom cut the path of the polytope's phase 1 at this scale."""
+    return scale * rng.normal(size=(k, n)), rng.uniform(0.05, 1.0, size=k)
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0])
+@pytest.mark.parametrize("x_size", [2, 3, 5, 8, 11])
+@pytest.mark.parametrize("z_size", [2, 3])
+def test_extended_programs_are_bitwise_a_cold_solve(x_size, z_size, scale, monkeypatch):
+    """Polytope programs with 1-3 added rows of b > 0, interleaved across two budgets.
+
+    Rows at scale 1 often cut the phase-1 path, and those extensions fall back;
+    at scale 0.1 most are served.
+    """
+    tried = _spy_extensions(monkeypatch)
+    rng = np.random.default_rng(10 * x_size + z_size)
+    bases = [_ldp_program(x_size, z_size, eps, 3) for eps in (0.5, 1.0)]
+    n = bases[0][0].size
+    programs = []
+    for k in (1, 2, 3, 1, 2, 3):
+        for base in (bases[0], bases[0], bases[1], bases[1], bases[1], bases[0]):
+            programs.append(_with_rows(base, *_added_rows(rng, k, n, scale)))
+        programs.append(bases[1])
+    for program in programs:
+        assert _outcome(solve_lp, *program) == _outcome(cold_solve_lp, *program)
+    # each run of one budget's programs extends that budget's polytope after the first
+    assert len(tried) == len(programs) * 3 // 7
+    if scale < 1.0:
+        assert sum(tried) > len(tried) // 2
+
+
+def test_an_extended_solve_makes_fewer_pivots_than_a_cold_one(monkeypatch):
+    tried = _spy_extensions(monkeypatch)
+    base = _ldp_program(8, 2, 0.5, 1)
+    program = _with_rows(base, *_added_rows(np.random.default_rng(2), 2, base[0].size))
+    solve_lp(*base)
+    extended = solve_lp(*program)
+    assert tried == [True]
+    monkeypatch.setattr(simplex, "_kept", None)
+    cold = solve_lp(*program)
+    assert extended.x.tobytes() == cold.x.tobytes() and extended.objective == cold.objective
+    assert 0 < extended.pivots < cold.pivots
+
+
+def test_an_added_row_that_would_tie_falls_back_to_a_cold_phase_one(monkeypatch):
+    """A copy of a ratio row ties with it wherever that row is a ratio-test candidate."""
+    tried = _spy_extensions(monkeypatch)
+    base = _ldp_program(5, 2, 1.0, 4)
+    program = _with_rows(base, base[1][:1], base[2][:1])
+    solve_lp(*base)
+    first = solve_lp(*program)
+    assert (first.x.tobytes(), first.objective) == _outcome(cold_solve_lp, *program)
+    assert tried == [False]
+    # the fallback's cold phase 1 is the one kept now: a repeat runs phase 2 alone
+    again = solve_lp(*program)
+    assert tried == [False] and again.pivots < first.pivots
+
+
+def test_an_added_row_with_negative_b_is_solved_cold(monkeypatch):
+    tried = _spy_extensions(monkeypatch)
+    base = _ldp_program(5, 3, 0.5, 5)
+    a_add, _ = _added_rows(np.random.default_rng(3), 2, base[0].size)
+    program = _with_rows(base, a_add, np.array([0.5, -1e-3]))
+    solve_lp(*base)
+    assert _outcome(solve_lp, *program) == _outcome(cold_solve_lp, *program)
+    assert tried == []
+
+
+def test_added_rows_on_an_infeasible_kept_program_are_infeasible(monkeypatch):
+    tried = _spy_extensions(monkeypatch)
+    c = np.array([1.0])
+    program = (c, *_INFEASIBLE[:2], np.zeros((0, 1)), np.zeros(0))
+    extended = _with_rows(program, np.array([[1.0], [0.5]]), np.array([5.0, 0.0]))
+    for p in (program, extended, program):
+        outcome = _outcome(solve_lp, *p)
+        assert outcome == _outcome(cold_solve_lp, *p) and outcome[0] is LPInfeasible
+    assert tried == [False]
+
+
+def test_a_program_that_shares_a_prefix_moves_the_kept_start_back(monkeypatch):
+    """After polytope + rows A, polytope + rows B keeps the polytope's start and extends it."""
+    tried = _spy_extensions(monkeypatch)
+    base = _ldp_program(8, 3, 0.5, 6)
+    rng = np.random.default_rng(4)
+    first, second, third = (_with_rows(base, *_added_rows(rng, k, base[0].size)) for k in (2, 1, 3))
+    monkeypatch.setattr(simplex, "_kept", None)
+    for program in (first, second, third):
+        assert _outcome(solve_lp, *program) == _outcome(cold_solve_lp, *program)
+    assert tried == [True, True]
+    assert simplex._kept[0][0].tobytes() == base[1].tobytes()
