@@ -11,7 +11,9 @@ Every block step over one sensor's channel, parametric or empirical, is one
 ``ldp_polytope`` plus the caller's own rows over the channel entries.  The
 polytope is a per-output floor plus an excess, one ratio row per entry, and
 has no ratio rows once e^-eps_ld is below ``LP_TOL`` (the ratio repair then
-enforces the budget).  Its column and row layout is known only here.
+enforces the budget).  Its column and row layout is known only here, and so
+is its phase-1 start: ``_polytope`` makes each polytope once, with its
+``simplex.phase_one``, for every channel LP that adds no equality row.
 
 Every model, mapping and spec file is read by ``read_document``, so a malformed
 one is one ``ModelFormatError`` that names it; ``write_json`` writes every
@@ -21,18 +23,21 @@ model, mapping and result file.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
 import numpy as np
 
-from .simplex import LP_TOL, solve_lp
+from .simplex import LP_TOL, phase_one, solve_lp
 
 ROW_ATOL = 1e-12
 #: L1 move of a mapping per sweep below which a block descent (design or epic) has converged
 CONVERGENCE_TOL = 1e-6
 #: the largest finite local budget: e^eps_ld is a float up to it
 MAX_EPS_LD = math.log(np.finfo(float).max)
+#: polytopes ``_polytope`` keeps, the least recently used dropped first
+POLYTOPES_KEPT = 8
 
 
 class ModelFormatError(ValueError):
@@ -255,6 +260,16 @@ def ldp_polytope(x_size: int, z_size: int, eps_ld: float):
     return a_eq, b_eq, a_ub, np.zeros(nv)
 
 
+@functools.lru_cache(maxsize=POLYTOPES_KEPT)
+def _polytope(x_size: int, z_size: int, eps_hex: str):
+    """``ldp_polytope`` at ``float.fromhex(eps_hex)`` (the hex tells -0.0 from 0.0, whose ratio
+    rows differ in a zero's sign), read-only, and its ``phase_one``."""
+    a_eq, b_eq, a_ub, b_ub = poly = ldp_polytope(x_size, z_size, float.fromhex(eps_hex))
+    for arr in filter(lambda arr: arr is not None, poly):
+        arr.setflags(write=False)
+    return (*poly, phase_one(a_ub, b_ub, a_eq, b_eq))
+
+
 def repair_ratio_columns(rows: np.ndarray, eps_ld: float) -> np.ndarray:
     """Snap solver noise so a channel's ratio budget holds exactly after rounding.
 
@@ -279,12 +294,13 @@ def solve_channel_lp(shape, eps_ld, cost, a_ub=None, b_ub=None, a_eq=None, b_eq=
 
     p is the channel p(z | x) flattened as x * z_size + z; ``cost`` and the
     extra rows ``a_ub``/``a_eq`` run over p, and go below the polytope's
-    rows.  Returns the optimal rows repaired by ``repair_ratio_columns``;
-    raises LPInfeasible when no channel meets the rows.
+    rows (no extra equality row: the simplex starts from the polytope's).
+    Returns the optimal rows repaired by ``repair_ratio_columns``; raises
+    LPInfeasible when no channel meets the rows.
     """
     x_size, z_size = shape
     nv = x_size * z_size
-    poly_eq, poly_beq, poly_ub, poly_bub = ldp_polytope(x_size, z_size, eps_ld)
+    poly_eq, poly_beq, poly_ub, poly_bub, start = _polytope(x_size, z_size, float(eps_ld).hex())
     n_floor = poly_eq.shape[1] - nv
 
     def over_floor(a):  # over (s, m) with p = s + m: m_z's coefficient sums p(z|x)'s over x
@@ -299,9 +315,10 @@ def solve_channel_lp(shape, eps_ld, cost, a_ub=None, b_ub=None, a_eq=None, b_eq=
             return over_floor(extra), extra_b
         return np.vstack([poly, over_floor(extra)]), np.concatenate([poly_b, extra_b])
 
+    start = start if a_eq is None else None
     a_ub, b_ub = stack(poly_ub, poly_bub, a_ub, b_ub)
     a_eq, b_eq = stack(poly_eq, poly_beq, a_eq, b_eq)
-    x = solve_lp(over_floor(cost), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq).x
+    x = solve_lp(over_floor(cost), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, start=start).x
     rows = x[:nv].reshape(x_size, z_size)
     return repair_ratio_columns(rows + x[nv:] if n_floor else rows, eps_ld)
 

@@ -28,12 +28,13 @@ Each is one ``channels.solve_channel_lp`` over the channel entries.
 starts from, is that descent with no adversary (every private label set to
 0), so its linear programs carry only the local-budget polytope.  Step
 (ii)'s programs are that polytope plus one row per adversary, so the
-simplex starts them from the polytope's kept phase-1 start.
+simplex starts them from the polytope's phase 1, which ``channels`` makes.
 
-Each exact computation is made once: ``dataset_from_model`` draws each
-(model, n, seed) data set once and keeps it on the model, and E-LDP runs
-once per training set and input (``_eldp_start`` keeps it on the data
-set), so the e-ldp and epic cells of one local budget share one descent.
+Each exact computation is made once (``_memo``): ``dataset_from_model``
+draws each (model, n, seed) data set once and keeps it on the model; E-LDP
+(``_eldp_start``) and step (i) (``_step_one``, which reads no r) run once
+per training set and input, kept on the data set, so the e-ldp and epic
+cells of one local budget share them whatever their r.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ UTILITY_SLACK = 0.3
 class Dataset:
     """Labeled samples (h, g, x): one row per observation vector.
 
-    ``_stages`` holds the E-LDP descents made on this training set
-    (``_eldp_start``), so that the e-ldp and epic cells of one local budget
-    share one.  A replaced data set starts it empty.
+    ``_stages`` holds the E-LDP descents and step-(i) results made on this
+    training set (``_eldp_start``, ``_step_one``), so that the cells of one
+    local budget share them.  A replaced data set starts it empty.
     """
 
     h: np.ndarray  # (n,) in {0, 1}
@@ -135,11 +136,18 @@ def dataset_from_model(model: JointModel, n: int, seed: int) -> Dataset:
     The data set is kept in ``model._stages``; it is immutable, so the
     cells of a sweep that ask for it again share it.
     """
-    key = ("dataset_from_model", n, seed)
-    if key not in model._stages:
+    def draw():
         h, g, x = model.sample(n, np.random.default_rng(seed))
-        model._stages[key] = Dataset(h, g, x, model.x_size, model.q)
-    return model._stages[key]
+        return Dataset(h, g, x, model.x_size, model.q)
+
+    return _memo(model._stages, ("dataset_from_model", n, seed), draw)
+
+
+def _memo(stages: dict, key, make, *args):
+    """``stages[key]``, set to ``make(*args)`` the first time the key is asked for."""
+    if key not in stages:
+        stages[key] = make(*args)
+    return stages[key]
 
 
 # -- losses and primal fits ----------------------------------------------------
@@ -390,13 +398,20 @@ def _eldp_start(dataset, eps_ld, lam, config):
     check_eps_ld(eps_ld)
     if not lam > 0:
         raise ValueError("lam must be positive")
-    key = ("_eldp_start", float(eps_ld).hex(), lam, config.max_sweeps)
-    if key not in dataset._stages:
+
+    def descend():
         no_adversary = dataclasses.replace(dataset, g=np.zeros_like(dataset.g))
         uniform = uniform_mapping(dataset.s, dataset.x_size, Z_SIZE).channels
         *_, last = _descend(no_adversary, uniform, eps_ld, lam, config.max_sweeps, -math.inf, -math.inf)
-        dataset._stages[key] = last
-    return dataset._stages[key]
+        return last
+
+    return _memo(dataset._stages, ("_eldp_start", float(eps_ld).hex(), lam, config.max_sweeps), descend)
+
+
+def _step_one(dataset, eldp, eps_ld, lam):
+    """Step (i) from E-LDP's ``eldp``: (moment-nulled channels, step-(i) channels, theta_star)."""
+    nulled = _moment_nulled_channels(dataset, eps_ld)
+    return nulled, *_risk_floor_search(dataset, eldp.mapping.channels, nulled, eldp.objective, lam)
 
 
 def eldp_solve(
@@ -543,8 +558,8 @@ def epic_solve(
         return dataclasses.replace(eldp, theta_star=math.inf, r=r)
 
     eldp_chans = eldp.mapping.channels
-    nulled = _moment_nulled_channels(dataset, eps_ld)
-    chans_i, theta_star = _risk_floor_search(dataset, eldp_chans, nulled, eldp.objective, lam)
+    key = ("_step_one", float(eps_ld).hex(), lam, config.max_sweeps)  # reads no r: once per input
+    nulled, chans_i, theta_star = _memo(dataset._stages, key, _step_one, dataset, eldp, eps_ld, lam)
     th = r * theta_star
     floor = th - config.risk_slack
 

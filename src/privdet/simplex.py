@@ -7,27 +7,18 @@ rule guarantees termination; all tie-breaks are by lowest index.
 
 Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
-Phase 1 (and driving the artificials out of the basis) depends only on the
-constraints, never on ``c``.  The block-coordinate loops solve
-the same constraint set many times with different costs, so the solver
-keeps the feasible start of the last cold phase 1, read-only, with a log of
-its pivots (entering column, normalized pivot row, ratio-tie threshold).
-It serves two kinds of program, bit for bit as a cold solve would:
-
-- a repeat of the kept constraints runs phase 2 from a copy of the start;
-- the kept equality rows with the kept <= rows followed by more <= rows,
-  each with b >= 0 (EPIC's adversary rows under the local-budget
-  polytope): such a row starts with its slack basic, so while it never
-  leaves the basis it changes no other row, and it is carried through the
-  logged pivots on its own.  A carried row that would enter a ratio tie
-  falls back to a cold phase 1.
-
-A program that shares only some leading <= rows with the kept one, and adds
-<= rows with b >= 0 after them, first moves the kept start back to those
-shared rows.  Every other program runs phase 1 cold and is kept.  A solve
-served from the kept start, as it is or extended, reports the pivots of
-phase 2 (and of a move back's phase 1) alone.  Keep phase 1 independent of
-``c``: the kept start is only correct while it is.
+``solve_lp`` is a pure function.  Phase 1 (and driving the artificials out
+of the basis) depends only on the constraints, never on ``c``, so a caller
+that solves many programs over one constraint set runs it once with
+``phase_one`` and passes the result as ``start``.  A program with exactly
+the start's rows then runs phase 2 from a copy of it, bit for bit as a cold
+solve would.  So does one that adds <= rows with b >= 0 below them (EPIC's
+adversary rows under the local-budget polytope): such a row starts with its
+slack basic, so while it never leaves the basis it changes no other row,
+and ``_extended`` carries it through the logged pivots on its own.  A
+carried row that would enter a ratio tie, or an added row with b < 0, falls
+back to a cold phase 1; a start of other rows is a ValueError.  Keep phase
+1 independent of ``c``: a start is only correct while it is.
 
 The cost row is the tableau's last row, and a pivot is one rank-one update
 of the whole tableau: the update of the cold solver in the tests.
@@ -61,35 +52,33 @@ class LPUnbounded(LPError):
 class LPResult:
     x: np.ndarray
     objective: float
-    pivots: int  # pivots made by this call (phase 2 alone when the start was kept or extended)
+    pivots: int  # pivots made by this call (phase 2 alone when served from ``start``)
 
 
-# (program, start, log) of the last cold phase 1: read-only copies of
-# (a_ub, b_ub, a_eq, b_eq); the read-only phase-2 tableau and basis, or the
-# message of the LPInfeasible it raised; and what ``_extended`` carries
-# added rows through (None with a message).
-_kept: tuple | None = None
+@dataclasses.dataclass(frozen=True)
+class PhaseOne:
+    """A read-only feasible start of ``program`` = (a_ub, b_ub, a_eq, b_eq): see ``_phase_one``."""
+
+    program: tuple
+    tableau: np.ndarray  # phase 2's rows, no cost row
+    basis: np.ndarray
+    n_art: int  # artificial columns
+    live_ub: int  # <= rows the tableau kept
+    pivots: tuple  # (entering column, normalized pivot row, ratio-tie threshold) per pivot
 
 
-def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LPResult:
+def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, start=None) -> LPResult:
     """Minimize c.x over {A_ub x <= b_ub, A_eq x = b_eq, x >= 0}.
 
     Raises LPInfeasible / LPUnbounded; otherwise returns a primal-feasible
-    basic solution within ``LP_TOL`` of the optimum.
-
-    Phase 1 depends only on the constraints.  A program that repeats the
-    kept one, or adds <= rows with b >= 0 to it, starts phase 2 from the
-    kept start (see the module docstring); ``x`` and ``objective`` are
-    bitwise what a cold solve gives.
+    basic solution within ``LP_TOL`` of the optimum.  ``start``, the
+    ``phase_one`` of the equality rows and the leading <= rows, skips phase
+    1 where it can, bit for bit.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
-    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
-    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
-    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
-    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
-    if a_ub.shape != (b_ub.shape[0], n) or a_eq.shape != (b_eq.shape[0], n):
-        raise ValueError("constraint shapes do not match the cost vector")
+    a_ub, b_ub, a_eq, b_eq = _program(n, a_ub, b_ub, a_eq, b_eq)
+    served = None if start is None else _served(start, a_ub, b_ub, a_eq, b_eq)
 
     m_ub = a_ub.shape[0]
     if m_ub + a_eq.shape[0] == 0:
@@ -99,86 +88,59 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LPResult:
             raise LPUnbounded("no constraints and a negative cost coefficient")
         return LPResult(np.zeros(n), 0.0, 0)
 
-    start, pivots = _start(a_ub, b_ub, a_eq, b_eq)
-    if isinstance(start, str):
-        raise LPInfeasible(start)
-    rows, basis = start[0], start[1].copy()
+    pivots = []
+    rows, basis = served if served is not None else _phase_one(a_ub, b_ub, a_eq, b_eq, pivots)[:2]
+    basis = basis.copy()
 
     # Phase 2 on structural + slack columns only.
     cost2 = np.concatenate([c, np.zeros(m_ub)])
     tableau = np.vstack([rows, _canonical_cost(cost2, rows, basis)])
-    phase2 = []
-    _iterate(tableau, basis, n + m_ub, phase2)
+    _iterate(tableau, basis, n + m_ub, pivots)
 
     x = np.zeros(n + m_ub)
     x[basis] = tableau[:-1, -1]
     x = x[:n]
-    return LPResult(x, float(c @ x), pivots + len(phase2))
+    return LPResult(x, float(c @ x), len(pivots))
 
 
-def _start(a_ub, b_ub, a_eq, b_eq):
-    """(phase-2 start, phase-1 pivots made) of a program: kept, extended or cold.
-
-    A program that shares only some leading <= rows with the kept one, and
-    whose other <= rows have b >= 0, first moves the kept start back to
-    those shared rows.
-    """
-    pivots = 0
-    k = _shared_ub_rows(a_ub, b_ub, a_eq, b_eq)
-    if k is not None and np.all(b_ub[k:] >= 0):
-        if 0 < k < _kept[0][0].shape[0]:
-            pivots = _keep_phase_one(a_ub[:k], b_ub[:k], a_eq, b_eq)
-        if k == _kept[0][0].shape[0]:
-            start = _kept[1] if k == a_ub.shape[0] else _extended(a_ub[k:], b_ub[k:])
-            if start is not None:
-                return start, pivots
-    pivots += _keep_phase_one(a_ub, b_ub, a_eq, b_eq)
-    return _kept[1], pivots
-
-
-def _shared_ub_rows(a_ub, b_ub, a_eq, b_eq):
-    """How many leading <= rows a program shares bitwise with the kept one.
-
-    None when nothing is kept or the equality rows (and so the variables) differ.
-    """
-    if _kept is None:
-        return None
-    kept_ub, kept_bub, kept_eq, kept_beq = _kept[0]
-    if (kept_eq.shape != a_eq.shape or kept_eq.tobytes() != a_eq.tobytes()
-            or kept_beq.tobytes() != b_eq.tobytes()):
-        return None
-    m = min(a_ub.shape[0], kept_ub.shape[0])
-    same = (_bits(a_ub[:m]) == _bits(kept_ub[:m])).all(axis=1) & (_bits(b_ub[:m]) == _bits(kept_bub[:m]))
-    return m if same.all() else int(np.argmin(same))
-
-
-def _bits(arr):
-    return np.ascontiguousarray(arr).view(np.int64)
-
-
-def _keep_phase_one(a_ub, b_ub, a_eq, b_eq) -> int:
-    """Run phase 1 cold on a program and keep it with its start and log; returns its pivots."""
-    global _kept
-    program = tuple(np.array(arr) for arr in (a_ub, b_ub, a_eq, b_eq))
-    for arr in program:
-        arr.setflags(write=False)
+def phase_one(a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> PhaseOne:
+    """The read-only ``PhaseOne`` of a constraint set; LPInfeasible when the set is empty."""
+    n = next(np.shape(a)[-1] for a in (a_ub, a_eq) if a is not None)
+    program = tuple(np.array(arr) for arr in _program(n, a_ub, b_ub, a_eq, b_eq))
     pivots = []
-    try:
-        _kept = (program, *_phase_one(*program, pivots))
-    except LPInfeasible as exc:
-        _kept = (program, str(exc), None)
-    return len(pivots)
+    tableau, basis, n_art, live_ub = _phase_one(*program, pivots)
+    for arr in (*program, tableau, basis, *(prow for _, prow, _ in pivots)):
+        arr.setflags(write=False)
+    return PhaseOne(program, tableau, basis, n_art, live_ub, tuple(pivots))
+
+
+def _program(n, a_ub, b_ub, a_eq, b_eq):
+    """The constraints as float arrays over n variables, None read as no rows."""
+    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
+    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
+    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
+    if a_ub.shape != (b_ub.shape[0], n) or a_eq.shape != (b_eq.shape[0], n):
+        raise ValueError("constraint shapes do not match the cost vector")
+    return a_ub, b_ub, a_eq, b_eq
+
+
+def _served(start, a_ub, b_ub, a_eq, b_eq):
+    """``start``'s phase-2 tableau and basis, extended by the program's added <= rows, or None
+    (phase 1 runs cold); ValueError unless the program begins with its rows bit for bit."""
+    start_ub, start_bub, start_eq, start_beq = start.program
+    k = start_ub.shape[0]
+    pairs = ((a_ub[:k], start_ub), (b_ub[:k], start_bub), (a_eq, start_eq), (b_eq, start_beq))
+    if not all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs):
+        raise ValueError("the start is not a phase_one of this program's leading rows")
+    if k == a_ub.shape[0]:
+        return start.tableau, start.basis
+    return _extended(start, a_ub[k:], b_ub[k:]) if np.all(b_ub[k:] >= 0) else None
 
 
 def _phase_one(a_ub, b_ub, a_eq, b_eq, pivots):
-    """Feasible start of the constraints, read-only, and its log: ((tableau, basis), log).
-
-    The tableau holds the structural and slack columns and the right-hand
-    side (no cost row), with the rows whose artificial stayed basic dropped.
-    Each pivot is appended to ``pivots`` as (entering column, normalized
-    pivot row, ratio-tie threshold); the log is (pivots, artificial
-    columns, live <= rows).
-    """
+    """Cold phase 1: ``PhaseOne``'s (tableau, basis, n_art, live_ub), its pivots appended to
+    ``pivots``.  The tableau drops the rows whose artificial stayed basic."""
     (m_ub, n), m_eq = a_ub.shape, a_eq.shape[0]
     # Columns: n structural, m_ub slacks, then one artificial per row that
     # needs it.  Rows are normalized to b >= 0 first.
@@ -189,19 +151,12 @@ def _phase_one(a_ub, b_ub, a_eq, b_eq, pivots):
     b[neg] *= -1.0
 
     m = m_ub + m_eq
-    basis = np.empty(m, dtype=int)
-    needs_art = []
-    for i in range(m):
-        slack_ok = i < m_ub and not neg[i]
-        if slack_ok:
-            basis[i] = n + i
-        else:
-            needs_art.append(i)
-    n_art = len(needs_art)
+    needs_art = np.flatnonzero(neg | (np.arange(m) >= m_ub))
+    n_art = needs_art.size
+    basis = n + np.arange(m)
+    basis[needs_art] = n + m_ub + np.arange(n_art)
     art_cols = np.zeros((m, n_art))
-    for k, i in enumerate(needs_art):
-        art_cols[i, k] = 1.0
-        basis[i] = n + m_ub + k
+    art_cols[needs_art, np.arange(n_art)] = 1.0
     tableau = np.hstack([a, art_cols, b[:, None]])
     total = n + m_ub + n_art
 
@@ -216,27 +171,20 @@ def _phase_one(a_ub, b_ub, a_eq, b_eq, pivots):
 
     keep = n + m_ub
     live_rows = [i for i in range(m) if basis[i] < keep]
-    start = (tableau[live_rows][:, list(range(keep)) + [total]], basis[live_rows])
-    for arr in start:
-        arr.setflags(write=False)
-    return start, (pivots, n_art, sum(i < m_ub for i in live_rows))
+    return (tableau[live_rows][:, list(range(keep)) + [total]], basis[live_rows],
+            n_art, sum(i < m_ub for i in live_rows))
 
 
-def _extended(a_add, b_add):
-    """The kept start with <= rows (b >= 0) added below the kept ones, or None.
+def _extended(start, a_add, b_add):
+    """``start``'s tableau and basis with <= rows (b >= 0) added below its own, or None.
 
-    In a cold phase 1 such a row starts with its slack basic and changes no
-    other row while it never leaves the basis, so it is carried through the
-    logged pivots on its own: each is the rank-one update of the cold solve.
-    None when the kept program is infeasible, or when a carried row would
-    have entered a pivot's ratio tie (the cold path may differ there).
+    Each added row is carried through the logged pivots on its own, by the
+    cold solve's rank-one updates.  None when a carried row would have
+    entered a pivot's ratio tie (the cold path may differ there).
     """
-    (kept_ub, *_), start, log = _kept
-    if log is None:
-        return None
-    pivots, n_art, live_ub = log
-    (n_add, n), m_ub = a_add.shape, kept_ub.shape[0]
-    rows = np.hstack([a_add, np.zeros((n_add, m_ub + n_art)), b_add[:, None]])
+    tableau, basis, pivots = start.tableau, start.basis, start.pivots
+    (n_add, n), m_ub = a_add.shape, start.program[0].shape[0]
+    rows = np.hstack([a_add, np.zeros((n_add, m_ub + start.n_art)), b_add[:, None]])
     seen = np.empty((len(pivots), 2, n_add))  # the entering column and b before each pivot
     for k, (col, prow, _) in enumerate(pivots):
         seen[k] = rows[:, col], rows[:, -1]
@@ -246,8 +194,7 @@ def _extended(a_add, b_add):
     cand = factors > PIVOT_EPS
     if np.any(np.maximum(rhs[cand], 0.0) / factors[cand] <= thresholds[cand]):
         return None
-    keep = n + m_ub
-    tableau, basis = start
+    keep, live_ub = n + m_ub, start.live_ub
     old = np.hstack([tableau[:, :keep], np.zeros((tableau.shape[0], n_add)), tableau[:, -1:]])
     added = np.hstack([rows[:, :keep], np.eye(n_add), rows[:, -1:]])
     return (np.vstack([old[:live_ub], added, old[live_ub:]]),

@@ -510,11 +510,11 @@ ColdResult = collections.namedtuple("ColdResult", "x objective")
 
 
 def cold_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = 1e-9) -> ColdResult:
-    """``privdet.simplex.solve_lp`` as it was before it kept a feasible start.
+    """``privdet.simplex.solve_lp`` with no ``start``, written out on its own.
 
-    Every call runs phase 1 from scratch and pivots over the whole tableau,
-    so a solve never depends on the calls before it.  The kept-start solver
-    must agree with it bit for bit.
+    Every call runs phase 1 from scratch and pivots over the whole tableau.
+    A solve served from a ``phase_one`` start, as it is or extended by
+    added <= rows, must agree with it bit for bit.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]

@@ -284,9 +284,9 @@ def test_channel_lp_solves_the_padded_assembly(x_size, z_size, eps, case, monkey
     calls = []
     real = channels_mod.solve_lp
 
-    def recorded(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    def recorded(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, start=None):
         calls.append((c, a_ub, b_ub, a_eq, b_eq))
-        return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, start=start)
 
     monkeypatch.setattr(channels_mod, "solve_lp", recorded)
     rows = solve_channel_lp((x_size, z_size), eps, cost, **extra)

@@ -63,6 +63,31 @@ def test_epic_sweep_cell_end_to_end(tmp_path):
     assert float(row["eps_ldp_nats"]) <= 1.0 + 1e-9
 
 
+def test_epic_cells_of_every_r_share_one_step_one(tmp_path, monkeypatch):
+    """Step (i) reads no r: one moment-nulled start per local budget, not one per (budget, r)."""
+    calls = []
+    real = epic_mod._moment_nulled_channels
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(epic_mod, "_moment_nulled_channels", counted)
+    spec, out = tmp_path / "spec.json", tmp_path / "sweep.csv"
+    spec.write_text(json.dumps({
+        "model": {"generator": {"seed": 1, "s": 2, "x_size": 3}},
+        "architectures": ["e-ldp", "epic"],
+        "eps_ld": [0.5, 1.0],
+        "r": [0.5, 0.9],
+        "epic": {"n_train": 40, "max_sweeps": 1},
+    }))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out), "--jobs", "1"]) == 0
+    rows = _read_rows(out)
+    assert all((r["status"], r["audit_ok"]) == ("ok", "1") for r in rows)
+    assert sum(r["arch"] == "epic" for r in rows) == 4
+    assert calls == [0.5, 1.0]
+
+
 @pytest.mark.parametrize("fails", [False, True])
 def test_sweep_wall_time_counts_the_chain_design(tmp_path, monkeypatch, fails):
     """The chain's design time is charged to its rows, also when the chain fails."""

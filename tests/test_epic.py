@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from privdet import channels, epic, metrics
+from privdet import channels, epic, metrics, simplex
 from privdet.channels import random_mapping
 from privdet.model import generate_correlated_model
 
@@ -97,12 +97,32 @@ def _recorded_lps(monkeypatch):
     lps = []
     real = channels.solve_lp
 
-    def recorded(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    def recorded(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, start=None):
         lps.append((c.size, 0 if a_ub is None else a_ub.shape[0]))
-        return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        return real(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, start=start)
 
     monkeypatch.setattr(channels, "solve_lp", recorded)
     return lps
+
+
+@pytest.mark.parametrize("eps_ld", [1.0, math.inf])
+def test_an_epic_solve_runs_phase_one_once_per_polytope_and_nulled_sensor(eps_ld, monkeypatch):
+    """Every LP over a polytope alone, or with adversary rows added, starts from the polytope's
+    phase 1, at a finite budget and at inf; only the moment-nulled LPs (which add equality
+    rows) and ratio-tie fallbacks run phase 1 cold."""
+    channels._polytope.cache_clear()
+    cold, real = [], simplex._phase_one
+
+    def counted(*args):
+        cold.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simplex, "_phase_one", counted)
+    lps = _recorded_lps(monkeypatch)
+    data = epic.dataset_from_model(generate_correlated_model(seed=0, s=4, x_size=8), 40, 0)
+    epic.epic_solve(data, eps_ld, R, LAM, epic.EpicConfig(max_sweeps=2))
+    assert len(lps) == 28
+    assert len(cold) <= 10
 
 
 @pytest.mark.parametrize("solver", ["epic", "e-ldp"])

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from scipy.optimize import linprog
 
 from privdet import simplex
 from privdet.channels import ldp_polytope
-from privdet.simplex import LPError, LPInfeasible, LPUnbounded, solve_lp
+from privdet.simplex import LPError, LPInfeasible, LPUnbounded, phase_one, solve_lp
 
 from _oracles import cold_solve_lp
 
@@ -112,16 +114,25 @@ def test_deterministic_solutions():
     assert a.x.tobytes() == b.x.tobytes()
 
 
-# -- the kept feasible start ---------------------------------------------------
+# -- solves from a phase-1 start ------------------------------------------------
 
 
-def _outcome(solver, c, a_ub, b_ub, a_eq, b_eq):
+def _outcome(solver, c, a_ub, b_ub, a_eq, b_eq, **kw):
     """(x bytes, objective) of a solve, or (exception type, message)."""
     try:
-        res = solver(c, a_ub, b_ub, a_eq, b_eq)
+        res = solver(c, a_ub, b_ub, a_eq, b_eq, **kw)
     except LPError as exc:
         return type(exc), str(exc)
     return res.x.tobytes(), res.objective
+
+
+def _started(c, a_ub, b_ub, a_eq, b_eq):
+    """The outcome of a program solved from a ``phase_one`` of its own rows."""
+    try:
+        start = phase_one(a_ub, b_ub, a_eq, b_eq)
+    except LPError as exc:
+        return type(exc), str(exc)
+    return _outcome(solve_lp, c, a_ub, b_ub, a_eq, b_eq, start=start)
 
 
 def _ldp_program(x_size, z_size, eps, seed):
@@ -141,7 +152,8 @@ _UNBOUNDED = (np.array([[1.0, -1.0]]), np.array([1.0]), None, None)
 @pytest.mark.parametrize("x_size", [2, 3, 5, 8, 11])
 @pytest.mark.parametrize("z_size", [2, 3, 4])
 def test_kept_start_is_bitwise_a_cold_solve(x_size, z_size):
-    """Interleaved and repeated constraint sets agree bit for bit with the cold solver."""
+    """Interleaved and repeated programs, each solved from a start of its own rows made once
+    per constraint set, agree bit for bit with the cold solver."""
     programs = []
     for k, (e1, e2) in enumerate([(0.0, 0.3), (1.0, math.inf), (0.3, 1.0)]):
         p1 = [_ldp_program(x_size, z_size, e1, 10 * k + j) for j in range(3)]
@@ -151,8 +163,21 @@ def test_kept_start_is_bitwise_a_cold_solve(x_size, z_size):
         programs += [(np.array([1.0]), *_INFEASIBLE), (np.array([2.0]), *_INFEASIBLE)]
         programs += [(np.array([0.0, -1.0]), *_UNBOUNDED), (np.array([1.0, 1.0]), *_UNBOUNDED)]
         programs += [(np.array([0.0, -1.0]), *_UNBOUNDED), p1[1], p1[1]]
-    for program in programs:
-        assert _outcome(solve_lp, *program) == _outcome(cold_solve_lp, *program)
+    starts = {}  # constraint set -> its start, or the LPInfeasible of its phase 1
+    for c, *rows in programs:
+        key = tuple(None if a is None else (np.shape(a), np.asarray(a).tobytes()) for a in rows)
+        if key not in starts:
+            try:
+                starts[key] = phase_one(*rows)
+            except LPInfeasible as exc:
+                starts[key] = exc
+        start = starts[key]
+        if isinstance(start, LPInfeasible):
+            got = LPInfeasible, str(start)
+        else:
+            got = _outcome(solve_lp, c, *rows, start=start)
+        assert got == _outcome(cold_solve_lp, c, *rows)
+    assert len(starts) == 9
 
 
 def test_constraint_sets_that_share_a_tableau_matrix_are_told_apart():
@@ -166,27 +191,55 @@ def test_constraint_sets_that_share_a_tableau_matrix_are_told_apart():
         (np.zeros(1), np.array([[2.0]]), np.ones(1), None, None),
     ]
     for program in programs + programs[::-1]:
-        assert _outcome(solve_lp, *program) == _outcome(cold_solve_lp, *program)
+        assert _started(*program) == _outcome(cold_solve_lp, *program)
+    for i, j in [(0, 1), (1, 0), (2, 3), (3, 2)]:
+        with pytest.raises(ValueError):
+            solve_lp(*programs[i], start=phase_one(*programs[j][1:]))
+
+
+def test_a_start_of_other_rows_is_a_value_error():
+    """The solver checks the start against the program bit for bit."""
+    c, a_ub, b_ub, a_eq, b_eq = _ldp_program(4, 2, 1.0, 7)
+    start = phase_one(a_ub, b_ub, a_eq, b_eq)
+    flipped = a_ub.copy()
+    flipped[flipped == 0.0] = -0.0  # equal as numbers, not as bits
+    others = [
+        (flipped, b_ub, a_eq, b_eq),
+        (a_ub, b_ub + 1e-300, a_eq, b_eq),
+        (a_ub[1:], b_ub[1:], a_eq, b_eq),  # fewer <= rows than the start
+        (a_ub, b_ub, a_eq[1:], b_eq[1:]),
+        (a_ub, b_ub, np.vstack([a_eq, a_eq[:1]]), np.concatenate([b_eq, b_eq[:1]])),
+        (_ldp_program(4, 2, 0.5, 7)[1], b_ub, a_eq, b_eq),
+    ]
+    for rows in others:
+        with pytest.raises(ValueError, match="not a phase_one"):
+            solve_lp(c, *rows, start=start)
+    with pytest.raises(ValueError):  # other variables
+        solve_lp(np.zeros(3), a_eq=np.ones((1, 3)), b_eq=np.ones(1), start=start)
+    served = solve_lp(c, a_ub, b_ub, a_eq, b_eq, start=start)
+    assert served.x.tobytes() == solve_lp(c, a_ub, b_ub, a_eq, b_eq).x.tobytes()
 
 
 def test_repeat_solve_makes_only_phase_two_pivots():
-    solve_lp(np.array([1.0]), a_eq=np.ones((1, 1)), b_eq=np.ones(1))  # another start is kept
-    program = _ldp_program(11, 3, 1.0, 0)
-    first = solve_lp(*program)
-    again = solve_lp(*program)
-    assert 0 < again.pivots < first.pivots
+    c, *rows = _ldp_program(11, 3, 1.0, 0)
+    start = phase_one(*rows)
+    first = solve_lp(c, *rows)
+    again = solve_lp(c, *rows, start=start)
+    assert again.pivots == first.pivots - len(start.pivots) and 0 < again.pivots < first.pivots
     assert again.x.tobytes() == first.x.tobytes()
 
 
 def test_interleaved_costs_give_bitwise_equal_results():
     c1, *constraints = _ldp_program(8, 3, 0.5, 1)
     c2 = _ldp_program(8, 3, 0.5, 2)[0]
-    first = solve_lp(c1, *constraints)
-    solve_lp(c2, *constraints)
-    third = solve_lp(c1, *constraints)
-    assert third.x.tobytes() == first.x.tobytes()
-    assert third.objective == first.objective
-    assert third.pivots < first.pivots
+    start = phase_one(*constraints)
+    first = solve_lp(c1, *constraints, start=start)
+    solve_lp(c2, *constraints, start=start)
+    third = solve_lp(c1, *constraints, start=start)
+    cold = solve_lp(c1, *constraints)
+    assert third.x.tobytes() == first.x.tobytes() == cold.x.tobytes()
+    assert third.objective == first.objective == cold.objective
+    assert third.pivots == first.pivots < cold.pivots
 
 
 def test_inputs_are_not_mutated():
@@ -194,43 +247,64 @@ def test_inputs_are_not_mutated():
     # negated equality rows: the solver flips rows with a negative right-hand side
     program = (c, a_ub, b_ub, -a_eq, -b_eq)
     before = [arr.copy() for arr in program]
-    for _ in range(2):
-        solve_lp(*program)
+    start = phase_one(*program[1:])
+    for kw in ({}, {"start": start}, {"start": start}):
+        solve_lp(*program, **kw)
     for arr, old in zip(program, before):
         assert arr.tobytes() == old.tobytes()
 
 
-def test_kept_tableau_is_read_only():
-    solve_lp(*_ldp_program(3, 2, 1.0, 4))
-    tableau, basis = simplex._kept[1]
-    with pytest.raises(ValueError):
-        tableau[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        basis[0] = 0
+def test_a_start_is_read_only():
+    """Every array of a start is read-only, and its program is a copy of the caller's rows."""
+    c, a_ub, b_ub, a_eq, b_eq = _ldp_program(3, 2, 1.0, 4)
+    start = phase_one(a_ub, b_ub, a_eq, b_eq)
+    assert start.pivots
+    for arr in (*start.program, start.tableau, start.basis, *(prow for _, prow, _ in start.pivots)):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    a_eq[0, 0] = 7.0
+    assert start.program[2][0, 0] == 1.0
+    with pytest.raises(AttributeError):
+        start.tableau = None
 
 
-# -- programs that extend the kept start ----------------------------------------
+def test_the_solver_holds_no_module_state():
+    """``simplex`` binds no module-level name but constants, classes and functions, and has no
+    ``global`` statement: a solve depends on its arguments alone."""
+    tree = ast.parse(Path(simplex.__file__).read_text(encoding="utf-8"))
+    assert not any(isinstance(node, ast.Global) for node in ast.walk(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):  # the docstring
+            continue
+        assert isinstance(node, ast.Assign), ast.dump(node)
+        assert all(isinstance(t, ast.Name) and t.id.isupper() for t in node.targets), ast.dump(node)
+        assert isinstance(node.value, ast.Constant), ast.dump(node)
+    for name in ("_kept", "_start", "_shared_ub_rows", "_bits", "_keep_phase_one"):
+        assert not hasattr(simplex, name)
+
+
+# -- programs that extend a start ------------------------------------------------
 
 
 def _spy_extensions(monkeypatch):
     """The list that gets True (served) or False (fell back) for every extension tried.
 
     A served start must be, byte for byte, the start a cold phase 1 of the
-    whole program keeps.
+    whole program makes.
     """
     tried = []
     real = simplex._extended
 
-    def spied(a_add, b_add):
-        start = real(a_add, b_add)
-        tried.append(start is not None)
-        if start is not None:
-            kept = simplex._kept
-            a_ub, b_ub, a_eq, b_eq = kept[0]
-            simplex._keep_phase_one(np.vstack([a_ub, a_add]), np.concatenate([b_ub, b_add]), a_eq, b_eq)
-            cold, simplex._kept = simplex._kept[1], kept
-            assert all(_same_bytes(a, b) for a, b in zip(start, cold))
-        return start
+    def spied(start, a_add, b_add):
+        served = real(start, a_add, b_add)
+        tried.append(served is not None)
+        if served is not None:
+            a_ub, b_ub, a_eq, b_eq = start.program
+            cold = simplex._phase_one(np.vstack([a_ub, a_add]), np.concatenate([b_ub, b_add]), a_eq, b_eq, [])
+            assert all(_same_bytes(a, b) for a, b in zip(served, cold[:2]))
+        return served
 
     monkeypatch.setattr(simplex, "_extended", spied)
     return tried
@@ -256,7 +330,8 @@ def _added_rows(rng, k, n, scale=0.1):
 @pytest.mark.parametrize("x_size", [2, 3, 5, 8, 11])
 @pytest.mark.parametrize("z_size", [2, 3])
 def test_extended_programs_are_bitwise_a_cold_solve(x_size, z_size, scale, monkeypatch):
-    """Polytope programs with 1-3 added rows of b > 0, interleaved across two budgets.
+    """Polytope programs with 1-3 added rows of b > 0, interleaved across two budgets, each
+    solved from its polytope's start.
 
     Rows at scale 1 often cut the phase-1 path, and those extensions fall back;
     at scale 0.1 most are served.
@@ -264,16 +339,18 @@ def test_extended_programs_are_bitwise_a_cold_solve(x_size, z_size, scale, monke
     tried = _spy_extensions(monkeypatch)
     rng = np.random.default_rng(10 * x_size + z_size)
     bases = [_ldp_program(x_size, z_size, eps, 3) for eps in (0.5, 1.0)]
+    starts = {id(base): phase_one(*base[1:]) for base in bases}
     n = bases[0][0].size
     programs = []
     for k in (1, 2, 3, 1, 2, 3):
         for base in (bases[0], bases[0], bases[1], bases[1], bases[1], bases[0]):
-            programs.append(_with_rows(base, *_added_rows(rng, k, n, scale)))
-        programs.append(bases[1])
-    for program in programs:
-        assert _outcome(solve_lp, *program) == _outcome(cold_solve_lp, *program)
-    # each run of one budget's programs extends that budget's polytope after the first
-    assert len(tried) == len(programs) * 3 // 7
+            programs.append((base, _with_rows(base, *_added_rows(rng, k, n, scale))))
+        programs.append((bases[1], bases[1]))
+    for base, program in programs:
+        got = _outcome(solve_lp, *program, start=starts[id(base)])
+        assert got == _outcome(cold_solve_lp, *program)
+    # every program with added rows tries an extension
+    assert len(tried) == len(programs) * 6 // 7
     if scale < 1.0:
         assert sum(tried) > len(tried) // 2
 
@@ -282,10 +359,8 @@ def test_an_extended_solve_makes_fewer_pivots_than_a_cold_one(monkeypatch):
     tried = _spy_extensions(monkeypatch)
     base = _ldp_program(8, 2, 0.5, 1)
     program = _with_rows(base, *_added_rows(np.random.default_rng(2), 2, base[0].size))
-    solve_lp(*base)
-    extended = solve_lp(*program)
+    extended = solve_lp(*program, start=phase_one(*base[1:]))
     assert tried == [True]
-    monkeypatch.setattr(simplex, "_kept", None)
     cold = solve_lp(*program)
     assert extended.x.tobytes() == cold.x.tobytes() and extended.objective == cold.objective
     assert 0 < extended.pivots < cold.pivots
@@ -295,14 +370,25 @@ def test_an_added_row_that_would_tie_falls_back_to_a_cold_phase_one(monkeypatch)
     """A copy of a ratio row ties with it wherever that row is a ratio-test candidate."""
     tried = _spy_extensions(monkeypatch)
     base = _ldp_program(5, 2, 1.0, 4)
+    start = phase_one(*base[1:])
     program = _with_rows(base, base[1][:1], base[2][:1])
-    solve_lp(*base)
-    first = solve_lp(*program)
+    first = solve_lp(*program, start=start)
     assert (first.x.tobytes(), first.objective) == _outcome(cold_solve_lp, *program)
     assert tried == [False]
-    # the fallback's cold phase 1 is the one kept now: a repeat runs phase 2 alone
-    again = solve_lp(*program)
-    assert tried == [False] and again.pivots < first.pivots
+    assert first.pivots == solve_lp(*program).pivots  # phase 1 and phase 2, as a cold solve
+
+
+def test_a_fallback_leaves_the_start_serving_the_next_extension(monkeypatch):
+    """After a tie falls back, the polytope's start still serves other added rows."""
+    tried = _spy_extensions(monkeypatch)
+    base = _ldp_program(8, 3, 0.5, 6)
+    start = phase_one(*base[1:])
+    rng = np.random.default_rng(4)
+    tie = _with_rows(base, base[1][:1], base[2][:1])
+    first, second = (_with_rows(base, *_added_rows(rng, k, base[0].size)) for k in (2, 1))
+    for program in (tie, first, tie, second):
+        assert _outcome(solve_lp, *program, start=start) == _outcome(cold_solve_lp, *program)
+    assert tried == [False, True, False, True]
 
 
 def test_an_added_row_with_negative_b_is_solved_cold(monkeypatch):
@@ -310,30 +396,18 @@ def test_an_added_row_with_negative_b_is_solved_cold(monkeypatch):
     base = _ldp_program(5, 3, 0.5, 5)
     a_add, _ = _added_rows(np.random.default_rng(3), 2, base[0].size)
     program = _with_rows(base, a_add, np.array([0.5, -1e-3]))
-    solve_lp(*base)
-    assert _outcome(solve_lp, *program) == _outcome(cold_solve_lp, *program)
+    start = phase_one(*base[1:])
+    assert _outcome(solve_lp, *program, start=start) == _outcome(cold_solve_lp, *program)
     assert tried == []
 
 
-def test_added_rows_on_an_infeasible_kept_program_are_infeasible(monkeypatch):
-    tried = _spy_extensions(monkeypatch)
-    c = np.array([1.0])
-    program = (c, *_INFEASIBLE[:2], np.zeros((0, 1)), np.zeros(0))
+def test_an_infeasible_program_has_no_start():
+    """``phase_one`` of an empty constraint set raises the cold solver's LPInfeasible."""
+    program = (np.array([1.0]), *_INFEASIBLE[:2], np.zeros((0, 1)), np.zeros(0))
     extended = _with_rows(program, np.array([[1.0], [0.5]]), np.array([5.0, 0.0]))
-    for p in (program, extended, program):
+    with pytest.raises(LPInfeasible) as info:
+        phase_one(*program[1:])
+    assert (LPInfeasible, str(info.value)) == _outcome(cold_solve_lp, *program)
+    for p in (program, extended):
         outcome = _outcome(solve_lp, *p)
         assert outcome == _outcome(cold_solve_lp, *p) and outcome[0] is LPInfeasible
-    assert tried == [False]
-
-
-def test_a_program_that_shares_a_prefix_moves_the_kept_start_back(monkeypatch):
-    """After polytope + rows A, polytope + rows B keeps the polytope's start and extends it."""
-    tried = _spy_extensions(monkeypatch)
-    base = _ldp_program(8, 3, 0.5, 6)
-    rng = np.random.default_rng(4)
-    first, second, third = (_with_rows(base, *_added_rows(rng, k, base[0].size)) for k in (2, 1, 3))
-    monkeypatch.setattr(simplex, "_kept", None)
-    for program in (first, second, third):
-        assert _outcome(solve_lp, *program) == _outcome(cold_solve_lp, *program)
-    assert tried == [True, True]
-    assert simplex._kept[0][0].tobytes() == base[1].tobytes()
