@@ -102,13 +102,17 @@ class NetworkMapping:
         return len(self.channels)
 
     def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Sample z (shape (n, s)) for observation rows x (shape (n, s))."""
+        """Sample z (shape (n, s)) for observation rows x (shape (n, s)).
+
+        Inverse CDF: output z_t is the number of the row's CDF values below a
+        uniform draw, counted one output column at a time, capped at z - 1.
+        """
         x = np.asarray(x)
         z = np.empty_like(x)
         for t, ch in enumerate(self.channels):
-            cdf = np.cumsum(ch.rows, axis=1)
-            u = rng.random(x.shape[0])
-            z[:, t] = np.minimum((u[:, None] > cdf[x[:, t]]).sum(axis=1), ch.z_size - 1)
+            xt, u = x[:, t], rng.random(x.shape[0])
+            counts = sum(u > cdf_j[xt] for cdf_j in np.cumsum(ch.rows, axis=1).T)
+            z[:, t] = np.minimum(counts, ch.z_size - 1)
         return z
 
     def network(self) -> "NetworkMapping":

@@ -34,7 +34,11 @@ Each exact computation is made once (``_memo``): ``dataset_from_model``
 draws each (model, n, seed) data set once and keeps it on the model; E-LDP
 (``_eldp_start``) and step (i) (``_step_one``, which reads no r) run once
 per training set and input, kept on the data set, so the e-ldp and epic
-cells of one local budget share them whatever their r.
+cells of one local budget share them whatever their r.  Step (i)'s
+bisections ask of each point only whether its fit's minimum is under a
+cap; ``_certified_below`` answers that from a few warm-started Newton
+iterates and a strong-convexity bracket, and a cold ``_newton_fit`` runs
+only where the bracket does not clear the cap.
 """
 
 from __future__ import annotations
@@ -66,6 +70,12 @@ Z_SIZE = 2
 #: objective by more than the objective's rounding error
 FIT_TOL = 1e-12
 FIT_MAX_ITER = 100
+#: a certificate bracket decides a cap test only when it clears the cap by
+#: this much: far above a fit's stop error of F* (about 10 n eps F, under
+#: 1e-11 at n 4000) and the rounding of F(w) and |grad F(w)|^2
+CERTIFY_MARGIN = 1e-9
+#: Newton steps a certificate takes from its warm start before a cold fit decides
+CERTIFY_STEPS = 3
 #: step halvings a block step tries toward its LP optimum before it gives up
 DAMPING_STEPS = 6
 #: share of the gap between the utility-only public risk and log 2 that the
@@ -154,10 +164,9 @@ def _memo(stages: dict, key, make, *args):
 
 
 def _logistic(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = np.log1p(np.exp(-u[pos]))
-    out[~pos] = -u[~pos] + np.log1p(np.exp(u[~pos]))
+    """log(1 + exp(-u)) as max(-u, 0) + log1p(exp(-|u|)): no exp overflows."""
+    out = np.log1p(np.exp(-np.abs(u)))
+    out += np.maximum(-u, 0.0)
     return out
 
 
@@ -195,31 +204,63 @@ def _newton_fit(phi, signs, weights, lam, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
     that can be measured.  Stops at gradient norm <= tol; when the Newton
     decrement grad . step (twice the decrease a full step predicts) is
     within that bound; or when no step of the halving line search lowers
-    the objective by more than it.  Returns (w, objective).
+    the objective by more than it.  Each iteration starts from the margins
+    y_i phi_i . w of the line-search trial it accepted, so phi @ w is made
+    once per trial.  Returns (w, objective).
     """
-
-    def objective(w):
-        return float(weights @ _logistic(signs * (phi @ w))) + 0.5 * lam * float(w @ w)
-
+    phi_t, d_score, ridge = phi.T, -weights * signs, lam * np.eye(phi.shape[1])
+    half_lam, n_eps = 0.5 * lam, phi.shape[0] * np.finfo(float).eps
     w = np.zeros(phi.shape[1])
-    obj = objective(w)
+    margins = signs * (phi @ w)
+    obj = float(weights @ _logistic(margins)) + half_lam * float(w @ w)
     for _ in range(max_iter):
-        p = _sigmoid(-signs * (phi @ w))
-        grad = phi.T @ (-weights * signs * p) + lam * w
-        if np.linalg.norm(grad) <= tol:
+        p = _sigmoid(-margins)
+        grad = phi_t @ (d_score * p) + lam * w
+        if np.sqrt(grad @ grad) <= tol:
             break
-        hess = (phi.T * (weights * p * (1.0 - p))) @ phi + lam * np.eye(w.size)
+        hess = (phi_t * (weights * p * (1.0 - p))) @ phi + ridge
         step = np.linalg.solve(hess, grad)
-        noise = phi.shape[0] * np.finfo(float).eps * obj
+        noise = n_eps * obj
         if float(grad @ step) <= noise:
             break
         eta = 1.0
-        while eta > 1e-12 and obj - (trial := objective(w - eta * step)) <= noise:
+        while eta > 1e-12:
+            trial_w = w - eta * step
+            trial_margins = signs * (phi @ trial_w)
+            trial = float(weights @ _logistic(trial_margins)) + half_lam * float(trial_w @ trial_w)
+            if obj - trial > noise:
+                break
             eta *= 0.5
         if eta <= 1e-12:
             break
-        w, obj = w - eta * step, trial
+        w, margins, obj = trial_w, trial_margins, trial
     return w, obj
+
+
+def _certified_below(phi, signs, weights, lam, f_cap, w):
+    """Whether the fit's minimum is at most f_cap, read from Newton iterates from w, or None.
+
+    The objective F of ``_newton_fit`` is lam-strongly convex, so every w
+    brackets its minimum: F(w) - |grad F(w)|^2 / (2 lam) <= F* <= F(w).  A
+    bracket clear of f_cap by CERTIFY_MARGIN gives the answer that the cold
+    fit's objective, within its stop error of F*, would give.  Takes up to
+    CERTIFY_STEPS full Newton steps from w while no bracket decides.
+    Returns (True, False or None when undecided; the last iterate).
+    """
+    d_score = -weights * signs
+    for k in range(CERTIFY_STEPS + 1):
+        margins = signs * (phi @ w)
+        f = float(weights @ _logistic(margins)) + 0.5 * lam * float(w @ w)
+        if f <= f_cap - CERTIFY_MARGIN:
+            return True, w
+        p = _sigmoid(-margins)
+        grad = phi.T @ (d_score * p) + lam * w
+        if f - float(grad @ grad) / (2.0 * lam) > f_cap + CERTIFY_MARGIN:
+            return False, w
+        if k < CERTIFY_STEPS:
+            hess = (phi.T * (weights * p * (1.0 - p))) @ phi + lam * np.eye(w.size)
+            w = w - np.linalg.solve(hess, grad)
+    return None, w
 
 
 def _fit(dataset, chans, lam, g=None, tol=FIT_TOL, max_iter=FIT_MAX_ITER):
@@ -449,6 +490,15 @@ def _capped_path_point(dataset, from_chans, to_chans, f_cap, lam):
     (s, x_size, 2) rows, the row check of the ``SensorChannel``
     constructor, and one gather into the fit's features; channels are made
     for the returned point alone.
+
+    Each test of a point reads only whether its fit's minimum F* is at most
+    f_cap.  ``_certified_below`` answers from Newton iterates warm-started
+    at the last tested point's weights: F(w) - |grad F(w)|^2 / (2 lam) <=
+    F* <= F(w), and a bracket that clears f_cap by CERTIFY_MARGIN (1e-9,
+    far above the cold fit's stop error and the rounding of both bounds)
+    decides.  Otherwise the cold ``_newton_fit`` from w = 0 decides, and
+    its weights start the next test.  So every decision, and the point
+    returned, is the one that cold fits at every point would give.
     """
     start = np.stack([a.rows for a in from_chans])
     end = np.stack([_aligned(a.rows, b.rows) for a, b in zip(from_chans, to_chans)])
@@ -460,9 +510,16 @@ def _capped_path_point(dataset, from_chans, to_chans, f_cap, lam):
         _check_rows_stochastic(rows, "blended channel", ROW_ATOL)
         return rows
 
+    w = np.zeros(dataset.s * Z_SIZE)
+
     def capped(rows):
+        nonlocal w
         phi = rows[sensors, dataset.x].reshape(dataset.n, -1)
-        return _newton_fit(phi, signs, weights, lam)[1] <= f_cap
+        below, w = _certified_below(phi, signs, weights, lam, f_cap, w)
+        if below is None:
+            w, obj = _newton_fit(phi, signs, weights, lam)
+            below = obj <= f_cap
+        return below
 
     hi = 0.0
     if not capped(point(hi)):

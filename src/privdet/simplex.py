@@ -21,12 +21,16 @@ back to a cold phase 1; a start of other rows is a ValueError.  Keep phase
 1 independent of ``c``: a start is only correct while it is.
 
 The cost row is the tableau's last row, and a pivot is one rank-one update
-of the whole tableau: the update of the cold solver in the tests.
+of the whole tableau: the update of the cold solver in the tests.  A pivot
+is a fixed handful of numpy calls on whole rows and columns, none on index
+lists: the ratio test divides into a buffer of NaN, and Bland's leaving row
+is one ``argmin`` over the basis masked to the ties.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -185,11 +189,10 @@ def _extended(start, a_add, b_add):
     tableau, basis, pivots = start.tableau, start.basis, start.pivots
     (n_add, n), m_ub = a_add.shape, start.program[0].shape[0]
     rows = np.hstack([a_add, np.zeros((n_add, m_ub + start.n_art)), b_add[:, None]])
-    seen = np.empty((len(pivots), 2, n_add))  # the entering column and b before each pivot
+    factors, rhs = np.empty((2, len(pivots), n_add))  # the entering column and b before each pivot
     for k, (col, prow, _) in enumerate(pivots):
-        seen[k] = rows[:, col], rows[:, -1]
-        rows -= seen[k, 0, :, None] * prow
-    factors, rhs = seen[:, 0], seen[:, 1]
+        factors[k], rhs[k] = rows[:, col], rows[:, -1]
+        rows -= factors[k, :, None] * prow
     thresholds = np.broadcast_to(np.array([t for *_, t in pivots])[:, None], factors.shape)
     cand = factors > PIVOT_EPS
     if np.any(np.maximum(rhs[cand], 0.0) / factors[cand] <= thresholds[cand]):
@@ -218,23 +221,25 @@ def _iterate(tableau, basis, n_cols, pivots):
     variable.  Bland's rule is what guarantees termination on the highly
     degenerate programs produced by the ratio-budget polytopes (whose
     right-hand sides are mostly zero).  Each pivot is appended to ``pivots``
-    as (entering column, normalized pivot row, ratio-tie threshold).
+    as (entering column, normalized pivot row, ratio-tie threshold).  A row
+    whose entry in the entering column is at most PIVOT_EPS has ratio NaN,
+    which ``fmin`` skips and no tie test takes; a column of such rows only
+    is unbounded.
     """
-    cost_row = tableau[-1]
-    max_pivots = 50000 + 200 * (tableau.shape[0] - 1 + n_cols)
+    cost_row, body, rhs = tableau[-1], tableau[:-1], tableau[:-1, -1]
+    ratios, no_tie = np.empty(body.shape[0]), tableau.shape[1]
+    max_pivots = 50000 + 200 * (body.shape[0] + n_cols)
     for _ in range(max_pivots):
-        improving = cost_row[:n_cols] < -LP_TOL
-        entering = int(np.argmax(improving))
-        if not improving[entering]:
+        entering = int((cost_row[:n_cols] < -LP_TOL).argmax())
+        if not cost_row[entering] < -LP_TOL:
             return -cost_row[-1]
-        col = tableau[:-1, entering]
-        rows = np.flatnonzero(col > PIVOT_EPS)
-        if rows.size == 0:
+        col = body[:, entering]
+        ratios.fill(np.nan)
+        np.divide(np.maximum(rhs, 0.0), col, out=ratios, where=col > PIVOT_EPS)
+        threshold = np.fmin.reduce(ratios) + 1e-12
+        if math.isnan(threshold):
             raise LPUnbounded(f"column {entering} is unbounded")
-        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
-        threshold = ratios.min() + 1e-12
-        ties = rows[ratios <= threshold]
-        leaving = int(ties[np.argmin(basis[ties])])
+        leaving = int(np.where(ratios <= threshold, basis, no_tie).argmin())
         pivots.append((entering, _pivot(tableau, leaving, entering), threshold))
         basis[leaving] = entering
     raise LPError("pivot limit exceeded")
@@ -243,14 +248,14 @@ def _iterate(tableau, basis, n_cols, pivots):
 def _pivot(tableau, row, col):
     """Gauss-Jordan step as one rank-one update; returns the normalized pivot row.
 
-    The pivot row subtracts zero times itself, which turns its -0.0 entries
-    into +0.0.
+    The pivot row subtracts -0.0, which turns its -0.0 entries into +0.0,
+    as subtracting zero times itself does in the cold solver's update.
     """
-    tableau[row] /= tableau[row, col]
-    prow = tableau[row].copy()
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * prow
+    prow = tableau[row] / tableau[row, col]
+    tableau[row] = prow
+    update = tableau[:, col, None] * prow
+    update[row] = -0.0
+    tableau -= update
     return prow
 
 

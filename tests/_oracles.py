@@ -264,6 +264,48 @@ def logistic_risk_min(phi, signs, weights, lam, tol=1e-13, max_iter=200):
     return w, obj
 
 
+def masked_logistic(u):
+    """log(1 + exp(-u)) by boolean masks: log1p(exp(-u)) where u >= 0, else -u + log1p(exp(u))."""
+    out = np.empty_like(u)
+    pos = u >= 0
+    out[pos] = np.log1p(np.exp(-u[pos]))
+    out[~pos] = -u[~pos] + np.log1p(np.exp(u[~pos]))
+    return out
+
+
+def refit_newton(phi, signs, weights, lam, tol=1e-12, max_iter=100):
+    """``privdet.epic._newton_fit`` written plainly, the kernel's byte-for-byte reference.
+
+    The same damped Newton and stop rules (``FIT_TOL`` and ``FIT_MAX_ITER``
+    are the defaults), but every iteration recomputes its margins from w,
+    rebuilds every loop constant, takes the gradient norm by
+    ``np.linalg.norm`` and its logistic terms by ``masked_logistic``.
+    """
+
+    def objective(w):
+        return float(weights @ masked_logistic(signs * (phi @ w))) + 0.5 * lam * float(w @ w)
+
+    w = np.zeros(phi.shape[1])
+    obj = objective(w)
+    for _ in range(max_iter):
+        p = 0.5 * (1.0 + np.tanh(0.5 * (-signs * (phi @ w))))
+        grad = phi.T @ (-weights * signs * p) + lam * w
+        if np.linalg.norm(grad) <= tol:
+            break
+        hess = (phi.T * (weights * p * (1.0 - p))) @ phi + lam * np.eye(w.size)
+        step = np.linalg.solve(hess, grad)
+        noise = phi.shape[0] * np.finfo(float).eps * obj
+        if float(grad @ step) <= noise:
+            break
+        eta = 1.0
+        while eta > 1e-12 and obj - (trial := objective(w - eta * step)) <= noise:
+            eta *= 0.5
+        if eta <= 1e-12:
+            break
+        w, obj = w - eta * step, trial
+    return w, obj
+
+
 def adversary_risk(channel_rows, x, g_labels, g, lam):
     """Minimum class-balanced logistic risk of telling private value g from 0."""
     g_labels = np.asarray(g_labels)

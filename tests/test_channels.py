@@ -129,6 +129,27 @@ def test_random_channel_degenerate_output():
     assert np.array_equal(ch.rows, np.ones((3, 1)))
 
 
+@pytest.mark.parametrize("z_size", [2, 3, 4])
+def test_sampling_counts_the_cdf_one_output_at_a_time_as_the_table_sum(z_size):
+    """The same outputs as summing the (n, z) table u > cdf[x] per row, capped at z - 1,
+    on rows with a zero entry and a degenerate row among them."""
+    rows = [random_channel(seed, 6, z_size).rows.copy() for seed in range(3)]
+    rows[0][1] = np.eye(z_size)[z_size - 1]
+    rows[1][2, 0] += rows[1][2, 1]
+    rows[1][2, 1] = 0.0
+    mapping = NetworkMapping(tuple(SensorChannel(r) for r in rows))
+    x = np.random.default_rng(z_size).integers(0, 6, (5000, 3))
+    rng = np.random.default_rng(7)
+    want = np.empty_like(x)
+    for t, ch in enumerate(mapping.channels):
+        cdf = np.cumsum(ch.rows, axis=1)
+        u = rng.random(x.shape[0])
+        want[:, t] = np.minimum((u[:, None] > cdf[x[:, t]]).sum(axis=1), z_size - 1)
+    got = mapping.sample(x, np.random.default_rng(7))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert set(np.unique(got)) <= set(range(z_size))
+
+
 def test_random_channel_row_sums_over_many_seeds():
     for seed in range(1000):
         rows = random_channel(seed, 3, 2).rows

@@ -1,6 +1,7 @@
 """Tests of the empirical solver (EPIC and E-LDP) against independent oracles."""
 
 import ast
+import collections
 import json
 import math
 from pathlib import Path
@@ -12,7 +13,7 @@ from privdet import channels, epic, metrics, simplex
 from privdet.channels import random_mapping
 from privdet.model import generate_correlated_model
 
-from _oracles import adversary_risk
+from _oracles import adversary_risk, masked_logistic, refit_newton
 
 LAM = 0.05
 R = 0.9
@@ -295,18 +296,102 @@ def _capped_path_point_loop(dataset, from_chans, to_chans, f_cap, lam):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_the_capped_path_point_is_the_channel_object_loop_bit_for_bit(seed):
-    """At the cap of the path's start (no bisection), and at caps that bisect toward its end."""
+def test_the_capped_path_point_is_the_channel_object_loop_bit_for_bit(seed, monkeypatch):
+    """At the cap of the path's start (no bisection), at caps that bisect toward its end, and
+    at caps equal to the fit's objective at the midpoints 0.5 and 0.75, which no certificate
+    can decide: there the cold fit decides, and both branches are taken."""
+    decided = collections.Counter()
+    certified = epic._certified_below
+
+    def counted(*args):
+        below, w = certified(*args)
+        decided[below is not None] += 1
+        return below, w
+
+    monkeypatch.setattr(epic, "_certified_below", counted)
     model = generate_correlated_model(seed=seed, s=3, x_size=5)
-    data = epic.dataset_from_model(model, 60, seed)
-    ends = [list(random_mapping(seed + k, data.s, data.x_size, epic.Z_SIZE).channels) for k in (10, 20)]
-    ends.sort(key=lambda chans: -epic._fit(data, chans, LAM)[1])  # the path starts at the worse
-    f_start, f_end = (epic._fit(data, chans, LAM)[1] for chans in ends)
-    assert f_start > f_end
-    for cap in (f_start, f_end, 0.5 * (f_start + f_end), 0.9 * f_start + 0.1 * f_end):
-        got = epic._capped_path_point(data, *ends, cap, LAM)
-        want = _capped_path_point_loop(data, *ends, cap, LAM)
-        assert [ch.rows.tobytes() for ch in got] == [ch.rows.tobytes() for ch in want]
+    for n_train in (12, 40, 400):
+        decided.clear()
+        data = epic.dataset_from_model(model, n_train, seed)
+        ends = [list(random_mapping(seed + k, data.s, data.x_size, epic.Z_SIZE).channels) for k in (10, 20)]
+        ends.sort(key=lambda chans: -epic._fit(data, chans, LAM)[1])  # the path starts at the worse
+        f_start, f_end = (epic._fit(data, chans, LAM)[1] for chans in ends)
+        assert f_start > f_end
+        f_mid = [epic._fit(data, epic._blend(*ends, beta), LAM)[1] for beta in (0.5, 0.75)]
+        for cap in (f_start, f_end, 0.5 * (f_start + f_end), 0.9 * f_start + 0.1 * f_end, *f_mid):
+            got = epic._capped_path_point(data, *ends, cap, LAM)
+            want = _capped_path_point_loop(data, *ends, cap, LAM)
+            assert [ch.rows.tobytes() for ch in got] == [ch.rows.tobytes() for ch in want]
+        assert decided[True] > 0 and decided[False] > 0, n_train
+
+
+@pytest.mark.parametrize("eps_ld, cold_fits", [(0.5, 36), (1.0, 35)])
+def test_an_epic_solve_fits_cold_only_where_no_certificate_decides(eps_ld, cold_fits, monkeypatch):
+    """The benchmark's empirical inputs: each of step (i)'s two bisections makes 26 cap
+    tests, every one a certificate, and the cold fits are the solutions' and the fallbacks'."""
+    calls = collections.Counter()
+    for name in ("_newton_fit", "_certified_below"):
+        def counted(*args, _real=getattr(epic, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(epic, name, counted)
+    model = generate_correlated_model(seed=0, s=4, x_size=8)
+    epic.epic_solve(epic.dataset_from_model(model, 40, 0), eps_ld, R, LAM, epic.EpicConfig(max_sweeps=2))
+    assert calls == {"_newton_fit": cold_fits, "_certified_below": 2 * 26}
+
+
+def _fit_problems(count, seed=0):
+    """Random fit problems shaped like the solvers': pushed features of random channels
+    (s 1-4, x 2-8, z 2-3), the public weights 1/n or an adversary's class-balanced ones
+    (zero off its two classes), separable labels in a third, and n 4000 every tenth."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = 4000 if k % 10 == 0 else int(rng.choice([3, 12, 40, 400]))
+        s, x_size, z_size = int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(2, 4))
+        x = rng.integers(0, x_size, (n, s))
+        phi = np.hstack([rng.dirichlet(np.ones(z_size), x_size)[x[:, t]] for t in range(s)])
+        labels = (phi @ rng.normal(size=phi.shape[1]) > 0) if k % 3 == 0 else rng.integers(0, 2, n)
+        if k % 2:
+            labels = np.where(rng.random(n) < 0.2, 2, labels)  # rows of neither class
+            labels[:2] = 0, 1
+            weights, signs = np.zeros(n), np.zeros(n)
+            for cls, sign in ((0, -1.0), (1, 1.0)):
+                weights[labels == cls] = 0.5 / np.count_nonzero(labels == cls)
+                signs[labels == cls] = sign
+        else:
+            weights, signs = np.full(n, 1.0 / n), np.where(labels == 1, 1.0, -1.0)
+        yield phi, signs, weights, float(rng.choice([1e-3, 0.05, 1.0]))
+
+
+def test_the_newton_fit_is_the_plain_kernel_byte_for_byte():
+    for phi, signs, weights, lam in _fit_problems(220):
+        w, obj = epic._newton_fit(phi, signs, weights, lam)
+        ref_w, ref_obj = refit_newton(phi, signs, weights, lam)
+        assert w.tobytes() == ref_w.tobytes()
+        assert np.float64(obj).tobytes() == np.float64(ref_obj).tobytes()
+
+
+def test_the_logistic_is_the_masked_form_byte_for_byte():
+    ends = np.array([0.0, 1e-300, 30.0, 745.0, 1e308])
+    u = np.concatenate([ends, -ends, np.random.default_rng(0).normal(0.0, 40.0, 1001)])
+    assert epic._logistic(u).tobytes() == masked_logistic(u).tobytes()
+    for v in np.concatenate([ends, -ends]):  # each value alone, as a one-entry array
+        one = np.array([v])
+        assert epic._logistic(one).tobytes() == masked_logistic(one).tobytes()
+
+
+def test_a_certificate_decides_as_the_cold_fit_would():
+    """Caps within a few CERTIFY_MARGIN of the cold objective, and far from it, from a cold
+    and from a warm start: every decided answer is the cold fit's."""
+    outcomes = collections.Counter()
+    for phi, signs, weights, lam in _fit_problems(60, seed=1):
+        w_star, obj = epic._newton_fit(phi, signs, weights, lam)
+        for offset in (-1e-2, -3e-9, -1e-10, 0.0, 1e-10, 3e-9, 1e-2):
+            for w in (np.zeros(phi.shape[1]), w_star * 0.9):
+                below, _ = epic._certified_below(phi, signs, weights, lam, obj + offset, w)
+                outcomes[below] += 1
+                assert below is None or below == (obj <= obj + offset)
+    assert outcomes[True] and outcomes[False] and outcomes[None]
 
 
 def test_the_risk_floor_search_solves_no_lp():
@@ -394,31 +479,38 @@ def test_discretize_bins_an_infinite_block_apart(sign):
     assert edges.tolist() == ([inner, finite.max()] if sign > 0 else [-math.inf, inner])
 
 
-#: Newton steps a fit may take on the case below: every fit there has
-#: stopped within 3 steps since the stop tests read the objective's rounding
-#: error, where one fit in eight ran all FIT_MAX_ITER steps before.
+#: Newton steps a fit or a certificate may take on the case below: every fit
+#: there has stopped within 3 steps since the stop tests read the objective's
+#: rounding error, where one fit in eight ran all FIT_MAX_ITER steps before.
 MAX_NEWTON_STEPS = 6
 
 
 def test_no_newton_fit_steps_below_the_objectives_rounding_error(monkeypatch):
     """At n_train 4000 the objective sums 4000 terms, and a fit that stops only at
-    gradient norm FIT_TOL takes steps whose decrease its rounding error hides."""
-    steps, evaluations = [], [0]
-    real_sigmoid, real_fit = epic._sigmoid, epic._newton_fit
+    gradient norm FIT_TOL takes steps whose decrease its rounding error hides.  The case
+    makes 37 cold fits; step (i)'s 52 cap tests are certificates, which no fit counts."""
+    steps = {"_newton_fit": [], "_certified_below": []}
+    evaluations = {"_newton_fit": 0, "_certified_below": 0}
 
-    def sigmoid(u):  # a fit evaluates its gradient once per step, and once more to stop
-        evaluations[0] += 1
-        return real_sigmoid(u)
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            evaluations[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
 
-    def fit(*args, **kwargs):
-        evaluations[0] = 0
-        out = real_fit(*args, **kwargs)
-        steps.append(evaluations[0] - 1)
-        return out
-
-    monkeypatch.setattr(epic, "_sigmoid", sigmoid)
-    monkeypatch.setattr(epic, "_newton_fit", fit)
+    # a fit evaluates its gradient once per step and once more to stop; a
+    # certificate evaluates its objective once per iterate
+    monkeypatch.setattr(epic, "_sigmoid", counting("_newton_fit", epic._sigmoid))
+    monkeypatch.setattr(epic, "_logistic", counting("_certified_below", epic._logistic))
+    for name in steps:
+        def stepped(*args, _name=name, _real=getattr(epic, name), **kwargs):
+            evaluations[_name] = 0
+            out = _real(*args, **kwargs)
+            steps[_name].append(evaluations[_name] - 1)
+            return out
+        monkeypatch.setattr(epic, name, stepped)
     model = generate_correlated_model(seed=0, s=4, x_size=8)
     epic.epic_solve(epic.dataset_from_model(model, 4000, 0), 0.5, R, LAM)
-    assert len(steps) > 50
-    assert max(steps) <= MAX_NEWTON_STEPS
+    assert len(steps["_newton_fit"]) == 37
+    assert len(steps["_certified_below"]) == 52
+    assert max(max(s) for s in steps.values()) <= MAX_NEWTON_STEPS

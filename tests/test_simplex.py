@@ -81,6 +81,29 @@ def test_matches_scipy_on_random_instances(seed):
     assert np.abs(a_eq @ ours.x - b_eq).max() <= 1e-9
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_a_pivot_is_the_rank_one_update_signed_zeros_included(seed):
+    """The update written out: normalize the pivot row, then subtract from every row (the
+    cost row last) its entry times the normalized row, the pivot row's own factor 0.
+    That makes the pivot row's -0.0 entries +0.0; the returned row keeps them."""
+    rng = np.random.default_rng(seed)
+    tableau = rng.normal(size=(6, 9)) * (rng.random((6, 9)) < 0.6)
+    tableau[rng.random((6, 9)) < 0.2] = -0.0
+    row, col = int(rng.integers(0, 5)), int(rng.integers(0, 9))
+    tableau[row, col] = rng.choice([-1.0, 1.0]) * (0.5 + rng.random())
+    tableau[row, (col + 1) % 9] = math.copysign(0.0, -tableau[row, col])  # normalizes to -0.0
+    want = tableau.copy()
+    want[row] /= want[row, col]
+    want_prow = want[row].copy()
+    factors = want[:, col].copy()
+    factors[row] = 0.0
+    want -= factors[:, None] * want_prow
+    prow = simplex._pivot(tableau, row, col)
+    assert tableau.tobytes() == want.tobytes()
+    assert prow.tobytes() == want_prow.tobytes()
+    assert np.signbit(prow[prow == 0.0]).any() and not np.signbit(tableau[row][prow == 0.0]).any()
+
+
 def test_degenerate_ratio_polytope_terminates():
     # ratio-budget-style program: many zero right-hand sides
     rng = np.random.default_rng(7)
